@@ -43,7 +43,6 @@ from .fourstate import (
     pauli_for_target,
     pauli_transition,
     run_modified_pair,
-    run_modified_session,
 )
 from .analysis import (
     ChshEstimate,

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import ProtocolKind, SimulationConfig
+from .config import SimulationConfig
 from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, correlation_signature
 from .quantum import BellStateId, ChshSettings
 
@@ -86,42 +86,25 @@ def _chsh_bin_from_counts(
     return ChshBinEstimate(s_hat, math.sqrt(max(variance, 0.0)), dict(counts), correlators)
 
 
-def estimate_chsh(records: list[PairRecord], settings: ChshSettings) -> ChshEstimate:
+def estimate_chsh(records: list, settings: ChshSettings) -> ChshEstimate:
     """Per-state CHSH estimates from the CHSH control rounds in ``records``.
 
     ``settings`` must be the tuple the session actually used; recorded
     angles are checked against it.
     """
-    counts: dict[BellStateId, dict[tuple[int, int], int]] = {}
-    products: dict[BellStateId, dict[tuple[int, int], int]] = {}
     for record in records:
-        if record.mode is not Mode.CONTROL_CHSH:
-            continue
-        i, j = record.alice_setting, record.bob_setting
-        if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
-            raise ValueError(f"pair {record.pair_index} was measured with different settings")
-        state = record.bob_state
-        c = counts.setdefault(state, {p: 0 for p in SETTING_PAIRS})
-        s = products.setdefault(state, {p: 0 for p in SETTING_PAIRS})
-        c[(i, j)] += 1
-        s[(i, j)] += record.outcomes[0] * record.outcomes[1]
-    return ChshEstimate(
-        per_state={state: _chsh_bin_from_counts(counts[state], products[state]) for state in counts}
-    )
+        if record.mode is Mode.CONTROL_CHSH:
+            i, j = record.alice_setting, record.bob_setting
+            if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
+                raise ValueError(f"pair {record.pair_index} was measured with different settings")
+    return _tally(SimulationReport(config_echo={}, seed=0), records).chsh_estimate()
 
 
-def estimate_qber(records: list[PairRecord]) -> DetectionStats:
-    """Detection statistics from error-check control rounds: a check fails
-    when the announced correlation contradicts the sent state's signature."""
-    checks = errors = 0
-    for record in records:
-        if record.mode is not Mode.CONTROL_QBER:
-            continue
-        checks += 1
-        expected = correlation_signature(record.bob_state, record.alice_basis) == +1
-        if record.correlated != expected:
-            errors += 1
-    return DetectionStats(checks=checks, errors=errors)
+def estimate_qber(records: list) -> DetectionStats:
+    """Detection statistics from the error-check control rounds of either
+    protocol: a check fails when the disclosed outcomes contradict the sent
+    state's signature."""
+    return _tally(SimulationReport(config_echo={}, seed=0), records).detection
 
 
 def evasion_probability(control_probability: float, detection_rate: float, n: int) -> float:
@@ -237,7 +220,7 @@ class SimulationReport:
     def chsh_estimate(self) -> ChshEstimate:
         per_state: dict[BellStateId, ChshBinEstimate] = {}
         states = {state for (state, _, _) in self.chsh_counts}
-        for state in states:
+        for state in sorted(states, key=lambda s: s.bits):
             counts = {
                 (i, j): self.chsh_counts.get((state, i, j), 0) for (i, j) in SETTING_PAIRS
             }
@@ -285,8 +268,7 @@ class SimulationReport:
         """Stable report schema (the CLI's JSON object)."""
         estimate = self.chsh_estimate()
         per_state = {}
-        for state in sorted(estimate.per_state, key=lambda s: s.bits):
-            bin_ = estimate.per_state[state]
+        for state, bin_ in estimate.per_state.items():
             per_state[state.name.lower()] = {
                 "s_hat": bin_.s_hat,
                 "stderr": bin_.stderr,
@@ -372,13 +354,18 @@ def _tally_modified_record(report: SimulationReport, record) -> None:
             report.qber_errors += 1
 
 
+def _tally(report: SimulationReport, records: list) -> SimulationReport:
+    """The one counting path: every estimator reads these counters.  Each
+    record is tallied by its own protocol's rules."""
+    for record in records:
+        if isinstance(record, PairRecord):
+            _tally_base_record(report, record)
+        else:
+            _tally_modified_record(report, record)
+    return report
+
+
 def build_report(records: list, config: SimulationConfig) -> SimulationReport:
     """Aggregate records into a report; an empty list gives a report with
     zero counters and every estimate unavailable."""
-    report = SimulationReport(config_echo=config.to_dict(), seed=config.seed)
-    tally = (
-        _tally_modified_record if config.protocol is ProtocolKind.MODIFIED else _tally_base_record
-    )
-    for record in records:
-        tally(report, record)
-    return report
+    return _tally(SimulationReport(config_echo=config.to_dict(), seed=config.seed), records)

@@ -145,22 +145,12 @@ class QmmSubstitute(Adversary):
     """Pair-substitution man-in-the-middle.
 
     Eve must commit to her own pair before anything about Bob's choice is
-    observable, hence the uniform default policy.
+    observable, hence the uniform default policy.  The substitute policy
+    comes from a validated :class:`AttackSpec`.
     """
 
-    def __init__(
-        self,
-        policy: str = "uniform",
-        state: BellStateId | None = None,
-        choices: tuple[BellStateId, ...] = (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS),
-    ) -> None:
-        if policy not in ("uniform", "fixed"):
-            raise ValueError(f"unknown substitute policy {policy!r}")
-        if policy == "fixed" and state is None:
-            raise ValueError("fixed substitute policy needs a state")
-        self._policy = policy
-        self._state = state
-        self._choices = choices
+    def __init__(self, spec: AttackSpec) -> None:
+        self._spec = spec
         self._protocol = ProtocolKind.BASE
         self._log = EveLog()
         self._retained: list[str] = []
@@ -177,9 +167,10 @@ class QmmSubstitute(Adversary):
         self._heard_pauli = None
 
     def _draw_substitute(self, rng) -> BellStateId:
-        if self._policy == "fixed":
-            return self._state
-        return self._choices[rng.randrange(len(self._choices))]
+        if self._spec.substitute_policy == "fixed":
+            return self._spec.substitute_state
+        choices = self._spec.substitute_choices
+        return choices[rng.randrange(len(choices))]
 
     def relay_qubit(self, system, handle, leg, rng):
         self._log.observations.append(("qubit", leg))
@@ -231,8 +222,8 @@ class QmmSwap(QmmSubstitute):
     with a vanishing CHSH value.
     """
 
-    def __init__(self, policy="uniform", state=None, choices=(BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)):
-        super().__init__(policy, state, choices)
+    def __init__(self, spec: AttackSpec) -> None:
+        super().__init__(spec)
         self._check = CheckKind.CHSH
         self._swapped = False
 
@@ -271,7 +262,7 @@ def build_adversary(spec: AttackSpec) -> Adversary | None:
     if spec.kind is AttackKind.INTERCEPT_RESEND:
         return InterceptResend(basis=spec.ir_basis)
     if spec.kind is AttackKind.QMM_SUBSTITUTE:
-        return QmmSubstitute(spec.substitute_policy, spec.substitute_state, spec.substitute_choices)
+        return QmmSubstitute(spec)
     if spec.kind is AttackKind.QMM_SWAP:
-        return QmmSwap(spec.substitute_policy, spec.substitute_state, spec.substitute_choices)
+        return QmmSwap(spec)
     raise ValueError(f"unknown attack kind {spec.kind!r}")

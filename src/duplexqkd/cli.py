@@ -134,7 +134,10 @@ def _parse_settings(text: str) -> ChshSettings:
     if len(parts) != 4:
         raise UsageError(f"--settings: expected 4 comma-separated angles, got {len(parts)}")
     a11, a12, a21, a22 = (_parse_float("settings", p) for p in parts)
-    return ChshSettings(alice_angles=(a11, a12), bob_angles=(a21, a22))
+    try:
+        return ChshSettings(alice_angles=(a11, a12), bob_angles=(a21, a22))
+    except ValueError as exc:
+        raise UsageError(f"--settings: {exc}") from exc
 
 
 def _parse_choice(flag: str, text: str) -> str:
@@ -389,7 +392,7 @@ def main(run: RunSpec) -> int:
     records = run_session(run.config)
     if run.out_format == "json":
         report = build_report(records, run.config)
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
+        text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     else:
         text = records_to_csv(records)
     try:

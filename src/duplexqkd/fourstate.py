@@ -23,16 +23,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .analysis import EfficiencyQuery, cabello_efficiency
-from .config import AttackKind, SimulationConfig
-from .protocol import (
-    BIT_BASIS,
-    PairSystem,
-    _EVE_LANE,
-    _HONEST_LANE,
-    _stream_key,
-    correlation_signature,
-    pair_stream,
-)
+from .config import SimulationConfig
+from .protocol import BIT_BASIS, _Round, correlation_signature
 from .quantum import Basis, BellStateId, Outcome, PauliOp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,8 +46,6 @@ __all__ = [
     "pauli_for_target",
     "pauli_transition",
     "run_modified_pair",
-    "run_modified_session",
-    "state_to_bits",
 ]
 
 
@@ -102,12 +92,6 @@ _PAULI_MASK = {
     PauliOp.SIGMA3: 0b01,
 }
 _MASK_TO_PAULI = {mask: op for op, mask in _PAULI_MASK.items()}
-
-
-def state_to_bits(state: BellStateId) -> int:
-    """Two-bit value of a Bell state (psi+ = 00, psi- = 01, phi+ = 10,
-    phi- = 11)."""
-    return state.bits
 
 
 def bits_to_state(bits: int) -> BellStateId:
@@ -157,55 +141,35 @@ def run_modified_pair(
 ) -> ModifiedPairRecord:
     """One four-state round; deterministic given (config, pair_index,
     payload bits, adversary type)."""
-    rng = pair_stream(config.seed, pair_index, _HONEST_LANE) if _rng is None else _rng
-    if adversary is not None:
-        eve_rng = pair_stream(config.seed, pair_index, _EVE_LANE) if _eve_rng is None else _eve_rng
-    else:
-        eve_rng = None
+    round_ = _Round(config, adversary, pair_index, _rng, _eve_rng)
+    rng = round_.rng
+    system = round_.system
 
     bob_state = bits_to_state(rng.getrandbits(2) if bob_bits is None else bob_bits)
     control = bool(rng.random() < config.control_probability)
     mode = ModifiedMode.CONTROL if control else ModifiedMode.MESSAGE
 
-    system = PairSystem()
-    system.add_pair(bob_state, "bob0", "bob1")
-
-    if adversary is not None:
-        adversary.begin_pair()
-        first = adversary.relay_qubit(system, "bob0", 1, eve_rng)
-    else:
-        first = "bob0"
-
-    announcements: list[ModifiedMessage] = []
-
-    def announce(message: ModifiedMessage) -> None:
-        announcements.append(message)
-        if adversary is not None:
-            adversary.hear(system, message, eve_rng)
+    first = round_.send_first(bob_state)
 
     alice_bell_outcome = alice_pauli = alice_target = bob_decoded = None
     control_basis = control_pass = None
 
     if mode is ModifiedMode.MESSAGE:
-        announce(ReceiptAck())
-        second = adversary.relay_qubit(system, "bob1", 2, eve_rng) if adversary is not None else "bob1"
-        alice_bell_outcome = system.bell_measure_pair(first, second, rng.random())
+        round_.announce(ReceiptAck())
+        alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), rng.random())
         alice_target = bits_to_state(rng.getrandbits(2) if alice_bits is None else alice_bits)
         alice_pauli = pauli_for_target(alice_bell_outcome, alice_target)
-        announce(PauliAnnouncement(op=alice_pauli))
+        round_.announce(PauliAnnouncement(op=alice_pauli))
         bob_decoded = pauli_transition(bob_state, alice_pauli)
         outcomes: tuple[Outcome, ...] = ()
     else:
         control_basis = BIT_BASIS[rng.getrandbits(1)]
         outcome_1 = system.measure(first, control_basis.observable, rng.random())
-        announce(ModifiedControlDisclosure(basis=control_basis, outcome=outcome_1))
-        announce(StateDisclosure(state_id=bob_state))
-        second = adversary.relay_qubit(system, "bob1", 2, eve_rng) if adversary is not None else "bob1"
-        outcome_2 = system.measure(second, control_basis.observable, rng.random())
+        round_.announce(ModifiedControlDisclosure(basis=control_basis, outcome=outcome_1))
+        round_.announce(StateDisclosure(state_id=bob_state))
+        outcome_2 = system.measure(round_.send_second(), control_basis.observable, rng.random())
         outcomes = (outcome_1, outcome_2)
         control_pass = outcome_1 * outcome_2 == correlation_signature(bob_state, control_basis)
-
-    eve_log = adversary.end_pair(system, eve_rng) if adversary is not None else None
 
     return ModifiedPairRecord(
         pair_index=pair_index,
@@ -218,30 +182,9 @@ def run_modified_pair(
         control_basis=control_basis,
         outcomes=outcomes,
         control_pass=control_pass,
-        announcements=tuple(announcements),
-        eve_log=eve_log,
+        announcements=tuple(round_.announcements),
+        eve_log=round_.end(),
     )
-
-
-def run_modified_session(
-    config: SimulationConfig, adversary: "Adversary | None" = None
-) -> list[ModifiedPairRecord]:
-    """Run ``config.pairs`` four-state rounds."""
-    if adversary is None and config.attack.kind is not AttackKind.NONE:
-        from .attacks import build_adversary
-
-        adversary = build_adversary(config.attack)
-    if adversary is not None:
-        adversary.begin_session(config)
-    rng = random.Random()
-    eve_rng = random.Random() if adversary is not None else None
-    records = []
-    for i in range(config.pairs):
-        rng.seed(_stream_key(config.seed, i, _HONEST_LANE))
-        if eve_rng is not None:
-            eve_rng.seed(_stream_key(config.seed, i, _EVE_LANE))
-        records.append(run_modified_pair(config, adversary, i, _rng=rng, _eve_rng=eve_rng))
-    return records
 
 
 # Classical-bit accounting for one message round: Alice's receipt plus her

@@ -271,6 +271,56 @@ def _encoder_for(config: SimulationConfig, pair_index: int) -> Encoder:
     return Encoder.ALICE_RUN if pair_index % 2 == 0 else Encoder.BOB_RUN
 
 
+class _Round:
+    """The scaffold every round of either protocol shares: the pair's honest
+    and adversary streams, the live qubits, the channel adversary's hooks
+    and the public announcement list.  With no adversary the qubits travel
+    untouched and no adversary stream is made."""
+
+    __slots__ = ("rng", "system", "announcements", "_adversary", "_eve_rng")
+
+    def __init__(
+        self,
+        config: SimulationConfig,
+        adversary: "Adversary | None",
+        pair_index: int,
+        rng: random.Random | None,
+        eve_rng: random.Random | None,
+    ) -> None:
+        self.rng = pair_stream(config.seed, pair_index, _HONEST_LANE) if rng is None else rng
+        self.system = PairSystem()
+        self.announcements: list = []
+        self._adversary = adversary
+        if adversary is not None and eve_rng is None:
+            eve_rng = pair_stream(config.seed, pair_index, _EVE_LANE)
+        self._eve_rng = eve_rng
+
+    def send_first(self, bob_state: BellStateId) -> str:
+        """Bob prepares his pair and the first half crosses the channel;
+        returns the handle of the qubit Alice receives."""
+        self.system.add_pair(bob_state, "bob0", "bob1")
+        if self._adversary is None:
+            return "bob0"
+        self._adversary.begin_pair()
+        return self._adversary.relay_qubit(self.system, "bob0", 1, self._eve_rng)
+
+    def send_second(self) -> str:
+        """The second half crosses the channel to Alice."""
+        if self._adversary is None:
+            return "bob1"
+        return self._adversary.relay_qubit(self.system, "bob1", 2, self._eve_rng)
+
+    def announce(self, message) -> None:
+        self.announcements.append(message)
+        if self._adversary is not None:
+            self._adversary.hear(self.system, message, self._eve_rng)
+
+    def end(self) -> "EveLog | None":
+        if self._adversary is None:
+            return None
+        return self._adversary.end_pair(self.system, self._eve_rng)
+
+
 def run_pair(
     config: SimulationConfig,
     adversary: "Adversary | None",
@@ -289,12 +339,9 @@ def run_pair(
     ``_eve_rng`` let the session loop reuse stream objects; they must be
     seeded exactly like :func:`pair_stream` for this pair.
     """
-    rng = pair_stream(config.seed, pair_index, _HONEST_LANE) if _rng is None else _rng
-    if adversary is not None:
-        eve_rng = pair_stream(config.seed, pair_index, _EVE_LANE) if _eve_rng is None else _eve_rng
-    else:
-        eve_rng = None
-
+    round_ = _Round(config, adversary, pair_index, _rng, _eve_rng)
+    rng = round_.rng
+    system = round_.system
     encoder = _encoder_for(config, pair_index)
 
     # Bob's state choice.
@@ -308,14 +355,7 @@ def run_pair(
     else:
         mode = Mode.MESSAGE
 
-    system = PairSystem()
-    system.add_pair(bob_state, "bob0", "bob1")
-
-    if adversary is not None:
-        adversary.begin_pair()
-        first = adversary.relay_qubit(system, "bob0", 1, eve_rng)
-    else:
-        first = "bob0"
+    first = round_.send_first(bob_state)
 
     # Alice's first measurement (a CHSH angle in control-CHSH rounds, her
     # basis bit otherwise).
@@ -332,15 +372,8 @@ def run_pair(
         first_obs = alice_basis.observable
     outcome_1 = system.measure(first, first_obs, rng.random())
 
-    announcements: list[ProtocolMessage] = []
-
-    def announce(message: ProtocolMessage) -> None:
-        announcements.append(message)
-        if adversary is not None:
-            adversary.hear(system, message, eve_rng)
-
     # Alice announces the measurement itself, never its result.
-    announce(MeasuredFirst(control=control))
+    round_.announce(MeasuredFirst(control=control))
 
     outcomes: tuple[Outcome, ...]
     correlated: bool | None = None
@@ -349,31 +382,27 @@ def run_pair(
     alice_decoded_state: BellStateId | None = None
     qber_pass: bool | None = None
 
-    if mode is Mode.MESSAGE:
-        second = adversary.relay_qubit(system, "bob1", 2, eve_rng) if adversary is not None else "bob1"
-        outcome_2 = system.measure(second, first_obs, rng.random())
-        outcomes = (outcome_1, outcome_2)
-        correlated = outcome_1 * outcome_2 == +1
-        announce(CorrelationAnnouncement(correlated=correlated))
-        bob_decoded_basis = bob_decode(bob_state, correlated)
-        alice_decoded_state = alice_decode(alice_basis, correlated)
-    elif mode is Mode.CONTROL_CHSH:
+    if mode is Mode.CONTROL_CHSH:
         # Bob keeps the second half and measures locally.
         bob_setting = rng.getrandbits(1)
         bob_angle = config.settings.bob_angles[bob_setting]
         outcome_2 = system.measure("bob1", bob_obs_set[bob_setting], rng.random())
         outcomes = (outcome_1, outcome_2)
-        announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
-        announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))
-    else:  # Mode.CONTROL_QBER
-        second = adversary.relay_qubit(system, "bob1", 2, eve_rng) if adversary is not None else "bob1"
-        outcome_2 = system.measure(second, first_obs, rng.random())
+        round_.announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
+        round_.announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))
+    else:
+        # Message and error-check rounds: the second half travels to Alice,
+        # who measures it in her first basis.
+        outcome_2 = system.measure(round_.send_second(), first_obs, rng.random())
         outcomes = (outcome_1, outcome_2)
         correlated = outcome_1 * outcome_2 == +1
-        announce(QberDisclosure(basis=alice_basis, correlated=correlated))
-        qber_pass = correlated == (correlation_signature(bob_state, alice_basis) == +1)
-
-    eve_log = adversary.end_pair(system, eve_rng) if adversary is not None else None
+        if mode is Mode.MESSAGE:
+            round_.announce(CorrelationAnnouncement(correlated=correlated))
+            bob_decoded_basis = bob_decode(bob_state, correlated)
+            alice_decoded_state = alice_decode(alice_basis, correlated)
+        else:
+            round_.announce(QberDisclosure(basis=alice_basis, correlated=correlated))
+            qber_pass = correlated == (correlation_signature(bob_state, alice_basis) == +1)
 
     return PairRecord(
         pair_index=pair_index,
@@ -386,27 +415,28 @@ def run_pair(
         bob_setting=bob_setting,
         bob_angle=bob_angle,
         outcomes=outcomes,
-        announcements=tuple(announcements),
+        announcements=tuple(round_.announcements),
         correlated=correlated,
         bob_decoded_basis=bob_decoded_basis,
         alice_decoded_state=alice_decoded_state,
         qber_pass=qber_pass,
-        eve_log=eve_log,
+        eve_log=round_.end(),
     )
 
 
 def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) -> list:
-    """Run ``config.pairs`` rounds and return their records.
+    """Run ``config.pairs`` rounds of the protocol ``config.protocol``
+    selects and return their records.
 
     With ``adversary=None`` the attack layer is instantiated from
-    ``config.attack`` (no layer at all for AttackKind.NONE).  Dispatches to
-    the four-state runner when ``config.protocol`` selects it.
+    ``config.attack`` (no layer at all for AttackKind.NONE).
     """
     if config.protocol is ProtocolKind.MODIFIED:
-        from .fourstate import run_modified_session
+        from . import fourstate
 
-        return run_modified_session(config, adversary)
-
+        round_fn = fourstate.run_modified_pair
+    else:
+        round_fn = run_pair
     if adversary is None and config.attack.kind is not AttackKind.NONE:
         from .attacks import build_adversary
 
@@ -422,5 +452,5 @@ def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) 
         rng.seed(_stream_key(config.seed, i, _HONEST_LANE))
         if eve_rng is not None:
             eve_rng.seed(_stream_key(config.seed, i, _EVE_LANE))
-        records.append(run_pair(config, adversary, i, _rng=rng, _eve_rng=eve_rng))
+        records.append(round_fn(config, adversary, i, _rng=rng, _eve_rng=eve_rng))
     return records

@@ -129,7 +129,10 @@ class PlanarObservable:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", float(self.angle) % (2.0 * math.pi))
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise ValueError(f"observable angle must be finite, got {angle}")
+        object.__setattr__(self, "angle", angle % (2.0 * math.pi))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -181,6 +184,8 @@ class ChshSettings:
         object.__setattr__(self, "bob_angles", tuple(float(a) for a in self.bob_angles))
         if len(self.alice_angles) != 2 or len(self.bob_angles) != 2:
             raise ValueError("ChshSettings needs exactly two angles per party")
+        if not all(map(math.isfinite, self.alice_angles + self.bob_angles)):
+            raise ValueError("CHSH angles must be finite")
 
 
 class PureState:

@@ -28,7 +28,7 @@ from duplexqkd.config import (
     ProtocolKind,
     SimulationConfig,
 )
-from duplexqkd.fourstate import modified_efficiency, pauli_transition, run_modified_session
+from duplexqkd.fourstate import modified_efficiency, pauli_transition
 from duplexqkd.protocol import Mode, correlation_signature, run_session
 from duplexqkd.quantum import (
     Basis,
@@ -269,7 +269,7 @@ def test_criterion_09_four_state_variant():
     config = SimulationConfig(
         pairs=10_000, control_probability=0.0, seed=42, protocol=ProtocolKind.MODIFIED
     )
-    records = run_modified_session(config)
+    records = run_session(config)
     bell_decode_ok = sum(r.alice_bell_outcome == r.bob_state for r in records)
     pauli_decode_ok = sum(r.bob_decoded == r.alice_target for r in records)
 

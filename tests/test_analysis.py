@@ -20,7 +20,7 @@ from duplexqkd.analysis import (
     estimate_qber,
     evasion_probability,
 )
-from duplexqkd.config import CheckKind, DEFAULT_SETTINGS, SimulationConfig
+from duplexqkd.config import AttackKind, AttackSpec, CheckKind, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import Encoder, Mode, PairRecord, run_session
 from duplexqkd.quantum import Basis, BellStateId, TwoQubitDensity, bell_state, correlator, PlanarObservable
 
@@ -159,6 +159,19 @@ def test_estimate_qber_counts_contradictions():
     assert stats.checks == 4
     assert stats.errors == 2
     assert stats.d_hat == 0.5
+    # Four-state control rounds are error checks too, counted by the same
+    # tally the report uses.
+    config = SimulationConfig(
+        pairs=3000,
+        control_probability=0.5,
+        attack=AttackSpec(kind=AttackKind.INTERCEPT_RESEND),
+        seed=4,
+        protocol=ProtocolKind.MODIFIED,
+    )
+    records = run_session(config)
+    stats = estimate_qber(records)
+    assert stats.checks > 0
+    assert stats == build_report(records, config).detection
 
 
 def test_estimate_qber_empty_is_undefined():

@@ -19,7 +19,7 @@ from duplexqkd.cli import (
     records_to_csv,
     run_cli,
 )
-from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind
+from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS
 from duplexqkd.protocol import run_session
 from duplexqkd.quantum import BellStateId, TwoQubitDensity, bell_state, chsh_value
 
@@ -61,12 +61,15 @@ def test_explicit_settings_parse():
         (["--settings", "1,2,3"], "--settings"),
         (["--no-such-flag"], "--no-such-flag"),
         (["--check", "parity"], "parity"),
+        (["--settings", "nan,0,0,0"], "--settings"),
+        (["--settings", "0,0,inf,0"], "--settings"),
     ],
 )
 def test_rejections_name_the_flag(argv, needle):
     with pytest.raises(UsageError) as err:
         parse_args(argv)
     assert needle in str(err.value)
+    assert run_cli(argv) == EXIT_USAGE
 
 
 def test_usage_errors_exit_2(capsys):
@@ -217,14 +220,19 @@ def test_csv_round_trip(tmp_path, extra):
     assert report_loaded.chsh_counts == report_direct.chsh_counts
     assert report_loaded.chsh_products == report_direct.chsh_products
     assert report_loaded.alice_decode_ok == report_direct.alice_decode_ok
-    if spec.config.protocol is ProtocolKind.BASE:
-        assert estimate_qber(loaded) == estimate_qber(records)
-        assert estimate_chsh(loaded, spec.config.settings) == estimate_chsh(records, spec.config.settings)
+    assert estimate_qber(loaded) == estimate_qber(records)
+    assert estimate_chsh(loaded, spec.config.settings) == estimate_chsh(records, spec.config.settings)
 
 
 def test_console_entry_point_registered():
-    from importlib.metadata import entry_points
+    # The declared entry point, read from pyproject.toml, so the check holds
+    # whether or not the package is installed.
+    import importlib
+    import tomllib
+    from pathlib import Path
 
-    eps = entry_points()
-    scripts = eps.select(group="console_scripts") if hasattr(eps, "select") else eps["console_scripts"]
-    assert any(ep.name == "duplexqkd" for ep in scripts)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["duplexqkd"] == "duplexqkd.cli:run_cli"
+    module_name, attr = scripts["duplexqkd"].split(":")
+    assert callable(getattr(importlib.import_module(module_name), attr))

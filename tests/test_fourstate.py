@@ -23,8 +23,6 @@ from duplexqkd.fourstate import (
     pauli_for_target,
     pauli_transition,
     run_modified_pair,
-    run_modified_session,
-    state_to_bits,
 )
 from duplexqkd.protocol import correlation_signature, run_session
 from duplexqkd.quantum import BellStateId, PauliOp, apply_pauli, bell_state, identify_bell
@@ -99,9 +97,9 @@ def test_pauli_permutations_form_klein_four_group():
 
 
 def test_two_bit_encoding_bijection():
-    assert [state_to_bits(s) for s in BellStateId] == [0, 1, 2, 3]
+    assert [s.bits for s in BellStateId] == [0, 1, 2, 3]
     for bits in range(4):
-        assert state_to_bits(bits_to_state(bits)) == bits
+        assert bits_to_state(bits).bits == bits
     with pytest.raises(ValueError):
         bits_to_state(4)
 
@@ -111,7 +109,7 @@ def test_two_bit_encoding_bijection():
 
 
 def test_clean_rounds_decode_both_directions():
-    records = run_modified_session(_config(pairs=2000, seed=8))
+    records = run_session(_config(pairs=2000, seed=8))
     assert all(r.mode is ModifiedMode.MESSAGE for r in records)
     for record in records:
         assert record.alice_bell_outcome == record.bob_state
@@ -135,7 +133,7 @@ def test_message_round_announcements():
 
 def test_control_round_flow_and_signature_check():
     config = _config(pairs=800, control_probability=0.5, seed=14)
-    records = run_modified_session(config)
+    records = run_session(config)
     controls = [r for r in records if r.mode is ModifiedMode.CONTROL]
     assert controls
     for record in controls:
@@ -152,7 +150,7 @@ def test_control_round_flow_and_signature_check():
 def test_passive_listener_guesses_target_at_chance():
     # The announced operation index alone says nothing about the target: any
     # fixed decoding rule succeeds at the 1/4 base rate under uniform states.
-    records = run_modified_session(_config(pairs=8000, seed=21))
+    records = run_session(_config(pairs=8000, seed=21))
     hits = sum(
         pauli_transition(BellStateId.PSI_PLUS, r.alice_pauli) == r.alice_target for r in records
     )
@@ -166,7 +164,7 @@ def test_four_state_substitution_is_caught_and_read():
         seed=31,
         attack=AttackSpec(kind=AttackKind.QMM_SUBSTITUTE, substitute_choices=tuple(BellStateId)),
     )
-    records = run_modified_session(config)
+    records = run_session(config)
     controls = [r for r in records if r.mode is ModifiedMode.CONTROL]
     fail_rate = sum(not r.control_pass for r in controls) / len(controls)
     assert 0.0 < fail_rate < 1.0
@@ -181,10 +179,10 @@ def test_four_state_substitution_is_caught_and_read():
 
 def test_modified_session_determinism_and_dispatch():
     config = _config(pairs=300, control_probability=0.3, seed=77)
-    direct = run_modified_session(config)
-    assert direct == run_modified_session(config)
-    # run_session dispatches on config.protocol
-    assert direct == run_session(config)
+    records = run_session(config)
+    assert records == run_session(config)
+    # run_session dispatches on config.protocol and matches standalone rounds
+    assert records == [run_modified_pair(config, None, i) for i in range(config.pairs)]
 
 
 def test_report_on_modified_records():
