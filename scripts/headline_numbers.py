@@ -76,7 +76,7 @@ def main() -> int:
         pairs=pairs, control_probability=0.5, check_kind=CheckKind.CHSH,
         attack=AttackSpec(kind=AttackKind.QMM_SWAP), seed=seed,
     )
-    records = run_session(config)
+    records = list(run_session(config))  # read twice below
     estimate = estimate_chsh(records, config.settings)
     print("entanglement-swap attack, CHSH control mode (flat mixture, S = 0):")
     for state, bin_ in sorted(estimate.per_state.items(), key=lambda kv: kv[0].bits):

@@ -6,6 +6,7 @@ record sets is exact, associative, and commutative."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,21 +87,29 @@ def _chsh_bin_from_counts(
     return ChshBinEstimate(s_hat, math.sqrt(max(variance, 0.0)), dict(counts), correlators)
 
 
-def estimate_chsh(records: list, settings: ChshSettings) -> ChshEstimate:
-    """Per-state CHSH estimates from the CHSH control rounds in ``records``.
-
-    ``settings`` must be the tuple the session actually used; recorded
-    angles are checked against it.
-    """
+def _with_settings_checked(records: Iterable, settings: ChshSettings) -> Iterator:
+    """Pass ``records`` through, raising ValueError at the first CHSH round
+    whose recorded angles are not ``settings``."""
     for record in records:
         if record.mode is Mode.CONTROL_CHSH:
             i, j = record.alice_setting, record.bob_setting
             if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
                 raise ValueError(f"pair {record.pair_index} was measured with different settings")
-    return _tally(SimulationReport(config_echo={}, seed=0), records).chsh_estimate()
+        yield record
 
 
-def estimate_qber(records: list) -> DetectionStats:
+def estimate_chsh(records: Iterable, settings: ChshSettings) -> ChshEstimate:
+    """Per-state CHSH estimates from the CHSH control rounds in ``records``.
+
+    ``settings`` must be the tuple the session actually used; recorded
+    angles are checked against it in the same single pass that tallies
+    them, so ``records`` may be a one-shot iterator.
+    """
+    report = _tally(SimulationReport(config_echo={}, seed=0), _with_settings_checked(records, settings))
+    return report.chsh_estimate()
+
+
+def estimate_qber(records: Iterable) -> DetectionStats:
     """Detection statistics from the error-check control rounds of either
     protocol: a check fails when the disclosed outcomes contradict the sent
     state's signature."""
@@ -354,7 +363,7 @@ def _tally_modified_record(report: SimulationReport, record) -> None:
             report.qber_errors += 1
 
 
-def _tally(report: SimulationReport, records: list) -> SimulationReport:
+def _tally(report: SimulationReport, records: Iterable) -> SimulationReport:
     """The one counting path: every estimator reads these counters.  Each
     record is tallied by its own protocol's rules."""
     for record in records:
@@ -365,7 +374,9 @@ def _tally(report: SimulationReport, records: list) -> SimulationReport:
     return report
 
 
-def build_report(records: list, config: SimulationConfig) -> SimulationReport:
-    """Aggregate records into a report; an empty list gives a report with
-    zero counters and every estimate unavailable."""
+def build_report(records: Iterable, config: SimulationConfig) -> SimulationReport:
+    """Aggregate records into a report, folding each into the counters as
+    it arrives (``records`` may be the ``run_session`` generator); no
+    records give a report with zero counters and every estimate
+    unavailable."""
     return _tally(SimulationReport(config_echo=config.to_dict(), seed=config.seed), records)

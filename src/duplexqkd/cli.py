@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import tempfile
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .analysis import build_report
 from .attacks import EveLog
@@ -242,52 +243,68 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _record_row(record) -> dict[str, str]:
-    row = dict.fromkeys(CSV_COLUMNS, "")
-    log = record.eve_log
-    if log is not None:
-        row["eve_substitute"] = _cell(log.substitute_state)
-        row["eve_bell_outcome"] = _cell(log.bell_outcome)
-        row["eve_guessed_alice_bit"] = _cell(log.guessed_alice_bit)
-        row["eve_guessed_bob_bit"] = _cell(log.guessed_bob_bit)
-    row["pair_index"] = _cell(record.pair_index)
-    row["bob_state"] = _cell(record.bob_state)
-    row["mode"] = _cell(record.mode)
+def _record_row(record) -> list[str]:
+    """One transcript row, its cells in ``CSV_COLUMNS`` order."""
     outcomes = record.outcomes
-    if len(outcomes) > 0:
-        row["outcome_1"] = _cell(outcomes[0])
-    if len(outcomes) > 1:
-        row["outcome_2"] = _cell(outcomes[1])
-    if isinstance(record, PairRecord):
-        row["protocol"] = "base"
-        row["encoder"] = _cell(record.encoder)
-        row["alice_basis"] = _cell(record.alice_basis)
-        row["alice_setting"] = _cell(record.alice_setting)
-        row["alice_angle"] = _cell(record.alice_angle)
-        row["bob_setting"] = _cell(record.bob_setting)
-        row["bob_angle"] = _cell(record.bob_angle)
-        row["correlated"] = _cell(record.correlated)
-        row["bob_decoded_basis"] = _cell(record.bob_decoded_basis)
-        row["alice_decoded_state"] = _cell(record.alice_decoded_state)
-        row["qber_pass"] = _cell(record.qber_pass)
+    outcome_1 = _cell(outcomes[0]) if len(outcomes) > 0 else ""
+    outcome_2 = _cell(outcomes[1]) if len(outcomes) > 1 else ""
+    log = record.eve_log
+    if log is None:
+        eve = ["", "", "", ""]
     else:
-        row["protocol"] = "modified"
-        row["alice_bell_outcome"] = _cell(record.alice_bell_outcome)
-        row["alice_pauli"] = _cell(record.alice_pauli)
-        row["alice_target"] = _cell(record.alice_target)
-        row["bob_decoded"] = _cell(record.bob_decoded)
-        row["control_basis"] = _cell(record.control_basis)
-        row["control_pass"] = _cell(record.control_pass)
-    return row
+        eve = [
+            _cell(log.substitute_state),
+            _cell(log.bell_outcome),
+            _cell(log.guessed_alice_bit),
+            _cell(log.guessed_bob_bit),
+        ]
+    if isinstance(record, PairRecord):
+        return [
+            _cell(record.pair_index),
+            "base",
+            _cell(record.mode),
+            _cell(record.encoder),
+            _cell(record.bob_state),
+            _cell(record.alice_basis),
+            _cell(record.alice_setting),
+            _cell(record.alice_angle),
+            _cell(record.bob_setting),
+            _cell(record.bob_angle),
+            outcome_1,
+            outcome_2,
+            _cell(record.correlated),
+            _cell(record.bob_decoded_basis),
+            _cell(record.alice_decoded_state),
+            _cell(record.qber_pass),
+            "", "", "", "", "", "",  # the four-state columns
+            *eve,
+        ]
+    return [
+        _cell(record.pair_index),
+        "modified",
+        _cell(record.mode),
+        "",  # encoder
+        _cell(record.bob_state),
+        "", "", "", "", "",  # alice_basis .. bob_angle
+        outcome_1,
+        outcome_2,
+        "", "", "", "",  # correlated .. qber_pass
+        _cell(record.alice_bell_outcome),
+        _cell(record.alice_pauli),
+        _cell(record.alice_target),
+        _cell(record.bob_decoded),
+        _cell(record.control_basis),
+        _cell(record.control_pass),
+        *eve,
+    ]
 
 
-def records_to_csv(records: list) -> str:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        writer.writerow(_record_row(record))
-    return buffer.getvalue()
+def records_to_csv(records: Iterable, handle: TextIO) -> None:
+    """Write the CSV transcript of ``records`` to ``handle``, each row as
+    its record arrives, so no transcript is held in memory."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(_record_row, records))
 
 
 def _opt(cell: str, convert):
@@ -372,12 +389,13 @@ def load_records_csv(path) -> list:
 # Execution
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    # Never leave a partial artifact: write a sibling temp file, then rename.
+def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
+    # Never leave a partial artifact: ``write`` fills a sibling temp file,
+    # which is then renamed over ``path``.
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            write(handle)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -388,20 +406,33 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def main(run: RunSpec) -> int:
-    """Run the session described by ``run`` and emit its artifact."""
+    """Run the session described by ``run`` and emit its artifact.
+
+    Records stream from the session straight into the report counters
+    (JSON) or the output handle (CSV); the transcript is never held.
+    """
     records = run_session(run.config)
     if run.out_format == "json":
         report = build_report(records, run.config)
         text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+
+        def write(handle: TextIO) -> None:
+            handle.write(text)
+
     else:
-        text = records_to_csv(records)
+
+        def write(handle: TextIO) -> None:
+            records_to_csv(records, handle)
+
     try:
         if run.out_path is None:
-            sys.stdout.write(text)
+            write(sys.stdout)
+            sys.stdout.flush()
         else:
-            _atomic_write(run.out_path, text)
+            _atomic_write(run.out_path, write)
     except OSError as exc:
-        print(f"duplexqkd: cannot write {run.out_path}: {exc.strerror}", file=sys.stderr)
+        target = "<stdout>" if run.out_path is None else run.out_path
+        print(f"duplexqkd: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

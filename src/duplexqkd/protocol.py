@@ -30,6 +30,7 @@ honest randomness is identical with and without an attack in place.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -51,6 +52,7 @@ from .quantum import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
+    from .fourstate import ModifiedPairRecord
 
 __all__ = [
     "BASIS_BIT",
@@ -424,12 +426,17 @@ def run_pair(
     )
 
 
-def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) -> list:
+def run_session(
+    config: SimulationConfig, adversary: "Adversary | None" = None
+) -> Iterator[PairRecord | ModifiedPairRecord]:
     """Run ``config.pairs`` rounds of the protocol ``config.protocol``
-    selects and return their records.
+    selects, yielding each round's record as soon as it is made.
 
-    With ``adversary=None`` the attack layer is instantiated from
-    ``config.attack`` (no layer at all for AttackKind.NONE).
+    Nothing is held between rounds, so a caller that folds or writes each
+    record keeps memory flat however many pairs run; callers that need the
+    whole transcript take ``list(...)``.  With ``adversary=None`` the attack
+    layer is instantiated from ``config.attack`` (no layer at all for
+    AttackKind.NONE).
     """
     if config.protocol is ProtocolKind.MODIFIED:
         from . import fourstate
@@ -447,10 +454,8 @@ def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) 
     # ones and produces the identical draw sequences.
     rng = random.Random()
     eve_rng = random.Random() if adversary is not None else None
-    records = []
     for i in range(config.pairs):
         rng.seed(_stream_key(config.seed, i, _HONEST_LANE))
         if eve_rng is not None:
             eve_rng.seed(_stream_key(config.seed, i, _EVE_LANE))
-        records.append(round_fn(config, adversary, i, _rng=rng, _eve_rng=eve_rng))
-    return records
+        yield round_fn(config, adversary, i, _rng=rng, _eve_rng=eve_rng)

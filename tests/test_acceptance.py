@@ -59,7 +59,7 @@ def _criterion(number: int, description: str, ok: bool, detail: str) -> None:
 def test_criterion_01_deterministic_decoding():
     config = SimulationConfig(pairs=10_000, control_probability=0.0, seed=42)
     started = time.perf_counter()
-    records = run_session(config)
+    records = list(run_session(config))
     elapsed = time.perf_counter() - started
     report = build_report(records, config)
     ok = (
@@ -110,7 +110,7 @@ def test_criterion_03_clean_chsh():
         pairs=101_500, control_probability=0.99, check_kind=CheckKind.CHSH, seed=3
     )
     started = time.perf_counter()
-    records = run_session(config)
+    records = list(run_session(config))
     estimate = estimate_chsh(records, config.settings)
     elapsed = time.perf_counter() - started
     control_rounds = sum(r.mode is Mode.CONTROL_CHSH for r in records)
@@ -192,7 +192,7 @@ def test_criterion_06_entanglement_swap_attack():
         attack=AttackSpec(kind=AttackKind.QMM_SWAP),
         seed=6,
     )
-    records = run_session(config)
+    records = list(run_session(config))
     estimate = estimate_chsh(records, config.settings)
     s_values = {state.name.lower(): abs(bin_.s_hat) for state, bin_ in estimate.per_state.items()}
 
@@ -269,7 +269,7 @@ def test_criterion_09_four_state_variant():
     config = SimulationConfig(
         pairs=10_000, control_probability=0.0, seed=42, protocol=ProtocolKind.MODIFIED
     )
-    records = run_session(config)
+    records = list(run_session(config))
     bell_decode_ok = sum(r.alice_bell_outcome == r.bob_state for r in records)
     pauli_decode_ok = sum(r.bob_decoded == r.alice_target for r in records)
 
@@ -358,7 +358,7 @@ def test_criterion_10_property_suites():
     norm_ok = norm_worst <= 1e-12
 
     config = SimulationConfig(pairs=300, control_probability=0.5, check_kind=CheckKind.CHSH, seed=1)
-    records = run_session(config)
+    records = list(run_session(config))
     whole = build_report(records, config)
     merge_ok = True
     for _ in range(cases):

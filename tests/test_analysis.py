@@ -22,7 +22,7 @@ from duplexqkd.analysis import (
 )
 from duplexqkd.config import AttackKind, AttackSpec, CheckKind, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import Encoder, Mode, PairRecord, run_session
-from duplexqkd.quantum import Basis, BellStateId, TwoQubitDensity, bell_state, correlator, PlanarObservable
+from duplexqkd.quantum import Basis, BellStateId, ChshSettings, TwoQubitDensity, bell_state, correlator, PlanarObservable
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,17 @@ def test_estimate_chsh_rejects_foreign_settings():
         estimate_chsh(records, other)
 
 
+def test_estimate_chsh_reads_one_shot_iterators():
+    config = SimulationConfig(pairs=2000, control_probability=0.5, check_kind=CheckKind.CHSH, seed=6)
+    records = list(run_session(config))
+    whole = estimate_chsh(records, config.settings)
+    assert set(whole.per_state) == {BellStateId.PSI_PLUS, BellStateId.PHI_MINUS}
+    assert estimate_chsh(iter(records), config.settings) == whole
+    assert estimate_chsh(run_session(config), config.settings) == whole
+    with pytest.raises(ValueError):
+        estimate_chsh(run_session(config), ChshSettings((0.1, 0.2), (0.3, 0.4)))
+
+
 def test_estimate_chsh_counts_sum_to_binned_rounds():
     rng = np.random.default_rng(5)
     records = _sample_records(rng, BellStateId.PHI_MINUS, per_pair=50)
@@ -168,7 +179,7 @@ def test_estimate_qber_counts_contradictions():
         seed=4,
         protocol=ProtocolKind.MODIFIED,
     )
-    records = run_session(config)
+    records = list(run_session(config))
     stats = estimate_qber(records)
     assert stats.checks > 0
     assert stats == build_report(records, config).detection
@@ -289,7 +300,7 @@ def test_efficiency_query_validation():
 
 def _session(pairs=900, seed=4, control=0.3, check=CheckKind.QBER):
     config = SimulationConfig(pairs=pairs, control_probability=control, check_kind=check, seed=seed)
-    return run_session(config), config
+    return list(run_session(config)), config
 
 
 def test_empty_report_has_zero_counters():

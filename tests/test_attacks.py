@@ -41,8 +41,8 @@ def _attack(kind, **kwargs) -> AttackSpec:
 
 def test_null_adversary_is_strict_noop():
     config = _config(pairs=300, control_probability=0.4, check_kind=CheckKind.QBER)
-    without_layer = run_session(config, None)
-    with_null = run_session(config, Adversary())
+    without_layer = list(run_session(config, None))
+    with_null = list(run_session(config, Adversary()))
     assert without_layer == with_null
 
 
@@ -332,4 +332,4 @@ def test_observation_log_causality(kind):
 )
 def test_attacked_sessions_are_deterministic(kind):
     config = _config(pairs=400, check_kind=CheckKind.CHSH, attack=_attack(kind), seed=7)
-    assert run_session(config) == run_session(config)
+    assert list(run_session(config)) == list(run_session(config))

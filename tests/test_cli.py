@@ -1,8 +1,12 @@
 """CLI tests: flag handling, config-file precedence, deterministic
 artifacts, atomic writes, CSV round-trips."""
 
+import errno
+import io
 import json
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -170,6 +174,24 @@ def test_runtime_failure_exits_1_without_partial_file(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+class _BrokenStdout:
+    def write(self, text):
+        raise OSError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        raise OSError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_stdout_failure_exits_1_and_names_stdout(monkeypatch, capsys, out_format):
+    spec = parse_args(["--pairs", "20", "--format", out_format])
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    assert main(spec) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "cannot write <stdout>" in err
+    assert "None" not in err
+
+
 def test_stdout_json_is_single_object(capsys):
     assert run_cli(["--pairs", "50", "--seed", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -206,12 +228,14 @@ def test_csv_round_trip(tmp_path, extra):
             "--out", str(out)] + extra
     assert run_cli(argv) == 0
     spec = parse_args(argv)
-    records = run_session(spec.config)
+    records = list(run_session(spec.config))
 
     loaded = load_records_csv(out)
     assert len(loaded) == len(records)
     # Loading and re-writing is byte-stable.
-    assert records_to_csv(loaded) == out.read_text()
+    rewritten = io.StringIO()
+    records_to_csv(loaded, rewritten)
+    assert rewritten.getvalue().encode() == out.read_bytes()
     # Estimators see the same data through the round trip.
     report_direct = build_report(records, spec.config)
     report_loaded = build_report(loaded, spec.config)
@@ -222,6 +246,39 @@ def test_csv_round_trip(tmp_path, extra):
     assert report_loaded.alice_decode_ok == report_direct.alice_decode_ok
     assert estimate_qber(loaded) == estimate_qber(records)
     assert estimate_chsh(loaded, spec.config.settings) == estimate_chsh(records, spec.config.settings)
+
+
+# ---------------------------------------------------------------------------
+# Streaming
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--format", "json"],
+        ["--format", "json", "--attack", "qmm-swap"],
+        ["--format", "json", "--protocol", "modified", "--attack", "ir", "--check", "qber"],
+        ["--format", "csv"],
+        ["--format", "csv", "--attack", "qmm-swap"],
+    ],
+)
+def test_session_memory_does_not_grow_with_pairs(tmp_path, extra):
+    # Records are tallied or written as they are made, so the peak Python
+    # allocation of a whole CLI run is the same at 4000 pairs as at 1000.
+    # Holding the transcript costs 0.4-1.2 KB per pair, i.e. over 1 MB here.
+    def peak_bytes(pairs: int) -> int:
+        spec = parse_args(
+            ["--pairs", str(pairs), "--control-prob", "0.5", "--seed", "3", "--out", str(tmp_path / "out"), *extra]
+        )
+        tracemalloc.start()
+        try:
+            assert main(spec) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(10)  # warm-up: lazy imports and caches
+    assert peak_bytes(4000) - peak_bytes(1000) <= 256 * 1024
 
 
 def test_console_entry_point_registered():

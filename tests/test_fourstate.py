@@ -109,7 +109,7 @@ def test_two_bit_encoding_bijection():
 
 
 def test_clean_rounds_decode_both_directions():
-    records = run_session(_config(pairs=2000, seed=8))
+    records = list(run_session(_config(pairs=2000, seed=8)))
     assert all(r.mode is ModifiedMode.MESSAGE for r in records)
     for record in records:
         assert record.alice_bell_outcome == record.bob_state
@@ -150,7 +150,7 @@ def test_control_round_flow_and_signature_check():
 def test_passive_listener_guesses_target_at_chance():
     # The announced operation index alone says nothing about the target: any
     # fixed decoding rule succeeds at the 1/4 base rate under uniform states.
-    records = run_session(_config(pairs=8000, seed=21))
+    records = list(run_session(_config(pairs=8000, seed=21)))
     hits = sum(
         pauli_transition(BellStateId.PSI_PLUS, r.alice_pauli) == r.alice_target for r in records
     )
@@ -164,7 +164,7 @@ def test_four_state_substitution_is_caught_and_read():
         seed=31,
         attack=AttackSpec(kind=AttackKind.QMM_SUBSTITUTE, substitute_choices=tuple(BellStateId)),
     )
-    records = run_session(config)
+    records = list(run_session(config))
     controls = [r for r in records if r.mode is ModifiedMode.CONTROL]
     fail_rate = sum(not r.control_pass for r in controls) / len(controls)
     assert 0.0 < fail_rate < 1.0
@@ -179,8 +179,8 @@ def test_four_state_substitution_is_caught_and_read():
 
 def test_modified_session_determinism_and_dispatch():
     config = _config(pairs=300, control_probability=0.3, seed=77)
-    records = run_session(config)
-    assert records == run_session(config)
+    records = list(run_session(config))
+    assert records == list(run_session(config))
     # run_session dispatches on config.protocol and matches standalone rounds
     assert records == [run_modified_pair(config, None, i) for i in range(config.pairs)]
 

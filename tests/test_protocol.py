@@ -120,7 +120,7 @@ def test_clean_message_decodes_all_bit_combinations():
 
 def test_clean_qber_checks_always_pass():
     config = _config(pairs=400, control_probability=0.5, check_kind=CheckKind.QBER)
-    records = run_session(config)
+    records = list(run_session(config))
     checks = [r for r in records if r.mode is Mode.CONTROL_QBER]
     assert checks and all(r.qber_pass for r in checks)
     assert estimate_qber(records).d_hat == 0.0
@@ -173,25 +173,25 @@ def test_config_validation():
 
 def test_same_seed_reproduces_session():
     config = _config(pairs=250, control_probability=0.3, check_kind=CheckKind.QBER, seed=99)
-    assert run_session(config) == run_session(config)
+    assert list(run_session(config)) == list(run_session(config))
 
 
 def test_replaying_one_pair_reproduces_its_record():
     config = _config(pairs=50, control_probability=0.4, seed=5)
-    records = run_session(config)
+    records = list(run_session(config))
     for index in (0, 7, 49):
         assert run_pair(config, None, index) == records[index]
 
 
 def test_pair_records_independent_of_session_length():
-    long = run_session(_config(pairs=60, control_probability=0.2, seed=31))
-    short = run_session(_config(pairs=20, control_probability=0.2, seed=31))
+    long = list(run_session(_config(pairs=60, control_probability=0.2, seed=31)))
+    short = list(run_session(_config(pairs=20, control_probability=0.2, seed=31)))
     assert long[:20] == short
 
 
 def test_control_fraction_concentrates():
     config = _config(pairs=100_000, control_probability=0.2, check_kind=CheckKind.QBER, seed=17)
-    records = run_session(config)
+    records = list(run_session(config))
     fraction = sum(r.mode is not Mode.MESSAGE for r in records) / len(records)
     assert abs(fraction - 0.2) <= 0.005
 
