@@ -19,6 +19,7 @@ from .config import (
     AttackKind,
     AttackSpec,
     CheckKind,
+    ConfigFieldError,
     DEFAULT_SETTINGS,
     Duplex,
     ProtocolKind,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import SimulationConfig
+from .fourstate import ModifiedMode, modified_efficiency
 from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, correlation_signature
 from .quantum import BellStateId, ChshSettings
 
@@ -161,8 +162,6 @@ def efficiency_table() -> dict[str, Fraction]:
     announcement bits).  Four-state figures come from the variant module's
     accounting.
     """
-    from .fourstate import modified_efficiency
-
     base = cabello_efficiency(EfficiencyQuery(2, 2, 2))
     base_avg = (
         cabello_efficiency(EfficiencyQuery(1, 2, 1)) + cabello_efficiency(EfficiencyQuery(1, 2, 2))
@@ -335,8 +334,6 @@ def _tally_base_record(report: SimulationReport, record: PairRecord) -> None:
 
 
 def _tally_modified_record(report: SimulationReport, record) -> None:
-    from .fourstate import ModifiedMode
-
     report.pairs += 1
     if record.mode is ModifiedMode.MESSAGE:
         report.message_rounds += 1

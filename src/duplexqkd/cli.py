@@ -25,6 +25,7 @@ from .config import (
     AttackKind,
     AttackSpec,
     CheckKind,
+    ConfigFieldError,
     DEFAULT_SETTINGS,
     Duplex,
     ProtocolKind,
@@ -72,6 +73,10 @@ _DEFAULTS = {
     "format": "json",
     "out": None,
 }
+
+
+#: The flag that sets each range-checked SimulationConfig field.
+_FIELD_FLAGS = {"pairs": "--pairs", "control_probability": "--control-prob", "seed": "--seed"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,10 +195,8 @@ def parse_args(argv: list[str]) -> RunSpec:
             settings=settings,
             protocol=protocol,
         )
-    except ValueError as exc:
-        message = str(exc)
-        flag = "--pairs" if "pairs" in message else "--control-prob" if "control" in message else "--seed"
-        raise UsageError(f"{flag}: {message}") from exc
+    except ConfigFieldError as exc:
+        raise UsageError(f"{_FIELD_FLAGS[exc.field_name]}: {exc}") from exc
 
     return RunSpec(config=config, out_format=out_format, out_path=Path(out_value) if out_value else None)
 
@@ -231,16 +234,23 @@ CSV_COLUMNS = [
 ]
 
 
+# One renderer per exact cell type; enum texts are fixed at import.
+_CELL_TEXT: dict[type, Callable[[object], str]] = {
+    type(None): {None: ""}.__getitem__,
+    bool: {True: "1", False: "0"}.__getitem__,
+    int: repr,
+    float: repr,
+    **{enum: {m: m.name.lower() for m in enum}.__getitem__ for enum in (BellStateId, PauliOp)},
+    **{enum: {m: m.value for m in enum}.__getitem__ for enum in (Basis, Mode, ModifiedMode, Encoder)},
+}
+
+
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (BellStateId, PauliOp)):
-        return value.name.lower()
-    if isinstance(value, (Basis, Mode, ModifiedMode, Encoder)):
-        return value.value
-    return repr(value) if isinstance(value, float) else str(value)
+    try:
+        render = _CELL_TEXT[type(value)]
+    except KeyError:
+        raise TypeError(f"no CSV cell text for {type(value).__name__} value {value!r}") from None
+    return render(value)
 
 
 def _record_row(record) -> list[str]:
@@ -313,10 +323,11 @@ def _opt(cell: str, convert):
 
 _STATE_BY_NAME = {state.name.lower(): state for state in BellStateId}
 _PAULI_BY_NAME = {op.name.lower(): op for op in PauliOp}
+_EVE_COLUMNS = ("eve_substitute", "eve_bell_outcome", "eve_guessed_alice_bit", "eve_guessed_bob_bit")
 
 
 def _eve_log_from_row(row: dict[str, str]) -> EveLog | None:
-    cells = [row[c] for c in ("eve_substitute", "eve_bell_outcome", "eve_guessed_alice_bit", "eve_guessed_bob_bit")]
+    cells = [row[c] for c in _EVE_COLUMNS]
     if all(c == "" for c in cells):
         return None
     return EveLog(
@@ -324,15 +335,33 @@ def _eve_log_from_row(row: dict[str, str]) -> EveLog | None:
         bell_outcome=_opt(row["eve_bell_outcome"], _STATE_BY_NAME.__getitem__),
         guessed_alice_bit=_opt(row["eve_guessed_alice_bit"], int),
         guessed_bob_bit=_opt(row["eve_guessed_bob_bit"], int),
+        measured_bases=(),
+        measured_outcomes=(),
+        observations=(),
     )
 
 
 def load_records_csv(path) -> list:
     """Rebuild records from a CSV transcript.
 
-    Announcement lists and Eve's observation traces are not serialized to
-    CSV; everything the estimators consume round-trips.
+    Announcement lists and Eve's measurement and observation traces are not
+    serialized to CSV (loaded logs hold empty tuples there); everything the
+    estimators consume round-trips.  Records with equal cells share one
+    outcome tuple, angle and Eve log object, so a loaded transcript costs
+    about 200 bytes per round; treat the loaded logs as read-only.
     """
+    shared = {}.setdefault  # equal outcome tuples and angle cells
+    logs: dict[tuple[str, ...], EveLog | None] = {}
+
+    def angle(cell: str) -> float:
+        return shared(cell, float(cell))
+
+    def eve_log(row: dict[str, str]) -> EveLog | None:
+        key = tuple([row[c] for c in _EVE_COLUMNS])
+        if key not in logs:
+            logs[key] = _eve_log_from_row(row)
+        return logs[key]
+
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != CSV_COLUMNS:
@@ -342,6 +371,7 @@ def load_records_csv(path) -> list:
             outcomes = tuple(
                 int(row[c]) for c in ("outcome_1", "outcome_2") if row[c] != ""
             )
+            outcomes = shared(outcomes, outcomes)
             if row["protocol"] == "base":
                 records.append(
                     PairRecord(
@@ -351,16 +381,16 @@ def load_records_csv(path) -> list:
                         bob_state=_STATE_BY_NAME[row["bob_state"]],
                         alice_basis=_opt(row["alice_basis"], Basis),
                         alice_setting=_opt(row["alice_setting"], int),
-                        alice_angle=_opt(row["alice_angle"], float),
+                        alice_angle=_opt(row["alice_angle"], angle),
                         bob_setting=_opt(row["bob_setting"], int),
-                        bob_angle=_opt(row["bob_angle"], float),
+                        bob_angle=_opt(row["bob_angle"], angle),
                         outcomes=outcomes,
                         announcements=(),
                         correlated=_opt(row["correlated"], lambda c: c == "1"),
                         bob_decoded_basis=_opt(row["bob_decoded_basis"], Basis),
                         alice_decoded_state=_opt(row["alice_decoded_state"], _STATE_BY_NAME.get),
                         qber_pass=_opt(row["qber_pass"], lambda c: c == "1"),
-                        eve_log=_eve_log_from_row(row),
+                        eve_log=eve_log(row),
                     )
                 )
             elif row["protocol"] == "modified":
@@ -377,7 +407,7 @@ def load_records_csv(path) -> list:
                         outcomes=outcomes,
                         control_pass=_opt(row["control_pass"], lambda c: c == "1"),
                         announcements=(),
-                        eve_log=_eve_log_from_row(row),
+                        eve_log=eve_log(row),
                     )
                 )
             else:

@@ -13,11 +13,21 @@ __all__ = [
     "AttackKind",
     "AttackSpec",
     "CheckKind",
+    "ConfigFieldError",
     "DEFAULT_SETTINGS",
     "Duplex",
     "ProtocolKind",
     "SimulationConfig",
 ]
+
+
+class ConfigFieldError(ValueError):
+    """A :class:`SimulationConfig` field is out of range; ``field_name``
+    names it."""
+
+    def __init__(self, field_name: str, message: str) -> None:
+        super().__init__(message)
+        self.field_name = field_name
 
 
 class CheckKind(Enum):
@@ -111,13 +121,14 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if self.pairs < 1:
-            raise ValueError(f"pairs must be >= 1, got {self.pairs}")
+            raise ConfigFieldError("pairs", f"pairs must be >= 1, got {self.pairs}")
         if not (0.0 <= self.control_probability < 1.0):
-            raise ValueError(
-                f"control probability must lie in [0, 1), got {self.control_probability}"
+            raise ConfigFieldError(
+                "control_probability",
+                f"control probability must lie in [0, 1), got {self.control_probability}",
             )
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise ConfigFieldError("seed", "seed must be a 64-bit unsigned integer")
 
     def to_dict(self) -> dict:
         return {

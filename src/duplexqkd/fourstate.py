@@ -22,7 +22,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from .analysis import EfficiencyQuery, cabello_efficiency
 from .config import SimulationConfig
 from .protocol import BIT_BASIS, _Round, correlation_signature
 from .quantum import Basis, BellStateId, Outcome, PauliOp
@@ -208,6 +207,9 @@ def modified_efficiency() -> ModifiedEfficiency:
     two bits need receipt and operation index (3 classical bits), Bob's two
     bits only the receipt.
     """
+    # Imported here: analysis imports this module to tally its records.
+    from .analysis import EfficiencyQuery, cabello_efficiency
+
     per_run = cabello_efficiency(
         EfficiencyQuery(secret_bits=4, qubits_transmitted=2, classical_bits=CLASSICAL_BITS_PER_RUN)
     )

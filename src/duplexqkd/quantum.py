@@ -20,6 +20,16 @@ Conventions, fixed once and relied on everywhere:
   psi+, psi-, phi+, phi-.
 * Global phase is never observable: state comparisons use
   :func:`equal_up_to_phase`.
+
+The collapsing primitives and :func:`tensor` are memoized.  Their
+deterministic part is a pure function of the exact amplitudes (keyed by the
+amplitude bytes), the qubit indices and the angle; only the final branch
+choice reads ``u``.  A session only ever reaches a small fixed set of states
+(a few dozen to a few hundred transitions), so each transition is computed
+once and then looked up.  The cached
+results are built with the same arithmetic in the same order as an uncached
+call, so outputs are bit-identical; each cache is cleared when it reaches
+``_CACHE_CAP`` entries, so memory stays bounded for any input.
 """
 
 from __future__ import annotations
@@ -195,7 +205,7 @@ class PureState:
     norm is 1 within 1e-12 after construction and after every collapse.
     """
 
-    __slots__ = ("amplitudes", "num_qubits")
+    __slots__ = ("amplitudes", "num_qubits", "_key")
 
     amplitudes: np.ndarray
     num_qubits: int
@@ -214,6 +224,7 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
+        object.__setattr__(self, "_key", None)
 
     @classmethod
     def _wrap(cls, amps: np.ndarray, num_qubits: int) -> "PureState":
@@ -222,6 +233,7 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "_key", None)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -262,16 +274,50 @@ _BELL_AMPLITUDES: dict[BellStateId, np.ndarray] = {
     BellStateId.PHI_PLUS: np.array([_SQRT_HALF, 0, 0, _SQRT_HALF], dtype=complex),
     BellStateId.PHI_MINUS: np.array([_SQRT_HALF, 0, 0, -_SQRT_HALF], dtype=complex),
 }
-for _v in _BELL_AMPLITUDES.values():
-    _v.setflags(write=False)
+_BELL_STATES: dict[BellStateId, PureState] = {
+    state_id: PureState._wrap(amps, 2) for state_id, amps in _BELL_AMPLITUDES.items()
+}
 
 
 def bell_state(state_id: BellStateId) -> PureState:
     """The two-qubit Bell state, in the fixed |HH>,|HV>,|VH>,|VV> ordering.
 
-    psi+- = (|HV> +- |VH>)/sqrt(2), phi+- = (|HH> +- |VV>)/sqrt(2).
+    psi+- = (|HV> +- |VH>)/sqrt(2), phi+- = (|HH> +- |VV>)/sqrt(2).  Each
+    call returns the same prebuilt instance.
     """
-    return PureState._wrap(_BELL_AMPLITUDES[state_id], 2)
+    return _BELL_STATES[state_id]
+
+
+# ---------------------------------------------------------------------------
+# Transition caches.  Keys hold a state's exact amplitude bytes, so a hit
+# means bit-identical input.  A CLI session fills at most a few hundred
+# entries per cache; the cap only bounds memory on arbitrary inputs.
+
+_CACHE_CAP = 4096
+
+#: (state key, qubit, angle) -> (p_plus, plus_state, minus_state)
+_MEASURE_CACHE: dict[tuple[bytes, int, float], tuple] = {}
+#: (state key, qubit_a, qubit_b) -> (probabilities, residual per outcome)
+_BELL_CACHE: dict[tuple[bytes, int, int], tuple] = {}
+#: (key of a, key of b) -> a (x) b
+_TENSOR_CACHE: dict[tuple[bytes, bytes], PureState] = {}
+
+
+def _key(state: PureState) -> bytes:
+    """Exact identity of a state's amplitudes (always complex128), computed
+    once per instance."""
+    key = state._key
+    if key is None:
+        key = state.amplitudes.tobytes()
+        object.__setattr__(state, "_key", key)
+    return key
+
+
+def _remember(cache: dict, key, value):
+    if len(cache) >= _CACHE_CAP:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -279,12 +325,61 @@ def tensor(a: PureState, b: PureState) -> PureState:
     n = a.num_qubits + b.num_qubits
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit capacity")
-    return PureState._wrap(np.kron(a.amplitudes, b.amplitudes), n)
+    key = (_key(a), _key(b))
+    product = _TENSOR_CACHE.get(key)
+    if product is None:
+        product = _remember(_TENSOR_CACHE, key, PureState._wrap(np.kron(a.amplitudes, b.amplitudes), n))
+    return product
 
 
 def _check_qubit(state: PureState, qubit: int) -> None:
     if not (0 <= qubit < state.num_qubits):
         raise IndexError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
+
+
+def _collapsed(
+    pairs: list[tuple[int, int]], coeffs: list[complex], norm_sq: float, u0: float, u1: float, n: int
+) -> PureState:
+    # The addressed qubit left in eigenvector (u0, u1), the rest renormalized.
+    scale = 1.0 / math.sqrt(norm_sq)
+    out = [0j] * (1 << n)
+    for (i0, i1), coeff in zip(pairs, coeffs):
+        q = coeff * scale
+        out[i0] = u0 * q
+        out[i1] = u1 * q
+    return PureState._wrap(np.asarray(out, dtype=complex), n)
+
+
+def _measure_transition(
+    state: PureState, qubit: int, angle: float
+) -> tuple[float, PureState | None, PureState | None]:
+    """Both branches of a planar measurement: ``(p_plus, plus_state,
+    minus_state)``.  ``minus_state`` is None when the -1 branch is below
+    ``_MIN_BRANCH`` (the +1 branch is then taken for every ``rand``);
+    ``plus_state`` is None only when P(+1) is exactly 0."""
+    n = state.num_qubits
+    amps = state.amplitudes.tolist()
+    right = 1 << (n - 1 - qubit)  # stride of the addressed qubit's bit
+    block = right << 1
+    half = 0.5 * angle
+    c, s = math.cos(half), math.sin(half)
+    pairs: list[tuple[int, int]] = []
+    coeff_plus: list[complex] = []
+    coeff_minus: list[complex] = []
+    p_plus = 0.0
+    p_minus = 0.0
+    for base in range(0, 1 << n, block):
+        for offset in range(base, base + right):
+            pairs.append((offset, offset + right))
+            cp = c * amps[offset] + s * amps[offset + right]
+            cm = -s * amps[offset] + c * amps[offset + right]
+            coeff_plus.append(cp)
+            coeff_minus.append(cm)
+            p_plus += cp.real * cp.real + cp.imag * cp.imag
+            p_minus += cm.real * cm.real + cm.imag * cm.imag
+    plus_state = _collapsed(pairs, coeff_plus, p_plus, c, s, n) if p_plus > 0.0 else None
+    minus_state = _collapsed(pairs, coeff_minus, p_minus, -s, c, n) if p_minus >= _MIN_BRANCH else None
+    return p_plus, plus_state, minus_state
 
 
 def measure_qubit(
@@ -296,58 +391,26 @@ def measure_qubit(
     ``obs`` on the addressed qubit: +1 iff ``rand`` < P(+1).  The returned
     state keeps all qubits, with the measured one left in the eigenstate.
 
-    Implemented with scalar arithmetic: at dimension <= 16 that beats
-    vectorized numpy by an order of magnitude, and the protocol runners call
-    this tens of thousands of times per session.
+    The transition (P(+1) and both collapsed states) is computed once per
+    exact (state, qubit, angle) and cached; a call then only compares
+    ``rand`` with P(+1) and returns the cached branch, so repeated calls
+    return the same state object.
     """
     _check_qubit(state, qubit)
     if not (0.0 <= rand < 1.0):
         raise ValueError("rand must lie in [0, 1)")
-    n = state.num_qubits
-    amps = state.amplitudes.tolist()
-    dim = 1 << n
-    right = 1 << (n - 1 - qubit)  # stride of the addressed qubit's bit
-    block = right << 1
-    half = 0.5 * obs.angle
-    c, s = math.cos(half), math.sin(half)
-    pairs: list[tuple[int, int]] = []
-    coeff_plus: list[complex] = []
-    p_plus = 0.0
-    for base in range(0, dim, block):
-        for offset in range(base, base + right):
-            pair = (offset, offset + right)
-            cp = c * amps[offset] + s * amps[offset + right]
-            pairs.append(pair)
-            coeff_plus.append(cp)
-            p_plus += cp.real * cp.real + cp.imag * cp.imag
-    take_plus = rand < p_plus
-    coeff_minus: list[complex] = []
-    if not take_plus:
-        p_minus = 0.0
-        for i0, i1 in pairs:
-            cm = -s * amps[i0] + c * amps[i1]
-            coeff_minus.append(cm)
-            p_minus += cm.real * cm.real + cm.imag * cm.imag
-        if p_minus < _MIN_BRANCH:
-            # rand fell past p_plus only through rounding; the minus branch
-            # has zero probability, so take the plus branch after all.
-            take_plus = True
-    out = [0j] * dim
-    if take_plus:
-        outcome = +1
-        scale = 1.0 / math.sqrt(p_plus)
-        for (i0, i1), cp in zip(pairs, coeff_plus):
-            q = cp * scale
-            out[i0] = c * q
-            out[i1] = s * q
-    else:
-        outcome = -1
-        scale = 1.0 / math.sqrt(p_minus)
-        for (i0, i1), cm in zip(pairs, coeff_minus):
-            q = cm * scale
-            out[i0] = -s * q
-            out[i1] = c * q
-    return outcome, PureState._wrap(np.asarray(out, dtype=complex), n)
+    # PlanarObservable reduces its angle into [0, 2*pi), never -0.0 or NaN,
+    # so float equality of angles is bit equality.
+    key = (_key(state), qubit, obs.angle)
+    transition = _MEASURE_CACHE.get(key)
+    if transition is None:
+        transition = _remember(_MEASURE_CACHE, key, _measure_transition(state, qubit, obs.angle))
+    p_plus, plus_state, minus_state = transition
+    if rand < p_plus or minus_state is None:
+        # The second test: rand fell past p_plus only through rounding; the
+        # minus branch has zero probability, so take the plus branch.
+        return +1, plus_state
+    return -1, minus_state
 
 
 # Probability below which a measurement branch is treated as impossible and
@@ -372,13 +435,14 @@ def apply_pauli(state: PureState, qubit: int, op: PauliOp) -> PureState:
     return PureState._wrap(out.reshape(-1), state.num_qubits)
 
 
-def _bell_coefficients(
+def _bell_transition(
     state: PureState, qubit_a: int, qubit_b: int
-) -> tuple[list[list[complex]], list[float]]:
-    """Overlap coefficients of the (qubit_a, qubit_b) pair with each Bell
-    state: four residual-coefficient lists ordered like BELL_ORDER (indexed
-    by the surviving qubits in their original order), plus the four Born
-    probabilities."""
+) -> tuple[tuple[float, ...], tuple[PureState | None, ...]]:
+    """Born probabilities of the four Bell outcomes (ordered like
+    BELL_ORDER) and the renormalized residual state for each outcome that
+    can be selected (None for the rest, and for every outcome of a
+    two-qubit input).  The residual keeps the surviving qubits in their
+    original relative order."""
     n = state.num_qubits
     amps = state.amplitudes.tolist()
     sa = 1 << (n - 1 - qubit_a)
@@ -403,18 +467,40 @@ def _bell_coefficients(
         ):
             coeffs[slot].append(c)
             probs[slot] += c.real * c.real + c.imag * c.imag
-    return coeffs, probs
+    residuals: list[PureState | None] = [None, None, None, None]
+    if n > 2:
+        for slot, p in enumerate(probs):
+            # bell_measure never selects an outcome below _MIN_BRANCH.
+            if p >= _MIN_BRANCH:
+                scale = 1.0 / math.sqrt(p)
+                residual = np.asarray([c * scale for c in coeffs[slot]], dtype=complex)
+                residuals[slot] = PureState._wrap(residual, n - 2)
+    return tuple(probs), tuple(residuals)
+
+
+def _check_bell_pair(state: PureState, qubit_a: int, qubit_b: int) -> None:
+    if qubit_a == qubit_b:
+        raise IndexError("bell measurement needs two distinct qubits")
+    _check_qubit(state, qubit_a)
+    _check_qubit(state, qubit_b)
+
+
+def _cached_bell_transition(
+    state: PureState, qubit_a: int, qubit_b: int
+) -> tuple[tuple[float, ...], tuple[PureState | None, ...]]:
+    key = (_key(state), qubit_a, qubit_b)
+    transition = _BELL_CACHE.get(key)
+    if transition is None:
+        transition = _remember(_BELL_CACHE, key, _bell_transition(state, qubit_a, qubit_b))
+    return transition
 
 
 def bell_outcome_probabilities(
     state: PureState, qubit_a: int, qubit_b: int
 ) -> dict[BellStateId, float]:
     """Born-rule probabilities of each Bell outcome on the addressed pair."""
-    if qubit_a == qubit_b:
-        raise IndexError("bell measurement needs two distinct qubits")
-    _check_qubit(state, qubit_a)
-    _check_qubit(state, qubit_b)
-    _, probs = _bell_coefficients(state, qubit_a, qubit_b)
+    _check_bell_pair(state, qubit_a, qubit_b)
+    probs, _ = _cached_bell_transition(state, qubit_a, qubit_b)
     return dict(zip(BELL_ORDER, probs))
 
 
@@ -426,14 +512,13 @@ def bell_measure(
     Returns the sampled outcome and the renormalized residual state of the
     remaining qubits (None when the input had only the measured pair).  The
     residual keeps the surviving qubits in their original relative order.
+    Probabilities and residuals are cached per exact (state, qubit_a,
+    qubit_b); only the outcome selection runs on every call.
     """
-    if qubit_a == qubit_b:
-        raise IndexError("bell measurement needs two distinct qubits")
-    _check_qubit(state, qubit_a)
-    _check_qubit(state, qubit_b)
+    _check_bell_pair(state, qubit_a, qubit_b)
     if not (0.0 <= rand < 1.0):
         raise ValueError("rand must lie in [0, 1)")
-    coeffs, probs = _bell_coefficients(state, qubit_a, qubit_b)
+    probs, residuals = _cached_bell_transition(state, qubit_a, qubit_b)
     acc = 0.0
     chosen = -1
     for i, p in enumerate(probs):
@@ -445,12 +530,7 @@ def bell_measure(
         # Cumulative sum fell short of rand (or hit a zero-probability slot)
         # through rounding; take the most likely outcome instead.
         chosen = max(range(4), key=probs.__getitem__)
-    outcome = BELL_ORDER[chosen]
-    if state.num_qubits == 2:
-        return outcome, None
-    scale = 1.0 / math.sqrt(probs[chosen])
-    residual = np.asarray([c * scale for c in coeffs[chosen]], dtype=complex)
-    return outcome, PureState._wrap(residual, state.num_qubits - 2)
+    return BELL_ORDER[chosen], residuals[chosen]
 
 
 def equal_up_to_phase(a: PureState, b: PureState, atol: float = ATOL_ANALYTIC) -> bool:

@@ -8,11 +8,13 @@ import math
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
 from duplexqkd.cli import (
     CSV_COLUMNS,
+    _cell,
     EXIT_RUNTIME,
     EXIT_USAGE,
     RunSpec,
@@ -24,7 +26,7 @@ from duplexqkd.cli import (
     run_cli,
 )
 from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS
-from duplexqkd.protocol import run_session
+from duplexqkd.protocol import Mode, run_session
 from duplexqkd.quantum import BellStateId, TwoQubitDensity, bell_state, chsh_value
 
 
@@ -67,6 +69,9 @@ def test_explicit_settings_parse():
         (["--check", "parity"], "parity"),
         (["--settings", "nan,0,0,0"], "--settings"),
         (["--settings", "0,0,inf,0"], "--settings"),
+        (["--pairs", "-5"], "--pairs"),
+        (["--control-prob", "-0.25"], "--control-prob"),
+        (["--seed", "18446744073709551616"], "--seed"),
     ],
 )
 def test_rejections_name_the_flag(argv, needle):
@@ -203,6 +208,15 @@ def test_stdout_json_is_single_object(capsys):
 # CSV
 
 
+def test_csv_cells_render_by_exact_type():
+    assert [_cell(v) for v in (None, True, False, 7, -1, 0.1, BellStateId.PHI_MINUS, Mode.CONTROL_CHSH)] == [
+        "", "1", "0", "7", "-1", "0.1", "phi_minus", "control-chsh"
+    ]
+    for unknown in (object(), "text", np.float64(0.5)):
+        with pytest.raises(TypeError):
+            _cell(unknown)
+
+
 def test_csv_row_per_record_with_fixed_header(tmp_path):
     out = tmp_path / "records.csv"
     assert run_cli(
@@ -250,6 +264,24 @@ def test_csv_round_trip(tmp_path, extra):
 
 # ---------------------------------------------------------------------------
 # Streaming
+
+
+def test_loaded_transcript_shares_equal_cells(tmp_path):
+    # Equal outcome tuples, angles and Eve logs are one object each, so a
+    # loaded transcript holds little more than one record per round (each
+    # record used to carry its own log with three empty lists, ~530 B a round).
+    out = tmp_path / "records.csv"
+    assert run_cli(["--pairs", "2000", "--control-prob", "0.5", "--attack", "qmm-swap", "--seed", "4",
+                    "--format", "csv", "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        loaded = load_records_csv(out)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(loaded) < 300
+    assert len({id(r.eve_log) for r in loaded}) < 50
+    assert loaded[0].eve_log.observations == ()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from duplexqkd.analysis import estimate_chsh, estimate_qber
 from duplexqkd.config import (
     AttackSpec,
     CheckKind,
+    ConfigFieldError,
     DEFAULT_SETTINGS,
     Duplex,
     SimulationConfig,
@@ -156,17 +157,22 @@ def test_measured_first_reveals_no_basis_or_outcome():
 
 
 def test_session_rejects_zero_pairs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigFieldError) as err:
         SimulationConfig(pairs=0)
+    assert err.value.field_name == "pairs"
+    assert isinstance(err.value, ValueError)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigFieldError) as err:
         SimulationConfig(pairs=10, control_probability=1.0)
-    with pytest.raises(ValueError):
+    assert err.value.field_name == "control_probability"
+    with pytest.raises(ConfigFieldError) as err:
         SimulationConfig(pairs=10, control_probability=-0.1)
-    with pytest.raises(ValueError):
+    assert err.value.field_name == "control_probability"
+    with pytest.raises(ConfigFieldError) as err:
         SimulationConfig(pairs=10, seed=-1)
+    assert err.value.field_name == "seed"
     with pytest.raises(ValueError):
         AttackSpec(substitute_policy="fixed")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_product_state, random_pure_state
+from duplexqkd import quantum
 from duplexqkd.quantum import (
     BELL_ORDER,
     Basis,
@@ -436,3 +437,210 @@ def test_basis_angles():
     assert Basis.Z.angle == 0.0
     assert Basis.X.angle == pytest.approx(math.pi / 2)
     assert Basis.Z.observable.matrix[0, 0] == 1.0 + 0j
+
+
+# ---------------------------------------------------------------------------
+# Transition caches: exact against the uncached arithmetic, and bounded
+
+_MIN_BRANCH = 1e-15
+
+
+def _oracle_measure(state, qubit, obs, rand):
+    """The uncached measure_qubit arithmetic, kept as the reference."""
+    n = state.num_qubits
+    amps = state.amplitudes.tolist()
+    dim = 1 << n
+    right = 1 << (n - 1 - qubit)
+    block = right << 1
+    half = 0.5 * obs.angle
+    c, s = math.cos(half), math.sin(half)
+    pairs = []
+    coeff_plus = []
+    p_plus = 0.0
+    for base in range(0, dim, block):
+        for offset in range(base, base + right):
+            pair = (offset, offset + right)
+            cp = c * amps[offset] + s * amps[offset + right]
+            pairs.append(pair)
+            coeff_plus.append(cp)
+            p_plus += cp.real * cp.real + cp.imag * cp.imag
+    take_plus = rand < p_plus
+    coeff_minus = []
+    if not take_plus:
+        p_minus = 0.0
+        for i0, i1 in pairs:
+            cm = -s * amps[i0] + c * amps[i1]
+            coeff_minus.append(cm)
+            p_minus += cm.real * cm.real + cm.imag * cm.imag
+        if p_minus < _MIN_BRANCH:
+            take_plus = True
+    out = [0j] * dim
+    if take_plus:
+        outcome = +1
+        scale = 1.0 / math.sqrt(p_plus)
+        for (i0, i1), cp in zip(pairs, coeff_plus):
+            q = cp * scale
+            out[i0] = c * q
+            out[i1] = s * q
+    else:
+        outcome = -1
+        scale = 1.0 / math.sqrt(p_minus)
+        for (i0, i1), cm in zip(pairs, coeff_minus):
+            q = cm * scale
+            out[i0] = -s * q
+            out[i1] = c * q
+    return outcome, np.asarray(out, dtype=complex), p_plus
+
+
+def _oracle_bell_coefficients(state, qubit_a, qubit_b):
+    n = state.num_qubits
+    amps = state.amplitudes.tolist()
+    sa = 1 << (n - 1 - qubit_a)
+    sb = 1 << (n - 1 - qubit_b)
+    both = sa | sb
+    coeffs = [[], [], [], []]
+    probs = [0.0, 0.0, 0.0, 0.0]
+    for rest in range(1 << n):
+        if rest & both:
+            continue
+        a00 = amps[rest]
+        a01 = amps[rest | sb]
+        a10 = amps[rest | sa]
+        a11 = amps[rest | both]
+        for slot, c in enumerate(
+            (
+                (a01 + a10) * SQRT_HALF,
+                (a01 - a10) * SQRT_HALF,
+                (a00 + a11) * SQRT_HALF,
+                (a00 - a11) * SQRT_HALF,
+            )
+        ):
+            coeffs[slot].append(c)
+            probs[slot] += c.real * c.real + c.imag * c.imag
+    return coeffs, probs
+
+
+def _oracle_bell_measure(state, qubit_a, qubit_b, rand):
+    """The uncached bell_measure arithmetic, kept as the reference."""
+    coeffs, probs = _oracle_bell_coefficients(state, qubit_a, qubit_b)
+    acc = 0.0
+    chosen = -1
+    for i, p in enumerate(probs):
+        acc += p
+        if rand < acc:
+            chosen = i
+            break
+    if chosen < 0 or probs[chosen] < _MIN_BRANCH:
+        chosen = max(range(4), key=probs.__getitem__)
+    if state.num_qubits == 2:
+        return BELL_ORDER[chosen], None
+    scale = 1.0 / math.sqrt(probs[chosen])
+    return BELL_ORDER[chosen], np.asarray([c * scale for c in coeffs[chosen]], dtype=complex)
+
+
+def _around(threshold):
+    """rand values just below, at and just above ``threshold``, in [0, 1)."""
+    near = (math.nextafter(threshold, -1.0), threshold, math.nextafter(threshold, 2.0))
+    return [u for u in near if 0.0 <= u < 1.0]
+
+
+_SPECIAL_ANGLES = [0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi, 1.5 * math.pi]
+
+
+@st.composite
+def _states(draw):
+    """1-4 qubit states: random ones, and products of planar eigenvectors
+    and Bell pairs, whose exact zeros and near-certain branches reach the
+    rounding fallbacks.  Also returns the angles worth measuring at."""
+    kind = draw(st.sampled_from(["random", "planar", "bell"]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    if kind == "random":
+        state = random_pure_state(np.random.default_rng(draw(seeds)), n)
+        return state, []
+    if kind == "bell":
+        parts = [bell_state(draw(st.sampled_from(BELL_ORDER))) for _ in range(max(n // 2, 1))]
+        if n % 2:
+            parts.append(ket(draw(st.sampled_from(["H", "V"]))))
+        state = parts[0]
+        for part in parts[1:]:
+            state = tensor(state, part)
+        return state, []
+    thetas = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_ANGLES), angles), min_size=n, max_size=n))
+    state = PureState([math.cos(0.5 * thetas[0]), math.sin(0.5 * thetas[0])])
+    for theta in thetas[1:]:
+        state = tensor(state, PureState([math.cos(0.5 * theta), math.sin(0.5 * theta)]))
+    return state, thetas
+
+
+@given(_states(), angles, st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@settings(max_examples=150, deadline=None)
+def test_cached_transitions_equal_uncached_arithmetic(drawn, angle, u):
+    state, own_angles = drawn
+    n = state.num_qubits
+    for theta in [angle, *_SPECIAL_ANGLES, *own_angles]:
+        obs = PlanarObservable(theta)
+        for qubit in range(n):
+            p_plus = _oracle_measure(state, qubit, obs, 0.0)[2]
+            for rand in [0.0, u, math.nextafter(1.0, 0.0), *_around(p_plus)]:
+                outcome, post = measure_qubit(state, qubit, obs, rand)
+                expected_outcome, expected_amps, _ = _oracle_measure(state, qubit, obs, rand)
+                assert outcome == expected_outcome
+                assert post.amplitudes.tobytes() == expected_amps.tobytes()
+    for qa in range(n):
+        for qb in range(n):
+            if qa == qb:
+                continue
+            _, probs = _oracle_bell_coefficients(state, qa, qb)
+            thresholds = [0.0, u, math.nextafter(1.0, 0.0)]
+            acc = 0.0
+            for p in probs:  # the cumulative sums bell_measure compares with
+                acc += p
+                thresholds += _around(acc)
+            for rand in thresholds:
+                outcome, residual = bell_measure(state, qa, qb, rand)
+                expected_outcome, expected_amps = _oracle_bell_measure(state, qa, qb, rand)
+                assert outcome == expected_outcome
+                if expected_amps is None:
+                    assert residual is None
+                else:
+                    assert residual.amplitudes.tobytes() == expected_amps.tobytes()
+    for other in (ket("H"), bell_state(BellStateId.PSI_MINUS), random_pure_state(np.random.default_rng(1), 2)):
+        if n + other.num_qubits <= 4:
+            expected = np.kron(state.amplitudes, other.amplitudes)
+            assert tensor(state, other).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_cached_transitions_return_the_same_read_only_states():
+    for state_id in BellStateId:
+        assert bell_state(state_id) is bell_state(state_id)
+    four = tensor(bell_state(BellStateId.PSI_PLUS), bell_state(BellStateId.PHI_MINUS))
+    assert tensor(bell_state(BellStateId.PSI_PLUS), bell_state(BellStateId.PHI_MINUS)) is four
+    outcome, post = measure_qubit(four, 2, Basis.X.observable, 0.3)
+    assert measure_qubit(four, 2, Basis.X.observable, 0.3) == (outcome, post)
+    assert measure_qubit(four, 2, Basis.X.observable, 0.3)[1] is post
+    # An equal state held by a different object hits the same entry.
+    assert measure_qubit(PureState(four.amplitudes), 2, Basis.X.observable, 0.3)[1] is post
+    swapped, residual = bell_measure(four, 0, 3, 0.3)
+    assert bell_measure(four, 0, 3, 0.3)[1] is residual
+    for state in (four, post, residual, bell_state(BellStateId.PSI_PLUS)):
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+
+
+def test_transition_caches_stay_under_their_cap():
+    caches = (quantum._MEASURE_CACHE, quantum._BELL_CACHE, quantum._TENSOR_CACHE)
+    cap = quantum._CACHE_CAP
+    largest = 0
+    try:
+        for i in range(cap + 200):
+            theta = math.pi * (i + 1) / (cap + 400)
+            state = PureState([math.cos(theta), math.sin(theta)])
+            _, post = measure_qubit(state, 0, Basis.X.observable, 0.5)
+            bell_measure(tensor(state, post), 0, 1, 0.5)
+            largest = max(largest, *map(len, caches))
+            assert all(len(cache) <= cap for cache in caches)
+        assert largest == cap
+    finally:
+        for cache in caches:
+            cache.clear()
