@@ -12,7 +12,6 @@ from collections import Counter
 
 from duplexqkd import (
     AttackKind,
-    AttackSpec,
     BellStateId,
     CheckKind,
     Mode,
@@ -57,7 +56,7 @@ def main() -> int:
     ]:
         config = SimulationConfig(
             pairs=pairs, control_probability=0.5, check_kind=CheckKind.QBER,
-            attack=AttackSpec(kind=kind), seed=seed,
+            attack=kind, seed=seed,
         )
         stats = estimate_qber(run_session(config))
         print(f"{label}, error-check control mode:")
@@ -65,7 +64,7 @@ def main() -> int:
 
     config = SimulationConfig(
         pairs=pairs, control_probability=0.5, check_kind=CheckKind.CHSH,
-        attack=AttackSpec(kind=AttackKind.INTERCEPT_RESEND), seed=seed,
+        attack=AttackKind.INTERCEPT_RESEND, seed=seed,
     )
     estimate = estimate_chsh(run_session(config), config.settings)
     print("intercept-resend, CHSH control mode (separable bound |S| <= 2):")
@@ -74,7 +73,7 @@ def main() -> int:
 
     config = SimulationConfig(
         pairs=pairs, control_probability=0.5, check_kind=CheckKind.CHSH,
-        attack=AttackSpec(kind=AttackKind.QMM_SWAP), seed=seed,
+        attack=AttackKind.QMM_SWAP, seed=seed,
     )
     records = list(run_session(config))  # read twice below
     estimate = estimate_chsh(records, config.settings)

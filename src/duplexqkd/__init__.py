@@ -17,16 +17,13 @@ from .quantum import (
 )
 from .config import (
     AttackKind,
-    AttackSpec,
     CheckKind,
     ConfigFieldError,
     DEFAULT_SETTINGS,
-    Duplex,
     ProtocolKind,
     SimulationConfig,
 )
 from .protocol import (
-    Encoder,
     Mode,
     PairRecord,
     ProtocolViolation,

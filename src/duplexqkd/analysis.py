@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .config import SimulationConfig
@@ -244,31 +244,16 @@ class SimulationReport:
         """Combine reports over disjoint record sets of the same session."""
         if self.config_echo != other.config_echo or self.seed != other.seed:
             raise ValueError("reports from different sessions cannot be merged")
-        merged_counts = dict(self.chsh_counts)
-        for key, value in other.chsh_counts.items():
-            merged_counts[key] = merged_counts.get(key, 0) + value
-        merged_products = dict(self.chsh_products)
-        for key, value in other.chsh_products.items():
-            merged_products[key] = merged_products.get(key, 0) + value
-        return SimulationReport(
-            config_echo=self.config_echo,
-            seed=self.seed,
-            pairs=self.pairs + other.pairs,
-            control_rounds=self.control_rounds + other.control_rounds,
-            message_rounds=self.message_rounds + other.message_rounds,
-            alice_decode_ok=self.alice_decode_ok + other.alice_decode_ok,
-            alice_decode_total=self.alice_decode_total + other.alice_decode_total,
-            bob_decode_ok=self.bob_decode_ok + other.bob_decode_ok,
-            bob_decode_total=self.bob_decode_total + other.bob_decode_total,
-            eve_alice_guesses=self.eve_alice_guesses + other.eve_alice_guesses,
-            eve_alice_correct=self.eve_alice_correct + other.eve_alice_correct,
-            eve_bob_guesses=self.eve_bob_guesses + other.eve_bob_guesses,
-            eve_bob_correct=self.eve_bob_correct + other.eve_bob_correct,
-            qber_checks=self.qber_checks + other.qber_checks,
-            qber_errors=self.qber_errors + other.qber_errors,
-            chsh_counts=merged_counts,
-            chsh_products=merged_products,
-        )
+        merged = {}
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name in ("config_echo", "seed"):
+                merged[f.name] = mine
+            elif isinstance(mine, dict):
+                merged[f.name] = _add_counts(mine, theirs)
+            else:
+                merged[f.name] = mine + theirs
+        return SimulationReport(**merged)
 
     # -- serialization ------------------------------------------------------
 
@@ -297,6 +282,14 @@ class SimulationReport:
             "efficiency": {name: str(value) for name, value in efficiency_table().items()},
             "seed": self.seed,
         }
+
+
+def _add_counts(a: dict, b: dict) -> dict:
+    """Key-wise sum of two counter dicts."""
+    total = dict(a)
+    for key, value in b.items():
+        total[key] = total.get(key, 0) + value
+    return total
 
 
 def _tally_base_record(report: SimulationReport, record: PairRecord) -> None:

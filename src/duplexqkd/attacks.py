@@ -12,7 +12,8 @@ Three concrete attacks:
   on the first leg (reused on the second) and forwards the collapsed
   eigenstate.
 * :class:`QmmSubstitute` plays man-in-the-middle: it hands Alice the halves
-  of its own Bell pair in the sequence Bob would, keeps Bob's qubits, and
+  of its own Bell pair (drawn uniformly from the states the protocol
+  encodes with) in the sequence Bob would, keeps Bob's qubits, and
   Bell-measures them to read Bob's encoding; overheard announcements then
   give it Alice's encoding as well.
 * :class:`QmmSwap` substitutes the same way, but in a CHSH control round it
@@ -26,10 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .config import AttackKind, AttackSpec, CheckKind, ProtocolKind, SimulationConfig
+from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from .quantum import Basis, BellStateId
 from .protocol import (
     BASIS_BIT,
+    BIT_STATE,
     STATE_BIT,
     CorrelationAnnouncement,
     MeasuredFirst,
@@ -95,13 +97,12 @@ class Adversary:
 class InterceptResend(Adversary):
     """Measure-and-forward with von Neumann measurements.
 
-    The basis is drawn once per pair on the first leg (uniform over {X, Z}
-    unless pinned) and reused on the second leg; forwarding the collapsed
-    eigenstate maximizes what Eve learns from the announcements later.
+    The basis is drawn once per pair on the first leg (uniform over {X, Z})
+    and reused on the second leg; forwarding the collapsed eigenstate
+    maximizes what Eve learns from the announcements later.
     """
 
-    def __init__(self, basis: Basis | None = None) -> None:
-        self._policy_basis = basis
+    def __init__(self) -> None:
         self._log = EveLog()
         self._basis: Basis | None = None
         self._heard_correlation: bool | None = None
@@ -114,10 +115,7 @@ class InterceptResend(Adversary):
     def relay_qubit(self, system, handle, leg, rng):
         self._log.observations.append(("qubit", leg))
         if leg == 1:
-            if self._policy_basis is not None:
-                self._basis = self._policy_basis
-            else:
-                self._basis = Basis.X if rng.getrandbits(1) == 0 else Basis.Z
+            self._basis = Basis.X if rng.getrandbits(1) == 0 else Basis.Z
         outcome = system.measure(handle, self._basis.observable, rng.random())
         self._log.measured_bases.append(self._basis)
         self._log.measured_outcomes.append(outcome)
@@ -145,13 +143,14 @@ class QmmSubstitute(Adversary):
     """Pair-substitution man-in-the-middle.
 
     Eve must commit to her own pair before anything about Bob's choice is
-    observable, hence the uniform default policy.  The substitute policy
-    comes from a validated :class:`AttackSpec`.
+    observable, so she draws it uniformly from the states the session's
+    protocol encodes with: the two base states, or all four Bell states in
+    the four-state variant.
     """
 
-    def __init__(self, spec: AttackSpec) -> None:
-        self._spec = spec
+    def __init__(self) -> None:
         self._protocol = ProtocolKind.BASE
+        self._choices: tuple[BellStateId, ...] = BIT_STATE
         self._log = EveLog()
         self._retained: list[str] = []
         self._heard_correlation: bool | None = None
@@ -159,6 +158,7 @@ class QmmSubstitute(Adversary):
 
     def begin_session(self, config):
         self._protocol = config.protocol
+        self._choices = tuple(BellStateId) if config.protocol is ProtocolKind.MODIFIED else BIT_STATE
 
     def begin_pair(self) -> None:
         self._log = EveLog()
@@ -166,17 +166,11 @@ class QmmSubstitute(Adversary):
         self._heard_correlation = None
         self._heard_pauli = None
 
-    def _draw_substitute(self, rng) -> BellStateId:
-        if self._spec.substitute_policy == "fixed":
-            return self._spec.substitute_state
-        choices = self._spec.substitute_choices
-        return choices[rng.randrange(len(choices))]
-
     def relay_qubit(self, system, handle, leg, rng):
         self._log.observations.append(("qubit", leg))
         self._retained.append(handle)
         if leg == 1:
-            substitute = self._draw_substitute(rng)
+            substitute = self._choices[rng.randrange(len(self._choices))]
             system.add_pair(substitute, "eve0", "eve1")
             self._log.substitute_state = substitute
             return "eve0"
@@ -222,8 +216,8 @@ class QmmSwap(QmmSubstitute):
     with a vanishing CHSH value.
     """
 
-    def __init__(self, spec: AttackSpec) -> None:
-        super().__init__(spec)
+    def __init__(self) -> None:
+        super().__init__()
         self._check = CheckKind.CHSH
         self._swapped = False
 
@@ -254,15 +248,16 @@ class QmmSwap(QmmSubstitute):
         return super().end_pair(system, rng)
 
 
-def build_adversary(spec: AttackSpec) -> Adversary | None:
-    """Instantiate the attack layer described by a spec; None means no layer
+_ATTACKS = {
+    AttackKind.INTERCEPT_RESEND: InterceptResend,
+    AttackKind.QMM_SUBSTITUTE: QmmSubstitute,
+    AttackKind.QMM_SWAP: QmmSwap,
+}
+
+
+def build_adversary(kind: AttackKind) -> Adversary | None:
+    """Instantiate the attack layer of the given kind; None means no layer
     at all."""
-    if spec.kind is AttackKind.NONE:
+    if kind is AttackKind.NONE:
         return None
-    if spec.kind is AttackKind.INTERCEPT_RESEND:
-        return InterceptResend(basis=spec.ir_basis)
-    if spec.kind is AttackKind.QMM_SUBSTITUTE:
-        return QmmSubstitute(spec)
-    if spec.kind is AttackKind.QMM_SWAP:
-        return QmmSwap(spec)
-    raise ValueError(f"unknown attack kind {spec.kind!r}")
+    return _ATTACKS[kind]()

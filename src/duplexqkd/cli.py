@@ -21,18 +21,9 @@ from typing import TextIO
 
 from .analysis import build_report
 from .attacks import EveLog
-from .config import (
-    AttackKind,
-    AttackSpec,
-    CheckKind,
-    ConfigFieldError,
-    DEFAULT_SETTINGS,
-    Duplex,
-    ProtocolKind,
-    SimulationConfig,
-)
+from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from .fourstate import ModifiedMode, ModifiedPairRecord
-from .protocol import Encoder, Mode, PairRecord, run_session
+from .protocol import Mode, PairRecord, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
 
 __all__ = ["RunSpec", "UsageError", "load_records_csv", "main", "parse_args", "run_cli"]
@@ -57,7 +48,6 @@ _FLAG_CHOICES = {
     "protocol": tuple(p.value for p in ProtocolKind),
     "attack": tuple(a.value for a in AttackKind),
     "check": tuple(c.value for c in CheckKind),
-    "duplex": tuple(d.value for d in Duplex),
     "format": ("json", "csv"),
 }
 
@@ -67,7 +57,6 @@ _DEFAULTS = {
     "pairs": "10000",
     "control-prob": "0.1",
     "check": "chsh",
-    "duplex": "separate",
     "seed": "0",
     "settings": None,
     "format": "json",
@@ -92,7 +81,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--pairs", metavar="N")
     parser.add_argument("--control-prob", dest="control_prob", metavar="C")
     parser.add_argument("--check", choices=_FLAG_CHOICES["check"])
-    parser.add_argument("--duplex", choices=_FLAG_CHOICES["duplex"])
     parser.add_argument("--seed", metavar="S")
     parser.add_argument(
         "--settings", metavar="A11,A12,A21,A22", help="CHSH angles in radians (default: maximal violation)"
@@ -166,30 +154,21 @@ def parse_args(argv: list[str]) -> RunSpec:
         return file_values.get(key, _DEFAULTS[key])
 
     protocol = ProtocolKind(_parse_choice("protocol", resolve("protocol", namespace.protocol)))
-    attack_kind = AttackKind(_parse_choice("attack", resolve("attack", namespace.attack)))
+    attack = AttackKind(_parse_choice("attack", resolve("attack", namespace.attack)))
     pairs = _parse_int("pairs", resolve("pairs", namespace.pairs))
     control_prob = _parse_float("control-prob", resolve("control-prob", namespace.control_prob))
     check = CheckKind(_parse_choice("check", resolve("check", namespace.check)))
-    duplex = Duplex(_parse_choice("duplex", resolve("duplex", namespace.duplex)))
     seed = _parse_int("seed", resolve("seed", namespace.seed))
     settings_text = resolve("settings", namespace.settings)
     settings = _parse_settings(settings_text) if settings_text is not None else DEFAULT_SETTINGS
     out_format = _parse_choice("format", resolve("format", namespace.out_format))
     out_value = resolve("out", namespace.out)
 
-    # A four-state session faces a man-in-the-middle drawing from all four
-    # Bell states; the base protocol only ever sees the two it uses.
-    if attack_kind in (AttackKind.QMM_SUBSTITUTE, AttackKind.QMM_SWAP) and protocol is ProtocolKind.MODIFIED:
-        attack = AttackSpec(kind=attack_kind, substitute_choices=tuple(BellStateId))
-    else:
-        attack = AttackSpec(kind=attack_kind)
-
     try:
         config = SimulationConfig(
             pairs=pairs,
             control_probability=control_prob,
             check_kind=check,
-            duplex=duplex,
             attack=attack,
             seed=seed,
             settings=settings,
@@ -208,7 +187,6 @@ CSV_COLUMNS = [
     "pair_index",
     "protocol",
     "mode",
-    "encoder",
     "bob_state",
     "alice_basis",
     "alice_setting",
@@ -241,7 +219,7 @@ _CELL_TEXT: dict[type, Callable[[object], str]] = {
     int: repr,
     float: repr,
     **{enum: {m: m.name.lower() for m in enum}.__getitem__ for enum in (BellStateId, PauliOp)},
-    **{enum: {m: m.value for m in enum}.__getitem__ for enum in (Basis, Mode, ModifiedMode, Encoder)},
+    **{enum: {m: m.value for m in enum}.__getitem__ for enum in (Basis, Mode, ModifiedMode)},
 }
 
 
@@ -273,7 +251,6 @@ def _record_row(record) -> list[str]:
             _cell(record.pair_index),
             "base",
             _cell(record.mode),
-            _cell(record.encoder),
             _cell(record.bob_state),
             _cell(record.alice_basis),
             _cell(record.alice_setting),
@@ -293,7 +270,6 @@ def _record_row(record) -> list[str]:
         _cell(record.pair_index),
         "modified",
         _cell(record.mode),
-        "",  # encoder
         _cell(record.bob_state),
         "", "", "", "", "",  # alice_basis .. bob_angle
         outcome_1,
@@ -377,7 +353,6 @@ def load_records_csv(path) -> list:
                     PairRecord(
                         pair_index=int(row["pair_index"]),
                         mode=Mode(row["mode"]),
-                        encoder=Encoder(row["encoder"]),
                         bob_state=_STATE_BY_NAME[row["bob_state"]],
                         alice_basis=_opt(row["alice_basis"], Basis),
                         alice_setting=_opt(row["alice_setting"], int),

@@ -4,18 +4,16 @@ layer, and the CLI."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .quantum import Basis, BellStateId, ChshSettings
+from .quantum import ChshSettings
 
 __all__ = [
     "AttackKind",
-    "AttackSpec",
     "CheckKind",
     "ConfigFieldError",
     "DEFAULT_SETTINGS",
-    "Duplex",
     "ProtocolKind",
     "SimulationConfig",
 ]
@@ -37,14 +35,6 @@ class CheckKind(Enum):
     QBER = "qber"
 
 
-class Duplex(Enum):
-    """SEPARATE alternates Alice-encoding and Bob-encoding runs; FULL puts
-    both parties' bits on every pair."""
-
-    SEPARATE = "separate"
-    FULL = "full"
-
-
 class ProtocolKind(Enum):
     BASE = "base"
     MODIFIED = "modified"
@@ -64,47 +54,6 @@ DEFAULT_SETTINGS = ChshSettings(
     bob_angles=(0.75 * math.pi, 0.25 * math.pi),
 )
 
-#: States the base protocol encodes with (one bit per pair).
-BASE_STATES: tuple[BellStateId, BellStateId] = (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Channel-attack selection and parameters.
-
-    ``ir_basis`` fixes the intercept-resend measurement basis (None draws
-    uniformly from {X, Z} per pair).  ``substitute_policy`` controls which
-    Bell pair the man-in-the-middle injects: "uniform" draws from
-    ``substitute_choices`` per pair, "fixed" always uses
-    ``substitute_state``.
-    """
-
-    kind: AttackKind = AttackKind.NONE
-    ir_basis: Basis | None = None
-    substitute_policy: str = "uniform"
-    substitute_state: BellStateId | None = None
-    substitute_choices: tuple[BellStateId, ...] = BASE_STATES
-
-    def __post_init__(self) -> None:
-        if self.substitute_policy not in ("uniform", "fixed"):
-            raise ValueError(f"unknown substitute policy {self.substitute_policy!r}")
-        if self.substitute_policy == "fixed" and self.substitute_state is None:
-            raise ValueError("fixed substitute policy needs substitute_state")
-        if not self.substitute_choices:
-            raise ValueError("substitute_choices must not be empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "ir_basis": self.ir_basis.value if self.ir_basis is not None else None,
-            "substitute_policy": self.substitute_policy,
-            "substitute_state": (
-                self.substitute_state.name.lower() if self.substitute_state is not None else None
-            ),
-            "substitute_choices": [s.name.lower() for s in self.substitute_choices],
-        }
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Full description of a seeded session; two identical configs produce
@@ -113,8 +62,7 @@ class SimulationConfig:
     pairs: int
     control_probability: float = 0.0
     check_kind: CheckKind = CheckKind.CHSH
-    duplex: Duplex = Duplex.SEPARATE
-    attack: AttackSpec = field(default_factory=AttackSpec)
+    attack: AttackKind = AttackKind.NONE
     seed: int = 0
     settings: ChshSettings = DEFAULT_SETTINGS
     protocol: ProtocolKind = ProtocolKind.BASE
@@ -136,8 +84,7 @@ class SimulationConfig:
             "pairs": self.pairs,
             "control_probability": self.control_probability,
             "check": self.check_kind.value,
-            "duplex": self.duplex.value,
-            "attack": self.attack.to_dict(),
+            "attack": self.attack.value,
             "seed": self.seed,
             "settings": {
                 "alice_angles": list(self.settings.alice_angles),

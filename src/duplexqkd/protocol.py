@@ -36,7 +36,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
-from .config import AttackKind, CheckKind, Duplex, ProtocolKind, SimulationConfig
+from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from .quantum import (
     Basis,
     BellStateId,
@@ -60,7 +60,6 @@ __all__ = [
     "BIT_STATE",
     "CorrelationAnnouncement",
     "ControlDisclosure",
-    "Encoder",
     "MeasuredFirst",
     "Mode",
     "PairRecord",
@@ -86,15 +85,6 @@ class Mode(Enum):
     MESSAGE = "message"
     CONTROL_CHSH = "control-chsh"
     CONTROL_QBER = "control-qber"
-
-
-class Encoder(Enum):
-    """Whose bit a round carries (bookkeeping only; the physics of a round
-    is the same in all three)."""
-
-    ALICE_RUN = "alice"
-    BOB_RUN = "bob"
-    FULL_DUPLEX = "full"
 
 
 # Bit conventions, fixed: Alice's basis X -> 0, Z -> 1; Bob's state
@@ -226,7 +216,6 @@ class PairRecord:
 
     pair_index: int
     mode: Mode
-    encoder: Encoder
     bob_state: BellStateId
     alice_basis: Basis | None
     alice_setting: int | None
@@ -265,12 +254,6 @@ def _setting_observables(settings: ChshSettings):
     alice = tuple(PlanarObservable(a) for a in settings.alice_angles)
     bob = tuple(PlanarObservable(b) for b in settings.bob_angles)
     return alice, bob
-
-
-def _encoder_for(config: SimulationConfig, pair_index: int) -> Encoder:
-    if config.duplex is Duplex.FULL:
-        return Encoder.FULL_DUPLEX
-    return Encoder.ALICE_RUN if pair_index % 2 == 0 else Encoder.BOB_RUN
 
 
 class _Round:
@@ -344,7 +327,6 @@ def run_pair(
     round_ = _Round(config, adversary, pair_index, _rng, _eve_rng)
     rng = round_.rng
     system = round_.system
-    encoder = _encoder_for(config, pair_index)
 
     # Bob's state choice.
     bob_state = BIT_STATE[rng.getrandbits(1)] if bob_bit is None else BIT_STATE[bob_bit]
@@ -409,7 +391,6 @@ def run_pair(
     return PairRecord(
         pair_index=pair_index,
         mode=mode,
-        encoder=encoder,
         bob_state=bob_state,
         alice_basis=alice_basis,
         alice_setting=alice_setting,
@@ -444,7 +425,7 @@ def run_session(
         round_fn = fourstate.run_modified_pair
     else:
         round_fn = run_pair
-    if adversary is None and config.attack.kind is not AttackKind.NONE:
+    if adversary is None and config.attack is not AttackKind.NONE:
         from .attacks import build_adversary
 
         adversary = build_adversary(config.attack)

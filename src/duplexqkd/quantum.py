@@ -167,10 +167,6 @@ class Basis(Enum):
     Z = "z"
 
     @property
-    def angle(self) -> float:
-        return 0.5 * math.pi if self is Basis.X else 0.0
-
-    @property
     def observable(self) -> PlanarObservable:
         return _BASIS_OBSERVABLES[self]
 

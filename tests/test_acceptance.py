@@ -22,7 +22,6 @@ from duplexqkd.analysis import (
 )
 from duplexqkd.config import (
     AttackKind,
-    AttackSpec,
     CheckKind,
     DEFAULT_SETTINGS,
     ProtocolKind,
@@ -138,7 +137,7 @@ def test_criterion_04_intercept_resend_detection():
         pairs=102_000,
         control_probability=0.99,
         check_kind=CheckKind.QBER,
-        attack=AttackSpec(kind=AttackKind.INTERCEPT_RESEND),
+        attack=AttackKind.INTERCEPT_RESEND,
         seed=2,
     )
     stats = estimate_qber(run_session(qber_config))
@@ -147,7 +146,7 @@ def test_criterion_04_intercept_resend_detection():
         pairs=101_500,
         control_probability=0.99,
         check_kind=CheckKind.CHSH,
-        attack=AttackSpec(kind=AttackKind.INTERCEPT_RESEND),
+        attack=AttackKind.INTERCEPT_RESEND,
         seed=2,
     )
     estimate = estimate_chsh(run_session(chsh_config), chsh_config.settings)
@@ -171,7 +170,7 @@ def test_criterion_05_substitution_detection():
         pairs=102_000,
         control_probability=0.99,
         check_kind=CheckKind.QBER,
-        attack=AttackSpec(kind=AttackKind.QMM_SUBSTITUTE),
+        attack=AttackKind.QMM_SUBSTITUTE,
         seed=2,
     )
     stats = estimate_qber(run_session(config))
@@ -189,7 +188,7 @@ def test_criterion_06_entanglement_swap_attack():
         pairs=101_500,
         control_probability=0.99,
         check_kind=CheckKind.CHSH,
-        attack=AttackSpec(kind=AttackKind.QMM_SWAP),
+        attack=AttackKind.QMM_SWAP,
         seed=6,
     )
     records = list(run_session(config))

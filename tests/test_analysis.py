@@ -20,8 +20,8 @@ from duplexqkd.analysis import (
     estimate_qber,
     evasion_probability,
 )
-from duplexqkd.config import AttackKind, AttackSpec, CheckKind, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
-from duplexqkd.protocol import Encoder, Mode, PairRecord, run_session
+from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
+from duplexqkd.protocol import Mode, PairRecord, run_session
 from duplexqkd.quantum import Basis, BellStateId, ChshSettings, TwoQubitDensity, bell_state, correlator, PlanarObservable
 
 
@@ -33,7 +33,6 @@ def _chsh_record(index, state, i, j, product, settings=DEFAULT_SETTINGS) -> Pair
     return PairRecord(
         pair_index=index,
         mode=Mode.CONTROL_CHSH,
-        encoder=Encoder.ALICE_RUN,
         bob_state=state,
         alice_basis=None,
         alice_setting=i,
@@ -141,7 +140,6 @@ def _qber_record(index, state, basis, correlated) -> PairRecord:
     return PairRecord(
         pair_index=index,
         mode=Mode.CONTROL_QBER,
-        encoder=Encoder.BOB_RUN,
         bob_state=state,
         alice_basis=basis,
         alice_setting=None,
@@ -175,7 +173,7 @@ def test_estimate_qber_counts_contradictions():
     config = SimulationConfig(
         pairs=3000,
         control_probability=0.5,
-        attack=AttackSpec(kind=AttackKind.INTERCEPT_RESEND),
+        attack=AttackKind.INTERCEPT_RESEND,
         seed=4,
         protocol=ProtocolKind.MODIFIED,
     )

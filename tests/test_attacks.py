@@ -10,7 +10,7 @@ import pytest
 
 from duplexqkd.analysis import estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary, InterceptResend, QmmSubstitute, QmmSwap, build_adversary
-from duplexqkd.config import AttackKind, AttackSpec, CheckKind, SimulationConfig
+from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import BASIS_BIT, STATE_BIT, MeasuredFirst, Mode, correlation_signature, run_session
 from duplexqkd.quantum import (
     Basis,
@@ -31,10 +31,6 @@ def _config(**kwargs) -> SimulationConfig:
     return SimulationConfig(**defaults)
 
 
-def _attack(kind, **kwargs) -> AttackSpec:
-    return AttackSpec(kind=kind, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Null adversary
 
@@ -47,10 +43,10 @@ def test_null_adversary_is_strict_noop():
 
 
 def test_build_adversary_dispatch():
-    assert build_adversary(AttackSpec(kind=AttackKind.NONE)) is None
-    assert isinstance(build_adversary(_attack(AttackKind.INTERCEPT_RESEND)), InterceptResend)
-    assert isinstance(build_adversary(_attack(AttackKind.QMM_SUBSTITUTE)), QmmSubstitute)
-    assert isinstance(build_adversary(_attack(AttackKind.QMM_SWAP)), QmmSwap)
+    assert build_adversary(AttackKind.NONE) is None
+    assert isinstance(build_adversary(AttackKind.INTERCEPT_RESEND), InterceptResend)
+    assert isinstance(build_adversary(AttackKind.QMM_SUBSTITUTE), QmmSubstitute)
+    assert isinstance(build_adversary(AttackKind.QMM_SWAP), QmmSwap)
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +89,12 @@ def test_ir_crossed_basis_randomizes_product():
 
 
 def test_ir_conditional_error_rates():
-    # Pin Eve to X: rounds where Alice happened to pick X are error-free,
-    # rounds in Z err half the time.
-    config = _config(
-        pairs=8000,
-        check_kind=CheckKind.QBER,
-        attack=_attack(AttackKind.INTERCEPT_RESEND, ir_basis=Basis.X),
-        seed=77,
-    )
+    # Split the error checks by Eve's logged basis: rounds where Alice
+    # picked the same basis are error-free, crossed rounds err half the time.
+    config = _config(pairs=8000, check_kind=CheckKind.QBER, attack=AttackKind.INTERCEPT_RESEND, seed=77)
     records = [r for r in run_session(config) if r.mode is Mode.CONTROL_QBER]
-    matched = [r for r in records if r.alice_basis is Basis.X]
-    crossed = [r for r in records if r.alice_basis is Basis.Z]
+    matched = [r for r in records if r.eve_log.measured_bases[0] is r.alice_basis]
+    crossed = [r for r in records if r.eve_log.measured_bases[0] is not r.alice_basis]
     assert matched and all(r.qber_pass for r in matched)
     crossed_error = sum(not r.qber_pass for r in crossed) / len(crossed)
     assert abs(crossed_error - 0.5) < 0.04
@@ -111,7 +102,7 @@ def test_ir_conditional_error_rates():
 
 def test_ir_detection_rate_quarter():
     config = _config(
-        pairs=20_000, check_kind=CheckKind.QBER, attack=_attack(AttackKind.INTERCEPT_RESEND), seed=6
+        pairs=20_000, check_kind=CheckKind.QBER, attack=AttackKind.INTERCEPT_RESEND, seed=6
     )
     stats = estimate_qber(run_session(config))
     assert stats.checks > 8000
@@ -141,7 +132,7 @@ def test_ir_forwards_separable_states():
 
 def test_ir_chsh_stays_under_separable_bound():
     config = _config(
-        pairs=20_000, check_kind=CheckKind.CHSH, attack=_attack(AttackKind.INTERCEPT_RESEND), seed=41
+        pairs=20_000, check_kind=CheckKind.CHSH, attack=AttackKind.INTERCEPT_RESEND, seed=41
     )
     estimate = estimate_chsh(run_session(config), config.settings)
     for bin_ in estimate.per_state.values():
@@ -149,7 +140,7 @@ def test_ir_chsh_stays_under_separable_bound():
 
 
 def test_ir_learns_bob_state_in_message_rounds():
-    config = _config(pairs=2000, control_probability=0.0, attack=_attack(AttackKind.INTERCEPT_RESEND), seed=9)
+    config = _config(pairs=2000, control_probability=0.0, attack=AttackKind.INTERCEPT_RESEND, seed=9)
     for record in run_session(config):
         assert record.eve_log.guessed_bob_bit == STATE_BIT[record.bob_state]
 
@@ -163,7 +154,7 @@ def test_qmm_matching_substitute_is_invisible_and_transparent():
         pairs=4000,
         control_probability=0.3,
         check_kind=CheckKind.QBER,
-        attack=_attack(AttackKind.QMM_SUBSTITUTE),
+        attack=AttackKind.QMM_SUBSTITUTE,
         seed=13,
     )
     records = run_session(config)
@@ -184,7 +175,7 @@ def test_qmm_matching_substitute_is_invisible_and_transparent():
 
 def test_qmm_detection_rate_half():
     config = _config(
-        pairs=20_000, check_kind=CheckKind.QBER, attack=_attack(AttackKind.QMM_SUBSTITUTE), seed=21
+        pairs=20_000, check_kind=CheckKind.QBER, attack=AttackKind.QMM_SUBSTITUTE, seed=21
     )
     stats = estimate_qber(run_session(config))
     assert abs(stats.d_hat - 0.5) < 0.02
@@ -192,24 +183,31 @@ def test_qmm_detection_rate_half():
 
 def test_qmm_substitute_kills_chsh_correlations():
     config = _config(
-        pairs=30_000, check_kind=CheckKind.CHSH, attack=_attack(AttackKind.QMM_SUBSTITUTE), seed=34
+        pairs=30_000, check_kind=CheckKind.CHSH, attack=AttackKind.QMM_SUBSTITUTE, seed=34
     )
     estimate = estimate_chsh(run_session(config), config.settings)
     for bin_ in estimate.per_state.values():
         assert abs(bin_.s_hat) <= 4 * bin_.stderr
 
 
-def test_qmm_fixed_policy_uses_that_state():
-    config = _config(
-        pairs=500,
-        control_probability=0.0,
-        attack=_attack(
-            AttackKind.QMM_SUBSTITUTE, substitute_policy="fixed", substitute_state=BellStateId.PSI_PLUS
-        ),
-        seed=2,
+@pytest.mark.parametrize("kind", [AttackKind.QMM_SUBSTITUTE, AttackKind.QMM_SWAP])
+def test_substitutes_follow_the_protocol(kind):
+    # Eve draws her pair uniformly from the states the session's protocol
+    # encodes with: all four Bell states in the four-state variant, only
+    # psi+/phi- in the base protocol.
+    pairs = 4000
+    sigma = math.sqrt(pairs * 0.25 * 0.75)
+    four_state = _config(
+        pairs=pairs, control_probability=0.2, protocol=ProtocolKind.MODIFIED, attack=kind, seed=3
     )
-    for record in run_session(config):
-        assert record.eve_log.substitute_state is BellStateId.PSI_PLUS
+    drawn = Counter(r.eve_log.substitute_state for r in run_session(four_state))
+    assert set(drawn) == set(BellStateId)
+    assert all(abs(n - pairs / 4) < 5 * sigma for n in drawn.values())
+
+    base = _config(pairs=pairs, attack=kind, seed=3)
+    drawn = Counter(r.eve_log.substitute_state for r in run_session(base))
+    assert set(drawn) == {BellStateId.PSI_PLUS, BellStateId.PHI_MINUS}
+    assert abs(drawn[BellStateId.PSI_PLUS] - pairs / 2) < 5 * math.sqrt(pairs * 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,7 @@ def test_swap_commutes_with_alice_measurement():
 
 def test_swap_outcomes_uniform():
     config = _config(
-        pairs=20_000, check_kind=CheckKind.CHSH, attack=_attack(AttackKind.QMM_SWAP), seed=55
+        pairs=20_000, check_kind=CheckKind.CHSH, attack=AttackKind.QMM_SWAP, seed=55
     )
     records = [r for r in run_session(config) if r.mode is Mode.CONTROL_CHSH]
     outcomes = Counter(r.eve_log.bell_outcome for r in records)
@@ -280,7 +278,7 @@ def test_swap_outcomes_uniform():
 
 def test_swap_zeroes_chsh():
     config = _config(
-        pairs=30_000, check_kind=CheckKind.CHSH, attack=_attack(AttackKind.QMM_SWAP), seed=68
+        pairs=30_000, check_kind=CheckKind.CHSH, attack=AttackKind.QMM_SWAP, seed=68
     )
     estimate = estimate_chsh(run_session(config), config.settings)
     assert estimate.per_state
@@ -290,7 +288,7 @@ def test_swap_zeroes_chsh():
 
 def test_swap_degrades_to_substitute_for_qber_checks():
     config = _config(
-        pairs=20_000, check_kind=CheckKind.QBER, attack=_attack(AttackKind.QMM_SWAP), seed=91
+        pairs=20_000, check_kind=CheckKind.QBER, attack=AttackKind.QMM_SWAP, seed=91
     )
     stats = estimate_qber(run_session(config))
     assert abs(stats.d_hat - 0.5) < 0.02
@@ -304,7 +302,7 @@ def test_swap_degrades_to_substitute_for_qber_checks():
     "kind", [AttackKind.INTERCEPT_RESEND, AttackKind.QMM_SUBSTITUTE, AttackKind.QMM_SWAP]
 )
 def test_observation_log_causality(kind):
-    config = _config(pairs=600, control_probability=0.5, check_kind=CheckKind.CHSH, attack=_attack(kind), seed=101)
+    config = _config(pairs=600, control_probability=0.5, check_kind=CheckKind.CHSH, attack=kind, seed=101)
     for record in run_session(config):
         log = record.eve_log
         assert log is not None
@@ -331,5 +329,5 @@ def test_observation_log_causality(kind):
     "kind", [AttackKind.INTERCEPT_RESEND, AttackKind.QMM_SUBSTITUTE, AttackKind.QMM_SWAP]
 )
 def test_attacked_sessions_are_deterministic(kind):
-    config = _config(pairs=400, check_kind=CheckKind.CHSH, attack=_attack(kind), seed=7)
+    config = _config(pairs=400, check_kind=CheckKind.CHSH, attack=kind, seed=7)
     assert list(run_session(config)) == list(run_session(config))

@@ -38,7 +38,7 @@ def test_parse_happy_path():
     assert config.pairs == 100_000
     assert config.control_probability == 0.5
     assert config.check_kind is CheckKind.QBER
-    assert config.attack.kind is AttackKind.INTERCEPT_RESEND
+    assert config.attack is AttackKind.INTERCEPT_RESEND
     assert config.seed == 7
     assert spec.out_format == "json"
     assert spec.out_path is None
@@ -54,6 +54,16 @@ def test_default_settings_are_maximally_violating():
 def test_explicit_settings_parse():
     spec = parse_args(["--settings", "0,1.5707963267948966,2.356194490192345,0.7853981633974483"])
     assert spec.config.settings == DEFAULT_SETTINGS
+
+
+class _ConfigLines(str):
+    """An argv slot that stands for a config file holding these lines."""
+
+
+def _write_config(tmp_path, lines: str) -> str:
+    path = tmp_path / "run.conf"
+    path.write_text(lines)
+    return str(path)
 
 
 @pytest.mark.parametrize(
@@ -72,9 +82,12 @@ def test_explicit_settings_parse():
         (["--pairs", "-5"], "--pairs"),
         (["--control-prob", "-0.25"], "--control-prob"),
         (["--seed", "18446744073709551616"], "--seed"),
+        (["--duplex", "full"], "--duplex"),
+        (["--config", _ConfigLines("duplex = full\n")], "unknown key 'duplex'"),
     ],
 )
-def test_rejections_name_the_flag(argv, needle):
+def test_rejections_name_the_flag(argv, needle, tmp_path):
+    argv = [_write_config(tmp_path, arg) if isinstance(arg, _ConfigLines) else arg for arg in argv]
     with pytest.raises(UsageError) as err:
         parse_args(argv)
     assert needle in str(err.value)
@@ -100,7 +113,7 @@ def test_config_file_supplies_flags(tmp_path):
     spec = parse_args(["--config", str(config_file)])
     assert spec.config.pairs == 123
     assert spec.config.control_probability == 0.25
-    assert spec.config.attack.kind is AttackKind.QMM_SUBSTITUTE
+    assert spec.config.attack is AttackKind.QMM_SUBSTITUTE
 
 
 def test_command_line_overrides_config_file(tmp_path):
@@ -125,13 +138,13 @@ def test_missing_config_file_rejected():
 
 
 def test_modified_qmm_gets_four_state_policy():
-    spec = parse_args(["--protocol", "modified", "--attack", "qmm"])
-    assert spec.config.attack.substitute_choices == tuple(BellStateId)
-    base_spec = parse_args(["--attack", "qmm"])
-    assert base_spec.config.attack.substitute_choices == (
-        BellStateId.PSI_PLUS,
-        BellStateId.PHI_MINUS,
-    )
+    # The substitute choices follow from the protocol the flags select.
+    spec = parse_args(["--protocol", "modified", "--attack", "qmm", "--pairs", "400"])
+    drawn = {r.eve_log.substitute_state for r in run_session(spec.config)}
+    assert drawn == set(BellStateId)
+    base_spec = parse_args(["--attack", "qmm", "--pairs", "400"])
+    drawn = {r.eve_log.substitute_state for r in run_session(base_spec.config)}
+    assert drawn == {BellStateId.PSI_PLUS, BellStateId.PHI_MINUS}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from duplexqkd.analysis import build_report
-from duplexqkd.config import AttackKind, AttackSpec, ProtocolKind, SimulationConfig
+from duplexqkd.config import AttackKind, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import (
     CLASSICAL_BITS_PER_RUN,
     ModifiedControlDisclosure,
@@ -162,9 +162,11 @@ def test_four_state_substitution_is_caught_and_read():
         pairs=12_000,
         control_probability=0.5,
         seed=31,
-        attack=AttackSpec(kind=AttackKind.QMM_SUBSTITUTE, substitute_choices=tuple(BellStateId)),
+        attack=AttackKind.QMM_SUBSTITUTE,
     )
     records = list(run_session(config))
+    # A four-state session's man-in-the-middle substitutes all four states.
+    assert {r.eve_log.substitute_state for r in records} == set(BellStateId)
     controls = [r for r in records if r.mode is ModifiedMode.CONTROL]
     fail_rate = sum(not r.control_pass for r in controls) / len(controls)
     assert 0.0 < fail_rate < 1.0

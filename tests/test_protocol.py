@@ -9,20 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duplexqkd.analysis import estimate_chsh, estimate_qber
-from duplexqkd.config import (
-    AttackSpec,
-    CheckKind,
-    ConfigFieldError,
-    DEFAULT_SETTINGS,
-    Duplex,
-    SimulationConfig,
-)
+from duplexqkd.config import CheckKind, ConfigFieldError, DEFAULT_SETTINGS, SimulationConfig
 from duplexqkd.protocol import (
     BIT_BASIS,
     BIT_STATE,
     CorrelationAnnouncement,
     ControlDisclosure,
-    Encoder,
     MeasuredFirst,
     Mode,
     PairRecord,
@@ -173,8 +165,6 @@ def test_config_validation():
     with pytest.raises(ConfigFieldError) as err:
         SimulationConfig(pairs=10, seed=-1)
     assert err.value.field_name == "seed"
-    with pytest.raises(ValueError):
-        AttackSpec(substitute_policy="fixed")
 
 
 def test_same_seed_reproduces_session():
@@ -200,23 +190,6 @@ def test_control_fraction_concentrates():
     records = list(run_session(config))
     fraction = sum(r.mode is not Mode.MESSAGE for r in records) / len(records)
     assert abs(fraction - 0.2) <= 0.005
-
-
-def test_separate_duplex_alternates_encoders():
-    records = run_session(_config(pairs=6, duplex=Duplex.SEPARATE))
-    assert [r.encoder for r in records] == [
-        Encoder.ALICE_RUN,
-        Encoder.BOB_RUN,
-        Encoder.ALICE_RUN,
-        Encoder.BOB_RUN,
-        Encoder.ALICE_RUN,
-        Encoder.BOB_RUN,
-    ]
-
-
-def test_full_duplex_tags_every_round():
-    records = run_session(_config(pairs=4, duplex=Duplex.FULL))
-    assert all(r.encoder is Encoder.FULL_DUPLEX for r in records)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

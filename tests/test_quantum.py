@@ -434,8 +434,8 @@ def test_identify_bell_rejects_non_bell():
 
 
 def test_basis_angles():
-    assert Basis.Z.angle == 0.0
-    assert Basis.X.angle == pytest.approx(math.pi / 2)
+    assert Basis.Z.observable.angle == 0.0
+    assert Basis.X.observable.angle == pytest.approx(math.pi / 2)
     assert Basis.Z.observable.matrix[0, 0] == 1.0 + 0j
 
 
