@@ -12,6 +12,11 @@ has no effect with ``--protocol modified`` (every four-state control round
 is an error check, so its CSV digests match and its JSON reports differ
 only in ``config_echo.check``), and ``qmm-swap`` differs from ``qmm`` only
 in base-protocol CHSH rounds (every other CSV digest of the two matches).
+
+Each case's test id ends in ``separate``: the matrix once had a ``--duplex``
+axis, and its ``separate`` cases are the ones these digests continue, so a
+case keeps the name it had then.  The flag is gone; every round carries both
+parties' bits.
 """
 
 import hashlib
@@ -68,7 +73,7 @@ def test_golden_table_covers_the_matrix():
     assert sorted(GOLDEN) == sorted(_matrix())
 
 
-@pytest.mark.parametrize("case", list(_matrix()))
+@pytest.mark.parametrize("case", list(_matrix()), ids=lambda case: f"{case} separate")
 def test_cli_artifact_digest(case, capsys):
     protocol, attack, check, out_format = case.split()
     argv = [
