@@ -24,19 +24,22 @@ Three concrete attacks:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
-from .quantum import Basis, BellStateId
+from .quantum import Basis, BellStateId, Choice
 from .protocol import (
     BASIS_BIT,
+    BASIS_CHOICE,
     BIT_STATE,
     STATE_BIT,
     CorrelationAnnouncement,
+    Lane,
     MeasuredFirst,
     PairSystem,
     ProtocolMessage,
+    _legacy_bits,
+    _legacy_range,
     alice_decode,
     bob_decode,
 )
@@ -82,15 +85,15 @@ class Adversary:
     def begin_pair(self) -> None:
         pass
 
-    def relay_qubit(self, system: PairSystem, handle: str, leg: int, rng: random.Random) -> str:
+    def relay_qubit(self, system: PairSystem, handle: str, leg: int, lane: Lane) -> str:
         """Called while a qubit is in transit; returns the handle of the
         qubit actually delivered."""
         return handle
 
-    def hear(self, system: PairSystem, message: ProtocolMessage, rng: random.Random) -> None:
+    def hear(self, system: PairSystem, message: ProtocolMessage, lane: Lane) -> None:
         pass
 
-    def end_pair(self, system: PairSystem, rng: random.Random) -> EveLog | None:
+    def end_pair(self, system: PairSystem, lane: Lane) -> EveLog | None:
         return None
 
 
@@ -112,21 +115,21 @@ class InterceptResend(Adversary):
         self._basis = None
         self._heard_correlation = None
 
-    def relay_qubit(self, system, handle, leg, rng):
+    def relay_qubit(self, system, handle, leg, lane):
         self._log.observations.append(("qubit", leg))
         if leg == 1:
-            self._basis = Basis.X if rng.getrandbits(1) == 0 else Basis.Z
-        outcome = system.measure(handle, self._basis.observable, rng.random())
+            self._basis = lane.choose(BASIS_CHOICE, _legacy_bits)
+        outcome = system.measure(handle, self._basis.observable, lane)
         self._log.measured_bases.append(self._basis)
         self._log.measured_outcomes.append(outcome)
         return handle
 
-    def hear(self, system, message, rng):
+    def hear(self, system, message, lane):
         self._log.observations.append(("announcement", message))
         if isinstance(message, CorrelationAnnouncement):
             self._heard_correlation = message.correlated
 
-    def end_pair(self, system, rng):
+    def end_pair(self, system, lane):
         log = self._log
         if len(log.measured_outcomes) == 2:
             # Her own same-basis product always equals the sent state's
@@ -150,7 +153,7 @@ class QmmSubstitute(Adversary):
 
     def __init__(self) -> None:
         self._protocol = ProtocolKind.BASE
-        self._choices: tuple[BellStateId, ...] = BIT_STATE
+        self._choice = Choice.uniform(BIT_STATE)
         self._log = EveLog()
         self._retained: list[str] = []
         self._heard_correlation: bool | None = None
@@ -158,7 +161,7 @@ class QmmSubstitute(Adversary):
 
     def begin_session(self, config):
         self._protocol = config.protocol
-        self._choices = tuple(BellStateId) if config.protocol is ProtocolKind.MODIFIED else BIT_STATE
+        self._choice = Choice.uniform(tuple(BellStateId) if config.protocol is ProtocolKind.MODIFIED else BIT_STATE)
 
     def begin_pair(self) -> None:
         self._log = EveLog()
@@ -166,29 +169,29 @@ class QmmSubstitute(Adversary):
         self._heard_correlation = None
         self._heard_pauli = None
 
-    def relay_qubit(self, system, handle, leg, rng):
+    def relay_qubit(self, system, handle, leg, lane):
         self._log.observations.append(("qubit", leg))
         self._retained.append(handle)
         if leg == 1:
-            substitute = self._choices[rng.randrange(len(self._choices))]
+            substitute = lane.choose(self._choice, _legacy_range)
             system.add_pair(substitute, "eve0", "eve1")
             self._log.substitute_state = substitute
             return "eve0"
         return "eve1"
 
-    def hear(self, system, message, rng):
+    def hear(self, system, message, lane):
         self._log.observations.append(("announcement", message))
         if isinstance(message, CorrelationAnnouncement):
             self._heard_correlation = message.correlated
         elif isinstance(message, PauliAnnouncement):
             self._heard_pauli = message.op
 
-    def end_pair(self, system, rng):
+    def end_pair(self, system, lane):
         log = self._log
         if len(self._retained) == 2:
             # Bob's pair reached Eve intact; the Bell measurement reads his
             # encoding with certainty.
-            log.bell_outcome = system.bell_measure_pair(*self._retained, rng.random())
+            log.bell_outcome = system.bell_measure_pair(*self._retained, lane)
             if self._protocol is ProtocolKind.MODIFIED:
                 log.guessed_bob_bit = log.bell_outcome.bits
             else:
@@ -229,8 +232,8 @@ class QmmSwap(QmmSubstitute):
         super().begin_pair()
         self._swapped = False
 
-    def hear(self, system, message, rng):
-        super().hear(system, message, rng)
+    def hear(self, system, message, lane):
+        super().hear(system, message, lane)
         if (
             isinstance(message, MeasuredFirst)
             and message.control
@@ -239,13 +242,13 @@ class QmmSwap(QmmSubstitute):
             and self._retained
             and system.holds("eve1")
         ):
-            self._log.bell_outcome = system.bell_measure_pair(self._retained[0], "eve1", rng.random())
+            self._log.bell_outcome = system.bell_measure_pair(self._retained[0], "eve1", lane)
             self._swapped = True
 
-    def end_pair(self, system, rng):
+    def end_pair(self, system, lane):
         if self._swapped:
             return self._log
-        return super().end_pair(system, rng)
+        return super().end_pair(system, lane)
 
 
 _ATTACKS = {

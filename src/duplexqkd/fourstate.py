@@ -16,14 +16,13 @@ passes iff the outcome product equals the state's deterministic signature.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .config import SimulationConfig
-from .protocol import BIT_BASIS, _Round, correlation_signature
+from .protocol import BASIS_CHOICE, FOUR_STATE_CHOICE, _legacy_bits, _Round, _control_choice, correlation_signature
 from .quantum import Basis, BellStateId, Outcome, PauliOp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,17 +134,18 @@ def run_modified_pair(
     *,
     alice_bits: int | None = None,
     bob_bits: int | None = None,
-    _rng: random.Random | None = None,
-    _eve_rng: random.Random | None = None,
 ) -> ModifiedPairRecord:
     """One four-state round; deterministic given (config, pair_index,
     payload bits, adversary type)."""
-    round_ = _Round(config, adversary, pair_index, _rng, _eve_rng)
-    rng = round_.rng
+    round_ = _Round(config, adversary, pair_index)
+    honest = round_.honest
     system = round_.system
 
-    bob_state = bits_to_state(rng.getrandbits(2) if bob_bits is None else bob_bits)
-    control = bool(rng.random() < config.control_probability)
+    if bob_bits is None:
+        bob_state = honest.choose(FOUR_STATE_CHOICE, _legacy_bits)
+    else:
+        bob_state = bits_to_state(bob_bits)
+    control = honest.choose(_control_choice(config.control_probability))
     mode = ModifiedMode.CONTROL if control else ModifiedMode.MESSAGE
 
     first = round_.send_first(bob_state)
@@ -155,18 +155,21 @@ def run_modified_pair(
 
     if mode is ModifiedMode.MESSAGE:
         round_.announce(ReceiptAck())
-        alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), rng.random())
-        alice_target = bits_to_state(rng.getrandbits(2) if alice_bits is None else alice_bits)
+        alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), honest)
+        if alice_bits is None:
+            alice_target = honest.choose(FOUR_STATE_CHOICE, _legacy_bits)
+        else:
+            alice_target = bits_to_state(alice_bits)
         alice_pauli = pauli_for_target(alice_bell_outcome, alice_target)
         round_.announce(PauliAnnouncement(op=alice_pauli))
         bob_decoded = pauli_transition(bob_state, alice_pauli)
         outcomes: tuple[Outcome, ...] = ()
     else:
-        control_basis = BIT_BASIS[rng.getrandbits(1)]
-        outcome_1 = system.measure(first, control_basis.observable, rng.random())
+        control_basis = honest.choose(BASIS_CHOICE, _legacy_bits)
+        outcome_1 = system.measure(first, control_basis.observable, honest)
         round_.announce(ModifiedControlDisclosure(basis=control_basis, outcome=outcome_1))
         round_.announce(StateDisclosure(state_id=bob_state))
-        outcome_2 = system.measure(round_.send_second(), control_basis.observable, rng.random())
+        outcome_2 = system.measure(round_.send_second(), control_basis.observable, honest)
         outcomes = (outcome_1, outcome_2)
         control_pass = outcome_1 * outcome_2 == correlation_signature(bob_state, control_basis)
 

@@ -21,10 +21,13 @@ One round ("pair") of the base protocol:
    measures in her first basis and discloses basis plus correlation; Bob
    checks the correlation against the state's deterministic signature.
 
-Every random draw comes from a per-pair stream derived from
-(seed, pair_index, lane), so records are reproducible and independent of
-how many pairs ran before them.  The adversary draws from its own lane:
-honest randomness is identical with and without an attack in place.
+Every random choice of a round - a party's bits, the control flag, a
+measurement's branch, the attacker's moves - is a :class:`~quantum.Choice`
+resolved by one uniform draw through ``_Round.draw``.  Draws come from a
+per-pair stream derived from (seed, pair_index, lane), so records are
+reproducible and independent of how many pairs ran before them.  The
+adversary draws from its own lane: honest randomness is identical with and
+without an attack in place.
 """
 
 from __future__ import annotations
@@ -39,13 +42,17 @@ from typing import TYPE_CHECKING, Union
 from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from .quantum import (
     Basis,
+    BELL_ORDER,
     BellStateId,
     ChshSettings,
+    Choice,
     Outcome,
     PlanarObservable,
     PureState,
+    bell_choice,
     bell_measure,
     bell_state,
+    measure_choice,
     measure_qubit,
     tensor,
 )
@@ -60,6 +67,7 @@ __all__ = [
     "BIT_STATE",
     "CorrelationAnnouncement",
     "ControlDisclosure",
+    "Lane",
     "MeasuredFirst",
     "Mode",
     "PairRecord",
@@ -198,12 +206,18 @@ class PairSystem:
     def holds(self, name: str) -> bool:
         return name in self._pos
 
-    def measure(self, name: str, obs: PlanarObservable, rand: float) -> Outcome:
-        outcome, self.state = measure_qubit(self.state, self._pos[name], obs, rand)
+    def measure(self, name: str, obs: PlanarObservable, lane: "Lane") -> Outcome:
+        """Measure one qubit; ``lane`` draws the branch."""
+        pos = self._pos[name]
+        rand = lane.draw(measure_choice(self.state, pos, obs))
+        outcome, self.state = measure_qubit(self.state, pos, obs, rand)
         return outcome
 
-    def bell_measure_pair(self, name_a: str, name_b: str, rand: float) -> BellStateId:
+    def bell_measure_pair(self, name_a: str, name_b: str, lane: "Lane") -> BellStateId:
+        """Bell-measure two qubits, which leave the system; ``lane`` draws
+        the outcome."""
         pa, pb = self._pos.pop(name_a), self._pos.pop(name_b)
+        rand = lane.draw(bell_choice(self.state, pa, pb))
         outcome, self.state = bell_measure(self.state, pa, pb, rand)
         for name, p in self._pos.items():
             self._pos[name] = p - (p > pa) - (p > pb)
@@ -256,29 +270,72 @@ def _setting_observables(settings: ChshSettings):
     return alice, bob
 
 
+@lru_cache(maxsize=8)
+def _control_choice(control_probability: float) -> Choice:
+    return Choice((control_probability,), (True, False))
+
+
+#: The honest parties' uniform choices.
+BOB_STATE_CHOICE = Choice.uniform(BIT_STATE)
+BASIS_CHOICE = Choice.uniform(BIT_BASIS)
+SETTING_CHOICE = Choice.uniform((0, 1))
+FOUR_STATE_CHOICE = Choice.uniform(BELL_ORDER)
+
+
+def _legacy_bits(rng: random.Random, n: int) -> int:
+    return rng.getrandbits(n.bit_length() - 1)
+
+
+def _legacy_range(rng: random.Random, n: int) -> int:
+    return rng.randrange(n)
+
+
+class Lane:
+    """One party's draws in one round: every choice it makes reads the next
+    uniform of its own lane of the round's streams."""
+
+    __slots__ = ("_round", "_lane")
+
+    def __init__(self, round_: "_Round", lane: int) -> None:
+        self._round = round_
+        self._lane = lane
+
+    def draw(self, choice: Choice, legacy=None) -> float:
+        """The uniform that resolves ``choice``."""
+        return self._round.draw(self._lane, choice, legacy)
+
+    def choose(self, choice: Choice, legacy=None):
+        """The branch of ``choice`` this lane's next uniform selects."""
+        return choice.pick(self.draw(choice, legacy))
+
+
 class _Round:
     """The scaffold every round of either protocol shares: the pair's honest
     and adversary streams, the live qubits, the channel adversary's hooks
     and the public announcement list.  With no adversary the qubits travel
     untouched and no adversary stream is made."""
 
-    __slots__ = ("rng", "system", "announcements", "_adversary", "_eve_rng")
+    __slots__ = ("system", "announcements", "honest", "eve", "_adversary", "_streams")
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        adversary: "Adversary | None",
-        pair_index: int,
-        rng: random.Random | None,
-        eve_rng: random.Random | None,
-    ) -> None:
-        self.rng = pair_stream(config.seed, pair_index, _HONEST_LANE) if rng is None else rng
+    def __init__(self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int) -> None:
         self.system = PairSystem()
         self.announcements: list = []
         self._adversary = adversary
-        if adversary is not None and eve_rng is None:
-            eve_rng = pair_stream(config.seed, pair_index, _EVE_LANE)
-        self._eve_rng = eve_rng
+        self._streams = (
+            pair_stream(config.seed, pair_index, _HONEST_LANE),
+            pair_stream(config.seed, pair_index, _EVE_LANE) if adversary is not None else None,
+        )
+        self.honest = Lane(self, _HONEST_LANE)
+        self.eve = Lane(self, _EVE_LANE)
+
+    def draw(self, lane: int, choice: Choice, legacy=None) -> float:
+        """The one source of randomness in a round: the next uniform of
+        ``lane``, which resolves ``choice``."""
+        rng = self._streams[lane]
+        if legacy is None:
+            return rng.random()
+        n = len(choice.branches)
+        return (legacy(rng, n) + 0.5) / n
 
     def send_first(self, bob_state: BellStateId) -> str:
         """Bob prepares his pair and the first half crosses the channel;
@@ -287,23 +344,23 @@ class _Round:
         if self._adversary is None:
             return "bob0"
         self._adversary.begin_pair()
-        return self._adversary.relay_qubit(self.system, "bob0", 1, self._eve_rng)
+        return self._adversary.relay_qubit(self.system, "bob0", 1, self.eve)
 
     def send_second(self) -> str:
         """The second half crosses the channel to Alice."""
         if self._adversary is None:
             return "bob1"
-        return self._adversary.relay_qubit(self.system, "bob1", 2, self._eve_rng)
+        return self._adversary.relay_qubit(self.system, "bob1", 2, self.eve)
 
     def announce(self, message) -> None:
         self.announcements.append(message)
         if self._adversary is not None:
-            self._adversary.hear(self.system, message, self._eve_rng)
+            self._adversary.hear(self.system, message, self.eve)
 
     def end(self) -> "EveLog | None":
         if self._adversary is None:
             return None
-        return self._adversary.end_pair(self.system, self._eve_rng)
+        return self._adversary.end_pair(self.system, self.eve)
 
 
 def run_pair(
@@ -313,27 +370,23 @@ def run_pair(
     *,
     alice_bit: int | None = None,
     bob_bit: int | None = None,
-    _rng: random.Random | None = None,
-    _eve_rng: random.Random | None = None,
 ) -> PairRecord:
     """Execute one round; deterministic given (config, pair_index, payload
     bits, adversary type).
 
     ``alice_bit`` / ``bob_bit`` optionally pin the payload choices of a
-    message round; by default both parties draw uniformly.  ``_rng`` /
-    ``_eve_rng`` let the session loop reuse stream objects; they must be
-    seeded exactly like :func:`pair_stream` for this pair.
+    message round; by default both parties draw uniformly.
     """
-    round_ = _Round(config, adversary, pair_index, _rng, _eve_rng)
-    rng = round_.rng
+    round_ = _Round(config, adversary, pair_index)
+    honest = round_.honest
     system = round_.system
 
     # Bob's state choice.
-    bob_state = BIT_STATE[rng.getrandbits(1)] if bob_bit is None else BIT_STATE[bob_bit]
+    bob_state = honest.choose(BOB_STATE_CHOICE, _legacy_bits) if bob_bit is None else BIT_STATE[bob_bit]
 
     # The encoding party flags the round as control with probability C; the
     # flag stays private until Alice's first measurement is announced.
-    control = bool(rng.random() < config.control_probability)
+    control = honest.choose(_control_choice(config.control_probability))
     if control:
         mode = Mode.CONTROL_CHSH if config.check_kind is CheckKind.CHSH else Mode.CONTROL_QBER
     else:
@@ -347,14 +400,16 @@ def run_pair(
     alice_basis: Basis | None = None
     alice_setting = alice_angle = None
     if mode is Mode.CONTROL_CHSH:
-        alice_setting = rng.getrandbits(1)
+        alice_setting = honest.choose(SETTING_CHOICE, _legacy_bits)
         alice_angle = config.settings.alice_angles[alice_setting]
         first_obs = alice_obs_set[alice_setting]
     else:
-        bit = rng.getrandbits(1) if (alice_bit is None or mode is not Mode.MESSAGE) else alice_bit
-        alice_basis = BIT_BASIS[bit]
+        if alice_bit is None or mode is not Mode.MESSAGE:
+            alice_basis = honest.choose(BASIS_CHOICE, _legacy_bits)
+        else:
+            alice_basis = BIT_BASIS[alice_bit]
         first_obs = alice_basis.observable
-    outcome_1 = system.measure(first, first_obs, rng.random())
+    outcome_1 = system.measure(first, first_obs, honest)
 
     # Alice announces the measurement itself, never its result.
     round_.announce(MeasuredFirst(control=control))
@@ -368,16 +423,16 @@ def run_pair(
 
     if mode is Mode.CONTROL_CHSH:
         # Bob keeps the second half and measures locally.
-        bob_setting = rng.getrandbits(1)
+        bob_setting = honest.choose(SETTING_CHOICE, _legacy_bits)
         bob_angle = config.settings.bob_angles[bob_setting]
-        outcome_2 = system.measure("bob1", bob_obs_set[bob_setting], rng.random())
+        outcome_2 = system.measure("bob1", bob_obs_set[bob_setting], honest)
         outcomes = (outcome_1, outcome_2)
         round_.announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
         round_.announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))
     else:
         # Message and error-check rounds: the second half travels to Alice,
         # who measures it in her first basis.
-        outcome_2 = system.measure(round_.send_second(), first_obs, rng.random())
+        outcome_2 = system.measure(round_.send_second(), first_obs, honest)
         outcomes = (outcome_1, outcome_2)
         correlated = outcome_1 * outcome_2 == +1
         if mode is Mode.MESSAGE:
@@ -431,12 +486,5 @@ def run_session(
         adversary = build_adversary(config.attack)
     if adversary is not None:
         adversary.begin_session(config)
-    # Reseeding shared stream objects per pair is twice as cheap as fresh
-    # ones and produces the identical draw sequences.
-    rng = random.Random()
-    eve_rng = random.Random() if adversary is not None else None
     for i in range(config.pairs):
-        rng.seed(_stream_key(config.seed, i, _HONEST_LANE))
-        if eve_rng is not None:
-            eve_rng.seed(_stream_key(config.seed, i, _EVE_LANE))
-        yield round_fn(config, adversary, i, _rng=rng, _eve_rng=eve_rng)
+        yield round_fn(config, adversary, i)

@@ -15,8 +15,9 @@ Conventions, fixed once and relied on everywhere:
   +1/-1 eigenvectors are (cos t/2, sin t/2) and (-sin t/2, cos t/2), both
   real.  Angle 0 is the sigma_z measurement, pi/2 the sigma_x measurement.
 * Collapsing operations take one uniform sample ``u`` in [0, 1) and are pure
-  functions of (state, arguments, u).  The +1 branch is taken when
-  u < P(+1); Bell outcomes are laid out cumulatively in the order
+  functions of (state, arguments, u).  Each one's decision is a
+  :class:`Choice`, an interval table over [0, 1): the +1 branch is taken
+  when u < P(+1); Bell outcomes are laid out cumulatively in the order
   psi+, psi-, phi+, phi-.
 * Global phase is never observable: state comparisons use
   :func:`equal_up_to_phase`.
@@ -35,6 +36,7 @@ call, so outputs are bit-identical; each cache is cleared when it reaches
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,12 +51,14 @@ __all__ = [
     "BellStateId",
     "CapacityError",
     "ChshSettings",
+    "Choice",
     "Outcome",
     "PauliOp",
     "PlanarObservable",
     "PureState",
     "TwoQubitDensity",
     "apply_pauli",
+    "bell_choice",
     "bell_measure",
     "bell_outcome_probabilities",
     "bell_state",
@@ -63,6 +67,7 @@ __all__ = [
     "equal_up_to_phase",
     "identify_bell",
     "ket",
+    "measure_choice",
     "measure_qubit",
     "mix",
     "tensor",
@@ -284,6 +289,51 @@ def bell_state(state_id: BellStateId) -> PureState:
     return _BELL_STATES[state_id]
 
 
+class Choice:
+    """One decision on a uniform draw ``u`` in [0, 1), as an interval table.
+
+    ``cuts`` is non-decreasing and ``branches`` has one more entry; ``u``
+    selects ``branches[i]``, where ``i`` counts the cuts at or below ``u``
+    (so branch 0 covers u < cuts[0]).  The table is kept in its smallest
+    form: a cut no ``u`` can lie below (<= 0) or reach (>= 1) is dropped
+    with the branches it makes unreachable, and neighbouring intervals with
+    equal branches are merged.  A choice without cuts has one branch and
+    does not depend on ``u``.
+    """
+
+    __slots__ = ("cuts", "branches")
+
+    def __init__(self, cuts, branches) -> None:
+        cuts, branches = tuple(cuts), tuple(branches)
+        if len(branches) != len(cuts) + 1:
+            raise ValueError(f"{len(cuts)} cuts need {len(cuts) + 1} branches, got {len(branches)}")
+        kept_cuts: list[float] = []
+        kept = [branches[0]]
+        for cut, branch in zip(cuts, branches[1:]):
+            if cut <= 0.0:
+                kept_cuts, kept = [], [branch]
+            elif cut >= 1.0:
+                break
+            elif branch != kept[-1]:
+                kept_cuts.append(cut)
+                kept.append(branch)
+        self.cuts = tuple(kept_cuts)
+        self.branches = tuple(kept)
+
+    @classmethod
+    def uniform(cls, branches) -> "Choice":
+        """Each branch with probability 1/n; for n a power of two, branch
+        ``floor(u * n)``."""
+        n = len(branches)
+        return cls((k / n for k in range(1, n)), branches)
+
+    def pick(self, u: float):
+        return self.branches[bisect_right(self.cuts, u)]
+
+    def __repr__(self) -> str:
+        return f"Choice(cuts={self.cuts!r}, branches={self.branches!r})"
+
+
 # ---------------------------------------------------------------------------
 # Transition caches.  Keys hold a state's exact amplitude bytes, so a hit
 # means bit-identical input.  A CLI session fills at most a few hundred
@@ -291,9 +341,9 @@ def bell_state(state_id: BellStateId) -> PureState:
 
 _CACHE_CAP = 4096
 
-#: (state key, qubit, angle) -> (p_plus, plus_state, minus_state)
-_MEASURE_CACHE: dict[tuple[bytes, int, float], tuple] = {}
-#: (state key, qubit_a, qubit_b) -> (probabilities, residual per outcome)
+#: (state key, qubit, angle) -> Choice over (outcome, collapsed state)
+_MEASURE_CACHE: dict[tuple[bytes, int, float], Choice] = {}
+#: (state key, qubit_a, qubit_b) -> (probabilities, Choice over (outcome, residual))
 _BELL_CACHE: dict[tuple[bytes, int, int], tuple] = {}
 #: (key of a, key of b) -> a (x) b
 _TENSOR_CACHE: dict[tuple[bytes, bytes], PureState] = {}
@@ -346,13 +396,12 @@ def _collapsed(
     return PureState._wrap(np.asarray(out, dtype=complex), n)
 
 
-def _measure_transition(
-    state: PureState, qubit: int, angle: float
-) -> tuple[float, PureState | None, PureState | None]:
-    """Both branches of a planar measurement: ``(p_plus, plus_state,
-    minus_state)``.  ``minus_state`` is None when the -1 branch is below
-    ``_MIN_BRANCH`` (the +1 branch is then taken for every ``rand``);
-    ``plus_state`` is None only when P(+1) is exactly 0."""
+def _measure_transition(state: PureState, qubit: int, angle: float) -> Choice:
+    """The decision of a planar measurement: +1 with its collapsed state for
+    u < P(+1), else -1 with its own.  The -1 branch is never taken when its
+    probability is below ``_MIN_BRANCH`` (rounding of the Born sums cannot
+    then pick an impossible branch), and the +1 branch never when P(+1) is
+    exactly 0, so nothing divides by zero."""
     n = state.num_qubits
     amps = state.amplitudes.tolist()
     right = 1 << (n - 1 - qubit)  # stride of the addressed qubit's bit
@@ -373,9 +422,25 @@ def _measure_transition(
             coeff_minus.append(cm)
             p_plus += cp.real * cp.real + cp.imag * cp.imag
             p_minus += cm.real * cm.real + cm.imag * cm.imag
-    plus_state = _collapsed(pairs, coeff_plus, p_plus, c, s, n) if p_plus > 0.0 else None
-    minus_state = _collapsed(pairs, coeff_minus, p_minus, -s, c, n) if p_minus >= _MIN_BRANCH else None
-    return p_plus, plus_state, minus_state
+    plus = (+1, _collapsed(pairs, coeff_plus, p_plus, c, s, n)) if p_plus > 0.0 else None
+    if p_minus < _MIN_BRANCH:
+        return Choice((), (plus,))
+    return Choice((p_plus,), (plus, (-1, _collapsed(pairs, coeff_minus, p_minus, -s, c, n))))
+
+
+def measure_choice(state: PureState, qubit: int, obs: PlanarObservable) -> Choice:
+    """The decision a measurement of ``qubit`` with ``obs`` makes, as a
+    :class:`Choice` over ``(outcome, collapsed state)``; computed once per
+    exact (state, qubit, angle) and cached, so repeated calls return the
+    same table and the same state objects."""
+    _check_qubit(state, qubit)
+    # PlanarObservable reduces its angle into [0, 2*pi), never -0.0 or NaN,
+    # so float equality of angles is bit equality.
+    key = (_key(state), qubit, obs.angle)
+    choice = _MEASURE_CACHE.get(key)
+    if choice is None:
+        choice = _remember(_MEASURE_CACHE, key, _measure_transition(state, qubit, obs.angle))
+    return choice
 
 
 def measure_qubit(
@@ -386,27 +451,12 @@ def measure_qubit(
     The outcome is sampled by the Born rule from the +-1 eigenprojectors of
     ``obs`` on the addressed qubit: +1 iff ``rand`` < P(+1).  The returned
     state keeps all qubits, with the measured one left in the eigenstate.
-
-    The transition (P(+1) and both collapsed states) is computed once per
-    exact (state, qubit, angle) and cached; a call then only compares
-    ``rand`` with P(+1) and returns the cached branch, so repeated calls
-    return the same state object.
+    This is ``measure_choice(state, qubit, obs).pick(rand)``.
     """
-    _check_qubit(state, qubit)
+    choice = measure_choice(state, qubit, obs)
     if not (0.0 <= rand < 1.0):
         raise ValueError("rand must lie in [0, 1)")
-    # PlanarObservable reduces its angle into [0, 2*pi), never -0.0 or NaN,
-    # so float equality of angles is bit equality.
-    key = (_key(state), qubit, obs.angle)
-    transition = _MEASURE_CACHE.get(key)
-    if transition is None:
-        transition = _remember(_MEASURE_CACHE, key, _measure_transition(state, qubit, obs.angle))
-    p_plus, plus_state, minus_state = transition
-    if rand < p_plus or minus_state is None:
-        # The second test: rand fell past p_plus only through rounding; the
-        # minus branch has zero probability, so take the plus branch.
-        return +1, plus_state
-    return -1, minus_state
+    return choice.pick(rand)
 
 
 # Probability below which a measurement branch is treated as impossible and
@@ -431,14 +481,14 @@ def apply_pauli(state: PureState, qubit: int, op: PauliOp) -> PureState:
     return PureState._wrap(out.reshape(-1), state.num_qubits)
 
 
-def _bell_transition(
-    state: PureState, qubit_a: int, qubit_b: int
-) -> tuple[tuple[float, ...], tuple[PureState | None, ...]]:
+def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> tuple[tuple[float, ...], Choice]:
     """Born probabilities of the four Bell outcomes (ordered like
-    BELL_ORDER) and the renormalized residual state for each outcome that
-    can be selected (None for the rest, and for every outcome of a
-    two-qubit input).  The residual keeps the surviving qubits in their
-    original relative order."""
+    BELL_ORDER) and the decision of a Bell measurement over ``(outcome,
+    residual)``.  Outcomes are laid out cumulatively; an outcome below
+    ``_MIN_BRANCH``, and any ``u`` past the last cumulative sum (rounding),
+    selects the most likely outcome instead.  The residual keeps the
+    surviving qubits in their original relative order (None for a two-qubit
+    input)."""
     n = state.num_qubits
     amps = state.amplitudes.tolist()
     sa = 1 << (n - 1 - qubit_a)
@@ -463,15 +513,21 @@ def _bell_transition(
         ):
             coeffs[slot].append(c)
             probs[slot] += c.real * c.real + c.imag * c.imag
-    residuals: list[PureState | None] = [None, None, None, None]
-    if n > 2:
-        for slot, p in enumerate(probs):
-            # bell_measure never selects an outcome below _MIN_BRANCH.
-            if p >= _MIN_BRANCH:
-                scale = 1.0 / math.sqrt(p)
-                residual = np.asarray([c * scale for c in coeffs[slot]], dtype=complex)
-                residuals[slot] = PureState._wrap(residual, n - 2)
-    return tuple(probs), tuple(residuals)
+    outcomes = []
+    for slot, p in enumerate(probs):
+        residual = None
+        if n > 2 and p >= _MIN_BRANCH:
+            scale = 1.0 / math.sqrt(p)
+            residual = PureState._wrap(np.asarray([c * scale for c in coeffs[slot]], dtype=complex), n - 2)
+        outcomes.append((BELL_ORDER[slot], residual))
+    likeliest = outcomes[max(range(4), key=probs.__getitem__)]
+    cuts = []
+    acc = 0.0
+    for p in probs:
+        acc += p
+        cuts.append(acc)
+    branches = [outcome if p >= _MIN_BRANCH else likeliest for outcome, p in zip(outcomes, probs)]
+    return tuple(probs), Choice(cuts, branches + [likeliest])
 
 
 def _check_bell_pair(state: PureState, qubit_a: int, qubit_b: int) -> None:
@@ -483,7 +539,8 @@ def _check_bell_pair(state: PureState, qubit_a: int, qubit_b: int) -> None:
 
 def _cached_bell_transition(
     state: PureState, qubit_a: int, qubit_b: int
-) -> tuple[tuple[float, ...], tuple[PureState | None, ...]]:
+) -> tuple[tuple[float, ...], Choice]:
+    _check_bell_pair(state, qubit_a, qubit_b)
     key = (_key(state), qubit_a, qubit_b)
     transition = _BELL_CACHE.get(key)
     if transition is None:
@@ -495,9 +552,15 @@ def bell_outcome_probabilities(
     state: PureState, qubit_a: int, qubit_b: int
 ) -> dict[BellStateId, float]:
     """Born-rule probabilities of each Bell outcome on the addressed pair."""
-    _check_bell_pair(state, qubit_a, qubit_b)
     probs, _ = _cached_bell_transition(state, qubit_a, qubit_b)
     return dict(zip(BELL_ORDER, probs))
+
+
+def bell_choice(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
+    """The decision a Bell measurement of the addressed pair makes, as a
+    :class:`Choice` over ``(outcome, residual)``; cached per exact (state,
+    qubit_a, qubit_b)."""
+    return _cached_bell_transition(state, qubit_a, qubit_b)[1]
 
 
 def bell_measure(
@@ -508,25 +571,12 @@ def bell_measure(
     Returns the sampled outcome and the renormalized residual state of the
     remaining qubits (None when the input had only the measured pair).  The
     residual keeps the surviving qubits in their original relative order.
-    Probabilities and residuals are cached per exact (state, qubit_a,
-    qubit_b); only the outcome selection runs on every call.
+    This is ``bell_choice(state, qubit_a, qubit_b).pick(rand)``.
     """
-    _check_bell_pair(state, qubit_a, qubit_b)
+    choice = bell_choice(state, qubit_a, qubit_b)
     if not (0.0 <= rand < 1.0):
         raise ValueError("rand must lie in [0, 1)")
-    probs, residuals = _cached_bell_transition(state, qubit_a, qubit_b)
-    acc = 0.0
-    chosen = -1
-    for i, p in enumerate(probs):
-        acc += p
-        if rand < acc:
-            chosen = i
-            break
-    if chosen < 0 or probs[chosen] < _MIN_BRANCH:
-        # Cumulative sum fell short of rand (or hit a zero-probability slot)
-        # through rounding; take the most likely outcome instead.
-        chosen = max(range(4), key=probs.__getitem__)
-    return BELL_ORDER[chosen], residuals[chosen]
+    return choice.pick(rand)
 
 
 def equal_up_to_phase(a: PureState, b: PureState, atol: float = ATOL_ANALYTIC) -> bool:
