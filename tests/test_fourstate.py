@@ -1,6 +1,7 @@
 """Tests for the four-state variant: Pauli/Bell permutation algebra, the
 two-bit round flow, its control mode, and the exact efficiency figures."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -170,9 +171,10 @@ def test_four_state_substitution_is_caught_and_read():
     controls = [r for r in records if r.mode is ModifiedMode.CONTROL]
     fail_rate = sum(not r.control_pass for r in controls) / len(controls)
     assert 0.0 < fail_rate < 1.0
-    # mismatched substitute in both-differing-signature pairs always fails;
-    # aggregate sits near 1/2 for the uniform four-state policy
-    assert abs(fail_rate - 0.5) < 0.02
+    # A uniform substitute matches the sent state's signature in the
+    # disclosed basis for two of the four Bell states: d = 1/2, checked to
+    # 4 standard errors.
+    assert abs(fail_rate - 0.5) <= 4 * math.sqrt(0.25 / len(controls))
     for record in records:
         if record.mode is ModifiedMode.MESSAGE:
             assert record.eve_log.guessed_bob_bit == record.bob_state.bits
