@@ -56,7 +56,7 @@ _DEFAULTS = {
     "attack": "none",
     "pairs": "10000",
     "control-prob": "0.1",
-    "check": "chsh",
+    "check": None,  # follows the protocol: chsh for base, qber for modified
     "seed": "0",
     "settings": None,
     "format": "json",
@@ -65,7 +65,12 @@ _DEFAULTS = {
 
 
 #: The flag that sets each range-checked SimulationConfig field.
-_FIELD_FLAGS = {"pairs": "--pairs", "control_probability": "--control-prob", "seed": "--seed"}
+_FIELD_FLAGS = {
+    "pairs": "--pairs",
+    "control_probability": "--control-prob",
+    "check_kind": "--check",
+    "seed": "--seed",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,7 +162,8 @@ def parse_args(argv: list[str]) -> RunSpec:
     attack = AttackKind(_parse_choice("attack", resolve("attack", namespace.attack)))
     pairs = _parse_int("pairs", resolve("pairs", namespace.pairs))
     control_prob = _parse_float("control-prob", resolve("control-prob", namespace.control_prob))
-    check = CheckKind(_parse_choice("check", resolve("check", namespace.check)))
+    check_text = resolve("check", namespace.check)
+    check = CheckKind(_parse_choice("check", check_text)) if check_text is not None else None
     seed = _parse_int("seed", resolve("seed", namespace.seed))
     settings_text = resolve("settings", namespace.settings)
     settings = _parse_settings(settings_text) if settings_text is not None else DEFAULT_SETTINGS

@@ -61,13 +61,23 @@ class SimulationConfig:
 
     pairs: int
     control_probability: float = 0.0
-    check_kind: CheckKind = CheckKind.CHSH
+    #: None resolves to CHSH for the base protocol and QBER for the
+    #: four-state variant, whose control rounds are all error checks (CHSH
+    #: is rejected there).
+    check_kind: CheckKind | None = None
     attack: AttackKind = AttackKind.NONE
     seed: int = 0
     settings: ChshSettings = DEFAULT_SETTINGS
     protocol: ProtocolKind = ProtocolKind.BASE
 
     def __post_init__(self) -> None:
+        modified = self.protocol is ProtocolKind.MODIFIED
+        if self.check_kind is None:
+            object.__setattr__(self, "check_kind", CheckKind.QBER if modified else CheckKind.CHSH)
+        elif modified and self.check_kind is CheckKind.CHSH:
+            raise ConfigFieldError(
+                "check_kind", "the four-state variant runs no CHSH rounds; its control rounds are error checks"
+            )
         if self.pairs < 1:
             raise ConfigFieldError("pairs", f"pairs must be >= 1, got {self.pairs}")
         if not (0.0 <= self.control_probability < 1.0):

@@ -44,6 +44,13 @@ def test_parse_happy_path():
     assert spec.out_path is None
 
 
+def test_check_default_follows_the_protocol():
+    assert parse_args([]).config.check_kind is CheckKind.CHSH
+    assert parse_args(["--protocol", "modified"]).config.check_kind is CheckKind.QBER
+    assert parse_args(["--protocol", "modified", "--check", "qber"]).config.check_kind is CheckKind.QBER
+    assert parse_args(["--check", "qber"]).config.check_kind is CheckKind.QBER
+
+
 def test_default_settings_are_maximally_violating():
     spec = parse_args(["--pairs", "10"])
     assert spec.config.settings == DEFAULT_SETTINGS
@@ -84,6 +91,8 @@ def _write_config(tmp_path, lines: str) -> str:
         (["--seed", "18446744073709551616"], "--seed"),
         (["--duplex", "full"], "--duplex"),
         (["--config", _ConfigLines("duplex = full\n")], "unknown key 'duplex'"),
+        (["--protocol", "modified", "--check", "chsh"], "--check"),
+        (["--config", _ConfigLines("protocol = modified\ncheck = chsh\n")], "--check"),
     ],
 )
 def test_rejections_name_the_flag(argv, needle, tmp_path):

@@ -7,10 +7,10 @@ The matrix is protocol x attack x check x format, each at 400 pairs, seed
 a new report field) must regenerate these values in the same change and say
 why.
 
-Equal digests in the table show two inert flag combinations: ``--check``
-has no effect with ``--protocol modified`` (every four-state control round
-is an error check, so its CSV digests match and its JSON reports differ
-only in ``config_echo.check``), and ``qmm-swap`` differs from ``qmm`` only
+``--check chsh`` with ``--protocol modified`` is rejected (exit 2, naming
+``--check``): every four-state control round is an error check, so those
+eight cases hold None and assert the rejection.  Equal digests in the table
+show the one inert combination left: ``qmm-swap`` differs from ``qmm`` only
 in base-protocol CHSH rounds (every other CSV digest of the two matches).
 
 Each case's test id ends in ``separate``: the matrix once had a ``--duplex``
@@ -43,20 +43,20 @@ GOLDEN = {
     "base qmm-swap chsh csv": "fa0575735e1bd38bd055361888d5eac3857d4b1cf8dccb4f3911c9262313c81b",
     "base qmm-swap qber json": "f22aaba83389e5fc2c1319c974b0849a9be829275e918d177dd6deb1460fbe08",
     "base qmm-swap qber csv": "64a3d10874989a099b0760675ce51fa56c0f060fe5d5efc1170f783135f84153",
-    "modified none chsh json": "26ed60d0f68500d3e9c9b5392b12401d99373a5e2815391a2b48d06c44de660e",
-    "modified none chsh csv": "fb17e0da20746bc2aa9ae571580dbae9fd01a6b7802d25f0d413514e1e9cce34",
+    "modified none chsh json": None,
+    "modified none chsh csv": None,
     "modified none qber json": "f0863c597519635350ae22c63c61542023f4180cc26dd698a9b747f12d9481e3",
     "modified none qber csv": "fb17e0da20746bc2aa9ae571580dbae9fd01a6b7802d25f0d413514e1e9cce34",
-    "modified ir chsh json": "07aa9a402ade20173ade3a927ce2ede77f3e2e0ed1189234e01b842cc048edc7",
-    "modified ir chsh csv": "3464f8b7abba0b27aac4c038adf36317200a1c965ede571543d2d8bd57a1f32f",
+    "modified ir chsh json": None,
+    "modified ir chsh csv": None,
     "modified ir qber json": "19b520bb47b379391d2703420cc0d880d70132bb54bc5841907306fc4390c499",
     "modified ir qber csv": "3464f8b7abba0b27aac4c038adf36317200a1c965ede571543d2d8bd57a1f32f",
-    "modified qmm chsh json": "d15897bce9b61b208cbea7205f59cab9672b8ea05e2a95ad8972e55a8c97dc4a",
-    "modified qmm chsh csv": "4c4cfc9a564c1df9ef06e6a6be1fefffa461390653b49b50d751a70bdaa4006c",
+    "modified qmm chsh json": None,
+    "modified qmm chsh csv": None,
     "modified qmm qber json": "bb7cabdcc5007524960e378c3a015774e21182d5da95494930e5a72bedd2712b",
     "modified qmm qber csv": "4c4cfc9a564c1df9ef06e6a6be1fefffa461390653b49b50d751a70bdaa4006c",
-    "modified qmm-swap chsh json": "56f3ff0fc71a32409a961b07c41ba8f5736a536b0ae5093be54cf8aa6b3d5d2d",
-    "modified qmm-swap chsh csv": "4c4cfc9a564c1df9ef06e6a6be1fefffa461390653b49b50d751a70bdaa4006c",
+    "modified qmm-swap chsh json": None,
+    "modified qmm-swap chsh csv": None,
     "modified qmm-swap qber json": "abfa97de39f7b050f69b4f5bee0ec629f8952964a3e456e9e2f1b8403c5e7528",
     "modified qmm-swap qber csv": "4c4cfc9a564c1df9ef06e6a6be1fefffa461390653b49b50d751a70bdaa4006c",
 }
@@ -80,6 +80,11 @@ def test_cli_artifact_digest(case, capsys):
         "--protocol", protocol, "--attack", attack, "--check", check, "--format", out_format,
         "--pairs", "400", "--seed", "11", "--control-prob", "0.5",
     ]
+    if GOLDEN[case] is None:
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--check" in captured.err
+        return
     assert run_cli(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[case]

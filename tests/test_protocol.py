@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duplexqkd.analysis import estimate_chsh, estimate_qber
-from duplexqkd.config import CheckKind, ConfigFieldError, DEFAULT_SETTINGS, SimulationConfig
+from duplexqkd.config import CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import (
     BIT_BASIS,
     BIT_STATE,
@@ -165,6 +165,11 @@ def test_config_validation():
     with pytest.raises(ConfigFieldError) as err:
         SimulationConfig(pairs=10, seed=-1)
     assert err.value.field_name == "seed"
+    with pytest.raises(ConfigFieldError) as err:
+        SimulationConfig(pairs=10, check_kind=CheckKind.CHSH, protocol=ProtocolKind.MODIFIED)
+    assert err.value.field_name == "check_kind"
+    assert SimulationConfig(pairs=10).check_kind is CheckKind.CHSH
+    assert SimulationConfig(pairs=10, protocol=ProtocolKind.MODIFIED).check_kind is CheckKind.QBER
 
 
 def test_same_seed_reproduces_session():
