@@ -10,9 +10,11 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
+import numpy as np
+
 from .config import SimulationConfig
 from .fourstate import ModifiedMode, modified_efficiency
-from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, correlation_signature
+from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, Session, correlation_signature
 from .quantum import BellStateId, ChshSettings
 
 __all__ = [
@@ -353,9 +355,35 @@ def _tally_modified_record(report: SimulationReport, record) -> None:
             report.qber_errors += 1
 
 
+def _scaled(report: SimulationReport, n: int) -> SimulationReport:
+    """``report`` with every counter multiplied by ``n``."""
+    scaled = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name in ("config_echo", "seed"):
+            scaled[f.name] = value
+        elif isinstance(value, dict):
+            scaled[f.name] = {key: count * n for key, count in value.items()}
+        else:
+            scaled[f.name] = value * n
+    return SimulationReport(**scaled)
+
+
 def _tally(report: SimulationReport, records: Iterable) -> SimulationReport:
     """The one counting path: every estimator reads these counters.  Each
-    record is tallied by its own protocol's rules."""
+    record is tallied by its own protocol's rules.  A session is tallied
+    per leaf of its round trie: each leaf's record is tallied once, and its
+    counters count as many times as pairs reached the leaf."""
+    if isinstance(records, Session):
+        reached = np.zeros(0, dtype=np.int64)
+        for ids in records.leaf_ids():
+            counts = np.bincount(ids, minlength=len(reached))
+            counts[: len(reached)] += reached
+            reached = counts
+        for record, n in zip(records.leaves, reached.tolist()):
+            leaf = _tally(SimulationReport(config_echo=report.config_echo, seed=report.seed), (record,))
+            report = report.merge(_scaled(leaf, n))
+        return report
     for record in records:
         if isinstance(record, PairRecord):
             _tally_base_record(report, record)

@@ -38,8 +38,6 @@ from .protocol import (
     MeasuredFirst,
     PairSystem,
     ProtocolMessage,
-    _legacy_bits,
-    _legacy_range,
     alice_decode,
     bob_decode,
 )
@@ -118,7 +116,7 @@ class InterceptResend(Adversary):
     def relay_qubit(self, system, handle, leg, lane):
         self._log.observations.append(("qubit", leg))
         if leg == 1:
-            self._basis = lane.choose(BASIS_CHOICE, _legacy_bits)
+            self._basis = lane.choose(BASIS_CHOICE)
         outcome = system.measure(handle, self._basis.observable, lane)
         self._log.measured_bases.append(self._basis)
         self._log.measured_outcomes.append(outcome)
@@ -173,7 +171,7 @@ class QmmSubstitute(Adversary):
         self._log.observations.append(("qubit", leg))
         self._retained.append(handle)
         if leg == 1:
-            substitute = lane.choose(self._choice, _legacy_range)
+            substitute = lane.choose(self._choice)
             system.add_pair(substitute, "eve0", "eve1")
             self._log.substitute_state = substitute
             return "eve0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .analysis import build_report
 from .attacks import EveLog
 from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from .fourstate import ModifiedMode, ModifiedPairRecord
-from .protocol import Mode, PairRecord, run_session
+from .protocol import Mode, PairRecord, Session, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
 
 __all__ = ["RunSpec", "UsageError", "load_records_csv", "main", "parse_args", "run_cli"]
@@ -293,10 +294,27 @@ def _record_row(record) -> list[str]:
 
 def records_to_csv(records: Iterable, handle: TextIO) -> None:
     """Write the CSV transcript of ``records`` to ``handle``, each row as
-    its record arrives, so no transcript is held in memory."""
+    its record arrives, so no transcript is held in memory.
+
+    A session's rows are written a chunk at a time: every row past the
+    pair index is its trie leaf's, rendered once per leaf."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(_record_row, records))
+    if not isinstance(records, Session):
+        writer.writerows(map(_record_row, records))
+        return
+    suffixes: list[str] = []
+    text = io.StringIO()
+    leaf_writer = csv.writer(text, lineterminator="\n")
+    start = 0
+    for ids in records.leaf_ids():
+        for record in records.leaves[len(suffixes) :]:
+            text.seek(0)
+            text.truncate()
+            leaf_writer.writerow(_record_row(record))
+            suffixes.append(text.getvalue().split(",", 1)[1])
+        handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(ids.tolist(), start)]))
+        start += len(ids)
 
 
 def _opt(cell: str, convert):

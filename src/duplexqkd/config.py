@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .quantum import ChshSettings
+from .stream import STREAM_VERSION
 
 __all__ = [
     "AttackKind",
@@ -100,4 +101,5 @@ class SimulationConfig:
                 "alice_angles": list(self.settings.alice_angles),
                 "bob_angles": list(self.settings.bob_angles),
             },
+            "stream_version": STREAM_VERSION,
         }

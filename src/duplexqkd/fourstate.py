@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .config import SimulationConfig
-from .protocol import BASIS_CHOICE, FOUR_STATE_CHOICE, _legacy_bits, _Round, _control_choice, correlation_signature
+from .protocol import BASIS_CHOICE, FOUR_STATE_CHOICE, _Round, _control_choice, correlation_signature
 from .quantum import Basis, BellStateId, Outcome, PauliOp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -134,15 +134,17 @@ def run_modified_pair(
     *,
     alice_bits: int | None = None,
     bob_bits: int | None = None,
+    _path: list | None = None,
 ) -> ModifiedPairRecord:
     """One four-state round; deterministic given (config, pair_index,
-    payload bits, adversary type)."""
-    round_ = _Round(config, adversary, pair_index)
+    payload bits, adversary type).  ``_path`` collects the round's choices
+    for the session trie, as in :func:`protocol.run_pair`."""
+    round_ = _Round(config, adversary, pair_index, _path)
     honest = round_.honest
     system = round_.system
 
     if bob_bits is None:
-        bob_state = honest.choose(FOUR_STATE_CHOICE, _legacy_bits)
+        bob_state = honest.choose(FOUR_STATE_CHOICE)
     else:
         bob_state = bits_to_state(bob_bits)
     control = honest.choose(_control_choice(config.control_probability))
@@ -157,7 +159,7 @@ def run_modified_pair(
         round_.announce(ReceiptAck())
         alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), honest)
         if alice_bits is None:
-            alice_target = honest.choose(FOUR_STATE_CHOICE, _legacy_bits)
+            alice_target = honest.choose(FOUR_STATE_CHOICE)
         else:
             alice_target = bits_to_state(alice_bits)
         alice_pauli = pauli_for_target(alice_bell_outcome, alice_target)
@@ -165,7 +167,7 @@ def run_modified_pair(
         bob_decoded = pauli_transition(bob_state, alice_pauli)
         outcomes: tuple[Outcome, ...] = ()
     else:
-        control_basis = honest.choose(BASIS_CHOICE, _legacy_bits)
+        control_basis = honest.choose(BASIS_CHOICE)
         outcome_1 = system.measure(first, control_basis.observable, honest)
         round_.announce(ModifiedControlDisclosure(basis=control_basis, outcome=outcome_1))
         round_.announce(StateDisclosure(state_id=bob_state))

@@ -23,21 +23,28 @@ One round ("pair") of the base protocol:
 
 Every random choice of a round - a party's bits, the control flag, a
 measurement's branch, the attacker's moves - is a :class:`~quantum.Choice`
-resolved by one uniform draw through ``_Round.draw``.  Draws come from a
-per-pair stream derived from (seed, pair_index, lane), so records are
-reproducible and independent of how many pairs ran before them.  The
-adversary draws from its own lane: honest randomness is identical with and
-without an attack in place.
+resolved by one uniform draw through ``_Round.draw``.  Draw ``slot`` of lane
+``lane`` of pair ``pair_index`` is a pure function of (seed, pair_index,
+lane, slot) (:mod:`duplexqkd.stream`), so records are reproducible and
+independent of how many pairs ran before them.  The adversary draws from its
+own lane: honest randomness is identical with and without an attack in
+place.
+
+A session (:class:`Session`) has only a few distinct rounds.  It runs the
+round function once per distinct path of choices and resolves every other
+pair in numpy, by walking a trie of those choices with the pair's draws.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
+
+import numpy as np
 
 from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from .quantum import (
@@ -56,6 +63,7 @@ from .quantum import (
     measure_qubit,
     tensor,
 )
+from .stream import PairStream, stream_key, stream_keys, uniform, uniforms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
@@ -65,6 +73,7 @@ __all__ = [
     "BASIS_BIT",
     "BIT_BASIS",
     "BIT_STATE",
+    "CHUNK",
     "CorrelationAnnouncement",
     "ControlDisclosure",
     "Lane",
@@ -76,6 +85,7 @@ __all__ = [
     "ProtocolViolation",
     "QberDisclosure",
     "STATE_BIT",
+    "Session",
     "alice_decode",
     "bob_decode",
     "correlation_signature",
@@ -249,18 +259,12 @@ _HONEST_LANE = 0
 _EVE_LANE = 1
 
 
-def _stream_key(seed: int, pair_index: int, lane: int) -> int:
-    # seed occupies its own 64-bit field, so (seed, pair, lane) triples map
-    # to distinct integers.
-    return (seed << 66) | (pair_index << 2) | lane
-
-
-def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> random.Random:
+def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> PairStream:
     """Per-pair random stream keyed by (seed, pair_index, lane); pair i's
     draws do not depend on how many pairs ran before it.  Honest parties and
     the adversary draw from different lanes, so honest randomness is the
     same with and without an attack."""
-    return random.Random(_stream_key(seed, pair_index, lane))
+    return PairStream(seed, pair_index, lane)
 
 
 @lru_cache(maxsize=8)
@@ -282,14 +286,6 @@ SETTING_CHOICE = Choice.uniform((0, 1))
 FOUR_STATE_CHOICE = Choice.uniform(BELL_ORDER)
 
 
-def _legacy_bits(rng: random.Random, n: int) -> int:
-    return rng.getrandbits(n.bit_length() - 1)
-
-
-def _legacy_range(rng: random.Random, n: int) -> int:
-    return rng.randrange(n)
-
-
 class Lane:
     """One party's draws in one round: every choice it makes reads the next
     uniform of its own lane of the round's streams."""
@@ -300,24 +296,29 @@ class Lane:
         self._round = round_
         self._lane = lane
 
-    def draw(self, choice: Choice, legacy=None) -> float:
+    def draw(self, choice: Choice) -> float:
         """The uniform that resolves ``choice``."""
-        return self._round.draw(self._lane, choice, legacy)
+        return self._round.draw(self._lane, choice)
 
-    def choose(self, choice: Choice, legacy=None):
+    def choose(self, choice: Choice):
         """The branch of ``choice`` this lane's next uniform selects."""
-        return choice.pick(self.draw(choice, legacy))
+        return choice.pick(self.draw(choice))
 
 
 class _Round:
     """The scaffold every round of either protocol shares: the pair's honest
     and adversary streams, the live qubits, the channel adversary's hooks
     and the public announcement list.  With no adversary the qubits travel
-    untouched and no adversary stream is made."""
+    untouched and no adversary stream is made.  With ``path`` a list, each
+    choice that ``u`` decides is appended to it as (lane, slot, cuts, branch
+    index): the round's path through its session's trie."""
 
-    __slots__ = ("system", "announcements", "honest", "eve", "_adversary", "_streams")
+    __slots__ = ("system", "announcements", "honest", "eve", "_adversary", "_streams", "_path")
 
-    def __init__(self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int) -> None:
+    def __init__(
+        self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int, path: list | None
+    ) -> None:
+        self._path = path
         self.system = PairSystem()
         self.announcements: list = []
         self._adversary = adversary
@@ -328,14 +329,15 @@ class _Round:
         self.honest = Lane(self, _HONEST_LANE)
         self.eve = Lane(self, _EVE_LANE)
 
-    def draw(self, lane: int, choice: Choice, legacy=None) -> float:
+    def draw(self, lane: int, choice: Choice) -> float:
         """The one source of randomness in a round: the next uniform of
         ``lane``, which resolves ``choice``."""
-        rng = self._streams[lane]
-        if legacy is None:
-            return rng.random()
-        n = len(choice.branches)
-        return (legacy(rng, n) + 0.5) / n
+        stream = self._streams[lane]
+        slot = stream.slot
+        u = stream.random()
+        if self._path is not None and choice.cuts:
+            self._path.append((lane, slot, choice.cuts, bisect_right(choice.cuts, u)))
+        return u
 
     def send_first(self, bob_state: BellStateId) -> str:
         """Bob prepares his pair and the first half crosses the channel;
@@ -370,19 +372,21 @@ def run_pair(
     *,
     alice_bit: int | None = None,
     bob_bit: int | None = None,
+    _path: list | None = None,
 ) -> PairRecord:
     """Execute one round; deterministic given (config, pair_index, payload
     bits, adversary type).
 
     ``alice_bit`` / ``bob_bit`` optionally pin the payload choices of a
-    message round; by default both parties draw uniformly.
+    message round; by default both parties draw uniformly.  ``_path``
+    collects the round's choices for the session trie (see ``_Round``).
     """
-    round_ = _Round(config, adversary, pair_index)
+    round_ = _Round(config, adversary, pair_index, _path)
     honest = round_.honest
     system = round_.system
 
     # Bob's state choice.
-    bob_state = honest.choose(BOB_STATE_CHOICE, _legacy_bits) if bob_bit is None else BIT_STATE[bob_bit]
+    bob_state = honest.choose(BOB_STATE_CHOICE) if bob_bit is None else BIT_STATE[bob_bit]
 
     # The encoding party flags the round as control with probability C; the
     # flag stays private until Alice's first measurement is announced.
@@ -400,12 +404,12 @@ def run_pair(
     alice_basis: Basis | None = None
     alice_setting = alice_angle = None
     if mode is Mode.CONTROL_CHSH:
-        alice_setting = honest.choose(SETTING_CHOICE, _legacy_bits)
+        alice_setting = honest.choose(SETTING_CHOICE)
         alice_angle = config.settings.alice_angles[alice_setting]
         first_obs = alice_obs_set[alice_setting]
     else:
         if alice_bit is None or mode is not Mode.MESSAGE:
-            alice_basis = honest.choose(BASIS_CHOICE, _legacy_bits)
+            alice_basis = honest.choose(BASIS_CHOICE)
         else:
             alice_basis = BIT_BASIS[alice_bit]
         first_obs = alice_basis.observable
@@ -423,7 +427,7 @@ def run_pair(
 
     if mode is Mode.CONTROL_CHSH:
         # Bob keeps the second half and measures locally.
-        bob_setting = honest.choose(SETTING_CHOICE, _legacy_bits)
+        bob_setting = honest.choose(SETTING_CHOICE)
         bob_angle = config.settings.bob_angles[bob_setting]
         outcome_2 = system.measure("bob1", bob_obs_set[bob_setting], honest)
         outcomes = (outcome_1, outcome_2)
@@ -462,29 +466,166 @@ def run_pair(
     )
 
 
-def run_session(
-    config: SimulationConfig, adversary: "Adversary | None" = None
-) -> Iterator[PairRecord | ModifiedPairRecord]:
-    """Run ``config.pairs`` rounds of the protocol ``config.protocol``
-    selects, yielding each round's record as soon as it is made.
+#: Pairs resolved together in one numpy pass over a session's trie.
+CHUNK = 1024
 
-    Nothing is held between rounds, so a caller that folds or writes each
-    record keeps memory flat however many pairs run; callers that need the
-    whole transcript take ``list(...)``.  With ``adversary=None`` the attack
-    layer is instantiated from ``config.attack`` (no layer at all for
+# Trie codes: a node id (>= 0), an edge no pair has taken yet, or a leaf
+# (leaf id k is coded -2 - k).
+_UNSEEN = -1
+
+
+def _grown(array: np.ndarray, shape: tuple[int, ...], fill) -> np.ndarray:
+    out = np.full(shape, fill, dtype=array.dtype)
+    out[tuple(slice(0, n) for n in array.shape)] = array
+    return out
+
+
+class Session:
+    """The rounds of one session, as :func:`run_session` returns them.
+
+    Iterating yields one record per pair, in pair order.  Underneath, the
+    session keeps a trie of its rounds' choices, built lazily: a node is one
+    choice that ``u`` decides (the lane and slot it reads, its cut points),
+    an edge is one of its branches, and a leaf holds the record of every
+    round that takes that path (all but its ``pair_index``).  A pair whose
+    path leaves the trie runs the round function once, which records the
+    path and extends the trie; every other pair is resolved in numpy,
+    ``CHUNK`` pairs at a time, by comparing its draws with the cut points.
+
+    ``leaf_ids()`` yields the leaf of each pair, a chunk at a time, and
+    ``leaves`` holds one record per leaf (its ``pair_index`` is that of the
+    first pair to reach it), so consumers can work per leaf instead of per
+    pair.  The trie relies on the adversary contract: a round's record is a
+    function of its draws and its events, and an adversary resets its
+    per-pair state in ``begin_pair``.
+    """
+
+    def __init__(self, config: SimulationConfig, adversary: "Adversary | None") -> None:
+        if config.protocol is ProtocolKind.MODIFIED:
+            from . import fourstate
+
+            self._round_fn = fourstate.run_modified_pair
+        else:
+            self._round_fn = run_pair
+        if adversary is None and config.attack is not AttackKind.NONE:
+            from .attacks import build_adversary
+
+            adversary = build_adversary(config.attack)
+        if adversary is not None:
+            adversary.begin_session(config)
+        self.config = config
+        self._adversary = adversary
+        self._lanes = (_HONEST_LANE,) if adversary is None else (_HONEST_LANE, _EVE_LANE)
+        self.leaves: list = []
+        self._root = _UNSEEN
+        # Per node: (lane, slot, cuts) as recorded, and the same as arrays
+        # for the walk (cuts padded with +inf, children with _UNSEEN).
+        self._node_keys: list[tuple] = []
+        self._lane = np.zeros(0, dtype=np.intp)
+        self._slot = np.zeros(0, dtype=np.uint64)
+        self._cuts = np.zeros((0, 4))
+        self._child = np.zeros((0, 5), dtype=np.int64)
+
+    def __iter__(self) -> Iterator[PairRecord | ModifiedPairRecord]:
+        pair_index = 0
+        for ids in self.leaf_ids():
+            for leaf in ids.tolist():
+                yield replace(self.leaves[leaf], pair_index=pair_index)
+                pair_index += 1
+
+    def leaf_ids(self) -> Iterator[np.ndarray]:
+        """The leaf id of every pair, in pair order, one array per chunk of
+        at most ``CHUNK`` pairs."""
+        config = self.config
+        for start in range(0, config.pairs, CHUNK):
+            pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
+            keys = np.stack([stream_keys(config.seed, pairs, lane) for lane in self._lanes])
+            code = self._walk(keys)
+            for j in np.flatnonzero(code == _UNSEEN).tolist():
+                code[j] = self._resolve(start + j)
+            yield -2 - code
+
+    def _walk(self, keys: np.ndarray) -> np.ndarray:
+        """The trie code each pair's draws lead to: a leaf, or _UNSEEN where
+        the path leaves the trie.  ``keys[lane]`` holds the pairs' keys."""
+        code = np.full(keys.shape[1], self._root, dtype=np.int64)
+        live = np.flatnonzero(code >= 0)
+        while live.size:
+            node = code[live]
+            u = uniforms(keys[self._lane[node], live], self._slot[node])
+            branch = (u[:, None] >= self._cuts[node]).sum(axis=1)
+            code[live] = self._child[node, branch]
+            live = live[code[live] >= 0]
+        return code
+
+    def _resolve(self, pair_index: int) -> int:
+        """The leaf code of one pair, by a scalar walk of the trie (the trie
+        may have grown since the chunk's walk); a path that leaves the trie
+        is discovered."""
+        keys = {lane: stream_key(self.config.seed, pair_index, lane) for lane in self._lanes}
+        code = self._root
+        while code >= 0:
+            lane, slot, cuts = self._node_keys[code]
+            code = int(self._child[code, bisect_right(cuts, uniform(keys[lane], slot))])
+        return self._discover(pair_index) if code == _UNSEEN else code
+
+    def _discover(self, pair_index: int) -> int:
+        """Run one pair's round, add its path to the trie and return the
+        code of its new leaf."""
+        path: list = []
+        record = self._round_fn(self.config, self._adversary, pair_index, _path=path)
+        leaf = -2 - len(self.leaves)
+        self.leaves.append(record)
+        parent, branch, code = None, 0, self._root
+        for lane, slot, cuts, index in path:
+            if code == _UNSEEN:
+                code = self._add_node(lane, slot, cuts)
+                self._link(parent, branch, code)
+            elif code < 0 or self._node_keys[code] != (lane, slot, cuts):
+                raise RuntimeError(
+                    f"pair {pair_index} made a choice its path does not determine; rounds and "
+                    "adversaries must be functions of their draws and reset in begin_pair"
+                )
+            parent, branch = code, index
+            code = int(self._child[code, index])
+        if code != _UNSEEN:
+            raise RuntimeError(f"pair {pair_index} ended on a path that is already a leaf or a node")
+        self._link(parent, branch, leaf)
+        return leaf
+
+    def _add_node(self, lane: int, slot: int, cuts: tuple[float, ...]) -> int:
+        node = len(self._node_keys)
+        self._node_keys.append((lane, slot, cuts))
+        rows, width = self._cuts.shape
+        if node == rows or len(cuts) > width:
+            rows = max(2 * rows, 64) if node == rows else rows
+            width = max(width, len(cuts))
+            self._lane = _grown(self._lane, (rows,), 0)
+            self._slot = _grown(self._slot, (rows,), 0)
+            self._cuts = _grown(self._cuts, (rows, width), np.inf)
+            self._child = _grown(self._child, (rows, width + 1), _UNSEEN)
+        self._lane[node] = lane
+        self._slot[node] = slot
+        self._cuts[node, : len(cuts)] = cuts
+        return node
+
+    def _link(self, parent: int | None, branch: int, code: int) -> None:
+        if parent is None:
+            self._root = code
+        else:
+            self._child[parent, branch] = code
+
+
+def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) -> Session:
+    """The ``config.pairs`` rounds of the protocol ``config.protocol``
+    selects, as a :class:`Session` that yields each round's record in pair
+    order when iterated.
+
+    Records are made a chunk at a time and nothing else grows with the
+    number of pairs, so a caller that folds or writes each record keeps
+    memory flat however many pairs run; callers that need the whole
+    transcript take ``list(...)``.  With ``adversary=None`` the attack layer
+    is instantiated from ``config.attack`` (no layer at all for
     AttackKind.NONE).
     """
-    if config.protocol is ProtocolKind.MODIFIED:
-        from . import fourstate
-
-        round_fn = fourstate.run_modified_pair
-    else:
-        round_fn = run_pair
-    if adversary is None and config.attack is not AttackKind.NONE:
-        from .attacks import build_adversary
-
-        adversary = build_adversary(config.attack)
-    if adversary is not None:
-        adversary.begin_session(config)
-    for i in range(config.pairs):
-        yield round_fn(config, adversary, i)
+    return Session(config, adversary)

@@ -1,5 +1,9 @@
 import numpy as np
 
+from duplexqkd.attacks import build_adversary
+from duplexqkd.config import ProtocolKind, SimulationConfig
+from duplexqkd.fourstate import run_modified_pair
+from duplexqkd.protocol import run_pair
 from duplexqkd.quantum import PureState, TwoQubitDensity, mix
 
 
@@ -25,3 +29,14 @@ def random_product_state(rng: np.random.Generator) -> PureState:
     from duplexqkd.quantum import tensor
 
     return tensor(random_pure_state(rng, 1), random_pure_state(rng, 1))
+
+
+def standalone_rounds(config: SimulationConfig) -> list:
+    """Every pair of ``config``'s session run alone by its protocol's round
+    function, with one adversary for the session: the reference a session
+    must equal record for record."""
+    adversary = build_adversary(config.attack)
+    if adversary is not None:
+        adversary.begin_session(config)
+    round_fn = run_modified_pair if config.protocol is ProtocolKind.MODIFIED else run_pair
+    return [round_fn(config, adversary, i) for i in range(config.pairs)]

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import standalone_rounds
 from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
 from duplexqkd.cli import (
     CSV_COLUMNS,
@@ -25,8 +26,8 @@ from duplexqkd.cli import (
     records_to_csv,
     run_cli,
 )
-from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS
-from duplexqkd.protocol import Mode, run_session
+from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind
+from duplexqkd.protocol import CHUNK, Mode, run_session
 from duplexqkd.quantum import BellStateId, TwoQubitDensity, bell_state, chsh_value
 
 
@@ -282,6 +283,45 @@ def test_csv_round_trip(tmp_path, extra):
     assert report_loaded.alice_decode_ok == report_direct.alice_decode_ok
     assert estimate_qber(loaded) == estimate_qber(records)
     assert estimate_chsh(loaded, spec.config.settings) == estimate_chsh(records, spec.config.settings)
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check",
+    [
+        (protocol, attack, check)
+        for protocol in ProtocolKind
+        for attack in AttackKind
+        for check in CheckKind
+        if not (protocol is ProtocolKind.MODIFIED and check is CheckKind.CHSH)
+    ],
+    ids=lambda kind: kind.value,
+)
+def test_artifacts_equal_standalone_rounds(protocol, attack, check, capsys):
+    # The CLI resolves a session through its round trie, a chunk at a time;
+    # its artifacts must be byte for byte those of the same rounds run alone.
+    argv = ["--protocol", protocol.value, "--attack", attack.value, "--check", check.value,
+            "--pairs", "3000", "--control-prob", "0.5", "--seed", "2026"]
+    config = parse_args(argv).config
+    reference = standalone_rounds(config)
+    expected_csv = io.StringIO()
+    records_to_csv(reference, expected_csv)
+    expected_json = json.dumps(build_report(reference, config).to_dict(), indent=2, allow_nan=False) + "\n"
+    assert run_cli(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected_csv.getvalue()
+    assert run_cli(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == expected_json
+
+
+def test_transcript_prefix_across_chunks_is_independent_of_pairs(capsys):
+    rows = {}
+    for pairs in (CHUNK + 300, 3 * CHUNK):
+        argv = ["--attack", "qmm-swap", "--control-prob", "0.5", "--seed", "8", "--format", "csv",
+                "--pairs", str(pairs)]
+        assert run_cli(argv) == 0
+        rows[pairs] = capsys.readouterr().out.splitlines()
+    short = rows[CHUNK + 300]
+    assert len(short) == CHUNK + 301
+    assert rows[3 * CHUNK][: len(short)] == short
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ CSV transcript fails here.
 The matrix is protocol x attack x check x format, each at 400 pairs, seed
 11 and C = 0.5.  A deliberate change to the artifacts (a new stream version,
 a new report field) must regenerate these values in the same change and say
-why.
+why.  These digests are of stream version 2 (``config_echo.stream_version``):
+keyed SplitMix64 draws, sampled through each session's round trie.
 
 ``--check chsh`` with ``--protocol modified`` is rejected (exit 2, naming
 ``--check``): every four-state control round is an error check, so those
@@ -27,38 +28,38 @@ import pytest
 from duplexqkd.cli import run_cli
 
 GOLDEN = {
-    "base none chsh json": "fd961abd8c54dd8768a481ee2177defb71888ac4ca1a1e18c1befd895bce1413",
-    "base none chsh csv": "3761ce4cd1dce868336cb75e40a38a7fb5789efc43adbf821e479ae07f3b0bcd",
-    "base none qber json": "715c17f56b5ca4fa73a3f042fcf110e59ada32ff7c46512a20adef5cba085121",
-    "base none qber csv": "b88f104696c34d40c0c6503f0504139f9699ff4c699e6fc65623cd93854585e1",
-    "base ir chsh json": "7a4eb790e282dd1d06ad8066c59e825af8ff900844340bfb25c851ad91f311ad",
-    "base ir chsh csv": "8d53f7f0459e1e33c841b93637dc0285959f47ff09efa33d8dad2d43cd54aed4",
-    "base ir qber json": "a7d3eb84143150a8559b57bbb621c8aa424bb0c4436b0d21c10c2a75d30b0717",
-    "base ir qber csv": "85ae9216ee73615e0ecc70e527cda63c898f05c54c3796dc3cfad4b63f6e4fde",
-    "base qmm chsh json": "e84d06b045a0e689328e608748d9563d83f424fcc946180ad9cbe0c2ac61a8d5",
-    "base qmm chsh csv": "cae9bcfca23092d985ea5dfef8ef33a00422d03c4ed4cec08cb763e55214edb9",
-    "base qmm qber json": "85bed4cbc265893e30fb126de980b8a9d1ae23ffb233a5bea000833d415a0312",
-    "base qmm qber csv": "64a3d10874989a099b0760675ce51fa56c0f060fe5d5efc1170f783135f84153",
-    "base qmm-swap chsh json": "94783445fe842289347def496941bb4a76b0908b9184e394bba6a2936a1d6ca2",
-    "base qmm-swap chsh csv": "fa0575735e1bd38bd055361888d5eac3857d4b1cf8dccb4f3911c9262313c81b",
-    "base qmm-swap qber json": "f22aaba83389e5fc2c1319c974b0849a9be829275e918d177dd6deb1460fbe08",
-    "base qmm-swap qber csv": "64a3d10874989a099b0760675ce51fa56c0f060fe5d5efc1170f783135f84153",
+    "base none chsh json": "363a1b5bd668dbb72787db06d3f4ae8691681a3b8bbc14e267b7b3e06f200f63",
+    "base none chsh csv": "1a3a7aa480c7d52479ea993b15f46d1a78884ce788eb8aec467a6bd82709d83f",
+    "base none qber json": "86b740428f6ab4b1c7cb74c191fd29110227d3c38424be989398a8aa1e4757c4",
+    "base none qber csv": "bfb9a07e477de5120b96568e9e5b253f4830ef2d0cb27f45eb97ff885a6181d8",
+    "base ir chsh json": "3497332cf595ff0822b097755c2b54fb1b5a18c2d288cf902a740bc48121240f",
+    "base ir chsh csv": "5f02f2d859f9fefdf9c60d8911d0f9b4fa5b1ac97bfd448b4096542d38f3d2ea",
+    "base ir qber json": "5c1c6b0d0ca68d1bf0f4cb1f26817a6494d18d6fa17bd447b0a20520893fa933",
+    "base ir qber csv": "8feb1b1224309d2938c40090b03ecf7a006de40614e6a0b4887fae45b97af7f0",
+    "base qmm chsh json": "8d34d22a0ef77cda062c42e6fc446ea47317dc84bc3be21816befa29fd239016",
+    "base qmm chsh csv": "c4f7dc77469cf268ce13dab44ac0f7c7951ea85ba6008f21cf16a1c2f5f5b613",
+    "base qmm qber json": "7b34f8cf727f567ad592b769fe2b7209dd2a597573f8d9062cae85122599795c",
+    "base qmm qber csv": "a0932d42b82a4f497c3c5a383d49aa527d6af300b6515ae81a145ce33ce2ca79",
+    "base qmm-swap chsh json": "ed76ff7f1cdbd4a1d8d0f6e9ca94d3ef59fffe5bee8fba483e4b912a8bc64d7c",
+    "base qmm-swap chsh csv": "d3165e7589f6733705694bb1d2458aaee67451e47337ec754d005860e9ffee58",
+    "base qmm-swap qber json": "7bb461fd31a26b0660f1acb36c5962bee46a00101098f2a0d8f4ac97789636a1",
+    "base qmm-swap qber csv": "a0932d42b82a4f497c3c5a383d49aa527d6af300b6515ae81a145ce33ce2ca79",
     "modified none chsh json": None,
     "modified none chsh csv": None,
-    "modified none qber json": "f0863c597519635350ae22c63c61542023f4180cc26dd698a9b747f12d9481e3",
-    "modified none qber csv": "fb17e0da20746bc2aa9ae571580dbae9fd01a6b7802d25f0d413514e1e9cce34",
+    "modified none qber json": "9f11d3c648cd4b86ed259eb1dd1348f1a34e0b7cc407b2ff3dcb65d47535ae53",
+    "modified none qber csv": "90f82512ad9119e13feb5c4228c0f9cbd3d3e55f648367bce34137f128165f10",
     "modified ir chsh json": None,
     "modified ir chsh csv": None,
-    "modified ir qber json": "19b520bb47b379391d2703420cc0d880d70132bb54bc5841907306fc4390c499",
-    "modified ir qber csv": "3464f8b7abba0b27aac4c038adf36317200a1c965ede571543d2d8bd57a1f32f",
+    "modified ir qber json": "af6c2a682471fb2e810d601ddf6e5d356adb0c7e97ad8a8a5677e72ef0e63c50",
+    "modified ir qber csv": "e93c0a1b7651934a5a6a092b9d838c22c9818d56c9ff79440391ea923a28f9a3",
     "modified qmm chsh json": None,
     "modified qmm chsh csv": None,
-    "modified qmm qber json": "bb7cabdcc5007524960e378c3a015774e21182d5da95494930e5a72bedd2712b",
-    "modified qmm qber csv": "4c4cfc9a564c1df9ef06e6a6be1fefffa461390653b49b50d751a70bdaa4006c",
+    "modified qmm qber json": "ac2f29f558f8e309545da6210e3cebc781ad3d7db9d04dc68360a1d41c5fe7aa",
+    "modified qmm qber csv": "88bad1249aa40c97bcce50144a4fadc9132278d37b5741c3cc1aeb8643af034a",
     "modified qmm-swap chsh json": None,
     "modified qmm-swap chsh csv": None,
-    "modified qmm-swap qber json": "abfa97de39f7b050f69b4f5bee0ec629f8952964a3e456e9e2f1b8403c5e7528",
-    "modified qmm-swap qber csv": "4c4cfc9a564c1df9ef06e6a6be1fefffa461390653b49b50d751a70bdaa4006c",
+    "modified qmm-swap qber json": "9cad0f38ec91211737b0043f01080b3acc1e8ae863b8d078ece6443e4a9e0e25",
+    "modified qmm-swap qber csv": "88bad1249aa40c97bcce50144a4fadc9132278d37b5741c3cc1aeb8643af034a",
 }
 
 

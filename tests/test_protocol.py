@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import standalone_rounds
+from duplexqkd import stream
 from duplexqkd.analysis import estimate_chsh, estimate_qber
-from duplexqkd.config import CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
+from duplexqkd.attacks import Adversary
+from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import (
+    BASIS_CHOICE,
     BIT_BASIS,
     BIT_STATE,
+    CHUNK,
     CorrelationAnnouncement,
     ControlDisclosure,
     MeasuredFirst,
@@ -23,6 +28,7 @@ from duplexqkd.protocol import (
     alice_decode,
     bob_decode,
     correlation_signature,
+    pair_stream,
     run_pair,
     run_session,
 )
@@ -237,3 +243,86 @@ def test_chsh_round_records_settings_and_outcomes():
         assert record.bob_angle == config.settings.bob_angles[record.bob_setting]
         assert set(record.outcomes) <= {+1, -1}
         assert record.alice_basis is None and record.correlated is None
+
+
+# ---------------------------------------------------------------------------
+# Keyed stream and the session trie
+
+# The first four outputs of SplitMix64 seeded with 0 (the published
+# reference values); they are also the keys of pairs 0 and 1 of seed 0.
+SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC)
+
+# (seed, pair, lane) -> draws 0, 1, 2 as the 53-bit integers u * 2**53.
+STREAM_VECTORS = {
+    (0, 0, 0): (5876733520225071, 6315957190297641, 3486904274089342),
+    (0, 0, 1): (2488090916427887, 1944370228470169, 7918266355572978),
+    (0, 1, 0): (8379284551116454, 7330708760053186, 4959541653696828),
+    (0, 1, 1): (2748948559579471, 5766741390542761, 5009526056787668),
+    (0, 2**40, 0): (4826988945702743, 4988067448287817, 2114086902755182),
+    (0, 2**40, 1): (308515873124663, 3228666741406829, 4150881354753032),
+    (2**64 - 1, 0, 0): (3298815481631822, 6672578802367200, 4598734475589376),
+    (2**64 - 1, 0, 1): (4478124826975101, 2022217857624416, 2677535738350980),
+    (2**64 - 1, 1, 0): (3171195082349766, 4366840742148128, 6783802240358655),
+    (2**64 - 1, 1, 1): (7729952980332128, 6242047796525973, 5377840203734684),
+    (2**64 - 1, 2**40, 0): (2403097106479986, 3392898976226320, 7553300754622010),
+    (2**64 - 1, 2**40, 1): (6216467651281633, 8228275419061795, 32600685881090),
+}
+
+
+def test_keyed_stream_known_answers():
+    assert [stream.stream_key(0, pair, lane) for pair in (0, 1) for lane in (0, 1)] == list(SPLITMIX64_SEED0)
+    assert {lane for (_, _, lane) in STREAM_VECTORS} == set(range(stream.LANES))
+    for (seed, pair, lane), expected in STREAM_VECTORS.items():
+        draws = pair_stream(seed, pair, lane)
+        python = [draws.random() for _ in expected]
+        assert [u * 2**53 for u in python] == list(expected)
+        assert all(0.0 <= u < 1.0 for u in python)
+        keys = stream.stream_keys(seed, np.array([pair, pair], dtype=np.uint64), lane)
+        assert keys.dtype == np.uint64 and int(keys[0]) == draws.key
+        for slot, u in enumerate(python):
+            batch = stream.uniforms(keys, np.array([slot, slot], dtype=np.uint64))
+            assert batch.dtype == np.float64 and batch.tolist() == [u, u]
+
+
+SESSION_CASES = [
+    (protocol, attack, check)
+    for protocol in ProtocolKind
+    for attack in AttackKind
+    for check in CheckKind
+    if not (protocol is ProtocolKind.MODIFIED and check is CheckKind.CHSH)
+]
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
+)
+def test_session_equals_standalone_rounds(protocol, attack, check):
+    # 3000 pairs span three chunks of the trie walk; every record must be
+    # the one its pair's round gives when run alone.
+    config = SimulationConfig(
+        pairs=3000, control_probability=0.5, check_kind=check, attack=attack, seed=2026, protocol=protocol
+    )
+    assert config.pairs > 2 * CHUNK
+    assert list(run_session(config)) == standalone_rounds(config)
+
+
+class _PairCounter(Adversary):
+    """Breaks the adversary contract: whether it draws depends on how many
+    pairs it has seen, not on the round's draws and events."""
+
+    def __init__(self) -> None:
+        self.pairs_seen = 0
+
+    def begin_pair(self) -> None:
+        self.pairs_seen += 1
+
+    def relay_qubit(self, system, handle, leg, lane):
+        if leg == 1 and self.pairs_seen % 2:
+            lane.choose(BASIS_CHOICE)
+        return handle
+
+
+def test_session_rejects_an_adversary_that_breaks_the_contract():
+    config = _config(pairs=200, control_probability=0.5)
+    with pytest.raises(RuntimeError, match="begin_pair"):
+        list(run_session(config, _PairCounter()))
