@@ -513,7 +513,7 @@ class Session:
             adversary = build_adversary(config.attack)
         if adversary is not None:
             adversary.begin_session(config)
-        self.config = config
+        self._config = config
         self._adversary = adversary
         self._lanes = (_HONEST_LANE,) if adversary is None else (_HONEST_LANE, _EVE_LANE)
         self.leaves: list = []
@@ -536,7 +536,7 @@ class Session:
     def leaf_ids(self) -> Iterator[np.ndarray]:
         """The leaf id of every pair, in pair order, one array per chunk of
         at most ``CHUNK`` pairs."""
-        config = self.config
+        config = self._config
         for start in range(0, config.pairs, CHUNK):
             pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
             keys = np.stack([stream_keys(config.seed, pairs, lane) for lane in self._lanes])
@@ -562,7 +562,7 @@ class Session:
         """The leaf code of one pair, by a scalar walk of the trie (the trie
         may have grown since the chunk's walk); a path that leaves the trie
         is discovered."""
-        keys = {lane: stream_key(self.config.seed, pair_index, lane) for lane in self._lanes}
+        keys = {lane: stream_key(self._config.seed, pair_index, lane) for lane in self._lanes}
         code = self._root
         while code >= 0:
             lane, slot, cuts = self._node_keys[code]
@@ -573,7 +573,7 @@ class Session:
         """Run one pair's round, add its path to the trie and return the
         code of its new leaf."""
         path: list = []
-        record = self._round_fn(self.config, self._adversary, pair_index, _path=path)
+        record = self._round_fn(self._config, self._adversary, pair_index, _path=path)
         leaf = -2 - len(self.leaves)
         self.leaves.append(record)
         parent, branch, code = None, 0, self._root

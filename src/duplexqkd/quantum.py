@@ -330,9 +330,6 @@ class Choice:
     def pick(self, u: float):
         return self.branches[bisect_right(self.cuts, u)]
 
-    def __repr__(self) -> str:
-        return f"Choice(cuts={self.cuts!r}, branches={self.branches!r})"
-
 
 # ---------------------------------------------------------------------------
 # Transition caches.  Keys hold a state's exact amplitude bytes, so a hit

@@ -1,7 +1,7 @@
 import numpy as np
 
 from duplexqkd.attacks import build_adversary
-from duplexqkd.config import ProtocolKind, SimulationConfig
+from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import run_modified_pair
 from duplexqkd.protocol import run_pair
 from duplexqkd.quantum import PureState, TwoQubitDensity, mix
@@ -40,3 +40,14 @@ def standalone_rounds(config: SimulationConfig) -> list:
         adversary.begin_session(config)
     round_fn = run_modified_pair if config.protocol is ProtocolKind.MODIFIED else run_pair
     return [round_fn(config, adversary, i) for i in range(config.pairs)]
+
+
+#: Every protocol x attack x check a session accepts (the four-state
+#: variant's control rounds are all error checks).
+SESSION_CASES = [
+    (protocol, attack, check)
+    for protocol in ProtocolKind
+    for attack in AttackKind
+    for check in CheckKind
+    if not (protocol is ProtocolKind.MODIFIED and check is CheckKind.CHSH)
+]

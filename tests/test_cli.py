@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import standalone_rounds
+from conftest import SESSION_CASES, standalone_rounds
 from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
 from duplexqkd.cli import (
     CSV_COLUMNS,
@@ -26,7 +26,7 @@ from duplexqkd.cli import (
     records_to_csv,
     run_cli,
 )
-from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind
+from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS
 from duplexqkd.protocol import CHUNK, Mode, run_session
 from duplexqkd.quantum import BellStateId, TwoQubitDensity, bell_state, chsh_value
 
@@ -285,17 +285,7 @@ def test_csv_round_trip(tmp_path, extra):
     assert estimate_chsh(loaded, spec.config.settings) == estimate_chsh(records, spec.config.settings)
 
 
-@pytest.mark.parametrize(
-    "protocol,attack,check",
-    [
-        (protocol, attack, check)
-        for protocol in ProtocolKind
-        for attack in AttackKind
-        for check in CheckKind
-        if not (protocol is ProtocolKind.MODIFIED and check is CheckKind.CHSH)
-    ],
-    ids=lambda kind: kind.value,
-)
+@pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)
 def test_artifacts_equal_standalone_rounds(protocol, attack, check, capsys):
     # The CLI resolves a session through its round trie, a chunk at a time;
     # its artifacts must be byte for byte those of the same rounds run alone.

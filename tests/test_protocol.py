@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import standalone_rounds
+from conftest import SESSION_CASES, standalone_rounds
 from duplexqkd import stream
 from duplexqkd.analysis import estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary
-from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
+from duplexqkd.config import CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import (
     BASIS_CHOICE,
     BIT_BASIS,
@@ -282,15 +282,6 @@ def test_keyed_stream_known_answers():
         for slot, u in enumerate(python):
             batch = stream.uniforms(keys, np.array([slot, slot], dtype=np.uint64))
             assert batch.dtype == np.float64 and batch.tolist() == [u, u]
-
-
-SESSION_CASES = [
-    (protocol, attack, check)
-    for protocol in ProtocolKind
-    for attack in AttackKind
-    for check in CheckKind
-    if not (protocol is ProtocolKind.MODIFIED and check is CheckKind.CHSH)
-]
 
 
 @pytest.mark.parametrize(
