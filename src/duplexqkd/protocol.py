@@ -63,7 +63,7 @@ from .quantum import (
     measure_qubit,
     tensor,
 )
-from .stream import PairStream, stream_key, stream_keys, uniform, uniforms
+from .stream import LANES, PairStream, stream_key, stream_keys, uniform, uniforms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
@@ -255,8 +255,7 @@ class PairRecord:
     eve_log: "EveLog | None"
 
 
-_HONEST_LANE = 0
-_EVE_LANE = 1
+_HONEST_LANE, _EVE_LANE = range(LANES)
 
 
 def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> PairStream:
@@ -313,7 +312,7 @@ class _Round:
     choice that ``u`` decides is appended to it as (lane, slot, cuts, branch
     index): the round's path through its session's trie."""
 
-    __slots__ = ("system", "announcements", "honest", "eve", "_adversary", "_streams", "_path")
+    __slots__ = ("system", "announcements", "_adversary", "_streams", "_path")
 
     def __init__(
         self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int, path: list | None
@@ -326,8 +325,16 @@ class _Round:
             pair_stream(config.seed, pair_index, _HONEST_LANE),
             pair_stream(config.seed, pair_index, _EVE_LANE) if adversary is not None else None,
         )
-        self.honest = Lane(self, _HONEST_LANE)
-        self.eve = Lane(self, _EVE_LANE)
+
+    # Lanes are made on demand: a round that held its own lanes would be a
+    # reference cycle, left for the cyclic collector after every round.
+    @property
+    def honest(self) -> Lane:
+        return Lane(self, _HONEST_LANE)
+
+    @property
+    def eve(self) -> Lane:
+        return Lane(self, _EVE_LANE)
 
     def draw(self, lane: int, choice: Choice) -> float:
         """The one source of randomness in a round: the next uniform of
