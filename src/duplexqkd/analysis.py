@@ -90,14 +90,19 @@ def _chsh_bin_from_counts(
     return ChshBinEstimate(s_hat, math.sqrt(max(variance, 0.0)), dict(counts), correlators)
 
 
+def _check_settings(record, settings: ChshSettings) -> None:
+    """Raise ValueError if ``record`` is a CHSH round whose recorded angles
+    are not ``settings``."""
+    if record.mode is Mode.CONTROL_CHSH:
+        i, j = record.alice_setting, record.bob_setting
+        if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
+            raise ValueError(f"pair {record.pair_index} was measured with different settings")
+
+
 def _with_settings_checked(records: Iterable, settings: ChshSettings) -> Iterator:
-    """Pass ``records`` through, raising ValueError at the first CHSH round
-    whose recorded angles are not ``settings``."""
+    """Pass ``records`` through, checking each with :func:`_check_settings`."""
     for record in records:
-        if record.mode is Mode.CONTROL_CHSH:
-            i, j = record.alice_setting, record.bob_setting
-            if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
-                raise ValueError(f"pair {record.pair_index} was measured with different settings")
+        _check_settings(record, settings)
         yield record
 
 
@@ -106,9 +111,15 @@ def estimate_chsh(records: Iterable, settings: ChshSettings) -> ChshEstimate:
 
     ``settings`` must be the tuple the session actually used; recorded
     angles are checked against it in the same single pass that tallies
-    them, so ``records`` may be a one-shot iterator.
+    them, so ``records`` may be a one-shot iterator.  A session is tallied
+    per leaf of its round trie, and its leaves are checked.
     """
-    report = _tally(SimulationReport(config_echo={}, seed=0), _with_settings_checked(records, settings))
+    report = SimulationReport(config_echo={}, seed=0)
+    if not isinstance(records, Session):
+        return _tally(report, _with_settings_checked(records, settings)).chsh_estimate()
+    report = _tally(report, records)
+    for leaf in records.leaves:
+        _check_settings(leaf, settings)
     return report.chsh_estimate()
 
 
