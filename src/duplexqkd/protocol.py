@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
@@ -473,18 +473,12 @@ def run_pair(
     )
 
 
-#: Pairs resolved together in one numpy pass over a session's trie.
-CHUNK = 1024
+#: Most pairs resolved together in one numpy pass over a session's trie.
+CHUNK = 4096
 
 # Trie codes: a node id (>= 0), an edge no pair has taken yet, or a leaf
 # (leaf id k is coded -2 - k).
 _UNSEEN = -1
-
-
-def _grown(array: np.ndarray, shape: tuple[int, ...], fill) -> np.ndarray:
-    out = np.full(shape, fill, dtype=array.dtype)
-    out[tuple(slice(0, n) for n in array.shape)] = array
-    return out
 
 
 class Session:
@@ -496,8 +490,10 @@ class Session:
     an edge is one of its branches, and a leaf holds the record of every
     round that takes that path (all but its ``pair_index``).  A pair whose
     path leaves the trie runs the round function once, which records the
-    path and extends the trie; every other pair is resolved in numpy,
-    ``CHUNK`` pairs at a time, by comparing its draws with the cut points.
+    path and extends the trie; every other pair is resolved in numpy, a
+    chunk at a time, by comparing its draws with the cut points.  A chunk
+    is never larger than ``CHUNK`` or than the number of pairs before it, so
+    the first pairs, which build the trie, come in small chunks.
 
     ``leaf_ids()`` yields the leaf of each pair, a chunk at a time, and
     ``leaves`` holds one record per leaf (its ``pair_index`` is that of the
@@ -525,45 +521,98 @@ class Session:
         self._lanes = (_HONEST_LANE,) if adversary is None else (_HONEST_LANE, _EVE_LANE)
         self.leaves: list = []
         self._root = _UNSEEN
-        # Per node: (lane, slot, cuts) as recorded, and the same as arrays
-        # for the walk (cuts padded with +inf, children with _UNSEEN).
-        self._node_keys: list[tuple] = []
-        self._lane = np.zeros(0, dtype=np.intp)
-        self._slot = np.zeros(0, dtype=np.uint64)
-        self._cuts = np.zeros((0, 4))
-        self._child = np.zeros((0, 5), dtype=np.int64)
+        # Per node: (lane, slot, cuts) as recorded, and the code of each
+        # branch's child.  ``_depth`` is the longest path so far.
+        self._nodes: list[tuple[int, int, tuple[float, ...]]] = []
+        self._children: list[list[int]] = []
+        self._depth = 0
+        self._table: tuple | None = None
 
     def __iter__(self) -> Iterator[PairRecord | ModifiedPairRecord]:
+        # Each record is its leaf's with another pair_index, the first field:
+        # built positionally from the leaf's other fields, taken once.
+        rests: list[tuple] = []
         pair_index = 0
         for ids in self.leaf_ids():
+            for record in self.leaves[len(rests) :]:
+                rests.append(tuple(getattr(record, field.name) for field in fields(record)[1:]))
             for leaf in ids.tolist():
-                yield replace(self.leaves[leaf], pair_index=pair_index)
+                yield type(self.leaves[leaf])(pair_index, *rests[leaf])
                 pair_index += 1
 
     def leaf_ids(self) -> Iterator[np.ndarray]:
         """The leaf id of every pair, in pair order, one array per chunk of
         at most ``CHUNK`` pairs."""
         config = self._config
-        for start in range(0, config.pairs, CHUNK):
-            pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
+        start = 0
+        while start < config.pairs:
+            stop = min(start + min(CHUNK, max(start, 1)), config.pairs)
+            pairs = np.arange(start, stop, dtype=np.uint64)
             keys = np.stack([stream_keys(config.seed, pairs, lane) for lane in self._lanes])
             code = self._walk(keys)
             for j in np.flatnonzero(code == _UNSEEN).tolist():
                 code[j] = self._resolve(start + j)
             yield -2 - code
+            start = stop
 
     def _walk(self, keys: np.ndarray) -> np.ndarray:
         """The trie code each pair's draws lead to: a leaf, or _UNSEEN where
-        the path leaves the trie.  ``keys[lane]`` holds the pairs' keys."""
-        code = np.full(keys.shape[1], self._root, dtype=np.int64)
-        live = np.flatnonzero(code >= 0)
-        while live.size:
-            node = code[live]
-            u = uniforms(keys[self._lane[node], live], self._slot[node])
-            branch = (u[:, None] >= self._cuts[node]).sum(axis=1)
-            code[live] = self._child[node, branch]
-            live = live[code[live] >= 0]
+        the path leaves the trie.  ``keys[lane]`` holds the pairs' keys.
+
+        Every pair takes ``_depth`` steps over the node table, in which a
+        leaf or the unseen edge is a row that leads back to itself.  Each
+        step reads a pair's draw from its node's row of draws (one row per
+        (lane, slot) the trie reads, drawn once for the whole chunk),
+        counts the cuts at or below it and moves to that child."""
+        n = keys.shape[1]
+        code = np.full(n, self._root, dtype=np.intp)
+        if not self._depth:
+            return code
+        draws, draw, cuts, child = self._walk_table()
+        u = np.empty((len(draws), n))
+        for row, (lane, slot) in enumerate(draws):
+            u[row] = uniforms(keys[lane], slot)
+        u = u.ravel()
+        at = draw * n
+        pairs = np.arange(n)
+        stride = len(cuts) + 1
+        for _ in range(self._depth):
+            d = u[at[code] + pairs]
+            flat = code * stride
+            for cut in cuts:
+                flat += d >= cut[code]
+            code = child[flat]
         return code
+
+    def _walk_table(self) -> tuple:
+        """The trie as arrays for :meth:`_walk`, rebuilt when it has grown:
+        the lane and slot of each row of draws (the slot as a one-element
+        ``uint64`` array, since scalar ``uint64`` arithmetic warns on the
+        wraparound the draws rely on), and per row of the node table its row
+        of draws, its cuts (one array per cut, padded with +inf) and its
+        children (flat, ``stride`` per row).  The nodes come first, then one
+        row per leaf and one for the unseen edge; these are in reverse code
+        order, so a negative code indexes its own row from the end, and each
+        holds its own code as every child."""
+        if self._table is not None and self._table[0] == len(self.leaves):
+            return self._table[1]
+        rows_of: dict[tuple[int, int], int] = {}
+        draw = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in self._nodes]
+        width = max(len(cuts) for _, _, cuts in self._nodes)
+        ends = range(-1 - len(self.leaves), 0)
+        cuts = np.full((width, len(self._nodes) + len(ends)), np.inf)
+        for node, (_, _, node_cuts) in enumerate(self._nodes):
+            cuts[: len(node_cuts), node] = node_cuts
+        child = [row + [_UNSEEN] * (width + 1 - len(row)) for row in self._children]
+        child += [[end] * (width + 1) for end in ends]
+        table = (
+            [(lane, np.array([slot], dtype=np.uint64)) for lane, slot in rows_of],
+            np.array(draw + [0] * len(ends), dtype=np.intp),
+            cuts,
+            np.array(child, dtype=np.intp).ravel(),
+        )
+        self._table = (len(self.leaves), table)
+        return table
 
     def _resolve(self, pair_index: int) -> int:
         """The leaf code of one pair, by a scalar walk of the trie (the trie
@@ -572,8 +621,8 @@ class Session:
         keys = {lane: stream_key(self._config.seed, pair_index, lane) for lane in self._lanes}
         code = self._root
         while code >= 0:
-            lane, slot, cuts = self._node_keys[code]
-            code = int(self._child[code, bisect_right(cuts, uniform(keys[lane], slot))])
+            lane, slot, cuts = self._nodes[code]
+            code = self._children[code][bisect_right(cuts, uniform(keys[lane], slot))]
         return self._discover(pair_index) if code == _UNSEEN else code
 
     def _discover(self, pair_index: int) -> int:
@@ -583,44 +632,31 @@ class Session:
         record = self._round_fn(self._config, self._adversary, pair_index, _path=path)
         leaf = -2 - len(self.leaves)
         self.leaves.append(record)
+        self._depth = max(self._depth, len(path))
         parent, branch, code = None, 0, self._root
         for lane, slot, cuts, index in path:
             if code == _UNSEEN:
-                code = self._add_node(lane, slot, cuts)
+                code = len(self._nodes)
+                self._nodes.append((lane, slot, cuts))
+                self._children.append([_UNSEEN] * (len(cuts) + 1))
                 self._link(parent, branch, code)
-            elif code < 0 or self._node_keys[code] != (lane, slot, cuts):
+            elif code < 0 or self._nodes[code] != (lane, slot, cuts):
                 raise RuntimeError(
                     f"pair {pair_index} made a choice its path does not determine; rounds and "
                     "adversaries must be functions of their draws and reset in begin_pair"
                 )
             parent, branch = code, index
-            code = int(self._child[code, index])
+            code = self._children[code][index]
         if code != _UNSEEN:
             raise RuntimeError(f"pair {pair_index} ended on a path that is already a leaf or a node")
         self._link(parent, branch, leaf)
         return leaf
 
-    def _add_node(self, lane: int, slot: int, cuts: tuple[float, ...]) -> int:
-        node = len(self._node_keys)
-        self._node_keys.append((lane, slot, cuts))
-        rows, width = self._cuts.shape
-        if node == rows or len(cuts) > width:
-            rows = max(2 * rows, 64) if node == rows else rows
-            width = max(width, len(cuts))
-            self._lane = _grown(self._lane, (rows,), 0)
-            self._slot = _grown(self._slot, (rows,), 0)
-            self._cuts = _grown(self._cuts, (rows, width), np.inf)
-            self._child = _grown(self._child, (rows, width + 1), _UNSEEN)
-        self._lane[node] = lane
-        self._slot[node] = slot
-        self._cuts[node, : len(cuts)] = cuts
-        return node
-
     def _link(self, parent: int | None, branch: int, code: int) -> None:
         if parent is None:
             self._root = code
         else:
-            self._child[parent, branch] = code
+            self._children[parent][branch] = code
 
 
 def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) -> Session:

@@ -348,8 +348,9 @@ def test_loaded_transcript_shares_equal_cells(tmp_path):
 )
 def test_session_memory_does_not_grow_with_pairs(tmp_path, extra):
     # Records are tallied or written as they are made, so the peak Python
-    # allocation of a whole CLI run is the same at 4000 pairs as at 1000.
-    # Holding the transcript costs 0.4-1.2 KB per pair, i.e. over 1 MB here.
+    # allocation of a whole CLI run is the same at 8 chunks as at 2 (both
+    # past the ramp of small first chunks).  Holding the transcript costs
+    # 0.4-1.2 KB per pair, i.e. over 10 MB here.
     def peak_bytes(pairs: int) -> int:
         spec = parse_args(
             ["--pairs", str(pairs), "--control-prob", "0.5", "--seed", "3", "--out", str(tmp_path / "out"), *extra]
@@ -362,7 +363,7 @@ def test_session_memory_does_not_grow_with_pairs(tmp_path, extra):
             tracemalloc.stop()
 
     peak_bytes(10)  # warm-up: lazy imports and caches
-    assert peak_bytes(4000) - peak_bytes(1000) <= 256 * 1024
+    assert peak_bytes(8 * CHUNK) - peak_bytes(2 * CHUNK) <= 256 * 1024
 
 
 def test_console_entry_point_registered():

@@ -285,17 +285,32 @@ def test_keyed_stream_known_answers():
             assert batch.dtype == np.float64 and batch.tolist() == [u, u]
 
 
+def _assert_session_equals_standalone_rounds(config: SimulationConfig, chunk: int) -> None:
+    # The session crosses the ramp of small first chunks and at least two
+    # full-size ones; every record must be the one its pair's round gives
+    # when run alone.
+    sizes = [len(ids) for ids in run_session(config).leaf_ids()]
+    assert sizes[:4] == [1, 1, 2, 4] and sizes.count(chunk) >= 2
+    assert list(run_session(config)) == standalone_rounds(config)
+
+
 @pytest.mark.parametrize(
     "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
 )
-def test_session_equals_standalone_rounds(protocol, attack, check):
-    # 3000 pairs span three chunks of the trie walk; every record must be
-    # the one its pair's round gives when run alone.
+def test_session_equals_standalone_rounds(protocol, attack, check, monkeypatch):
+    # A small chunk size, so that 3000 pairs span the ramp and ten full chunks.
+    monkeypatch.setattr("duplexqkd.protocol.CHUNK", 256)
     config = SimulationConfig(
         pairs=3000, control_probability=0.5, check_kind=check, attack=attack, seed=2026, protocol=protocol
     )
-    assert config.pairs > 2 * CHUNK
-    assert list(run_session(config)) == standalone_rounds(config)
+    _assert_session_equals_standalone_rounds(config, 256)
+
+
+def test_session_equals_standalone_rounds_at_full_chunk():
+    config = SimulationConfig(
+        pairs=3 * CHUNK + 500, control_probability=0.5, attack=AttackKind.QMM_SWAP, seed=2027
+    )
+    _assert_session_equals_standalone_rounds(config, CHUNK)
 
 
 class _PairCounter(Adversary):
