@@ -568,12 +568,12 @@ class Session:
         code = np.full(n, self._root, dtype=np.intp)
         if not self._depth:
             return code
-        draws, draw, cuts, child = self._walk_table()
+        draws, draw_row, cuts, child = self._walk_table()
         u = np.empty((len(draws), n))
         for row, (lane, slot) in enumerate(draws):
             u[row] = uniforms(keys[lane], slot)
         u = u.ravel()
-        at = draw * n
+        at = draw_row * n
         pairs = np.arange(n)
         stride = len(cuts) + 1
         for _ in range(self._depth):
@@ -597,7 +597,7 @@ class Session:
         if self._table is not None and self._table[0] == len(self.leaves):
             return self._table[1]
         rows_of: dict[tuple[int, int], int] = {}
-        draw = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in self._nodes]
+        draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in self._nodes]
         width = max(len(cuts) for _, _, cuts in self._nodes)
         ends = range(-1 - len(self.leaves), 0)
         cuts = np.full((width, len(self._nodes) + len(ends)), np.inf)
@@ -607,7 +607,7 @@ class Session:
         child += [[end] * (width + 1) for end in ends]
         table = (
             [(lane, np.array([slot], dtype=np.uint64)) for lane, slot in rows_of],
-            np.array(draw + [0] * len(ends), dtype=np.intp),
+            np.array(draw_row + [0] * len(ends), dtype=np.intp),
             cuts,
             np.array(child, dtype=np.intp).ravel(),
         )
