@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -27,7 +28,7 @@ from .fourstate import ModifiedMode, ModifiedPairRecord
 from .protocol import Mode, PairRecord, Session, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
 
-__all__ = ["RunSpec", "UsageError", "load_records_csv", "main", "parse_args", "run_cli"]
+__all__ = ["RunSpec", "UsageError", "entry", "load_records_csv", "main", "parse_args", "run_cli"]
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -292,6 +293,11 @@ def _record_row(record) -> list[str]:
     ]
 
 
+#: Rows joined into one write: the text held at once stays a few hundred rows
+#: long whatever the session's chunk size.
+_CSV_SLICE = 512
+
+
 def records_to_csv(records: Iterable, handle: TextIO) -> None:
     """Write the CSV transcript of ``records`` to ``handle``, each row as
     its record arrives, so no transcript is held in memory.
@@ -313,7 +319,9 @@ def records_to_csv(records: Iterable, handle: TextIO) -> None:
             text.truncate()
             leaf_writer.writerow(_record_row(record))
             suffixes.append(text.getvalue().split(",", 1)[1])
-        handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(ids.tolist(), start)]))
+        for lo in range(0, len(ids), _CSV_SLICE):
+            rows = ids[lo : lo + _CSV_SLICE].tolist()
+            handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(rows, start + lo)]))
         start += len(ids)
 
 
@@ -475,5 +483,19 @@ def run_cli(argv: list[str] | None = None) -> int:
     return main(spec)
 
 
+def entry() -> int:
+    """Process entry of ``python -m duplexqkd.cli`` and the ``duplexqkd``
+    console script.
+
+    What the imports built lives until the process exits, so it is frozen
+    out of the collector (``gc.freeze``): neither the run's full collections
+    nor interpreter teardown traverse it again.  Objects made during the run
+    are collected as before.  ``run_cli`` leaves the collector alone, so
+    tests and library callers keep theirs untouched.
+    """
+    gc.freeze()
+    return run_cli()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(run_cli())
+    raise SystemExit(entry())
