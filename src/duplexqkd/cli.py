@@ -320,8 +320,8 @@ def records_to_csv(records: Iterable, handle: TextIO) -> None:
             leaf_writer.writerow(_record_row(record))
             suffixes.append(text.getvalue().split(",", 1)[1])
         for lo in range(0, len(ids), _CSV_SLICE):
-            rows = ids[lo : lo + _CSV_SLICE].tolist()
-            handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(rows, start + lo)]))
+            leaves = ids[lo : lo + _CSV_SLICE].tolist()
+            handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(leaves, start + lo)]))
         start += len(ids)
 
 
