@@ -6,11 +6,9 @@ record sets is exact, associative, and commutative."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-
-import numpy as np
 
 from .config import SimulationConfig
 from .fourstate import ModifiedMode, modified_efficiency
@@ -90,37 +88,14 @@ def _chsh_bin_from_counts(
     return ChshBinEstimate(s_hat, math.sqrt(max(variance, 0.0)), dict(counts), correlators)
 
 
-def _check_settings(record, settings: ChshSettings) -> None:
-    """Raise ValueError if ``record`` is a CHSH round whose recorded angles
-    are not ``settings``."""
-    if record.mode is Mode.CONTROL_CHSH:
-        i, j = record.alice_setting, record.bob_setting
-        if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
-            raise ValueError(f"pair {record.pair_index} was measured with different settings")
-
-
-def _with_settings_checked(records: Iterable, settings: ChshSettings) -> Iterator:
-    """Pass ``records`` through, checking each with :func:`_check_settings`."""
-    for record in records:
-        _check_settings(record, settings)
-        yield record
-
-
 def estimate_chsh(records: Iterable, settings: ChshSettings) -> ChshEstimate:
     """Per-state CHSH estimates from the CHSH control rounds in ``records``.
 
     ``settings`` must be the tuple the session actually used; recorded
     angles are checked against it in the same single pass that tallies
-    them, so ``records`` may be a one-shot iterator.  A session is tallied
-    per leaf of its round trie, and its leaves are checked.
+    them, so ``records`` may be a one-shot iterator.
     """
-    report = SimulationReport(config_echo={}, seed=0)
-    if not isinstance(records, Session):
-        return _tally(report, _with_settings_checked(records, settings)).chsh_estimate()
-    report = _tally(report, records)
-    for leaf in records.leaves:
-        _check_settings(leaf, settings)
-    return report.chsh_estimate()
+    return _tally(SimulationReport(config_echo={}, seed=0), records, settings).chsh_estimate()
 
 
 def estimate_qber(records: Iterable) -> DetectionStats:
@@ -263,7 +238,7 @@ class SimulationReport:
             if f.name in ("config_echo", "seed"):
                 merged[f.name] = mine
             elif isinstance(mine, dict):
-                merged[f.name] = _add_counts(mine, theirs)
+                merged[f.name] = {key: mine.get(key, 0) + theirs.get(key, 0) for key in mine | theirs}
             else:
                 merged[f.name] = mine + theirs
         return SimulationReport(**merged)
@@ -297,109 +272,89 @@ class SimulationReport:
         }
 
 
-def _add_counts(a: dict, b: dict) -> dict:
-    """Key-wise sum of two counter dicts."""
-    total = dict(a)
-    for key, value in b.items():
-        total[key] = total.get(key, 0) + value
-    return total
-
-
-def _tally_base_record(report: SimulationReport, record: PairRecord) -> None:
-    report.pairs += 1
+def _tally_base_record(report: SimulationReport, record: PairRecord, n: int) -> None:
+    report.pairs += n
     if record.mode is Mode.MESSAGE:
-        report.message_rounds += 1
-        report.alice_decode_total += 1
-        report.bob_decode_total += 1
+        report.message_rounds += n
+        report.alice_decode_total += n
+        report.bob_decode_total += n
         if record.alice_decoded_state == record.bob_state:
-            report.alice_decode_ok += 1
+            report.alice_decode_ok += n
         if record.bob_decoded_basis == record.alice_basis:
-            report.bob_decode_ok += 1
+            report.bob_decode_ok += n
         log = record.eve_log
         if log is not None:
             if log.guessed_alice_bit is not None:
-                report.eve_alice_guesses += 1
+                report.eve_alice_guesses += n
                 if log.guessed_alice_bit == BASIS_BIT[record.alice_basis]:
-                    report.eve_alice_correct += 1
+                    report.eve_alice_correct += n
             if log.guessed_bob_bit is not None:
-                report.eve_bob_guesses += 1
+                report.eve_bob_guesses += n
                 if log.guessed_bob_bit == STATE_BIT[record.bob_state]:
-                    report.eve_bob_correct += 1
+                    report.eve_bob_correct += n
     elif record.mode is Mode.CONTROL_QBER:
-        report.control_rounds += 1
-        report.qber_checks += 1
+        report.control_rounds += n
+        report.qber_checks += n
         expected = correlation_signature(record.bob_state, record.alice_basis) == +1
         if record.correlated != expected:
-            report.qber_errors += 1
+            report.qber_errors += n
     else:  # CONTROL_CHSH
-        report.control_rounds += 1
+        report.control_rounds += n
         key = (record.bob_state, record.alice_setting, record.bob_setting)
-        report.chsh_counts[key] = report.chsh_counts.get(key, 0) + 1
+        report.chsh_counts[key] = report.chsh_counts.get(key, 0) + n
         product = record.outcomes[0] * record.outcomes[1]
-        report.chsh_products[key] = report.chsh_products.get(key, 0) + product
+        report.chsh_products[key] = report.chsh_products.get(key, 0) + n * product
 
 
-def _tally_modified_record(report: SimulationReport, record) -> None:
-    report.pairs += 1
+def _tally_modified_record(report: SimulationReport, record, n: int) -> None:
+    report.pairs += n
     if record.mode is ModifiedMode.MESSAGE:
-        report.message_rounds += 1
-        report.alice_decode_total += 1
-        report.bob_decode_total += 1
+        report.message_rounds += n
+        report.alice_decode_total += n
+        report.bob_decode_total += n
         if record.alice_bell_outcome == record.bob_state:
-            report.alice_decode_ok += 1
+            report.alice_decode_ok += n
         if record.bob_decoded == record.alice_target:
-            report.bob_decode_ok += 1
+            report.bob_decode_ok += n
         log = record.eve_log
         if log is not None:
             if log.guessed_alice_bit is not None:
-                report.eve_alice_guesses += 1
+                report.eve_alice_guesses += n
                 if log.guessed_alice_bit == record.alice_target.bits:
-                    report.eve_alice_correct += 1
+                    report.eve_alice_correct += n
             if log.guessed_bob_bit is not None:
-                report.eve_bob_guesses += 1
+                report.eve_bob_guesses += n
                 if log.guessed_bob_bit == record.bob_state.bits:
-                    report.eve_bob_correct += 1
+                    report.eve_bob_correct += n
     else:
-        report.control_rounds += 1
-        report.qber_checks += 1
+        report.control_rounds += n
+        report.qber_checks += n
         if not record.control_pass:
-            report.qber_errors += 1
+            report.qber_errors += n
 
 
-def _scaled(report: SimulationReport, n: int) -> SimulationReport:
-    """``report`` with every counter multiplied by ``n``."""
-    scaled = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if f.name in ("config_echo", "seed"):
-            scaled[f.name] = value
-        elif isinstance(value, dict):
-            scaled[f.name] = {key: count * n for key, count in value.items()}
-        else:
-            scaled[f.name] = value * n
-    return SimulationReport(**scaled)
-
-
-def _tally(report: SimulationReport, records: Iterable) -> SimulationReport:
+def _tally(
+    report: SimulationReport, records: Iterable, settings: ChshSettings | None = None
+) -> SimulationReport:
     """The one counting path: every estimator reads these counters.  Each
-    record is tallied by its own protocol's rules.  A session is tallied
-    per leaf of its round trie: each leaf's record is tallied once, and its
-    counters count as many times as pairs reached the leaf."""
+    record is tallied once by its own protocol's rules, with a weight: a
+    session's leaf counts once per pair that reached it, any other record
+    once.  With ``settings``, each record is checked against them as it is
+    tallied: a CHSH round measured at other angles raises ValueError."""
     if isinstance(records, Session):
-        reached = np.zeros(0, dtype=np.int64)
-        for ids in records.leaf_ids():
-            counts = np.bincount(ids, minlength=len(reached))
-            counts[: len(reached)] += reached
-            reached = counts
-        for record, n in zip(records.leaves, reached.tolist()):
-            leaf = _tally(SimulationReport(config_echo=report.config_echo, seed=report.seed), (record,))
-            report = report.merge(_scaled(leaf, n))
-        return report
-    for record in records:
+        counts = records.leaf_counts()  # walks the session, which fills ``leaves``
+        weighted = zip(records.leaves, counts)
+    else:
+        weighted = ((record, 1) for record in records)
+    for record, n in weighted:
+        if settings is not None and record.mode is Mode.CONTROL_CHSH:
+            i, j = record.alice_setting, record.bob_setting
+            if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
+                raise ValueError(f"pair {record.pair_index} was measured with different settings")
         if isinstance(record, PairRecord):
-            _tally_base_record(report, record)
+            _tally_base_record(report, record, n)
         else:
-            _tally_modified_record(report, record)
+            _tally_modified_record(report, record, n)
     return report
 
 

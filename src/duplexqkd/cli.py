@@ -9,15 +9,13 @@ Exit codes: 0 success, 1 runtime failure (I/O), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import json
 import os
 import sys
 import tempfile
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TextIO
 
@@ -239,58 +237,30 @@ def _cell(value) -> str:
     return render(value)
 
 
-def _record_row(record) -> list[str]:
-    """One transcript row, its cells in ``CSV_COLUMNS`` order."""
-    outcomes = record.outcomes
-    outcome_1 = _cell(outcomes[0]) if len(outcomes) > 0 else ""
-    outcome_2 = _cell(outcomes[1]) if len(outcomes) > 1 else ""
-    log = record.eve_log
-    if log is None:
-        eve = ["", "", "", ""]
-    else:
-        eve = [
-            _cell(log.substitute_state),
-            _cell(log.bell_outcome),
-            _cell(log.guessed_alice_bit),
-            _cell(log.guessed_bob_bit),
-        ]
-    if isinstance(record, PairRecord):
-        return [
-            _cell(record.pair_index),
-            "base",
-            _cell(record.mode),
-            _cell(record.bob_state),
-            _cell(record.alice_basis),
-            _cell(record.alice_setting),
-            _cell(record.alice_angle),
-            _cell(record.bob_setting),
-            _cell(record.bob_angle),
-            outcome_1,
-            outcome_2,
-            _cell(record.correlated),
-            _cell(record.bob_decoded_basis),
-            _cell(record.alice_decoded_state),
-            _cell(record.qber_pass),
-            "", "", "", "", "", "",  # the four-state columns
-            *eve,
-        ]
-    return [
-        _cell(record.pair_index),
-        "modified",
-        _cell(record.mode),
-        _cell(record.bob_state),
-        "", "", "", "", "",  # alice_basis .. bob_angle
-        outcome_1,
-        outcome_2,
-        "", "", "", "",  # correlated .. qber_pass
-        _cell(record.alice_bell_outcome),
-        _cell(record.alice_pauli),
-        _cell(record.alice_target),
-        _cell(record.bob_decoded),
-        _cell(record.control_basis),
-        _cell(record.control_pass),
-        *eve,
-    ]
+#: Each ``protocol`` tag's record type, and the enum of its ``mode`` column.
+_RECORD_TYPES = {"base": (PairRecord, Mode), "modified": (ModifiedPairRecord, ModifiedMode)}
+_PROTOCOL_TAGS = {record_type: tag for tag, (record_type, _) in _RECORD_TYPES.items()}
+#: The ``EveLog`` field in each ``eve_*`` column.
+_EVE_FIELDS = {
+    "eve_substitute": "substitute_state",
+    "eve_bell_outcome": "bell_outcome",
+    "eve_guessed_alice_bit": "guessed_alice_bit",
+    "eve_guessed_bob_bit": "guessed_bob_bit",
+}
+
+
+def _record_row(record) -> str:
+    """One transcript line, its cells in ``CSV_COLUMNS`` order: each field
+    of ``record`` fills the column named after it, ``outcomes`` fill
+    ``outcome_1``/``outcome_2``, the Eve log fills the ``eve_*`` columns and
+    every other column is empty.  No cell text needs quoting, so the cells
+    are joined by bare commas."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    values.update(zip(("outcome_1", "outcome_2"), record.outcomes))
+    if record.eve_log is not None:
+        values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
+    cells = [_PROTOCOL_TAGS[type(record)] if c == "protocol" else _cell(values.get(c)) for c in CSV_COLUMNS]
+    return ",".join(cells) + "\n"
 
 
 #: Rows joined into one write: the text held at once stays a few hundred rows
@@ -304,121 +274,111 @@ def records_to_csv(records: Iterable, handle: TextIO) -> None:
 
     A session's rows are written a chunk at a time: every row past the
     pair index is its trie leaf's, rendered once per leaf."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    handle.write(",".join(CSV_COLUMNS) + "\n")
     if not isinstance(records, Session):
-        writer.writerows(map(_record_row, records))
+        handle.writelines(map(_record_row, records))
         return
     suffixes: list[str] = []
-    text = io.StringIO()
-    leaf_writer = csv.writer(text, lineterminator="\n")
     start = 0
     for ids in records.leaf_ids():
-        for record in records.leaves[len(suffixes) :]:
-            text.seek(0)
-            text.truncate()
-            leaf_writer.writerow(_record_row(record))
-            suffixes.append(text.getvalue().split(",", 1)[1])
+        suffixes += [_record_row(record).split(",", 1)[1] for record in records.leaves[len(suffixes) :]]
         for lo in range(0, len(ids), _CSV_SLICE):
             leaves = ids[lo : lo + _CSV_SLICE].tolist()
             handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(leaves, start + lo)]))
         start += len(ids)
 
 
-def _opt(cell: str, convert):
-    return convert(cell) if cell != "" else None
+def _parser(values: Iterable) -> Callable[[str], object]:
+    """The inverse of ``_cell`` over ``values``: a cell's value, or KeyError."""
+    return {_cell(value): value for value in values}.__getitem__
 
 
-_STATE_BY_NAME = {state.name.lower(): state for state in BellStateId}
-_PAULI_BY_NAME = {op.name.lower(): op for op in PauliOp}
-_EVE_COLUMNS = ("eve_substitute", "eve_bell_outcome", "eve_guessed_alice_bit", "eve_guessed_bob_bit")
+#: The value of each cell after ``protocol`` and ``mode``, by what the
+#: column holds; each parser raises KeyError or ValueError on a cell no
+#: record renders to.
+_CELL_VALUE: dict[str, Callable[[str], object]] = {
+    "bob_state": _parser(BellStateId),
+    **dict.fromkeys(
+        ["alice_decoded_state", "alice_bell_outcome", "alice_target", "bob_decoded", "eve_substitute",
+         "eve_bell_outcome"],
+        _parser([None, *BellStateId]),
+    ),
+    **dict.fromkeys(["alice_basis", "bob_decoded_basis", "control_basis"], _parser([None, *Basis])),
+    "alice_pauli": _parser([None, *PauliOp]),
+    **dict.fromkeys(["alice_setting", "bob_setting"], _parser([None, 0, 1])),
+    **dict.fromkeys(["alice_angle", "bob_angle"], lambda cell: float(cell) if cell != "" else None),
+    **dict.fromkeys(["outcome_1", "outcome_2"], _parser([None, +1, -1])),
+    **dict.fromkeys(["correlated", "qber_pass", "control_pass"], _parser([None, True, False])),
+    **dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], _parser([None, 0, 1, 2, 3])),
+}
+#: The columns each record type fills.
+_OWN_COLUMNS = {
+    record_type: {f.name for f in fields(record_type)} | {"outcome_1", "outcome_2", *_EVE_FIELDS}
+    for record_type, _ in _RECORD_TYPES.values()
+}
 
 
-def _eve_log_from_row(row: dict[str, str]) -> EveLog | None:
-    cells = [row[c] for c in _EVE_COLUMNS]
-    if all(c == "" for c in cells):
-        return None
-    return EveLog(
-        substitute_state=_opt(row["eve_substitute"], _STATE_BY_NAME.__getitem__),
-        bell_outcome=_opt(row["eve_bell_outcome"], _STATE_BY_NAME.__getitem__),
-        guessed_alice_bit=_opt(row["eve_guessed_alice_bit"], int),
-        guessed_bob_bit=_opt(row["eve_guessed_bob_bit"], int),
-        measured_bases=(),
-        measured_outcomes=(),
-        observations=(),
-    )
+def _value(column: str, cell: str, parse: Callable[[str], object]):
+    try:
+        return parse(cell)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad {column} cell {cell!r}") from None
+
+
+def _parse_leaf(cells: list[str], eve_logs: dict) -> tuple[type, tuple]:
+    """The record type of a row whose cells after ``pair_index`` are
+    ``cells``, and its fields after ``pair_index``.  ``eve_logs`` holds the
+    Eve log of each set of Eve cells parsed so far (None for empty cells)."""
+    if len(cells) != len(CSV_COLUMNS) - 1:
+        raise ValueError(f"{len(cells) + 1} cells, expected {len(CSV_COLUMNS)}")
+    record_type, mode = _value("protocol", cells[0], _RECORD_TYPES.__getitem__)
+    values = {"mode": _value("mode", cells[1], mode)}
+    own = _OWN_COLUMNS[record_type]
+    for column, cell in zip(CSV_COLUMNS[3:], cells[2:]):
+        if column in own:
+            values[column] = _value(column, cell, _CELL_VALUE[column])
+        elif cell != "":
+            raise ValueError(f"{column} cell {cell!r} in a {cells[0]} row")
+    values["outcomes"] = tuple(v for v in (values["outcome_1"], values["outcome_2"]) if v is not None)
+    values["announcements"] = ()
+    eve = tuple(values[column] for column in _EVE_FIELDS)
+    if eve not in eve_logs:
+        eve_logs[eve] = EveLog(
+            measured_bases=(), measured_outcomes=(), observations=(), **dict(zip(_EVE_FIELDS.values(), eve))
+        )
+    values["eve_log"] = eve_logs[eve]
+    return record_type, tuple(values[f.name] for f in fields(record_type)[1:])
 
 
 def load_records_csv(path) -> list:
     """Rebuild records from a CSV transcript.
 
-    Announcement lists and Eve's measurement and observation traces are not
-    serialized to CSV (loaded logs hold empty tuples there); everything the
-    estimators consume round-trips.  Records with equal cells share one
-    outcome tuple, angle and Eve log object, so a loaded transcript costs
-    about 200 bytes per round; treat the loaded logs as read-only.
+    Loading is strict: a row with too few or too many cells, a cell no
+    record renders to, or a non-empty cell in the other protocol's columns
+    raises ValueError naming the line.  Announcement lists and Eve's
+    measurement and observation traces are not serialized to CSV (loaded
+    logs hold empty tuples there); everything the estimators consume
+    round-trips.  Each distinct row past ``pair_index`` is parsed once, and
+    every row with those cells shares its field values (equal Eve cells
+    share one log as well), so a loaded transcript costs about 200 bytes per
+    round; treat the loaded logs as read-only.
     """
-    shared = {}.setdefault  # equal outcome tuples and angle cells
-    logs: dict[tuple[str, ...], EveLog | None] = {}
-
-    def angle(cell: str) -> float:
-        return shared(cell, float(cell))
-
-    def eve_log(row: dict[str, str]) -> EveLog | None:
-        key = tuple([row[c] for c in _EVE_COLUMNS])
-        if key not in logs:
-            logs[key] = _eve_log_from_row(row)
-        return logs[key]
-
+    leaves: dict[str, tuple[type, tuple]] = {}
+    eve_logs: dict[tuple, EveLog | None] = {(None,) * len(_EVE_FIELDS): None}
+    records = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        records = []
-        for row in reader:
-            outcomes = tuple(
-                int(row[c]) for c in ("outcome_1", "outcome_2") if row[c] != ""
-            )
-            outcomes = shared(outcomes, outcomes)
-            if row["protocol"] == "base":
-                records.append(
-                    PairRecord(
-                        pair_index=int(row["pair_index"]),
-                        mode=Mode(row["mode"]),
-                        bob_state=_STATE_BY_NAME[row["bob_state"]],
-                        alice_basis=_opt(row["alice_basis"], Basis),
-                        alice_setting=_opt(row["alice_setting"], int),
-                        alice_angle=_opt(row["alice_angle"], angle),
-                        bob_setting=_opt(row["bob_setting"], int),
-                        bob_angle=_opt(row["bob_angle"], angle),
-                        outcomes=outcomes,
-                        announcements=(),
-                        correlated=_opt(row["correlated"], lambda c: c == "1"),
-                        bob_decoded_basis=_opt(row["bob_decoded_basis"], Basis),
-                        alice_decoded_state=_opt(row["alice_decoded_state"], _STATE_BY_NAME.get),
-                        qber_pass=_opt(row["qber_pass"], lambda c: c == "1"),
-                        eve_log=eve_log(row),
-                    )
-                )
-            elif row["protocol"] == "modified":
-                records.append(
-                    ModifiedPairRecord(
-                        pair_index=int(row["pair_index"]),
-                        mode=ModifiedMode(row["mode"]),
-                        bob_state=_STATE_BY_NAME[row["bob_state"]],
-                        alice_bell_outcome=_opt(row["alice_bell_outcome"], _STATE_BY_NAME.get),
-                        alice_pauli=_opt(row["alice_pauli"], _PAULI_BY_NAME.get),
-                        alice_target=_opt(row["alice_target"], _STATE_BY_NAME.get),
-                        bob_decoded=_opt(row["bob_decoded"], _STATE_BY_NAME.get),
-                        control_basis=_opt(row["control_basis"], Basis),
-                        outcomes=outcomes,
-                        control_pass=_opt(row["control_pass"], lambda c: c == "1"),
-                        announcements=(),
-                        eve_log=eve_log(row),
-                    )
-                )
-            else:
-                raise ValueError(f"unknown protocol tag {row['protocol']!r}")
+        header = handle.readline().rstrip("\r\n").split(",")
+        if header != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV header: {header}")
+        for lineno, line in enumerate(handle, start=2):
+            index, _, suffix = line.partition(",")
+            try:
+                if suffix not in leaves:
+                    leaves[suffix] = _parse_leaf(suffix.rstrip("\r\n").split(","), eve_logs)
+                record_type, rest = leaves[suffix]
+                records.append(record_type(_value("pair_index", index, int), *rest))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 

@@ -495,12 +495,13 @@ class Session:
     is never larger than ``CHUNK`` or than the number of pairs before it, so
     the first pairs, which build the trie, come in small chunks.
 
-    ``leaf_ids()`` yields the leaf of each pair, a chunk at a time, and
-    ``leaves`` holds one record per leaf (its ``pair_index`` is that of the
-    first pair to reach it), so consumers can work per leaf instead of per
-    pair.  The trie relies on the adversary contract: a round's record is a
-    function of its draws and its events, and an adversary resets its
-    per-pair state in ``begin_pair``.
+    ``leaf_ids()`` yields the leaf of each pair, a chunk at a time,
+    ``leaf_counts()`` the number of pairs per leaf, and ``leaves`` holds one
+    record per leaf (its ``pair_index`` is that of the first pair to reach
+    it), so consumers can work per leaf instead of per pair.  The trie
+    relies on the adversary contract: a round's record is a function of its
+    draws and its events, and an adversary resets its per-pair state in
+    ``begin_pair``.
     """
 
     def __init__(self, config: SimulationConfig, adversary: "Adversary | None") -> None:
@@ -554,6 +555,16 @@ class Session:
                 code[j] = self._resolve(start + j)
             yield -2 - code
             start = stop
+
+    def leaf_counts(self) -> list[int]:
+        """How many pairs reach each leaf, in ``leaves`` order, from one
+        walk of the whole session."""
+        reached = np.zeros(0, dtype=np.int64)
+        for ids in self.leaf_ids():
+            counts = np.bincount(ids, minlength=len(self.leaves))
+            counts[: len(reached)] += reached
+            reached = counts
+        return reached.tolist()
 
     def _walk(self, keys: np.ndarray) -> np.ndarray:
         """The trie code each pair's draws lead to: a leaf, or _UNSEEN where

@@ -256,38 +256,67 @@ def test_csv_row_per_record_with_fixed_header(tmp_path):
     assert len(lines) == 121
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [
-        ["--check", "chsh", "--attack", "qmm-swap"],
-        ["--check", "qber", "--attack", "ir"],
-        ["--protocol", "modified", "--attack", "qmm"],
-    ],
-)
-def test_csv_round_trip(tmp_path, extra):
+@pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)
+def test_csv_round_trip(tmp_path, protocol, attack, check):
     out = tmp_path / "records.csv"
-    argv = ["--pairs", "300", "--control-prob", "0.5", "--seed", "19", "--format", "csv",
-            "--out", str(out)] + extra
+    argv = ["--protocol", protocol.value, "--attack", attack.value, "--check", check.value,
+            "--pairs", "300", "--control-prob", "0.5", "--seed", "19", "--format", "csv", "--out", str(out)]
     assert run_cli(argv) == 0
-    spec = parse_args(argv)
-    records = list(run_session(spec.config))
+    config = parse_args(argv).config
 
     loaded = load_records_csv(out)
-    assert len(loaded) == len(records)
+    assert len(loaded) == config.pairs
     # Loading and re-writing is byte-stable.
     rewritten = io.StringIO()
     records_to_csv(loaded, rewritten)
     assert rewritten.getvalue().encode() == out.read_bytes()
-    # Estimators see the same data through the round trip.
-    report_direct = build_report(records, spec.config)
-    report_loaded = build_report(loaded, spec.config)
-    assert report_loaded.qber_checks == report_direct.qber_checks
-    assert report_loaded.qber_errors == report_direct.qber_errors
-    assert report_loaded.chsh_counts == report_direct.chsh_counts
-    assert report_loaded.chsh_products == report_direct.chsh_products
-    assert report_loaded.alice_decode_ok == report_direct.alice_decode_ok
-    assert estimate_qber(loaded) == estimate_qber(records)
-    assert estimate_chsh(loaded, spec.config.settings) == estimate_chsh(records, spec.config.settings)
+    # Estimators see the same data through the round trip: every counter,
+    # the raw CHSH dicts included.
+    assert build_report(loaded, config) == build_report(run_session(config), config)
+    assert estimate_qber(loaded) == estimate_qber(run_session(config))
+    assert estimate_chsh(loaded, config.settings) == estimate_chsh(run_session(config), config.settings)
+
+
+def _set_cell(column: str, text: str):
+    at = CSV_COLUMNS.index(column)
+    return lambda cells: cells[:at] + [text] + cells[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "protocol,edit,needle",
+    [
+        ("base", _set_cell("alice_decoded_state", "psi_plu"), "alice_decoded_state cell 'psi_plu'"),
+        ("modified", _set_cell("alice_bell_outcome", "phi_plu"), "alice_bell_outcome cell 'phi_plu'"),
+        ("modified", _set_cell("alice_pauli", "sigma4"), "alice_pauli cell 'sigma4'"),
+        ("modified", _set_cell("alice_target", "psi-minus"), "alice_target cell 'psi-minus'"),
+        ("modified", _set_cell("bob_decoded", "Phi_minus"), "bob_decoded cell 'Phi_minus'"),
+        ("base", _set_cell("correlated", "yes"), "correlated cell 'yes'"),
+        ("base", lambda cells: cells[:-1], "24 cells, expected 25"),
+        ("base", lambda cells: cells + [""], "26 cells, expected 25"),
+        ("base", _set_cell("alice_target", "psi_plus"), "alice_target cell 'psi_plus' in a base row"),
+        ("modified", _set_cell("alice_basis", "x"), "alice_basis cell 'x' in a modified row"),
+    ],
+    ids=[
+        "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
+        "misspelled-decoded", "bad-bit", "short-row", "extra-cell", "base-row-four-state-cell",
+        "modified-row-base-cell",
+    ],
+)
+def test_csv_loading_is_strict(tmp_path, protocol, edit, needle):
+    # One bad cell in a clean transcript must not load as a plausible but
+    # wrong record: the loader names the line and the cell instead.
+    config = parse_args(["--protocol", protocol, "--pairs", "200", "--control-prob", "0.5", "--seed", "6"]).config
+    text = io.StringIO()
+    records_to_csv(run_session(config), text)
+    lines = text.getvalue().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if ",message," in line)
+    lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
+    out = tmp_path / "records.csv"
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_records_csv(out)
+    assert str(err.value).startswith(f"line {lineno}: ")
+    assert needle in str(err.value)
 
 
 @pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)
@@ -301,6 +330,9 @@ def test_artifacts_equal_standalone_rounds(protocol, attack, check, capsys):
     expected_csv = io.StringIO()
     records_to_csv(reference, expected_csv)
     expected_json = json.dumps(build_report(reference, config).to_dict(), indent=2, allow_nan=False) + "\n"
+    # The weighted tally of the session's leaves gives every raw counter,
+    # including the CHSH dicts the JSON does not show.
+    assert build_report(run_session(config), config) == build_report(reference, config)
     assert run_cli(argv + ["--format", "csv"]) == 0
     assert capsys.readouterr().out == expected_csv.getvalue()
     assert run_cli(argv + ["--format", "json"]) == 0
