@@ -13,7 +13,6 @@ import gc
 import json
 import os
 import sys
-import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -354,7 +353,8 @@ def load_records_csv(path) -> list:
     """Rebuild records from a CSV transcript.
 
     Loading is strict: a row with too few or too many cells, a cell no
-    record renders to, or a non-empty cell in the other protocol's columns
+    record renders to, a non-empty cell in the other protocol's columns, or
+    a ``pair_index`` other than the row's position (0 for the first row)
     raises ValueError naming the line.  Announcement lists and Eve's
     measurement and observation traces are not serialized to CSV (loaded
     logs hold empty tuples there); everything the estimators consume
@@ -376,7 +376,9 @@ def load_records_csv(path) -> list:
                 if suffix not in leaves:
                     leaves[suffix] = _parse_leaf(suffix.rstrip("\r\n").split(","), eve_logs)
                 record_type, rest = leaves[suffix]
-                records.append(record_type(_value("pair_index", index, int), *rest))
+                if index != str(len(records)):
+                    raise ValueError(f"pair_index cell {index!r}, expected {len(records)}")
+                records.append(record_type(len(records), *rest))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return records
@@ -388,8 +390,10 @@ def load_records_csv(path) -> list:
 
 def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
     # Never leave a partial artifact: ``write`` fills a sibling temp file,
-    # which is then renamed over ``path``.
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    # which is then renamed over ``path``.  The temp file is created with
+    # mode 0o666, as ``open`` creates a file, so the umask alone trims it.
+    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             write(handle)

@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .config import SimulationConfig
-from .protocol import BASIS_CHOICE, FOUR_STATE_CHOICE, _Round, _control_choice, correlation_signature
-from .quantum import Basis, BellStateId, Outcome, PauliOp
+from .protocol import BASIS_CHOICE, FOUR_STATE_CHOICE, _Round, correlation_signature
+from .quantum import Basis, BellStateId, Choice, Outcome, PauliOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
@@ -39,7 +39,6 @@ __all__ = [
     "RECEIPT_BITS",
     "ReceiptAck",
     "StateDisclosure",
-    "bits_to_state",
     "modified_efficiency",
     "pauli_for_target",
     "pauli_transition",
@@ -79,8 +78,6 @@ class StateDisclosure:
 ModifiedMessage = Union[ReceiptAck, PauliAnnouncement, ModifiedControlDisclosure, StateDisclosure]
 
 
-_BITS_TO_STATE = {b.bits: b for b in BellStateId}
-
 # A Pauli on qubit 0 permutes the Bell states; in the two-bit encoding each
 # permutation is an XOR mask (verified against the matrix oracle in tests).
 _PAULI_MASK = {
@@ -92,16 +89,10 @@ _PAULI_MASK = {
 _MASK_TO_PAULI = {mask: op for op, mask in _PAULI_MASK.items()}
 
 
-def bits_to_state(bits: int) -> BellStateId:
-    if bits not in _BITS_TO_STATE:
-        raise ValueError(f"two-bit value must lie in [0, 3], got {bits}")
-    return _BITS_TO_STATE[bits]
-
-
 def pauli_transition(state: BellStateId, op: PauliOp) -> BellStateId:
     """The Bell state (up to global phase) reached by applying ``op`` to the
     first qubit of ``state``."""
-    return _BITS_TO_STATE[state.bits ^ _PAULI_MASK[op]]
+    return BellStateId(state.bits ^ _PAULI_MASK[op])
 
 
 def pauli_for_target(current: BellStateId, target: BellStateId) -> PauliOp:
@@ -128,26 +119,17 @@ class ModifiedPairRecord:
 
 
 def run_modified_pair(
-    config: SimulationConfig,
-    adversary: "Adversary | None",
-    pair_index: int,
-    *,
-    alice_bits: int | None = None,
-    bob_bits: int | None = None,
-    _path: list | None = None,
+    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _path: list | None = None
 ) -> ModifiedPairRecord:
     """One four-state round; deterministic given (config, pair_index,
-    payload bits, adversary type).  ``_path`` collects the round's choices
-    for the session trie, as in :func:`protocol.run_pair`."""
+    adversary type).  ``_path`` collects the round's choices for the session
+    trie, as in :func:`protocol.run_pair`."""
     round_ = _Round(config, adversary, pair_index, _path)
     honest = round_.honest
     system = round_.system
 
-    if bob_bits is None:
-        bob_state = honest.choose(FOUR_STATE_CHOICE)
-    else:
-        bob_state = bits_to_state(bob_bits)
-    control = honest.choose(_control_choice(config.control_probability))
+    bob_state = honest.choose(FOUR_STATE_CHOICE)
+    control = honest.choose(Choice((config.control_probability,), (True, False)))
     mode = ModifiedMode.CONTROL if control else ModifiedMode.MESSAGE
 
     first = round_.send_first(bob_state)
@@ -158,10 +140,7 @@ def run_modified_pair(
     if mode is ModifiedMode.MESSAGE:
         round_.announce(ReceiptAck())
         alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), honest)
-        if alice_bits is None:
-            alice_target = honest.choose(FOUR_STATE_CHOICE)
-        else:
-            alice_target = bits_to_state(alice_bits)
+        alice_target = honest.choose(FOUR_STATE_CHOICE)
         alice_pauli = pauli_for_target(alice_bell_outcome, alice_target)
         round_.announce(PauliAnnouncement(op=alice_pauli))
         bob_decoded = pauli_transition(bob_state, alice_pauli)

@@ -23,8 +23,8 @@ One round ("pair") of the base protocol:
 
 Every random choice of a round - a party's bits, the control flag, a
 measurement's branch, the attacker's moves - is a :class:`~quantum.Choice`
-resolved by one uniform draw through ``_Round.draw``.  Draw ``slot`` of lane
-``lane`` of pair ``pair_index`` is a pure function of (seed, pair_index,
+resolved by the next uniform of its party's :class:`Lane`.  Draw ``slot`` of
+lane ``lane`` of pair ``pair_index`` is a pure function of (seed, pair_index,
 lane, slot) (:mod:`duplexqkd.stream`), so records are reproducible and
 independent of how many pairs ran before them.  The adversary draws from its
 own lane: honest randomness is identical with and without an attack in
@@ -41,7 +41,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -51,7 +50,6 @@ from .quantum import (
     Basis,
     BELL_ORDER,
     BellStateId,
-    ChshSettings,
     Choice,
     Outcome,
     PlanarObservable,
@@ -63,7 +61,7 @@ from .quantum import (
     measure_qubit,
     tensor,
 )
-from .stream import LANES, PairStream, stream_key, stream_keys, uniform, uniforms
+from .stream import LANES, stream_key, stream_keys, uniform, uniforms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
@@ -258,26 +256,6 @@ class PairRecord:
 _HONEST_LANE, _EVE_LANE = range(LANES)
 
 
-def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> PairStream:
-    """Per-pair random stream keyed by (seed, pair_index, lane); pair i's
-    draws do not depend on how many pairs ran before it.  Honest parties and
-    the adversary draw from different lanes, so honest randomness is the
-    same with and without an attack."""
-    return PairStream(seed, pair_index, lane)
-
-
-@lru_cache(maxsize=8)
-def _setting_observables(settings: ChshSettings):
-    alice = tuple(PlanarObservable(a) for a in settings.alice_angles)
-    bob = tuple(PlanarObservable(b) for b in settings.bob_angles)
-    return alice, bob
-
-
-@lru_cache(maxsize=8)
-def _control_choice(control_probability: float) -> Choice:
-    return Choice((control_probability,), (True, False))
-
-
 #: The honest parties' uniform choices.
 BOB_STATE_CHOICE = Choice.uniform(BIT_STATE)
 BASIS_CHOICE = Choice.uniform(BIT_BASIS)
@@ -286,65 +264,59 @@ FOUR_STATE_CHOICE = Choice.uniform(BELL_ORDER)
 
 
 class Lane:
-    """One party's draws in one round: every choice it makes reads the next
-    uniform of its own lane of the round's streams."""
+    """One party's draws in one round: lane ``lane`` of pair ``pair_index``,
+    read in slot order.  Every choice the party makes reads the next
+    uniform.  With ``path`` a list, each choice that the uniform decides is
+    appended to it as (lane, slot, cuts, branch index): the round's path
+    through its session's trie."""
 
-    __slots__ = ("_round", "_lane")
+    __slots__ = ("key", "slot", "_lane", "_path")
 
-    def __init__(self, round_: "_Round", lane: int) -> None:
-        self._round = round_
+    def __init__(self, seed: int, pair_index: int, lane: int, path: list | None = None) -> None:
+        self.key = stream_key(seed, pair_index, lane)
+        self.slot = 0
         self._lane = lane
+        self._path = path
 
     def draw(self, choice: Choice) -> float:
         """The uniform that resolves ``choice``."""
-        return self._round.draw(self._lane, choice)
+        slot = self.slot
+        u = uniform(self.key, slot)
+        if self._path is not None and choice.cuts:
+            self._path.append((self._lane, slot, choice.cuts, bisect_right(choice.cuts, u)))
+        self.slot = slot + 1
+        return u
 
     def choose(self, choice: Choice):
         """The branch of ``choice`` this lane's next uniform selects."""
         return choice.pick(self.draw(choice))
 
 
+def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> Lane:
+    """Per-pair random stream keyed by (seed, pair_index, lane); pair i's
+    draws do not depend on how many pairs ran before it.  Honest parties and
+    the adversary draw from different lanes, so honest randomness is the
+    same with and without an attack."""
+    return Lane(seed, pair_index, lane)
+
+
 class _Round:
     """The scaffold every round of either protocol shares: the pair's honest
-    and adversary streams, the live qubits, the channel adversary's hooks
-    and the public announcement list.  With no adversary the qubits travel
-    untouched and no adversary stream is made.  With ``path`` a list, each
-    choice that ``u`` decides is appended to it as (lane, slot, cuts, branch
-    index): the round's path through its session's trie."""
+    and adversary lanes, the live qubits, the channel adversary's hooks and
+    the public announcement list.  With no adversary the qubits travel
+    untouched and ``eve`` is None.  Both lanes append to ``path`` (see
+    :class:`Lane`)."""
 
-    __slots__ = ("system", "announcements", "_adversary", "_streams", "_path")
+    __slots__ = ("system", "announcements", "honest", "eve", "_adversary")
 
     def __init__(
         self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int, path: list | None
     ) -> None:
-        self._path = path
         self.system = PairSystem()
         self.announcements: list = []
+        self.honest = Lane(config.seed, pair_index, _HONEST_LANE, path)
+        self.eve = Lane(config.seed, pair_index, _EVE_LANE, path) if adversary is not None else None
         self._adversary = adversary
-        self._streams = (
-            pair_stream(config.seed, pair_index, _HONEST_LANE),
-            pair_stream(config.seed, pair_index, _EVE_LANE) if adversary is not None else None,
-        )
-
-    # Lanes are made on demand: a round that held its own lanes would be a
-    # reference cycle, left for the cyclic collector after every round.
-    @property
-    def honest(self) -> Lane:
-        return Lane(self, _HONEST_LANE)
-
-    @property
-    def eve(self) -> Lane:
-        return Lane(self, _EVE_LANE)
-
-    def draw(self, lane: int, choice: Choice) -> float:
-        """The one source of randomness in a round: the next uniform of
-        ``lane``, which resolves ``choice``."""
-        stream = self._streams[lane]
-        slot = stream.slot
-        u = stream.random()
-        if self._path is not None and choice.cuts:
-            self._path.append((lane, slot, choice.cuts, bisect_right(choice.cuts, u)))
-        return u
 
     def send_first(self, bob_state: BellStateId) -> str:
         """Bob prepares his pair and the first half crosses the channel;
@@ -373,31 +345,21 @@ class _Round:
 
 
 def run_pair(
-    config: SimulationConfig,
-    adversary: "Adversary | None",
-    pair_index: int,
-    *,
-    alice_bit: int | None = None,
-    bob_bit: int | None = None,
-    _path: list | None = None,
+    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _path: list | None = None
 ) -> PairRecord:
-    """Execute one round; deterministic given (config, pair_index, payload
-    bits, adversary type).
-
-    ``alice_bit`` / ``bob_bit`` optionally pin the payload choices of a
-    message round; by default both parties draw uniformly.  ``_path``
-    collects the round's choices for the session trie (see ``_Round``).
-    """
+    """Execute one round; deterministic given (config, pair_index, adversary
+    type).  ``_path`` collects the round's choices for the session trie (see
+    :class:`Lane`)."""
     round_ = _Round(config, adversary, pair_index, _path)
     honest = round_.honest
     system = round_.system
 
     # Bob's state choice.
-    bob_state = honest.choose(BOB_STATE_CHOICE) if bob_bit is None else BIT_STATE[bob_bit]
+    bob_state = honest.choose(BOB_STATE_CHOICE)
 
     # The encoding party flags the round as control with probability C; the
     # flag stays private until Alice's first measurement is announced.
-    control = honest.choose(_control_choice(config.control_probability))
+    control = honest.choose(Choice((config.control_probability,), (True, False)))
     if control:
         mode = Mode.CONTROL_CHSH if config.check_kind is CheckKind.CHSH else Mode.CONTROL_QBER
     else:
@@ -407,18 +369,14 @@ def run_pair(
 
     # Alice's first measurement (a CHSH angle in control-CHSH rounds, her
     # basis bit otherwise).
-    alice_obs_set, bob_obs_set = _setting_observables(config.settings)
     alice_basis: Basis | None = None
     alice_setting = alice_angle = None
     if mode is Mode.CONTROL_CHSH:
         alice_setting = honest.choose(SETTING_CHOICE)
         alice_angle = config.settings.alice_angles[alice_setting]
-        first_obs = alice_obs_set[alice_setting]
+        first_obs = PlanarObservable(alice_angle)
     else:
-        if alice_bit is None or mode is not Mode.MESSAGE:
-            alice_basis = honest.choose(BASIS_CHOICE)
-        else:
-            alice_basis = BIT_BASIS[alice_bit]
+        alice_basis = honest.choose(BASIS_CHOICE)
         first_obs = alice_basis.observable
     outcome_1 = system.measure(first, first_obs, honest)
 
@@ -436,7 +394,7 @@ def run_pair(
         # Bob keeps the second half and measures locally.
         bob_setting = honest.choose(SETTING_CHOICE)
         bob_angle = config.settings.bob_angles[bob_setting]
-        outcome_2 = system.measure("bob1", bob_obs_set[bob_setting], honest)
+        outcome_2 = system.measure("bob1", PlanarObservable(bob_angle), honest)
         outcomes = (outcome_1, outcome_2)
         round_.announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
         round_.announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))

@@ -220,7 +220,7 @@ class PureState:
                 f"1..{MAX_QUBITS} qubits"
             )
         norm_sq = float((amps.real**2 + amps.imag**2).sum())
-        if abs(norm_sq - 1.0) > ATOL_ALGEBRA:
+        if not abs(norm_sq - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -15,8 +15,8 @@ is a 53-bit double in [0, 1).  No draw depends on any other, so a pair can be
 replayed alone and many pairs can be drawn at once.
 
 The arithmetic is written twice: in Python integers for one round
-(:class:`PairStream`) and in numpy ``uint64``, which wraps mod 2**64, for
-many pairs (:func:`stream_keys`, :func:`uniforms`).  The two agree bit for
+(:func:`stream_key`, :func:`uniform`) and in numpy ``uint64``, which wraps
+mod 2**64, for many pairs (:func:`stream_keys`, :func:`uniforms`).  The two agree bit for
 bit.  ``STREAM_VERSION`` names this definition in every report.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LANES", "STREAM_VERSION", "PairStream", "stream_key", "stream_keys", "uniform", "uniforms"]
+__all__ = ["LANES", "STREAM_VERSION", "stream_key", "stream_keys", "uniform", "uniforms"]
 
 #: Version of the draw definition above, echoed in every report's config.
 STREAM_VERSION = 2
@@ -53,22 +53,6 @@ def stream_key(seed: int, pair: int, lane: int) -> int:
 def uniform(key: int, slot: int) -> float:
     """Draw ``slot`` of the lane with this key."""
     return (_mix((key + GAMMA * (slot + 1)) & _MASK) >> 11) * _UNIT
-
-
-class PairStream:
-    """The draws of one lane of one pair, in slot order."""
-
-    __slots__ = ("key", "slot")
-
-    def __init__(self, seed: int, pair: int, lane: int) -> None:
-        self.key = stream_key(seed, pair, lane)
-        self.slot = 0
-
-    def random(self) -> float:
-        """The next draw, in [0, 1)."""
-        u = uniform(self.key, self.slot)
-        self.slot += 1
-        return u
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:

@@ -295,11 +295,14 @@ def _set_cell(column: str, text: str):
         ("base", lambda cells: cells + [""], "26 cells, expected 25"),
         ("base", _set_cell("alice_target", "psi_plus"), "alice_target cell 'psi_plus' in a base row"),
         ("modified", _set_cell("alice_basis", "x"), "alice_basis cell 'x' in a modified row"),
+        ("base", _set_cell("pair_index", "11"), "pair_index cell '11', expected 12"),
+        ("modified", _set_cell("pair_index", "-7"), "pair_index cell '-7', expected 12"),
+        ("base", _set_cell("pair_index", "1_2"), "pair_index cell '1_2', expected 12"),
     ],
     ids=[
         "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
         "misspelled-decoded", "bad-bit", "short-row", "extra-cell", "base-row-four-state-cell",
-        "modified-row-base-cell",
+        "modified-row-base-cell", "repeated-index", "negative-index", "underscored-index",
     ],
 )
 def test_csv_loading_is_strict(tmp_path, protocol, edit, needle):
@@ -309,7 +312,9 @@ def test_csv_loading_is_strict(tmp_path, protocol, edit, needle):
     text = io.StringIO()
     records_to_csv(run_session(config), text)
     lines = text.getvalue().splitlines()
-    lineno = next(n for n, line in enumerate(lines, start=1) if ",message," in line)
+    # The first message row from pair 10 on: its index has two digits and
+    # rows before it.
+    lineno = next(n for n, line in enumerate(lines[11:], start=12) if ",message," in line)
     lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
     out = tmp_path / "records.csv"
     out.write_text("\n".join(lines) + "\n")
@@ -428,11 +433,14 @@ def test_console_entry_point_registered():
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _spawn(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a child that imports this checkout's package."""
+def _spawn(*args: str, umask: int = -1) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child that imports this checkout's package
+    (with ``umask`` set in the child, unless it is -1)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, umask=umask
+    )
 
 
 @pytest.mark.parametrize("case", ["base none chsh json", "base qmm-swap chsh csv"])
@@ -445,6 +453,17 @@ def test_module_entry_writes_golden_artifact(case, tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_out_artifact_mode_follows_the_umask(tmp_path, umask, mode):
+    # An artifact gets the mode a plain ``open`` would give it, and its temp
+    # file does not outlive the write.
+    out = tmp_path / "r.json"
+    child = _spawn("-m", "duplexqkd.cli", "--pairs", "10", "--out", str(out), umask=umask)
+    assert child.returncode == 0, child.stderr
+    assert out.stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_module_entry_usage_error_exits_2():

@@ -19,7 +19,6 @@ from duplexqkd.fourstate import (
     RECEIPT_BITS,
     ReceiptAck,
     StateDisclosure,
-    bits_to_state,
     modified_efficiency,
     pauli_for_target,
     pauli_transition,
@@ -100,9 +99,9 @@ def test_pauli_permutations_form_klein_four_group():
 def test_two_bit_encoding_bijection():
     assert [s.bits for s in BellStateId] == [0, 1, 2, 3]
     for bits in range(4):
-        assert bits_to_state(bits).bits == bits
+        assert BellStateId(bits).bits == bits
     with pytest.raises(ValueError):
-        bits_to_state(4)
+        BellStateId(4)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +117,15 @@ def test_clean_rounds_decode_both_directions():
 
 
 def test_all_bit_combinations_decode():
-    config = _config()
-    for bob_bits in range(4):
-        for alice_bits in range(4):
-            record = run_modified_pair(config, None, 5, alice_bits=alice_bits, bob_bits=bob_bits)
-            assert record.alice_bell_outcome == record.bob_state == bits_to_state(bob_bits)
-            assert record.bob_decoded == record.alice_target == bits_to_state(alice_bits)
+    # Every (Bob's two bits, Alice's two bits) occurs among a seeded
+    # session's clean message rounds, and each decodes both ways.
+    combinations = set()
+    for record in run_session(_config()):
+        assert record.mode is ModifiedMode.MESSAGE
+        assert record.alice_bell_outcome == record.bob_state
+        assert record.bob_decoded == record.alice_target
+        combinations.add((record.bob_state.bits, record.alice_target.bits))
+    assert combinations == set(product(range(4), range(4)))
 
 
 def test_message_round_announcements():

@@ -101,21 +101,28 @@ def _config(**kwargs) -> SimulationConfig:
     return SimulationConfig(**defaults)
 
 
+def _clean_message_rounds() -> dict:
+    """The first clean message round of a seeded session for each (Bob's
+    state, Alice's basis); all four occur among 100 pairs."""
+    rounds: dict = {}
+    for record in run_session(_config(pairs=100)):
+        assert record.mode is Mode.MESSAGE
+        rounds.setdefault((record.bob_state, record.alice_basis), record)
+    assert set(rounds) == {(state, basis) for state in BIT_STATE for basis in BIT_BASIS}
+    return rounds
+
+
 def test_clean_message_round_phi_minus_z():
-    record = run_pair(_config(), None, 0, alice_bit=1, bob_bit=1)
-    assert record.bob_state is BellStateId.PHI_MINUS
-    assert record.alice_basis is Basis.Z
+    record = _clean_message_rounds()[(BellStateId.PHI_MINUS, Basis.Z)]
     assert record.correlated is True
     assert record.bob_decoded_basis is Basis.Z
     assert record.alice_decoded_state is BellStateId.PHI_MINUS
 
 
 def test_clean_message_decodes_all_bit_combinations():
-    for alice_bit in (0, 1):
-        for bob_bit in (0, 1):
-            record = run_pair(_config(), None, 3, alice_bit=alice_bit, bob_bit=bob_bit)
-            assert record.bob_decoded_basis == record.alice_basis == BIT_BASIS[alice_bit]
-            assert record.alice_decoded_state == record.bob_state == BIT_STATE[bob_bit]
+    for (bob_state, alice_basis), record in _clean_message_rounds().items():
+        assert record.bob_decoded_basis == alice_basis
+        assert record.alice_decoded_state == bob_state
 
 
 def test_clean_qber_checks_always_pass():
@@ -275,7 +282,7 @@ def test_keyed_stream_known_answers():
     assert {lane for (_, _, lane) in STREAM_VECTORS} == set(range(stream.LANES))
     for (seed, pair, lane), expected in STREAM_VECTORS.items():
         draws = pair_stream(seed, pair, lane)
-        python = [draws.random() for _ in expected]
+        python = [stream.uniform(draws.key, slot) for slot in range(len(expected))]
         assert [u * 2**53 for u in python] == list(expected)
         assert all(0.0 <= u < 1.0 for u in python)
         keys = stream.stream_keys(seed, np.array([pair, pair], dtype=np.uint64), lane)

@@ -94,6 +94,8 @@ def test_pure_state_rejects_unnormalized_and_oversized():
         PureState([0.5] * 3)
     with pytest.raises(ValueError):
         PureState([1.0] + [0.0] * 31)
+    with pytest.raises(ValueError):
+        PureState([math.nan, 0.0])
 
 
 # ---------------------------------------------------------------------------
