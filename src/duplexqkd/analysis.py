@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .config import SimulationConfig
 from .fourstate import ModifiedMode, modified_efficiency
 from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, Session, correlation_signature
 from .quantum import BellStateId, ChshSettings
+from .values import factory, value
 
 __all__ = [
     "ChshBinEstimate",
@@ -35,7 +35,7 @@ SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _PAIR_SIGNS = {(0, 0): +1.0, (0, 1): -1.0, (1, 0): +1.0, (1, 1): +1.0}
 
 
-@dataclass(frozen=True)
+@value
 class ChshBinEstimate:
     """Empirical CHSH estimate for one state bin.
 
@@ -50,12 +50,12 @@ class ChshBinEstimate:
     correlators: dict[tuple[int, int], float]
 
 
-@dataclass(frozen=True)
+@value
 class ChshEstimate:
     per_state: dict[BellStateId, ChshBinEstimate]
 
 
-@dataclass(frozen=True)
+@value
 class DetectionStats:
     """Control-check tally; the rate is undefined (None) with zero checks."""
 
@@ -121,7 +121,7 @@ def evasion_probability(control_probability: float, detection_rate: float, n: in
     return (1.0 - c) ** n / (1.0 - c * (1.0 - d)) ** n
 
 
-@dataclass(frozen=True)
+@value
 class EfficiencyQuery:
     """Secret-bit accounting for one accounting unit of a protocol."""
 
@@ -163,7 +163,7 @@ def efficiency_table() -> dict[str, Fraction]:
     }
 
 
-@dataclass
+@value(frozen=False)
 class SimulationReport:
     """Counter-level aggregation of a session (or any subset of its
     records).  Derived ratios are computed on demand; merging adds counters
@@ -184,8 +184,8 @@ class SimulationReport:
     eve_bob_correct: int = 0
     qber_checks: int = 0
     qber_errors: int = 0
-    chsh_counts: dict = field(default_factory=dict)
-    chsh_products: dict = field(default_factory=dict)
+    chsh_counts: dict = factory(dict)
+    chsh_products: dict = factory(dict)
 
     # -- derived quantities -------------------------------------------------
 
@@ -233,14 +233,14 @@ class SimulationReport:
         if self.config_echo != other.config_echo or self.seed != other.seed:
             raise ValueError("reports from different sessions cannot be merged")
         merged = {}
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name in ("config_echo", "seed"):
-                merged[f.name] = mine
+        for name in self._fields:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if name in ("config_echo", "seed"):
+                merged[name] = mine
             elif isinstance(mine, dict):
-                merged[f.name] = {key: mine.get(key, 0) + theirs.get(key, 0) for key in mine | theirs}
+                merged[name] = {key: mine.get(key, 0) + theirs.get(key, 0) for key in mine | theirs}
             else:
-                merged[f.name] = mine + theirs
+                merged[name] = mine + theirs
         return SimulationReport(**merged)
 
     # -- serialization ------------------------------------------------------

@@ -24,8 +24,6 @@ Three concrete attacks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from .quantum import Basis, BellStateId, Choice
 from .protocol import (
@@ -42,6 +40,7 @@ from .protocol import (
     bob_decode,
 )
 from .fourstate import PauliAnnouncement, pauli_transition
+from .values import factory, value
 
 __all__ = [
     "Adversary",
@@ -53,20 +52,20 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
+@value(frozen=False, slots=True)
 class EveLog:
     """What one attack round yielded, populated only from information the
     attack legitimately accessed."""
 
-    measured_bases: list = field(default_factory=list)
-    measured_outcomes: list = field(default_factory=list)
+    measured_bases: list = factory(list)
+    measured_outcomes: list = factory(list)
     substitute_state: BellStateId | None = None
     bell_outcome: BellStateId | None = None
     guessed_alice_bit: int | None = None
     guessed_bob_bit: int | None = None
     #: Ordered trace of everything Eve saw: ("qubit", leg) entries and
     #: ("announcement", message) entries.
-    observations: list = field(default_factory=list)
+    observations: list = factory(list)
 
 
 class Adversary:

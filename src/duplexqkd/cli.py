@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TextIO
 
@@ -24,6 +23,7 @@ from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, P
 from .fourstate import ModifiedMode, ModifiedPairRecord
 from .protocol import Mode, PairRecord, Session, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
+from .values import value
 
 __all__ = ["RunSpec", "UsageError", "entry", "load_records_csv", "main", "parse_args", "run_cli"]
 
@@ -36,7 +36,7 @@ class UsageError(Exception):
     """Bad flags or config-file entries; message names the offending flag."""
 
 
-@dataclass(frozen=True)
+@value
 class RunSpec:
     config: SimulationConfig
     out_format: str
@@ -254,7 +254,7 @@ def _record_row(record) -> str:
     ``outcome_1``/``outcome_2``, the Eve log fills the ``eve_*`` columns and
     every other column is empty.  No cell text needs quoting, so the cells
     are joined by bare commas."""
-    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    values = {name: getattr(record, name) for name in record._fields}
     values.update(zip(("outcome_1", "outcome_2"), record.outcomes))
     if record.eve_log is not None:
         values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
@@ -312,7 +312,7 @@ _CELL_VALUE: dict[str, Callable[[str], object]] = {
 }
 #: The columns each record type fills.
 _OWN_COLUMNS = {
-    record_type: {f.name for f in fields(record_type)} | {"outcome_1", "outcome_2", *_EVE_FIELDS}
+    record_type: {*record_type._fields, "outcome_1", "outcome_2", *_EVE_FIELDS}
     for record_type, _ in _RECORD_TYPES.values()
 }
 
@@ -346,7 +346,7 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> tuple[type, tuple]:
             measured_bases=(), measured_outcomes=(), observations=(), **dict(zip(_EVE_FIELDS.values(), eve))
         )
     values["eve_log"] = eve_logs[eve]
-    return record_type, tuple(values[f.name] for f in fields(record_type)[1:])
+    return record_type, tuple(values[name] for name in record_type._fields[1:])
 
 
 def load_records_csv(path) -> list:

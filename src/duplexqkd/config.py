@@ -1,14 +1,14 @@
-"""Run configuration: dataclasses shared by the protocol runners, the attack
+"""Run configuration: value types shared by the protocol runners, the attack
 layer, and the CLI."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .quantum import ChshSettings
 from .stream import STREAM_VERSION
+from .values import value
 
 __all__ = [
     "AttackKind",
@@ -55,7 +55,7 @@ DEFAULT_SETTINGS = ChshSettings(
     bob_angles=(0.75 * math.pi, 0.25 * math.pi),
 )
 
-@dataclass(frozen=True)
+@value
 class SimulationConfig:
     """Full description of a seeded session; two identical configs produce
     bit-identical transcripts."""

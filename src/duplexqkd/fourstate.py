@@ -16,7 +16,6 @@ passes iff the outcome product equals the state's deterministic signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
@@ -24,6 +23,7 @@ from typing import TYPE_CHECKING, Union
 from .config import SimulationConfig
 from .protocol import BASIS_CHOICE, FOUR_STATE_CHOICE, _Round, correlation_signature
 from .quantum import Basis, BellStateId, Choice, Outcome, PauliOp
+from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
@@ -51,12 +51,12 @@ class ModifiedMode(Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class ReceiptAck:
     """Alice confirms arrival of the first qubit (one classical bit)."""
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class PauliAnnouncement:
     """Alice's encoding: the index of the Pauli mapping Bob's state to her
     target (two classical bits)."""
@@ -64,13 +64,13 @@ class PauliAnnouncement:
     op: PauliOp
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class ModifiedControlDisclosure:
     basis: Basis
     outcome: Outcome
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class StateDisclosure:
     state_id: BellStateId
 
@@ -100,7 +100,7 @@ def pauli_for_target(current: BellStateId, target: BellStateId) -> PauliOp:
     return _MASK_TO_PAULI[current.bits ^ target.bits]
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class ModifiedPairRecord:
     """Transcript of one four-state round."""
 
@@ -177,7 +177,7 @@ OPERATION_INDEX_BITS = 2
 CLASSICAL_BITS_PER_RUN = RECEIPT_BITS + OPERATION_INDEX_BITS
 
 
-@dataclass(frozen=True)
+@value
 class ModifiedEfficiency:
     per_run: Fraction
     average: Fraction

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Union
 
@@ -62,6 +61,7 @@ from .quantum import (
     tensor,
 )
 from .stream import LANES, stream_key, stream_keys, uniform, uniforms
+from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
@@ -111,7 +111,7 @@ STATE_BIT = {BellStateId.PSI_PLUS: 0, BellStateId.PHI_MINUS: 1}
 BIT_STATE = (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class MeasuredFirst:
     """Alice's announcement that her first measurement is done; reveals the
     control flag and nothing else."""
@@ -119,12 +119,12 @@ class MeasuredFirst:
     control: bool
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class CorrelationAnnouncement:
     correlated: bool
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class ControlDisclosure:
     """CHSH-round disclosure of one party's setting and outcome; Bob's copy
     carries his state so estimates can be binned."""
@@ -134,7 +134,7 @@ class ControlDisclosure:
     state_id: BellStateId | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class QberDisclosure:
     basis: Basis
     correlated: bool
@@ -232,7 +232,7 @@ class PairSystem:
         return outcome
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class PairRecord:
     """Complete transcript of one base-protocol round."""
 
@@ -494,7 +494,7 @@ class Session:
         pair_index = 0
         for ids in self.leaf_ids():
             for record in self.leaves[len(rests) :]:
-                rests.append(tuple(getattr(record, field.name) for field in fields(record)[1:]))
+                rests.append(tuple(getattr(record, name) for name in record._fields[1:]))
             for leaf in ids.tolist():
                 yield type(self.leaves[leaf])(pair_index, *rests[leaf])
                 pair_index += 1

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .values import value
 
 __all__ = [
     "ATOL_ALGEBRA",
@@ -134,7 +135,7 @@ for _m in _PAULI_MATRICES.values():
     _m.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@value
 class PlanarObservable:
     """A +-1-valued observable in the sigma_z / sigma_x plane.
 
@@ -182,7 +183,7 @@ _BASIS_OBSERVABLES: dict[Basis, PlanarObservable] = {
 }
 
 
-@dataclass(frozen=True)
+@value
 class ChshSettings:
     """Measurement angles for CHSH testing: Alice's pair (a1_1, a1_2) and
     Bob's pair (a2_1, a2_2), all in radians."""
@@ -395,10 +396,10 @@ def _collapsed(
 
 def _measure_transition(state: PureState, qubit: int, angle: float) -> Choice:
     """The decision of a planar measurement: +1 with its collapsed state for
-    u < P(+1), else -1 with its own.  The -1 branch is never taken when its
-    probability is below ``_MIN_BRANCH`` (rounding of the Born sums cannot
-    then pick an impossible branch), and the +1 branch never when P(+1) is
-    exactly 0, so nothing divides by zero."""
+    u < P(+1), else -1 with its own.  A branch whose probability is below
+    ``_MIN_BRANCH`` is never taken and its state never built, so rounding
+    of the Born sums cannot pick an impossible branch (not even at u = 0)
+    and nothing divides by zero."""
     n = state.num_qubits
     amps = state.amplitudes.tolist()
     right = 1 << (n - 1 - qubit)  # stride of the addressed qubit's bit
@@ -419,10 +420,13 @@ def _measure_transition(state: PureState, qubit: int, angle: float) -> Choice:
             coeff_minus.append(cm)
             p_plus += cp.real * cp.real + cp.imag * cp.imag
             p_minus += cm.real * cm.real + cm.imag * cm.imag
-    plus = (+1, _collapsed(pairs, coeff_plus, p_plus, c, s, n)) if p_plus > 0.0 else None
-    if p_minus < _MIN_BRANCH:
+    minus = (-1, _collapsed(pairs, coeff_minus, p_minus, -s, c, n)) if p_minus >= _MIN_BRANCH else None
+    if p_plus < _MIN_BRANCH:
+        return Choice((), (minus,))
+    plus = (+1, _collapsed(pairs, coeff_plus, p_plus, c, s, n))
+    if minus is None:
         return Choice((), (plus,))
-    return Choice((p_plus,), (plus, (-1, _collapsed(pairs, coeff_minus, p_minus, -s, c, n))))
+    return Choice((p_plus,), (plus, minus))
 
 
 def measure_choice(state: PureState, qubit: int, obs: PlanarObservable) -> Choice:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import SESSION_CASES, standalone_rounds
 from duplexqkd import stream
-from duplexqkd.analysis import estimate_chsh, estimate_qber
+from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary
 from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import (
@@ -290,6 +290,48 @@ def test_keyed_stream_known_answers():
         for slot, u in enumerate(python):
             batch = stream.uniforms(keys, np.array([slot, slot], dtype=np.uint64))
             assert batch.dtype == np.float64 and batch.tolist() == [u, u]
+
+
+def _unmix(z: int) -> int:
+    """The inverse of ``stream._mix``: SplitMix64's finalizer is a bijection
+    (each xorshift and each odd multiplier inverts mod 2**64)."""
+
+    def unshift(y: int, shift: int) -> int:
+        x = y
+        for _ in range(64 // shift):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(z, 31) * pow(stream._MIX2, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(stream._MIX1, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def _seed_with_zero_draw(slot: int, low: int) -> int:
+    """A seed whose pair 0 draws exactly 0.0 at ``slot`` of the honest lane:
+    a draw keeps the top 53 bits of ``_mix(key + GAMMA * (slot + 1))``, so
+    each finalizer output ``low`` below 2**11 gives one such seed."""
+    key = (_unmix(low) - stream.GAMMA * (slot + 1)) % 2**64
+    return (_unmix(key) - stream.GAMMA) % 2**64
+
+
+@pytest.mark.parametrize("slot", range(8))
+def test_clean_rounds_hold_when_a_draw_is_zero(slot):
+    # A draw of exactly 0.0 lies below every cut, so it selects any branch
+    # that rounding left with a probability of about 1e-33.
+    for low in range(32):
+        seed = _seed_with_zero_draw(slot, low)
+        assert _unmix(stream._mix(seed)) == seed
+        assert stream.uniform(stream.stream_key(seed, 0, 0), slot) == 0.0
+        for protocol, check in [(ProtocolKind.BASE, CheckKind.CHSH), (ProtocolKind.BASE, CheckKind.QBER),
+                                (ProtocolKind.MODIFIED, CheckKind.QBER)]:
+            for control in (0.0, 0.999):
+                config = _config(pairs=1, seed=seed, protocol=protocol, check_kind=check,
+                                 control_probability=control)
+                report = build_report(run_session(config), config)
+                assert report.decode_accuracy_alice in (None, 1.0), config
+                assert report.decode_accuracy_bob in (None, 1.0), config
+            assert report.qber_errors == 0, config
 
 
 def _assert_session_equals_standalone_rounds(config: SimulationConfig, chunk: int) -> None:

@@ -466,7 +466,7 @@ def _oracle_measure(state, qubit, obs, rand):
             pairs.append(pair)
             coeff_plus.append(cp)
             p_plus += cp.real * cp.real + cp.imag * cp.imag
-    take_plus = rand < p_plus
+    take_plus = rand < p_plus and p_plus >= _MIN_BRANCH
     coeff_minus = []
     if not take_plus:
         p_minus = 0.0
@@ -610,6 +610,28 @@ def test_cached_transitions_equal_uncached_arithmetic(drawn, angle, u):
         if n + other.num_qubits <= 4:
             expected = np.kron(state.amplitudes, other.amplitudes)
             assert tensor(state, other).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_measure_choice_of_a_bell_state_keeps_no_branch_below_min_branch():
+    # Rounding leaves P(+1) about 1e-33 on the second X measurement of psi+
+    # and phi-.  Such a branch is impossible, and a draw of exactly 0.0 must
+    # not be able to select it.
+    observables = [Basis.X.observable, Basis.Z.observable,
+                   *map(PlanarObservable, DEFAULT.alice_angles + DEFAULT.bob_angles)]
+    bell = [bell_state(state_id) for state_id in BELL_ORDER]
+    collapsed = [
+        post
+        for state in bell
+        for qubit in (0, 1)
+        for obs in observables
+        for _, post in quantum.measure_choice(state, qubit, obs).branches
+    ]
+    for state in bell + collapsed:
+        for qubit in (0, 1):
+            for obs in observables:
+                choice = quantum.measure_choice(state, qubit, obs)
+                assert all(cut >= _MIN_BRANCH for cut in choice.cuts), (state, qubit, obs, choice.cuts)
+                assert measure_qubit(state, qubit, obs, 0.0) == choice.branches[0]
 
 
 def test_cached_transitions_return_the_same_read_only_states():

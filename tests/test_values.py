@@ -1,0 +1,279 @@
+"""The contract every value type of the package keeps: construction by
+position or keyword with defaults and ``__post_init__``, equality that needs
+the exact type, immutability and hashing of the frozen classes, slots, the
+repr, and round trips through pickle and deepcopy."""
+
+import copy
+import math
+import pickle
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from duplexqkd.analysis import ChshBinEstimate, ChshEstimate, DetectionStats, EfficiencyQuery, SimulationReport
+from duplexqkd.attacks import EveLog
+from duplexqkd.cli import RunSpec
+from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, ProtocolKind, SimulationConfig
+from duplexqkd.fourstate import (
+    ModifiedControlDisclosure,
+    ModifiedEfficiency,
+    ModifiedPairRecord,
+    PauliAnnouncement,
+    ReceiptAck,
+    StateDisclosure,
+)
+from duplexqkd.protocol import (
+    ControlDisclosure,
+    CorrelationAnnouncement,
+    MeasuredFirst,
+    PairRecord,
+    QberDisclosure,
+    run_session,
+)
+from duplexqkd.quantum import Basis, BellStateId, ChshSettings, PauliOp, PlanarObservable
+
+
+def _record_fields(config: SimulationConfig) -> dict:
+    """The fields of the first attacked record of a real session."""
+    record = next(r for r in run_session(config) if r.eve_log is not None and r.eve_log.observations)
+    return {name: getattr(record, name) for name in _FIELDS[type(record)]}
+
+
+_FIELDS = {
+    PairRecord: (
+        "pair_index", "mode", "bob_state", "alice_basis", "alice_setting", "alice_angle", "bob_setting",
+        "bob_angle", "outcomes", "announcements", "correlated", "bob_decoded_basis", "alice_decoded_state",
+        "qber_pass", "eve_log",
+    ),
+    ModifiedPairRecord: (
+        "pair_index", "mode", "bob_state", "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded",
+        "control_basis", "outcomes", "control_pass", "announcements", "eve_log",
+    ),
+}
+
+_CONFIG = SimulationConfig(pairs=4, control_probability=0.5, attack=AttackKind.QMM_SWAP, seed=7)
+
+#: (class, field values in declaration order, frozen, slotted)
+CASES = [
+    (PlanarObservable, {"angle": 0.25}, True, False),
+    (ChshSettings, {"alice_angles": (0.0, 1.0), "bob_angles": (2.0, 3.0)}, True, False),
+    (
+        SimulationConfig,
+        {
+            "pairs": 3, "control_probability": 0.5, "check_kind": CheckKind.CHSH, "attack": AttackKind.NONE,
+            "seed": 9, "settings": ChshSettings((0.0, 1.0), (2.0, 3.0)), "protocol": ProtocolKind.BASE,
+        },
+        True,
+        False,
+    ),
+    (MeasuredFirst, {"control": True}, True, True),
+    (CorrelationAnnouncement, {"correlated": True}, True, True),
+    (ControlDisclosure, {"setting": 0.5, "outcome": -1, "state_id": BellStateId.PHI_MINUS}, True, True),
+    (QberDisclosure, {"basis": Basis.Z, "correlated": False}, True, True),
+    (PairRecord, _record_fields(_CONFIG), True, True),
+    (
+        EveLog,
+        {
+            "measured_bases": [Basis.X], "measured_outcomes": [1], "substitute_state": BellStateId.PSI_PLUS,
+            "bell_outcome": None, "guessed_alice_bit": 0, "guessed_bob_bit": None,
+            "observations": [("qubit", 0), ("announcement", MeasuredFirst(False))],
+        },
+        False,
+        True,
+    ),
+    (ReceiptAck, {}, True, True),
+    (PauliAnnouncement, {"op": PauliOp.SIGMA2}, True, True),
+    (ModifiedControlDisclosure, {"basis": Basis.X, "outcome": 1}, True, True),
+    (StateDisclosure, {"state_id": BellStateId.PSI_MINUS}, True, True),
+    (
+        ModifiedPairRecord,
+        _record_fields(SimulationConfig(pairs=8, control_probability=0.5, attack=AttackKind.INTERCEPT_RESEND,
+                                        seed=7, protocol=ProtocolKind.MODIFIED)),
+        True,
+        True,
+    ),
+    (ModifiedEfficiency, {"per_run": Fraction(4, 5), "average": Fraction(8, 15)}, True, False),
+    (
+        ChshBinEstimate,
+        {"s_hat": 2.5, "stderr": 0.1, "counts": {(0, 0): 3}, "correlators": {(0, 0): 0.5}},
+        True,
+        False,
+    ),
+    (ChshEstimate, {"per_state": {BellStateId.PSI_PLUS: ChshBinEstimate(None, None, {}, {})}}, True, False),
+    (DetectionStats, {"checks": 4, "errors": 1}, True, False),
+    (EfficiencyQuery, {"secret_bits": 1, "qubits_transmitted": 1, "classical_bits": 1}, True, False),
+    (
+        SimulationReport,
+        {
+            "config_echo": {"pairs": 3}, "seed": 9, "pairs": 3, "control_rounds": 1, "message_rounds": 2,
+            "alice_decode_ok": 2, "alice_decode_total": 2, "bob_decode_ok": 1, "bob_decode_total": 2,
+            "eve_alice_guesses": 0, "eve_alice_correct": 0, "eve_bob_guesses": 0, "eve_bob_correct": 0,
+            "qber_checks": 1, "qber_errors": 0, "chsh_counts": {(BellStateId.PSI_PLUS, 0, 1): 1},
+            "chsh_products": {(BellStateId.PSI_PLUS, 0, 1): -1},
+        },
+        False,
+        False,
+    ),
+    (RunSpec, {"config": SimulationConfig(pairs=2), "out_format": "csv", "out_path": Path("r.csv")}, True, False),
+]
+
+_IDS = [cls.__name__ for cls, *_ in CASES]
+
+
+def _hashable(values) -> bool:
+    try:
+        hash(tuple(values))
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_value_type_is_covered():
+    assert len(CASES) == 21
+    assert len(set(_IDS)) == len(_IDS)
+    assert sum(slotted for *_, slotted in CASES) == 11
+
+
+@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
+def test_construction_by_position_or_keyword(cls, values, frozen, slotted):
+    by_keyword = cls(**values)
+    by_position = cls(*values.values())
+    assert type(by_keyword) is cls
+    assert by_keyword == by_position
+    assert [getattr(by_keyword, name) for name in values] == list(values.values())
+    fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
+    assert repr(by_keyword) == f"{cls.__qualname__}({fields})"
+
+
+@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
+def test_equality_needs_the_exact_type(cls, values, frozen, slotted):
+    value = cls(**values)
+    twin = type(cls.__name__, (cls,), {})(**values)
+    assert value == cls(**values)
+    assert not value != cls(**values)
+    assert value != twin and twin != value
+    assert value != tuple(values.values())
+    assert value != list(values.values())
+    assert value.__eq__(tuple(values.values())) is NotImplemented
+
+
+def test_equal_values_of_different_types_differ():
+    assert MeasuredFirst(True) != CorrelationAnnouncement(True)
+    assert StateDisclosure(BellStateId.PSI_PLUS) != ControlDisclosure(BellStateId.PSI_PLUS, 1)
+    assert ReceiptAck() == ReceiptAck()
+    assert hash(ReceiptAck()) == hash(ReceiptAck())
+
+
+@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
+def test_frozen_classes_refuse_assignment_and_hash_by_value(cls, values, frozen, slotted):
+    value = cls(**values)
+    if not frozen:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(value)
+        for name, field_value in values.items():
+            setattr(value, name, field_value)
+        return
+    for name in values:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in values] == list(values.values())
+    if _hashable(values.values()):
+        assert hash(value) == hash(cls(*values.values()))
+        assert len({value, cls(**values)}) == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
+def test_slotted_classes_have_no_instance_dict(cls, values, frozen, slotted):
+    value = cls(**values)
+    assert hasattr(value, "__dict__") is not slotted
+    assert ("__slots__" in cls.__dict__) is slotted
+
+
+def test_report_takes_instance_attributes():
+    # Tools wrap a report's bound methods on the instance.
+    report = SimulationReport(config_echo={}, seed=0)
+    to_dict = report.to_dict
+    report.to_dict = lambda: {"wrapped": to_dict()}
+    assert report.to_dict()["wrapped"]["pairs"] == 0
+    report.pairs = 5
+    assert report.pairs == 5
+
+
+@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
+def test_bad_arguments_raise_type_error(cls, values, frozen, slotted):
+    names = list(values)
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    with pytest.raises(TypeError):
+        cls(**values, not_a_field=None)
+    if names:
+        with pytest.raises(TypeError):
+            cls(*values.values(), **{names[0]: values[names[0]]})
+        with pytest.raises(TypeError):
+            cls(**{name: values[name] for name in names[1:]}, **{names[0]: values[names[0]], names[0] + "_": 1})
+
+
+@pytest.mark.parametrize(
+    "cls,required",
+    [(PairRecord, 15), (ModifiedPairRecord, 12), (SimulationConfig, 1), (ControlDisclosure, 2),
+     (SimulationReport, 2), (EveLog, 0), (ReceiptAck, 0), (RunSpec, 3)],
+)
+def test_missing_arguments_raise_type_error(cls, required):
+    if required:
+        with pytest.raises(TypeError):
+            cls(*range(required - 1))
+    else:
+        cls()
+
+
+def test_defaults_apply_and_mutable_defaults_are_fresh():
+    assert ControlDisclosure(0.5, 1).state_id is None
+    config = SimulationConfig(pairs=2)
+    assert (config.control_probability, config.attack, config.seed) == (0.0, AttackKind.NONE, 0)
+    first, second = EveLog(), EveLog()
+    assert first == second
+    for name in ("measured_bases", "measured_outcomes", "observations"):
+        assert getattr(first, name) == [] and getattr(first, name) is not getattr(second, name)
+    first.measured_bases.append(Basis.X)
+    assert second.measured_bases == []
+    reports = SimulationReport(config_echo={}, seed=0), SimulationReport({}, 0)
+    assert reports[0] == reports[1] and reports[0].pairs == 0
+    assert reports[0].chsh_counts is not reports[1].chsh_counts
+    assert reports[0].chsh_products is not reports[1].chsh_products
+
+
+def test_post_init_validates_and_normalises():
+    with pytest.raises(ConfigFieldError) as error:
+        SimulationConfig(pairs=0)
+    assert error.value.field_name == "pairs"
+    with pytest.raises(ConfigFieldError):
+        SimulationConfig(1, 1.0)
+    assert SimulationConfig(pairs=1, protocol=ProtocolKind.MODIFIED).check_kind is CheckKind.QBER
+    assert SimulationConfig(1).check_kind is CheckKind.CHSH
+    assert PlanarObservable(-0.5 * math.pi).angle == pytest.approx(1.5 * math.pi)
+    assert PlanarObservable(angle=2 * math.pi).angle == 0.0
+    with pytest.raises(ValueError):
+        PlanarObservable(math.nan)
+    settings = ChshSettings([0, 1], bob_angles=[2, 3])
+    assert settings.alice_angles == (0.0, 1.0) and type(settings.bob_angles[0]) is float
+    with pytest.raises(ValueError):
+        EfficiencyQuery(0, 0, 0)
+
+
+@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
+def test_pickle_and_deepcopy_round_trip(cls, values, frozen, slotted):
+    value = cls(**values)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is cls
+        assert copied == value
+    deep = copy.deepcopy(value)
+    for name, field_value in values.items():
+        if isinstance(field_value, (list, dict)) and field_value:
+            assert getattr(deep, name) is not field_value
