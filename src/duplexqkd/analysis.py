@@ -7,13 +7,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .config import SimulationConfig
 from .fourstate import ModifiedMode, modified_efficiency
 from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, Session, correlation_signature
 from .quantum import BellStateId, ChshSettings
 from .values import factory, value
+
+if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
 
 __all__ = [
     "ChshBinEstimate",
@@ -138,6 +141,10 @@ class EfficiencyQuery:
 
 def cabello_efficiency(query: EfficiencyQuery) -> Fraction:
     """Exact secret bits per transmitted qubit plus classical bit."""
+    # Imported here: ``fractions`` loads ``decimal``, which only the exact
+    # figures need, so a run that writes no report never imports it.
+    from fractions import Fraction
+
     return Fraction(query.secret_bits, query.qubits_transmitted + query.classical_bits)
 
 
@@ -338,19 +345,20 @@ def _tally(
 ) -> SimulationReport:
     """The one counting path: every estimator reads these counters.  Each
     record is tallied once by its own protocol's rules, with a weight: a
-    session's leaf counts once per pair that reached it, any other record
-    once.  With ``settings``, each record is checked against them as it is
-    tallied: a CHSH round measured at other angles raises ValueError."""
+    session's leaf counts once per pair that reached it (a leaf no pair
+    reached is skipped), any other record once.  With ``settings``, each
+    record is checked against them as it is tallied: a CHSH round measured
+    at other angles raises ValueError."""
     if isinstance(records, Session):
-        counts = records.leaf_counts()  # walks the session, which fills ``leaves``
-        weighted = zip(records.leaves, counts)
+        weighted = [(leaf, n) for leaf, n in zip(records.leaves, records.leaf_counts()) if n]
     else:
         weighted = ((record, 1) for record in records)
     for record, n in weighted:
         if settings is not None and record.mode is Mode.CONTROL_CHSH:
-            i, j = record.alice_setting, record.bob_setting
-            if record.alice_angle != settings.alice_angles[i] or record.bob_angle != settings.bob_angles[j]:
-                raise ValueError(f"pair {record.pair_index} was measured with different settings")
+            recorded = (record.alice_angle, record.bob_angle)
+            expected = (settings.alice_angles[record.alice_setting], settings.bob_angles[record.bob_setting])
+            if recorded != expected:
+                raise ValueError(f"a CHSH round was measured at angles {recorded}, not the settings' {expected}")
         if isinstance(record, PairRecord):
             _tally_base_record(report, record, n)
         else:

@@ -277,10 +277,9 @@ def records_to_csv(records: Iterable, handle: TextIO) -> None:
     if not isinstance(records, Session):
         handle.writelines(map(_record_row, records))
         return
-    suffixes: list[str] = []
+    suffixes = [_record_row(record).split(",", 1)[1] for record in records.leaves]
     start = 0
     for ids in records.leaf_ids():
-        suffixes += [_record_row(record).split(",", 1)[1] for record in records.leaves[len(suffixes) :]]
         for lo in range(0, len(ids), _CSV_SLICE):
             leaves = ids[lo : lo + _CSV_SLICE].tolist()
             handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(leaves, start + lo)]))

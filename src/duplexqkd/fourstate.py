@@ -17,7 +17,6 @@ passes iff the outcome product equals the state's deterministic signature.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .config import SimulationConfig
@@ -26,6 +25,8 @@ from .quantum import Basis, BellStateId, Choice, Outcome, PauliOp
 from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
+
     from .attacks import Adversary, EveLog
 
 __all__ = [
@@ -119,12 +120,12 @@ class ModifiedPairRecord:
 
 
 def run_modified_pair(
-    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _path: list | None = None
+    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _replay: tuple | None = None
 ) -> ModifiedPairRecord:
     """One four-state round; deterministic given (config, pair_index,
-    adversary type).  ``_path`` collects the round's choices for the session
-    trie, as in :func:`protocol.run_pair`."""
-    round_ = _Round(config, adversary, pair_index, _path)
+    adversary type).  ``_replay`` replays one path of its session's trie, as
+    in :func:`protocol.run_pair`."""
+    round_ = _Round(config, adversary, pair_index, _replay)
     honest = round_.honest
     system = round_.system
 

@@ -30,9 +30,10 @@ independent of how many pairs ran before them.  The adversary draws from its
 own lane: honest randomness is identical with and without an attack in
 place.
 
-A session (:class:`Session`) has only a few distinct rounds.  It runs the
-round function once per distinct path of choices and resolves every other
-pair in numpy, by walking a trie of those choices with the pair's draws.
+A session (:class:`Session`) has only a few distinct rounds.  It replays
+the round function once per path of choices, forcing each branch in turn,
+and resolves every pair in numpy, by walking the trie of those choices with
+the pair's draws.
 """
 
 from __future__ import annotations
@@ -266,25 +267,30 @@ FOUR_STATE_CHOICE = Choice.uniform(BELL_ORDER)
 class Lane:
     """One party's draws in one round: lane ``lane`` of pair ``pair_index``,
     read in slot order.  Every choice the party makes reads the next
-    uniform.  With ``path`` a list, each choice that the uniform decides is
-    appended to it as (lane, slot, cuts, branch index): the round's path
-    through its session's trie."""
+    uniform.  A replay (``replay`` = (forced, path), shared by the round's
+    lanes) reads no stream: the round's k-th choice with cuts takes
+    ``forced[k]``, or 0.0 past its end, and is appended to ``path`` as
+    (lane, slot, cuts, u); a choice without cuts takes 0.0."""
 
-    __slots__ = ("key", "slot", "_lane", "_path")
+    __slots__ = ("key", "slot", "_lane", "_replay")
 
-    def __init__(self, seed: int, pair_index: int, lane: int, path: list | None = None) -> None:
+    def __init__(self, seed: int, pair_index: int, lane: int, replay: tuple | None = None) -> None:
         self.key = stream_key(seed, pair_index, lane)
         self.slot = 0
         self._lane = lane
-        self._path = path
+        self._replay = replay
 
     def draw(self, choice: Choice) -> float:
         """The uniform that resolves ``choice``."""
         slot = self.slot
-        u = uniform(self.key, slot)
-        if self._path is not None and choice.cuts:
-            self._path.append((self._lane, slot, choice.cuts, bisect_right(choice.cuts, u)))
         self.slot = slot + 1
+        if self._replay is None:
+            return uniform(self.key, slot)
+        if not choice.cuts:
+            return 0.0
+        forced, path = self._replay
+        u = forced[len(path)] if len(path) < len(forced) else 0.0
+        path.append((self._lane, slot, choice.cuts, u))
         return u
 
     def choose(self, choice: Choice):
@@ -304,18 +310,18 @@ class _Round:
     """The scaffold every round of either protocol shares: the pair's honest
     and adversary lanes, the live qubits, the channel adversary's hooks and
     the public announcement list.  With no adversary the qubits travel
-    untouched and ``eve`` is None.  Both lanes append to ``path`` (see
-    :class:`Lane`)."""
+    untouched and ``eve`` is None.  In a replay both lanes share ``replay``
+    (see :class:`Lane`)."""
 
     __slots__ = ("system", "announcements", "honest", "eve", "_adversary")
 
     def __init__(
-        self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int, path: list | None
+        self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int, replay: tuple | None
     ) -> None:
         self.system = PairSystem()
         self.announcements: list = []
-        self.honest = Lane(config.seed, pair_index, _HONEST_LANE, path)
-        self.eve = Lane(config.seed, pair_index, _EVE_LANE, path) if adversary is not None else None
+        self.honest = Lane(config.seed, pair_index, _HONEST_LANE, replay)
+        self.eve = Lane(config.seed, pair_index, _EVE_LANE, replay) if adversary is not None else None
         self._adversary = adversary
 
     def send_first(self, bob_state: BellStateId) -> str:
@@ -345,12 +351,12 @@ class _Round:
 
 
 def run_pair(
-    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _path: list | None = None
+    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _replay: tuple | None = None
 ) -> PairRecord:
     """Execute one round; deterministic given (config, pair_index, adversary
-    type).  ``_path`` collects the round's choices for the session trie (see
-    :class:`Lane`)."""
-    round_ = _Round(config, adversary, pair_index, _path)
+    type).  With ``_replay``, the round replays one path of its session's
+    trie instead of reading its draws (see :class:`Lane`)."""
+    round_ = _Round(config, adversary, pair_index, _replay)
     honest = round_.honest
     system = round_.system
 
@@ -431,34 +437,28 @@ def run_pair(
     )
 
 
-#: Most pairs resolved together in one numpy pass over a session's trie.
+#: Pairs resolved together in one numpy pass over a session's trie.
 CHUNK = 4096
-
-# Trie codes: a node id (>= 0), an edge no pair has taken yet, or a leaf
-# (leaf id k is coded -2 - k).
-_UNSEEN = -1
 
 
 class Session:
     """The rounds of one session, as :func:`run_session` returns them.
 
     Iterating yields one record per pair, in pair order.  Underneath, the
-    session keeps a trie of its rounds' choices, built lazily: a node is one
-    choice that ``u`` decides (the lane and slot it reads, its cut points),
-    an edge is one of its branches, and a leaf holds the record of every
-    round that takes that path (all but its ``pair_index``).  A pair whose
-    path leaves the trie runs the round function once, which records the
-    path and extends the trie; every other pair is resolved in numpy, a
-    chunk at a time, by comparing its draws with the cut points.  A chunk
-    is never larger than ``CHUNK`` or than the number of pairs before it, so
-    the first pairs, which build the trie, come in small chunks.
+    session holds the complete trie of its round's choices, built once by
+    replaying every branch: a node is one choice that ``u`` decides (the
+    lane and slot it reads, its cut points), an edge is one of its branches,
+    and a leaf holds the record of every round that takes that path (all
+    but its ``pair_index``).  Each pair is resolved in numpy, a chunk of
+    ``CHUNK`` pairs at a time, by comparing its draws with the cut points.
 
     ``leaf_ids()`` yields the leaf of each pair, a chunk at a time,
-    ``leaf_counts()`` the number of pairs per leaf, and ``leaves`` holds one
-    record per leaf (its ``pair_index`` is that of the first pair to reach
-    it), so consumers can work per leaf instead of per pair.  The trie
-    relies on the adversary contract: a round's record is a function of its
-    draws and its events, and an adversary resets its per-pair state in
+    ``leaf_counts()`` the number of pairs per leaf, ``leaves`` holds one
+    record per leaf (its ``pair_index`` is the replay's, the leaf's own
+    index) and ``probabilities`` the chance that a pair reaches each leaf,
+    so consumers can work per leaf instead of per pair.  The trie relies on
+    the adversary contract: a round's record is a function of its draws and
+    its events, and an adversary resets its per-pair state in
     ``begin_pair``.
     """
 
@@ -466,9 +466,9 @@ class Session:
         if config.protocol is ProtocolKind.MODIFIED:
             from . import fourstate
 
-            self._round_fn = fourstate.run_modified_pair
+            round_fn = fourstate.run_modified_pair
         else:
-            self._round_fn = run_pair
+            round_fn = run_pair
         if adversary is None and config.attack is not AttackKind.NONE:
             from .attacks import build_adversary
 
@@ -476,25 +476,58 @@ class Session:
         if adversary is not None:
             adversary.begin_session(config)
         self._config = config
-        self._adversary = adversary
         self._lanes = (_HONEST_LANE,) if adversary is None else (_HONEST_LANE, _EVE_LANE)
         self.leaves: list = []
-        self._root = _UNSEEN
-        # Per node: (lane, slot, cuts) as recorded, and the code of each
-        # branch's child.  ``_depth`` is the longest path so far.
-        self._nodes: list[tuple[int, int, tuple[float, ...]]] = []
-        self._children: list[list[int]] = []
+        self.probabilities: list[float] = []
+        # Per node: (lane, slot, cuts) and the code of each branch's child, a
+        # node id (>= 0) or a leaf (leaf k is coded -1 - k); a zero-width
+        # branch, which no draw selects, keeps 0.  ``top`` holds the root.
+        nodes: list[tuple[int, int, tuple[float, ...]]] = []
+        children: list[list[int]] = []
+        top = [0]
+        # Paths still to replay, each as its forced uniforms, the choices the
+        # replay must repeat, the edge it grows from and its probability.  A
+        # branch's lower edge selects it: 0.0 for branch 0, and for the others
+        # each distinct cut, since ``bisect_right`` skips the zero-width
+        # interval between equal cuts.
+        todo: list[tuple] = [((), [], top, 0, 1.0)]
         self._depth = 0
-        self._table: tuple | None = None
+        while todo:
+            forced, expected, row, branch, p = todo.pop()
+            path: list = []
+            record = round_fn(config, adversary, len(self.leaves), _replay=(forced, path))
+            steps = [step[:3] for step in path]
+            drawn = tuple(step[3] for step in path)
+            if steps[: len(forced)] != expected:
+                raise RuntimeError(
+                    f"replay {len(self.leaves)} did not repeat the choices of its path; rounds and "
+                    "adversaries must be functions of their draws and reset in begin_pair"
+                )
+            for k in range(len(forced), len(steps)):
+                row[branch] = len(nodes)
+                nodes.append(steps[k])
+                cuts = steps[k][2]
+                row = [0] * (len(cuts) + 1)
+                children.append(row)
+                upper = (*cuts, 1.0)
+                for cut in sorted(set(cuts)):
+                    i = bisect_right(cuts, cut)
+                    todo.append((drawn[:k] + (cut,), steps[: k + 1], row, i, p * (upper[i] - cut)))
+                branch = 0
+                p *= cuts[0]
+            row[branch] = -1 - len(self.leaves)
+            self.leaves.append(record)
+            self.probabilities.append(p)
+            self._depth = max(self._depth, len(steps))
+        self._root = top[0]
+        self._table = _walk_table(nodes, children, len(self.leaves))
 
     def __iter__(self) -> Iterator[PairRecord | ModifiedPairRecord]:
         # Each record is its leaf's with another pair_index, the first field:
         # built positionally from the leaf's other fields, taken once.
-        rests: list[tuple] = []
+        rests = [tuple(getattr(record, name) for name in record._fields[1:]) for record in self.leaves]
         pair_index = 0
         for ids in self.leaf_ids():
-            for record in self.leaves[len(rests) :]:
-                rests.append(tuple(getattr(record, name) for name in record._fields[1:]))
             for leaf in ids.tolist():
                 yield type(self.leaves[leaf])(pair_index, *rests[leaf])
                 pair_index += 1
@@ -503,48 +536,35 @@ class Session:
         """The leaf id of every pair, in pair order, one array per chunk of
         at most ``CHUNK`` pairs."""
         config = self._config
-        start = 0
-        while start < config.pairs:
-            stop = min(start + min(CHUNK, max(start, 1)), config.pairs)
-            pairs = np.arange(start, stop, dtype=np.uint64)
+        for start in range(0, config.pairs, CHUNK):
+            pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
             keys = np.stack([stream_keys(config.seed, pairs, lane) for lane in self._lanes])
-            code = self._walk(keys)
-            for j in np.flatnonzero(code == _UNSEEN).tolist():
-                code[j] = self._resolve(start + j)
-            yield -2 - code
-            start = stop
+            yield -1 - self._walk(keys)
 
     def leaf_counts(self) -> list[int]:
         """How many pairs reach each leaf, in ``leaves`` order, from one
         walk of the whole session."""
-        reached = np.zeros(0, dtype=np.int64)
+        counts = np.zeros(len(self.leaves), dtype=np.int64)
         for ids in self.leaf_ids():
-            counts = np.bincount(ids, minlength=len(self.leaves))
-            counts[: len(reached)] += reached
-            reached = counts
-        return reached.tolist()
+            counts += np.bincount(ids, minlength=len(self.leaves))
+        return counts.tolist()
 
     def _walk(self, keys: np.ndarray) -> np.ndarray:
-        """The trie code each pair's draws lead to: a leaf, or _UNSEEN where
-        the path leaves the trie.  ``keys[lane]`` holds the pairs' keys.
+        """The leaf code each pair's draws lead to.  ``keys[lane]`` holds
+        the pairs' keys.
 
         Every pair takes ``_depth`` steps over the node table, in which a
-        leaf or the unseen edge is a row that leads back to itself.  Each
-        step reads a pair's draw from its node's row of draws (one row per
-        (lane, slot) the trie reads, drawn once for the whole chunk),
-        counts the cuts at or below it and moves to that child."""
+        leaf is a row that leads back to itself.  Each step reads a pair's
+        draw from its node's row of draws (one row per (lane, slot) the trie
+        reads, drawn once for the whole chunk), counts the cuts at or below
+        it and moves to that child."""
         n = keys.shape[1]
-        code = np.full(n, self._root, dtype=np.intp)
-        if not self._depth:
-            return code
-        draws, draw_row, cuts, child = self._walk_table()
-        u = np.empty((len(draws), n))
-        for row, (lane, slot) in enumerate(draws):
-            u[row] = uniforms(keys[lane], slot)
-        u = u.ravel()
+        draws, draw_row, cuts, child = self._table
+        u = np.concatenate([uniforms(keys[lane], slot) for lane, slot in draws])
         at = draw_row * n
         pairs = np.arange(n)
         stride = len(cuts) + 1
+        code = np.full(n, self._root, dtype=np.intp)
         for _ in range(self._depth):
             d = u[at[code] + pairs]
             flat = code * stride
@@ -553,79 +573,31 @@ class Session:
             code = child[flat]
         return code
 
-    def _walk_table(self) -> tuple:
-        """The trie as arrays for :meth:`_walk`, rebuilt when it has grown:
-        the lane and slot of each row of draws (the slot as a one-element
-        ``uint64`` array, since scalar ``uint64`` arithmetic warns on the
-        wraparound the draws rely on), and per row of the node table its row
-        of draws, its cuts (one array per cut, padded with +inf) and its
-        children (flat, ``stride`` per row).  The nodes come first, then one
-        row per leaf and one for the unseen edge; these are in reverse code
-        order, so a negative code indexes its own row from the end, and each
-        holds its own code as every child."""
-        if self._table is not None and self._table[0] == len(self.leaves):
-            return self._table[1]
-        rows_of: dict[tuple[int, int], int] = {}
-        draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in self._nodes]
-        width = max(len(cuts) for _, _, cuts in self._nodes)
-        ends = range(-1 - len(self.leaves), 0)
-        cuts = np.full((width, len(self._nodes) + len(ends)), np.inf)
-        for node, (_, _, node_cuts) in enumerate(self._nodes):
-            cuts[: len(node_cuts), node] = node_cuts
-        child = [row + [_UNSEEN] * (width + 1 - len(row)) for row in self._children]
-        child += [[end] * (width + 1) for end in ends]
-        table = (
-            [(lane, np.array([slot], dtype=np.uint64)) for lane, slot in rows_of],
-            np.array(draw_row + [0] * len(ends), dtype=np.intp),
-            cuts,
-            np.array(child, dtype=np.intp).ravel(),
-        )
-        self._table = (len(self.leaves), table)
-        return table
 
-    def _resolve(self, pair_index: int) -> int:
-        """The leaf code of one pair, by a scalar walk of the trie (the trie
-        may have grown since the chunk's walk); a path that leaves the trie
-        is discovered."""
-        keys = {lane: stream_key(self._config.seed, pair_index, lane) for lane in self._lanes}
-        code = self._root
-        while code >= 0:
-            lane, slot, cuts = self._nodes[code]
-            code = self._children[code][bisect_right(cuts, uniform(keys[lane], slot))]
-        return self._discover(pair_index) if code == _UNSEEN else code
-
-    def _discover(self, pair_index: int) -> int:
-        """Run one pair's round, add its path to the trie and return the
-        code of its new leaf."""
-        path: list = []
-        record = self._round_fn(self._config, self._adversary, pair_index, _path=path)
-        leaf = -2 - len(self.leaves)
-        self.leaves.append(record)
-        self._depth = max(self._depth, len(path))
-        parent, branch, code = None, 0, self._root
-        for lane, slot, cuts, index in path:
-            if code == _UNSEEN:
-                code = len(self._nodes)
-                self._nodes.append((lane, slot, cuts))
-                self._children.append([_UNSEEN] * (len(cuts) + 1))
-                self._link(parent, branch, code)
-            elif code < 0 or self._nodes[code] != (lane, slot, cuts):
-                raise RuntimeError(
-                    f"pair {pair_index} made a choice its path does not determine; rounds and "
-                    "adversaries must be functions of their draws and reset in begin_pair"
-                )
-            parent, branch = code, index
-            code = self._children[code][index]
-        if code != _UNSEEN:
-            raise RuntimeError(f"pair {pair_index} ended on a path that is already a leaf or a node")
-        self._link(parent, branch, leaf)
-        return leaf
-
-    def _link(self, parent: int | None, branch: int, code: int) -> None:
-        if parent is None:
-            self._root = code
-        else:
-            self._children[parent][branch] = code
+def _walk_table(nodes: list, children: list, leaves: int) -> tuple:
+    """A session's trie as arrays for :meth:`Session._walk`: the lane and
+    slot of each row of draws (the slot as a one-element ``uint64`` array,
+    since scalar ``uint64`` arithmetic warns on the wraparound the draws
+    rely on), and per row of the node table its row of draws, its cuts (one
+    array per cut, padded with +inf) and its children (flat, ``stride`` per
+    row).  The nodes come first, then one row per leaf; these are in
+    reverse code order, so a leaf's negative code indexes its own row from
+    the end, and each holds its own code as every child."""
+    rows_of: dict[tuple[int, int], int] = {}
+    draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in nodes]
+    width = max(len(cuts) for _, _, cuts in nodes)
+    ends = range(-leaves, 0)
+    cuts = np.full((width, len(nodes) + leaves), np.inf)
+    for node, (_, _, node_cuts) in enumerate(nodes):
+        cuts[: len(node_cuts), node] = node_cuts
+    child = [row + [0] * (width + 1 - len(row)) for row in children]
+    child += [[end] * (width + 1) for end in ends]
+    return (
+        [(lane, np.array([slot], dtype=np.uint64)) for lane, slot in rows_of],
+        np.array(draw_row + [0] * leaves, dtype=np.intp),
+        cuts,
+        np.array(child, dtype=np.intp).ravel(),
+    )
 
 
 def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) -> Session:

@@ -108,7 +108,7 @@ def test_estimate_chsh_rejects_foreign_settings():
     from duplexqkd.quantum import ChshSettings
 
     other = ChshSettings((0.1, 0.2), (0.3, 0.4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"measured at angles \(0\.0, 2\.35\d*\), not the settings' \(0\.1, 0\.3\)"):
         estimate_chsh(records, other)
 
 

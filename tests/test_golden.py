@@ -62,6 +62,16 @@ GOLDEN = {
     "modified qmm-swap qber csv": "88bad1249aa40c97bcce50144a4fadc9132278d37b5741c3cc1aeb8643af034a",
 }
 
+#: The same flags at one pair, for three cases.  A session builds its whole
+#: trie however few pairs it has, so all but one leaf are reached by no
+#: pair; those leaves must leave no trace in the artifact (no empty CHSH
+#: bin, no row).
+GOLDEN_ONE_PAIR = {
+    "base none chsh json": "e28e084b76f23722050b802644383945a59f86f90bfb59236b0fb082a6f87c8b",
+    "base qmm-swap chsh csv": "c2097869f0035854c40668de9195b56314c00bd662b621b1528c0d7e7e59de57",
+    "modified ir qber json": "8d65fa7ad0dc4d12a804f5a6f6395fdc518b8150a9578b8e5240e03f51454670",
+}
+
 
 def _matrix():
     for protocol, attack, check, out_format in itertools.product(
@@ -74,13 +84,17 @@ def test_golden_table_covers_the_matrix():
     assert sorted(GOLDEN) == sorted(_matrix())
 
 
+def _argv(case: str, pairs: int) -> list[str]:
+    protocol, attack, check, out_format = case.split()
+    return [
+        "--protocol", protocol, "--attack", attack, "--check", check, "--format", out_format,
+        "--pairs", str(pairs), "--seed", "11", "--control-prob", "0.5",
+    ]
+
+
 @pytest.mark.parametrize("case", list(_matrix()), ids=lambda case: f"{case} separate")
 def test_cli_artifact_digest(case, capsys):
-    protocol, attack, check, out_format = case.split()
-    argv = [
-        "--protocol", protocol, "--attack", attack, "--check", check, "--format", out_format,
-        "--pairs", "400", "--seed", "11", "--control-prob", "0.5",
-    ]
+    argv = _argv(case, 400)
     if GOLDEN[case] is None:
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
@@ -89,3 +103,10 @@ def test_cli_artifact_digest(case, capsys):
     assert run_cli(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_ONE_PAIR))
+def test_one_pair_artifact_digest(case, capsys):
+    assert run_cli(_argv(case, 1)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_ONE_PAIR[case]

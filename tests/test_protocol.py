@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import SESSION_CASES, standalone_rounds
 from duplexqkd import stream
-from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
+from duplexqkd.analysis import (
+    SimulationReport,
+    _tally_base_record,
+    _tally_modified_record,
+    build_report,
+    estimate_chsh,
+    estimate_qber,
+)
 from duplexqkd.attacks import Adversary
 from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import (
@@ -254,6 +261,72 @@ def test_chsh_round_records_settings_and_outcomes():
 
 
 # ---------------------------------------------------------------------------
+# The exact round tree: a session's trie holds every path its round can
+# take, with the chance a pair takes it, so each physics figure can be
+# checked exactly, with no sampling error.
+
+EXACT = 1e-12
+
+
+def _expected_report(**kwargs) -> SimulationReport:
+    """Each counter of the session's report as its exact expectation per
+    pair: every leaf of its trie tallied once, with its probability for
+    weight."""
+    config = _config(pairs=1, control_probability=0.5, **kwargs)
+    session = run_session(config)
+    tally = _tally_modified_record if config.protocol is ProtocolKind.MODIFIED else _tally_base_record
+    report = SimulationReport(config_echo={}, seed=0)
+    for leaf, p in zip(session.leaves, session.probabilities):
+        tally(report, leaf, p)
+    return report
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
+)
+def test_round_tree_is_complete(protocol, attack, check):
+    probabilities = run_session(
+        _config(pairs=1, control_probability=0.5, check_kind=check, attack=attack, protocol=protocol)
+    ).probabilities
+    assert min(probabilities) > 0
+    assert abs(math.fsum(probabilities) - 1.0) <= EXACT
+
+
+@pytest.mark.parametrize(
+    "attack,s_psi,s_phi",
+    [
+        (AttackKind.NONE, 2 * math.sqrt(2), -2 * math.sqrt(2)),
+        (AttackKind.INTERCEPT_RESEND, math.sqrt(2), -math.sqrt(2)),
+        (AttackKind.QMM_SWAP, 0.0, 0.0),
+    ],
+    ids=["none", "ir", "qmm-swap"],
+)
+def test_round_tree_chsh_values(attack, s_psi, s_phi):
+    per_state = _expected_report(attack=attack, check_kind=CheckKind.CHSH).chsh_estimate().per_state
+    assert abs(per_state[BellStateId.PSI_PLUS].s_hat - s_psi) <= EXACT
+    assert abs(per_state[BellStateId.PHI_MINUS].s_hat - s_phi) <= EXACT
+
+
+@pytest.mark.parametrize("protocol", ProtocolKind, ids=lambda kind: kind.value)
+@pytest.mark.parametrize(
+    "attack,d",
+    [(AttackKind.NONE, 0.0), (AttackKind.INTERCEPT_RESEND, 0.25), (AttackKind.QMM_SUBSTITUTE, 0.5)],
+    ids=["none", "ir", "qmm"],
+)
+def test_round_tree_detection_rates(protocol, attack, d):
+    report = _expected_report(protocol=protocol, attack=attack, check_kind=CheckKind.QBER)
+    assert abs(report.detection.d_hat - d) <= EXACT
+
+
+def test_round_tree_decode_and_guess_accuracies():
+    base = _expected_report(attack=AttackKind.INTERCEPT_RESEND, check_kind=CheckKind.QBER)
+    assert abs(base.decode_accuracy_alice - 0.75) <= EXACT
+    assert abs(base.decode_accuracy_bob - 0.75) <= EXACT
+    four_state = _expected_report(protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
+    assert abs(four_state.eve_bob_accuracy - 0.375) <= EXACT
+
+
+# ---------------------------------------------------------------------------
 # Keyed stream and the session trie
 
 # The first four outputs of SplitMix64 seeded with 0 (the published
@@ -335,11 +408,10 @@ def test_clean_rounds_hold_when_a_draw_is_zero(slot):
 
 
 def _assert_session_equals_standalone_rounds(config: SimulationConfig, chunk: int) -> None:
-    # The session crosses the ramp of small first chunks and at least two
-    # full-size ones; every record must be the one its pair's round gives
-    # when run alone.
+    # The session walks full-size chunks and a shorter last one; every
+    # record must be the one its pair's round gives when run alone.
     sizes = [len(ids) for ids in run_session(config).leaf_ids()]
-    assert sizes[:4] == [1, 1, 2, 4] and sizes.count(chunk) >= 2
+    assert sizes == [chunk] * (config.pairs // chunk) + [config.pairs % chunk]
     assert list(run_session(config)) == standalone_rounds(config)
 
 
@@ -347,7 +419,7 @@ def _assert_session_equals_standalone_rounds(config: SimulationConfig, chunk: in
     "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
 )
 def test_session_equals_standalone_rounds(protocol, attack, check, monkeypatch):
-    # A small chunk size, so that 3000 pairs span the ramp and ten full chunks.
+    # A small chunk size, so that 3000 pairs span eleven full chunks.
     monkeypatch.setattr("duplexqkd.protocol.CHUNK", 256)
     config = SimulationConfig(
         pairs=3000, control_probability=0.5, check_kind=check, attack=attack, seed=2026, protocol=protocol
@@ -378,10 +450,25 @@ class _PairCounter(Adversary):
         return handle
 
 
+class _FirstPairExtraDraw(_PairCounter):
+    """Breaks the contract at the end of a round: only the first round it
+    sees draws once more, so a replay that forces a branch of that last
+    choice makes fewer choices than its forced path."""
+
+    def relay_qubit(self, system, handle, leg, lane):
+        return handle
+
+    def end_pair(self, system, lane):
+        if self.pairs_seen == 1:
+            lane.choose(BASIS_CHOICE)
+        return None
+
+
 def test_session_rejects_an_adversary_that_breaks_the_contract():
     config = _config(pairs=200, control_probability=0.5)
-    with pytest.raises(RuntimeError, match="begin_pair"):
-        list(run_session(config, _PairCounter()))
+    for adversary in (_PairCounter(), _FirstPairExtraDraw()):
+        with pytest.raises(RuntimeError, match="begin_pair"):
+            list(run_session(config, adversary))
 
 
 def test_rounds_leave_no_reference_cycles():
