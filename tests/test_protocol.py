@@ -419,7 +419,8 @@ def _assert_session_equals_standalone_rounds(config: SimulationConfig, chunk: in
     "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
 )
 def test_session_equals_standalone_rounds(protocol, attack, check, monkeypatch):
-    # A small chunk size, so that 3000 pairs span eleven full chunks.
+    # A small chunk size, so that 3000 pairs span eleven full chunks and a
+    # shorter last one.
     monkeypatch.setattr("duplexqkd.protocol.CHUNK", 256)
     config = SimulationConfig(
         pairs=3000, control_probability=0.5, check_kind=check, attack=attack, seed=2026, protocol=protocol
