@@ -43,26 +43,6 @@ class RunSpec:
     out_path: Path | None
 
 
-_FLAG_CHOICES = {
-    "protocol": tuple(p.value for p in ProtocolKind),
-    "attack": tuple(a.value for a in AttackKind),
-    "check": tuple(c.value for c in CheckKind),
-    "format": ("json", "csv"),
-}
-
-_DEFAULTS = {
-    "protocol": "base",
-    "attack": "none",
-    "pairs": "10000",
-    "control-prob": "0.1",
-    "check": None,  # follows the protocol: chsh for base, qber for modified
-    "seed": "0",
-    "settings": None,
-    "format": "json",
-    "out": None,
-}
-
-
 #: The flag that sets each range-checked SimulationConfig field.
 _FIELD_FLAGS = {
     "pairs": "--pairs",
@@ -77,29 +57,53 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_settings(text: str) -> ChshSettings:
+    """``--settings``' type: four comma-separated CHSH angles."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"expected 4 comma-separated angles, got {len(parts)}")
+    try:
+        a11, a12, a21, a22 = map(float, parts)
+        return ChshSettings(alice_angles=(a11, a12), bob_angles=(a21, a22))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="duplexqkd", description=__doc__, add_help=True)
     parser.add_argument("--config", metavar="PATH", help="key=value file supplying any flag")
-    parser.add_argument("--protocol", choices=_FLAG_CHOICES["protocol"])
-    parser.add_argument("--attack", choices=_FLAG_CHOICES["attack"])
-    parser.add_argument("--pairs", metavar="N")
-    parser.add_argument("--control-prob", dest="control_prob", metavar="C")
-    parser.add_argument("--check", choices=_FLAG_CHOICES["check"])
-    parser.add_argument("--seed", metavar="S")
+    parser.add_argument("--protocol", choices=[p.value for p in ProtocolKind], default="base")
+    parser.add_argument("--attack", choices=[a.value for a in AttackKind], default="none")
+    parser.add_argument("--pairs", type=int, default=10_000, metavar="N")
+    parser.add_argument("--control-prob", dest="control_prob", type=float, default=0.1, metavar="C")
+    # No default: the check follows the protocol, chsh for base and qber for modified.
+    parser.add_argument("--check", choices=[c.value for c in CheckKind])
+    parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument(
-        "--settings", metavar="A11,A12,A21,A22", help="CHSH angles in radians (default: maximal violation)"
+        "--settings",
+        type=_parse_settings,
+        default=DEFAULT_SETTINGS,
+        metavar="A11,A12,A21,A22",
+        help="CHSH angles in radians (default: maximal violation)",
     )
-    parser.add_argument("--format", dest="out_format", choices=_FLAG_CHOICES["format"])
+    parser.add_argument("--format", dest="out_format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path: str, parser: _Parser) -> list[str]:
+    """The key=value lines of ``path`` as ``--key=value`` arguments; a key
+    must name one of ``parser``'s run flags (not ``--config`` or ``--help``).
+    The ``=`` form keeps a value such as ``-0.5,0,0,0`` from reading as a flag."""
+    # argparse offers no public list of a parser's flags.
+    flags = {flag for flag in parser._option_string_actions if flag.startswith("--")} - {"--config", "--help"}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"--config: {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    args = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -107,82 +111,36 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"--config: line {lineno} is not key=value: {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if f"--{key}" not in flags:
             raise UsageError(f"--config: unknown key {key!r} on line {lineno}")
-        values[key] = value
-    return values
-
-
-def _parse_int(flag: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"--{flag}: not an integer: {text!r}") from exc
-
-
-def _parse_float(flag: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise UsageError(f"--{flag}: not a number: {text!r}") from exc
-
-
-def _parse_settings(text: str) -> ChshSettings:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(f"--settings: expected 4 comma-separated angles, got {len(parts)}")
-    a11, a12, a21, a22 = (_parse_float("settings", p) for p in parts)
-    try:
-        return ChshSettings(alice_angles=(a11, a12), bob_angles=(a21, a22))
-    except ValueError as exc:
-        raise UsageError(f"--settings: {exc}") from exc
-
-
-def _parse_choice(flag: str, text: str) -> str:
-    if text not in _FLAG_CHOICES[flag]:
-        raise UsageError(f"--{flag}: invalid choice {text!r} (choose from {', '.join(_FLAG_CHOICES[flag])})")
-    return text
+        args.append(f"--{key}={value}")
+    return args
 
 
 def parse_args(argv: list[str]) -> RunSpec:
     """Resolve argv (and any --config file) into a RunSpec.
 
-    Per-flag precedence: command line, then config file, then defaults.
+    The config file's lines are parsed as flags placed ahead of argv, so
+    the command line wins and every value from either source is checked
+    the same way.
     """
-    namespace = _build_parser().parse_args(argv)
-    file_values = _read_config_file(namespace.config) if namespace.config else {}
-
-    def resolve(key: str, cli_value) -> str | None:
-        if cli_value is not None:
-            return cli_value
-        return file_values.get(key, _DEFAULTS[key])
-
-    protocol = ProtocolKind(_parse_choice("protocol", resolve("protocol", namespace.protocol)))
-    attack = AttackKind(_parse_choice("attack", resolve("attack", namespace.attack)))
-    pairs = _parse_int("pairs", resolve("pairs", namespace.pairs))
-    control_prob = _parse_float("control-prob", resolve("control-prob", namespace.control_prob))
-    check_text = resolve("check", namespace.check)
-    check = CheckKind(_parse_choice("check", check_text)) if check_text is not None else None
-    seed = _parse_int("seed", resolve("seed", namespace.seed))
-    settings_text = resolve("settings", namespace.settings)
-    settings = _parse_settings(settings_text) if settings_text is not None else DEFAULT_SETTINGS
-    out_format = _parse_choice("format", resolve("format", namespace.out_format))
-    out_value = resolve("out", namespace.out)
-
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(_read_config_file(args.config, parser) + argv)
     try:
         config = SimulationConfig(
-            pairs=pairs,
-            control_probability=control_prob,
-            check_kind=check,
-            attack=attack,
-            seed=seed,
-            settings=settings,
-            protocol=protocol,
+            pairs=args.pairs,
+            control_probability=args.control_prob,
+            check_kind=CheckKind(args.check) if args.check is not None else None,
+            attack=AttackKind(args.attack),
+            seed=args.seed,
+            settings=args.settings,
+            protocol=ProtocolKind(args.protocol),
         )
     except ConfigFieldError as exc:
         raise UsageError(f"{_FIELD_FLAGS[exc.field_name]}: {exc}") from exc
-
-    return RunSpec(config=config, out_format=out_format, out_path=Path(out_value) if out_value else None)
+    return RunSpec(config=config, out_format=args.out_format, out_path=Path(args.out) if args.out else None)
 
 
 # ---------------------------------------------------------------------------

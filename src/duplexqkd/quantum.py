@@ -241,10 +241,6 @@ class PureState:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PureState is immutable")
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def __repr__(self) -> str:
         return f"PureState({self.num_qubits} qubits, {np.round(self.amplitudes, 6)!r})"
 
@@ -584,7 +580,7 @@ def equal_up_to_phase(a: PureState, b: PureState, atol: float = ATOL_ANALYTIC) -
     """True when |<a|b>| = 1 within ``atol`` (identical physical states)."""
     if a.num_qubits != b.num_qubits:
         return False
-    return abs(abs(a.overlap(b)) - 1.0) <= atol
+    return abs(abs(complex(np.vdot(a.amplitudes, b.amplitudes))) - 1.0) <= atol
 
 
 def identify_bell(state: PureState) -> BellStateId | None:

@@ -73,9 +73,13 @@ class _ConfigLines(str):
     """An argv slot that stands for a config file holding these lines."""
 
 
-def _write_config(tmp_path, lines: str) -> str:
+class _ConfigBytes(bytes):
+    """An argv slot that stands for a config file holding these bytes."""
+
+
+def _write_config(tmp_path, content: str | bytes) -> str:
     path = tmp_path / "run.conf"
-    path.write_text(lines)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     return str(path)
 
 
@@ -99,10 +103,16 @@ def _write_config(tmp_path, lines: str) -> str:
         (["--config", _ConfigLines("duplex = full\n")], "unknown key 'duplex'"),
         (["--protocol", "modified", "--check", "chsh"], "--check"),
         (["--config", _ConfigLines("protocol = modified\ncheck = chsh\n")], "--check"),
+        (["--config", _ConfigBytes(b"\xff\n")], "--config"),
+        # A bad file value fails even where the command line overrides it.
+        (["--config", _ConfigLines("pairs = ten\n"), "--pairs", "5"], "--pairs"),
+        (["--config", _ConfigLines("protocol = bogus\n")], "--protocol"),
+        (["--config", _ConfigLines("help = 1\n")], "unknown key 'help'"),
+        (["--config", _ConfigLines("config = x\n")], "unknown key 'config'"),
     ],
 )
 def test_rejections_name_the_flag(argv, needle, tmp_path):
-    argv = [_write_config(tmp_path, arg) if isinstance(arg, _ConfigLines) else arg for arg in argv]
+    argv = [_write_config(tmp_path, arg) if isinstance(arg, (_ConfigLines, _ConfigBytes)) else arg for arg in argv]
     with pytest.raises(UsageError) as err:
         parse_args(argv)
     assert needle in str(err.value)
@@ -115,6 +125,27 @@ def test_usage_errors_exit_2(capsys):
     assert message.startswith("duplexqkd:") and message.count("\n") == 1
 
 
+def test_help_shows_every_run_flag(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    for shown in (
+        "--config PATH",
+        "--protocol {base,modified}",
+        "--attack {none,ir,qmm,qmm-swap}",
+        "--pairs N",
+        "--control-prob C",
+        "--check {chsh,qber}",
+        "--seed S",
+        "--settings A11,A12,A21,A22",
+        "--format {json,csv}",
+        "--out PATH",
+    ):
+        assert shown in text
+
+
 def test_config_file_supplies_flags(tmp_path):
     config_file = tmp_path / "run.conf"
     config_file.write_text(
@@ -124,11 +155,13 @@ def test_config_file_supplies_flags(tmp_path):
         "check = qber\n"
         "attack = qmm\n"
         "seed = 9\n"
+        "settings = -0.5,0,0,0\n"
     )
     spec = parse_args(["--config", str(config_file)])
     assert spec.config.pairs == 123
     assert spec.config.control_probability == 0.25
     assert spec.config.attack is AttackKind.QMM_SUBSTITUTE
+    assert spec.config.settings == parse_args(["--settings=-0.5,0,0,0"]).config.settings
 
 
 def test_command_line_overrides_config_file(tmp_path):
