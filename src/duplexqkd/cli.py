@@ -12,6 +12,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable
 from pathlib import Path
@@ -91,21 +92,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: A comment: a ``#`` that starts a line or follows whitespace, and the rest
+#: of its line.  A ``#`` inside a value, as in ``out = a#b.csv``, is kept.
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def _read_config_file(path: str, parser: _Parser) -> list[str]:
     """The key=value lines of ``path`` as ``--key=value`` arguments; a key
     must name one of ``parser``'s run flags (not ``--config`` or ``--help``).
-    The ``=`` form keeps a value such as ``-0.5,0,0,0`` from reading as a flag."""
+    The file is UTF-8, with or without a byte-order mark.  The ``=`` form
+    keeps a value such as ``-0.5,0,0,0`` from reading as a flag."""
     # argparse offers no public list of a parser's flags.
     flags = {flag for flag in parser._option_string_actions if flag.startswith("--")} - {"--config", "--help"}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
-        raise UsageError(f"--config: cannot read {path}: {exc.strerror}") from exc
+        raise UsageError(f"--config: cannot read {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"--config: {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     args = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -126,7 +133,7 @@ def parse_args(argv: list[str]) -> RunSpec:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
+    if args.config is not None:
         args = parser.parse_args(_read_config_file(args.config, parser) + argv)
     try:
         config = SimulationConfig(
@@ -207,16 +214,16 @@ _EVE_FIELDS = {
 
 
 def _record_row(record) -> str:
-    """One transcript line, its cells in ``CSV_COLUMNS`` order: each field
-    of ``record`` fills the column named after it, ``outcomes`` fill
-    ``outcome_1``/``outcome_2``, the Eve log fills the ``eve_*`` columns and
-    every other column is empty.  No cell text needs quoting, so the cells
-    are joined by bare commas."""
+    """The end of a transcript line after its ``pair_index`` cell and comma,
+    its cells in ``CSV_COLUMNS`` order: each field of ``record`` fills the
+    column named after it, ``outcomes`` fill ``outcome_1``/``outcome_2``,
+    the Eve log fills the ``eve_*`` columns and every other column is empty.
+    No cell text needs quoting, so the cells are joined by bare commas."""
     values = {name: getattr(record, name) for name in record._fields}
     values.update(zip(("outcome_1", "outcome_2"), record.outcomes))
     if record.eve_log is not None:
         values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
-    cells = [_PROTOCOL_TAGS[type(record)] if c == "protocol" else _cell(values.get(c)) for c in CSV_COLUMNS]
+    cells = [_PROTOCOL_TAGS[type(record)] if c == "protocol" else _cell(values.get(c)) for c in CSV_COLUMNS[1:]]
     return ",".join(cells) + "\n"
 
 
@@ -227,15 +234,16 @@ _CSV_SLICE = 512
 
 def records_to_csv(records: Iterable, handle: TextIO) -> None:
     """Write the CSV transcript of ``records`` to ``handle``, each row as
-    its record arrives, so no transcript is held in memory.
+    its record arrives, so no transcript is held in memory; a row's
+    ``pair_index`` is its position.
 
     A session's rows are written a chunk at a time: every row past the
     pair index is its trie leaf's, rendered once per leaf."""
     handle.write(",".join(CSV_COLUMNS) + "\n")
     if not isinstance(records, Session):
-        handle.writelines(map(_record_row, records))
+        handle.writelines(f"{i},{_record_row(record)}" for i, record in enumerate(records))
         return
-    suffixes = [_record_row(record).split(",", 1)[1] for record in records.leaves]
+    suffixes = [_record_row(record) for record in records.leaves]
     start = 0
     for ids in records.leaf_ids():
         for lo in range(0, len(ids), _CSV_SLICE):
@@ -281,10 +289,10 @@ def _value(column: str, cell: str, parse: Callable[[str], object]):
         raise ValueError(f"bad {column} cell {cell!r}") from None
 
 
-def _parse_leaf(cells: list[str], eve_logs: dict) -> tuple[type, tuple]:
-    """The record type of a row whose cells after ``pair_index`` are
-    ``cells``, and its fields after ``pair_index``.  ``eve_logs`` holds the
-    Eve log of each set of Eve cells parsed so far (None for empty cells)."""
+def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRecord:
+    """The record of a row whose cells after ``pair_index`` are ``cells``.
+    ``eve_logs`` holds the Eve log of each set of Eve cells parsed so far
+    (None for empty cells)."""
     if len(cells) != len(CSV_COLUMNS) - 1:
         raise ValueError(f"{len(cells) + 1} cells, expected {len(CSV_COLUMNS)}")
     record_type, mode = _value("protocol", cells[0], _RECORD_TYPES.__getitem__)
@@ -303,7 +311,7 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> tuple[type, tuple]:
             measured_bases=(), measured_outcomes=(), observations=(), **dict(zip(_EVE_FIELDS.values(), eve))
         )
     values["eve_log"] = eve_logs[eve]
-    return record_type, tuple(values[name] for name in record_type._fields[1:])
+    return record_type(*(values[name] for name in record_type._fields))
 
 
 def load_records_csv(path) -> list:
@@ -315,12 +323,12 @@ def load_records_csv(path) -> list:
     raises ValueError naming the line.  Announcement lists and Eve's
     measurement and observation traces are not serialized to CSV (loaded
     logs hold empty tuples there); everything the estimators consume
-    round-trips.  Each distinct row past ``pair_index`` is parsed once, and
-    every row with those cells shares its field values (equal Eve cells
-    share one log as well), so a loaded transcript costs about 200 bytes per
-    round; treat the loaded logs as read-only.
+    round-trips.  Each distinct row past ``pair_index`` is parsed once into
+    one record, which every row with those cells shares, as a session's
+    pairs share their leaf's record (equal Eve cells share one log as well);
+    treat loaded records as read-only.
     """
-    leaves: dict[str, tuple[type, tuple]] = {}
+    leaves: dict[str, PairRecord | ModifiedPairRecord] = {}
     eve_logs: dict[tuple, EveLog | None] = {(None,) * len(_EVE_FIELDS): None}
     records = []
     with open(path, newline="") as handle:
@@ -332,10 +340,9 @@ def load_records_csv(path) -> list:
             try:
                 if suffix not in leaves:
                     leaves[suffix] = _parse_leaf(suffix.rstrip("\r\n").split(","), eve_logs)
-                record_type, rest = leaves[suffix]
                 if index != str(len(records)):
                     raise ValueError(f"pair_index cell {index!r}, expected {len(records)}")
-                records.append(record_type(len(records), *rest))
+                records.append(leaves[suffix])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return records

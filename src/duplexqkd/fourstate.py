@@ -105,7 +105,6 @@ def pauli_for_target(current: BellStateId, target: BellStateId) -> PauliOp:
 class ModifiedPairRecord:
     """Transcript of one four-state round."""
 
-    pair_index: int
     mode: ModifiedMode
     bob_state: BellStateId
     alice_bell_outcome: BellStateId | None
@@ -156,7 +155,6 @@ def run_modified_pair(
         control_pass = outcome_1 * outcome_2 == correlation_signature(bob_state, control_basis)
 
     return ModifiedPairRecord(
-        pair_index=pair_index,
         mode=mode,
         bob_state=bob_state,
         alice_bell_outcome=alice_bell_outcome,

@@ -237,7 +237,6 @@ class PairSystem:
 class PairRecord:
     """Complete transcript of one base-protocol round."""
 
-    pair_index: int
     mode: Mode
     bob_state: BellStateId
     alice_basis: Basis | None
@@ -419,7 +418,6 @@ def run_pair(
             qber_pass = correlated == (correlation_signature(bob_state, alice_basis) == +1)
 
     return PairRecord(
-        pair_index=pair_index,
         mode=mode,
         bob_state=bob_state,
         alice_basis=alice_basis,
@@ -448,17 +446,18 @@ class Session:
     session holds the complete trie of its round's choices, built once by
     replaying every branch: a node is one choice that ``u`` decides (the
     lane and slot it reads, its cut points), an edge is one of its branches,
-    and a leaf holds the record of every round that takes that path (all
-    but its ``pair_index``).  Each pair is resolved in numpy, a chunk of
-    ``CHUNK`` pairs at a time, by comparing its draws with the cut points.
+    and a leaf holds the record of every round that takes that path.  Each
+    pair is resolved in numpy, a chunk of ``CHUNK`` pairs at a time, by
+    comparing its draws with the cut points, and iteration yields its
+    leaf's record itself: every pair that takes one path shares one
+    record, so treat yielded records as read-only.
 
     ``leaf_ids()`` yields the leaf of each pair, a chunk at a time,
     ``leaf_counts()`` the number of pairs per leaf, ``leaves`` holds one
-    record per leaf (its ``pair_index`` is the replay's, the leaf's own
-    index) and ``probabilities`` the chance that a pair reaches each leaf,
-    so consumers can work per leaf instead of per pair.  The trie relies on
-    the adversary contract: a round's record is a function of its draws and
-    its events, and an adversary resets its per-pair state in
+    record per leaf and ``probabilities`` the chance that a pair reaches
+    each leaf, so consumers can work per leaf instead of per pair.  The trie
+    relies on the adversary contract: a round's record is a function of its
+    draws and its events, and an adversary resets its per-pair state in
     ``begin_pair``.
     """
 
@@ -495,7 +494,7 @@ class Session:
         while todo:
             forced, expected, row, branch, p = todo.pop()
             path: list = []
-            record = round_fn(config, adversary, len(self.leaves), _replay=(forced, path))
+            record = round_fn(config, adversary, 0, _replay=(forced, path))
             steps = [step[:3] for step in path]
             drawn = tuple(step[3] for step in path)
             if steps[: len(forced)] != expected:
@@ -523,14 +522,8 @@ class Session:
         self._table = _walk_table(nodes, children, len(self.leaves))
 
     def __iter__(self) -> Iterator[PairRecord | ModifiedPairRecord]:
-        # Each record is its leaf's with another pair_index, the first field:
-        # built positionally from the leaf's other fields, taken once.
-        rests = [tuple(getattr(record, name) for name in record._fields[1:]) for record in self.leaves]
-        pair_index = 0
         for ids in self.leaf_ids():
-            for leaf in ids.tolist():
-                yield type(self.leaves[leaf])(pair_index, *rests[leaf])
-                pair_index += 1
+            yield from map(self.leaves.__getitem__, ids.tolist())
 
     def leaf_ids(self) -> Iterator[np.ndarray]:
         """The leaf id of every pair, in pair order, one array per chunk of
@@ -605,11 +598,11 @@ def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) 
     selects, as a :class:`Session` that yields each round's record in pair
     order when iterated.
 
-    Records are made a chunk at a time and nothing else grows with the
-    number of pairs, so a caller that folds or writes each record keeps
-    memory flat however many pairs run; callers that need the whole
-    transcript take ``list(...)``.  With ``adversary=None`` the attack layer
-    is instantiated from ``config.attack`` (no layer at all for
-    AttackKind.NONE).
+    Pairs are resolved a chunk at a time into the session's shared leaf
+    records and nothing else grows with the number of pairs, so a caller
+    that folds or writes each record keeps memory flat however many pairs
+    run; callers that need the whole transcript take ``list(...)``.  With
+    ``adversary=None`` the attack layer is instantiated from
+    ``config.attack`` (no layer at all for AttackKind.NONE).
     """
     return Session(config, adversary)

@@ -29,9 +29,8 @@ from duplexqkd.quantum import Basis, BellStateId, ChshSettings, TwoQubitDensity,
 # Synthetic CHSH records
 
 
-def _chsh_record(index, state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
+def _chsh_record(state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
     return PairRecord(
-        pair_index=index,
         mode=Mode.CONTROL_CHSH,
         bob_state=state,
         alice_basis=None,
@@ -63,7 +62,6 @@ def _sample_records(rng, state, per_pair) -> list:
     """Records whose products are drawn straight from the analytic correlators."""
     rho = TwoQubitDensity.from_pure(bell_state(state))
     records = []
-    index = 0
     for (i, j) in SETTING_PAIRS:
         e = correlator(
             rho,
@@ -72,8 +70,7 @@ def _sample_records(rng, state, per_pair) -> list:
         )
         p_plus = (1.0 + e) / 2.0
         for product in np.where(rng.random(per_pair) < p_plus, 1, -1):
-            records.append(_chsh_record(index, state, i, j, int(product)))
-            index += 1
+            records.append(_chsh_record(state, i, j, int(product)))
     return records
 
 
@@ -94,7 +91,7 @@ def test_estimate_chsh_coverage_over_seeds():
 
 def test_estimate_chsh_marks_missing_pairs_unavailable():
     records = [
-        _chsh_record(i, BellStateId.PSI_PLUS, i % 2, 0, 1)  # never uses bob setting 1
+        _chsh_record(BellStateId.PSI_PLUS, i % 2, 0, 1)  # never uses bob setting 1
         for i in range(40)
     ]
     bin_ = estimate_chsh(records, DEFAULT_SETTINGS).per_state[BellStateId.PSI_PLUS]
@@ -104,7 +101,7 @@ def test_estimate_chsh_marks_missing_pairs_unavailable():
 
 
 def test_estimate_chsh_rejects_foreign_settings():
-    records = [_chsh_record(0, BellStateId.PSI_PLUS, 0, 0, 1)]
+    records = [_chsh_record(BellStateId.PSI_PLUS, 0, 0, 1)]
     from duplexqkd.quantum import ChshSettings
 
     other = ChshSettings((0.1, 0.2), (0.3, 0.4))
@@ -136,9 +133,8 @@ def test_estimate_chsh_counts_sum_to_binned_rounds():
 # Detection statistics
 
 
-def _qber_record(index, state, basis, correlated) -> PairRecord:
+def _qber_record(state, basis, correlated) -> PairRecord:
     return PairRecord(
-        pair_index=index,
         mode=Mode.CONTROL_QBER,
         bob_state=state,
         alice_basis=basis,
@@ -159,10 +155,10 @@ def _qber_record(index, state, basis, correlated) -> PairRecord:
 def test_estimate_qber_counts_contradictions():
     # psi+ in X is correlated; announcing anti-correlation is an error.
     records = [
-        _qber_record(0, BellStateId.PSI_PLUS, Basis.X, True),
-        _qber_record(1, BellStateId.PSI_PLUS, Basis.X, False),
-        _qber_record(2, BellStateId.PHI_MINUS, Basis.Z, True),
-        _qber_record(3, BellStateId.PSI_PLUS, Basis.Z, True),
+        _qber_record(BellStateId.PSI_PLUS, Basis.X, True),
+        _qber_record(BellStateId.PSI_PLUS, Basis.X, False),
+        _qber_record(BellStateId.PHI_MINUS, Basis.Z, True),
+        _qber_record(BellStateId.PSI_PLUS, Basis.Z, True),
     ]
     stats = estimate_qber(records)
     assert stats.checks == 4

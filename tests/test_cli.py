@@ -109,6 +109,7 @@ def _write_config(tmp_path, content: str | bytes) -> str:
         (["--config", _ConfigLines("protocol = bogus\n")], "--protocol"),
         (["--config", _ConfigLines("help = 1\n")], "unknown key 'help'"),
         (["--config", _ConfigLines("config = x\n")], "unknown key 'config'"),
+        (["--config", ""], "--config"),
     ],
 )
 def test_rejections_name_the_flag(argv, needle, tmp_path):
@@ -162,6 +163,21 @@ def test_config_file_supplies_flags(tmp_path):
     assert spec.config.control_probability == 0.25
     assert spec.config.attack is AttackKind.QMM_SUBSTITUTE
     assert spec.config.settings == parse_args(["--settings=-0.5,0,0,0"]).config.settings
+
+
+@pytest.mark.parametrize(
+    "content,flags",
+    [
+        (_ConfigLines("pairs = 12  # twelve\n"), ["--pairs", "12"]),
+        (_ConfigLines("out = a#b.csv\n"), ["--out", "a#b.csv"]),
+        (_ConfigBytes(b"\xef\xbb\xbfpairs = 12\nformat = csv\n"), ["--pairs", "12", "--format", "csv"]),
+    ],
+    ids=["comment-after-value", "hash-in-value", "byte-order-mark"],
+)
+def test_config_file_lines_read_as_flags(content, flags, tmp_path):
+    # A '#' starts a comment only at a line's start or after whitespace, and
+    # a UTF-8 byte-order mark is not part of the first key.
+    assert parse_args(["--config", _write_config(tmp_path, content)]) == parse_args(flags)
 
 
 def test_command_line_overrides_config_file(tmp_path):
@@ -409,6 +425,26 @@ def test_loaded_transcript_shares_equal_cells(tmp_path):
     assert held / len(loaded) < 300
     assert len({id(r.eve_log) for r in loaded}) < 50
     assert loaded[0].eve_log.observations == ()
+
+
+@pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)
+def test_records_are_shared_leaves(protocol, attack, check, tmp_path):
+    # A record holds no pair index: a session yields its leaves' records
+    # themselves, and loaded rows with equal cells after pair_index are one
+    # record.
+    argv = ["--protocol", protocol.value, "--attack", attack.value, "--check", check.value,
+            "--pairs", "3000", "--control-prob", "0.5", "--seed", "5", "--format", "csv"]
+    session = run_session(parse_args(argv).config)
+    leaves = {id(leaf) for leaf in session.leaves}
+    assert all(id(record) in leaves for record in session)
+    out = tmp_path / "records.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    loaded = load_records_csv(out)
+    suffixes = [line.partition(",")[2] for line in out.read_text().splitlines()[1:]]
+    record_of = {}
+    for suffix, record in zip(suffixes, loaded, strict=True):
+        assert record_of.setdefault(suffix, record) is record
+    assert len({id(record) for record in loaded}) == len(record_of) < len(loaded)
 
 
 @pytest.mark.parametrize(

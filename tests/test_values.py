@@ -42,12 +42,12 @@ def _record_fields(config: SimulationConfig) -> dict:
 
 _FIELDS = {
     PairRecord: (
-        "pair_index", "mode", "bob_state", "alice_basis", "alice_setting", "alice_angle", "bob_setting",
-        "bob_angle", "outcomes", "announcements", "correlated", "bob_decoded_basis", "alice_decoded_state",
+        "mode", "bob_state", "alice_basis", "alice_setting", "alice_angle", "bob_setting", "bob_angle",
+        "outcomes", "announcements", "correlated", "bob_decoded_basis", "alice_decoded_state",
         "qber_pass", "eve_log",
     ),
     ModifiedPairRecord: (
-        "pair_index", "mode", "bob_state", "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded",
+        "mode", "bob_state", "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded",
         "control_basis", "outcomes", "control_pass", "announcements", "eve_log",
     ),
 }
@@ -222,7 +222,7 @@ def test_bad_arguments_raise_type_error(cls, values, frozen, slotted):
 
 @pytest.mark.parametrize(
     "cls,required",
-    [(PairRecord, 15), (ModifiedPairRecord, 12), (SimulationConfig, 1), (ControlDisclosure, 2),
+    [(PairRecord, 14), (ModifiedPairRecord, 11), (SimulationConfig, 1), (ControlDisclosure, 2),
      (SimulationReport, 2), (EveLog, 0), (ReceiptAck, 0), (RunSpec, 3)],
 )
 def test_missing_arguments_raise_type_error(cls, required):
