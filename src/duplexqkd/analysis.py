@@ -112,7 +112,10 @@ def evasion_probability(control_probability: float, detection_rate: float, n: in
     """Probability that an attacker extracts ``n`` message rounds without
     tripping a control check: (1-C)^n / (1 - C(1-d))^n.
 
-    Non-increasing in each argument; equals 1 when C = 0 or n = 0.
+    Non-increasing in each argument; equals 1 when C = 0, d = 0 or n = 0.
+    The ratio is raised to the n-th power once, as 1 / (1 + Cd/(1-C)), so
+    a large ``n`` underflows to 0 instead of dividing 0 by 0, and each
+    rounded step keeps the result non-increasing in C and d.
     """
     c, d = float(control_probability), float(detection_rate)
     if not (0.0 <= c < 1.0):
@@ -121,7 +124,7 @@ def evasion_probability(control_probability: float, detection_rate: float, n: in
         raise ValueError(f"detection rate must lie in [0, 1], got {d}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return (1.0 - c) ** n / (1.0 - c * (1.0 - d)) ** n
+    return (1.0 / (1.0 + c * d / (1.0 - c))) ** n
 
 
 @value

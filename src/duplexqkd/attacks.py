@@ -3,8 +3,10 @@
 An adversary sees exactly two things: qubits in transit (which it may
 transform before forwarding) and classical announcements after they are
 sent.  It never sees local measurement results or the control flag ahead of
-Alice's first-measurement announcement.  Each attack keeps an ordered
-per-round observation log so tests can assert that causality discipline.
+Alice's first-measurement announcement.  Each attack keeps its round's
+scratch on itself, resets it in ``begin_pair`` and builds the round's
+immutable :class:`EveLog`, ordered observation trace included, once in
+``end_pair``, so tests can assert that causality discipline.
 
 Three concrete attacks:
 
@@ -40,7 +42,7 @@ from .protocol import (
     bob_decode,
 )
 from .fourstate import PauliAnnouncement, pauli_transition
-from .values import factory, value
+from .values import value
 
 __all__ = [
     "Adversary",
@@ -52,20 +54,21 @@ __all__ = [
 ]
 
 
-@value(frozen=False, slots=True)
+@value
 class EveLog:
     """What one attack round yielded, populated only from information the
-    attack legitimately accessed."""
+    attack legitimately accessed.  The attack builds it once, when the round
+    ends."""
 
-    measured_bases: list = factory(list)
-    measured_outcomes: list = factory(list)
+    measured_bases: tuple[Basis, ...] = ()
+    measured_outcomes: tuple[int, ...] = ()
     substitute_state: BellStateId | None = None
     bell_outcome: BellStateId | None = None
     guessed_alice_bit: int | None = None
     guessed_bob_bit: int | None = None
     #: Ordered trace of everything Eve saw: ("qubit", leg) entries and
     #: ("announcement", message) entries.
-    observations: list = factory(list)
+    observations: tuple = ()
 
 
 class Adversary:
@@ -103,40 +106,43 @@ class InterceptResend(Adversary):
     """
 
     def __init__(self) -> None:
-        self._log = EveLog()
+        self.begin_pair()
+
+    def begin_pair(self) -> None:
+        self._observations: list = []
+        self._outcomes: list[int] = []
         self._basis: Basis | None = None
         self._heard_correlation: bool | None = None
 
-    def begin_pair(self) -> None:
-        self._log = EveLog()
-        self._basis = None
-        self._heard_correlation = None
-
     def relay_qubit(self, system, handle, leg, lane):
-        self._log.observations.append(("qubit", leg))
+        self._observations.append(("qubit", leg))
         if leg == 1:
             self._basis = lane.choose(BASIS_CHOICE)
-        outcome = system.measure(handle, self._basis.observable, lane)
-        self._log.measured_bases.append(self._basis)
-        self._log.measured_outcomes.append(outcome)
+        self._outcomes.append(system.measure(handle, self._basis.observable, lane))
         return handle
 
     def hear(self, system, message, lane):
-        self._log.observations.append(("announcement", message))
+        self._observations.append(("announcement", message))
         if isinstance(message, CorrelationAnnouncement):
             self._heard_correlation = message.correlated
 
     def end_pair(self, system, lane):
-        log = self._log
-        if len(log.measured_outcomes) == 2:
+        outcomes = tuple(self._outcomes)
+        guessed_alice_bit = guessed_bob_bit = None
+        if len(outcomes) == 2:
             # Her own same-basis product always equals the sent state's
             # signature, so Bob's state is known exactly.
-            product_correlated = log.measured_outcomes[0] * log.measured_outcomes[1] == +1
-            guessed_state = alice_decode(self._basis, product_correlated)
-            log.guessed_bob_bit = STATE_BIT.get(guessed_state)
+            guessed_state = alice_decode(self._basis, outcomes[0] * outcomes[1] == +1)
+            guessed_bob_bit = STATE_BIT.get(guessed_state)
             if self._heard_correlation is not None and guessed_state in STATE_BIT:
-                log.guessed_alice_bit = BASIS_BIT[bob_decode(guessed_state, self._heard_correlation)]
-        return log
+                guessed_alice_bit = BASIS_BIT[bob_decode(guessed_state, self._heard_correlation)]
+        return EveLog(
+            measured_bases=(self._basis,) * len(outcomes),
+            measured_outcomes=outcomes,
+            guessed_alice_bit=guessed_alice_bit,
+            guessed_bob_bit=guessed_bob_bit,
+            observations=tuple(self._observations),
+        )
 
 
 class QmmSubstitute(Adversary):
@@ -151,59 +157,61 @@ class QmmSubstitute(Adversary):
     def __init__(self) -> None:
         self._protocol = ProtocolKind.BASE
         self._choice = Choice.uniform(BIT_STATE)
-        self._log = EveLog()
-        self._retained: list[str] = []
-        self._heard_correlation: bool | None = None
-        self._heard_pauli = None
+        self.begin_pair()
 
     def begin_session(self, config):
         self._protocol = config.protocol
         self._choice = Choice.uniform(tuple(BellStateId) if config.protocol is ProtocolKind.MODIFIED else BIT_STATE)
 
     def begin_pair(self) -> None:
-        self._log = EveLog()
-        self._retained = []
-        self._heard_correlation = None
+        self._observations: list = []
+        self._retained: list[str] = []
+        self._substitute: BellStateId | None = None
+        self._heard_correlation: bool | None = None
         self._heard_pauli = None
 
     def relay_qubit(self, system, handle, leg, lane):
-        self._log.observations.append(("qubit", leg))
+        self._observations.append(("qubit", leg))
         self._retained.append(handle)
         if leg == 1:
-            substitute = lane.choose(self._choice)
-            system.add_pair(substitute, "eve0", "eve1")
-            self._log.substitute_state = substitute
+            self._substitute = lane.choose(self._choice)
+            system.add_pair(self._substitute, "eve0", "eve1")
             return "eve0"
         return "eve1"
 
     def hear(self, system, message, lane):
-        self._log.observations.append(("announcement", message))
+        self._observations.append(("announcement", message))
         if isinstance(message, CorrelationAnnouncement):
             self._heard_correlation = message.correlated
         elif isinstance(message, PauliAnnouncement):
             self._heard_pauli = message.op
 
+    def _log(self, **learned) -> EveLog:
+        """The round's log: the substitute, what Eve saw and ``learned``."""
+        return EveLog(substitute_state=self._substitute, observations=tuple(self._observations), **learned)
+
     def end_pair(self, system, lane):
-        log = self._log
+        substitute = self._substitute
+        bell_outcome = guessed_alice_bit = guessed_bob_bit = None
         if len(self._retained) == 2:
             # Bob's pair reached Eve intact; the Bell measurement reads his
             # encoding with certainty.
-            log.bell_outcome = system.bell_measure_pair(*self._retained, lane)
+            bell_outcome = system.bell_measure_pair(*self._retained, lane)
             if self._protocol is ProtocolKind.MODIFIED:
-                log.guessed_bob_bit = log.bell_outcome.bits
+                guessed_bob_bit = bell_outcome.bits
             else:
-                log.guessed_bob_bit = STATE_BIT.get(log.bell_outcome)
-        if self._heard_correlation is not None and log.substitute_state in STATE_BIT:
+                guessed_bob_bit = STATE_BIT.get(bell_outcome)
+        if self._heard_correlation is not None and substitute in STATE_BIT:
             # Alice measured Eve's pair, so the announced correlation decodes
             # against the substitute state.
-            log.guessed_alice_bit = BASIS_BIT[
-                bob_decode(log.substitute_state, self._heard_correlation)
-            ]
-        if self._heard_pauli is not None and log.substitute_state is not None:
+            guessed_alice_bit = BASIS_BIT[bob_decode(substitute, self._heard_correlation)]
+        if self._heard_pauli is not None and substitute is not None:
             # Alice Bell-measured Eve's pair, so her announced operation maps
             # the substitute state to her target.
-            log.guessed_alice_bit = pauli_transition(log.substitute_state, self._heard_pauli).bits
-        return log
+            guessed_alice_bit = pauli_transition(substitute, self._heard_pauli).bits
+        return self._log(
+            bell_outcome=bell_outcome, guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit
+        )
 
 
 class QmmSwap(QmmSubstitute):
@@ -219,7 +227,6 @@ class QmmSwap(QmmSubstitute):
     def __init__(self) -> None:
         super().__init__()
         self._check = CheckKind.CHSH
-        self._swapped = False
 
     def begin_session(self, config):
         super().begin_session(config)
@@ -227,7 +234,7 @@ class QmmSwap(QmmSubstitute):
 
     def begin_pair(self) -> None:
         super().begin_pair()
-        self._swapped = False
+        self._swap_outcome: BellStateId | None = None
 
     def hear(self, system, message, lane):
         super().hear(system, message, lane)
@@ -235,16 +242,15 @@ class QmmSwap(QmmSubstitute):
             isinstance(message, MeasuredFirst)
             and message.control
             and self._check is CheckKind.CHSH
-            and not self._swapped
+            and self._swap_outcome is None
             and self._retained
             and system.holds("eve1")
         ):
-            self._log.bell_outcome = system.bell_measure_pair(self._retained[0], "eve1", lane)
-            self._swapped = True
+            self._swap_outcome = system.bell_measure_pair(self._retained[0], "eve1", lane)
 
     def end_pair(self, system, lane):
-        if self._swapped:
-            return self._log
+        if self._swap_outcome is not None:
+            return self._log(bell_outcome=self._swap_outcome)
         return super().end_pair(system, lane)
 
 

@@ -18,6 +18,8 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import TextIO
 
+import numpy as np
+
 from .analysis import build_report
 from .attacks import EveLog
 from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
@@ -238,14 +240,18 @@ def records_to_csv(records: Iterable, handle: TextIO) -> None:
     ``pair_index`` is its position.
 
     A session's rows are written a chunk at a time: every row past the
-    pair index is its trie leaf's, rendered once per leaf."""
+    pair index is its trie leaf's, rendered once, in the first chunk that
+    reaches that leaf."""
     handle.write(",".join(CSV_COLUMNS) + "\n")
     if not isinstance(records, Session):
         handle.writelines(f"{i},{_record_row(record)}" for i, record in enumerate(records))
         return
-    suffixes = [_record_row(record) for record in records.leaves]
+    suffixes: list[str | None] = [None] * len(records.leaves)
     start = 0
     for ids in records.leaf_ids():
+        for leaf in np.flatnonzero(np.bincount(ids, minlength=len(suffixes))).tolist():
+            if suffixes[leaf] is None:
+                suffixes[leaf] = _record_row(records.leaves[leaf])
         for lo in range(0, len(ids), _CSV_SLICE):
             leaves = ids[lo : lo + _CSV_SLICE].tolist()
             handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(leaves, start + lo)]))
@@ -307,9 +313,7 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRe
     values["announcements"] = ()
     eve = tuple(values[column] for column in _EVE_FIELDS)
     if eve not in eve_logs:
-        eve_logs[eve] = EveLog(
-            measured_bases=(), measured_outcomes=(), observations=(), **dict(zip(_EVE_FIELDS.values(), eve))
-        )
+        eve_logs[eve] = EveLog(**dict(zip(_EVE_FIELDS.values(), eve)))
     values["eve_log"] = eve_logs[eve]
     return record_type(*(values[name] for name in record_type._fields))
 
@@ -326,7 +330,7 @@ def load_records_csv(path) -> list:
     round-trips.  Each distinct row past ``pair_index`` is parsed once into
     one record, which every row with those cells shares, as a session's
     pairs share their leaf's record (equal Eve cells share one log as well);
-    treat loaded records as read-only.
+    records and logs are immutable, so a shared one cannot be changed.
     """
     leaves: dict[str, PairRecord | ModifiedPairRecord] = {}
     eve_logs: dict[tuple, EveLog | None] = {(None,) * len(_EVE_FIELDS): None}

@@ -52,12 +52,12 @@ class ModifiedMode(Enum):
     CONTROL = "control"
 
 
-@value(slots=True)
+@value
 class ReceiptAck:
     """Alice confirms arrival of the first qubit (one classical bit)."""
 
 
-@value(slots=True)
+@value
 class PauliAnnouncement:
     """Alice's encoding: the index of the Pauli mapping Bob's state to her
     target (two classical bits)."""
@@ -65,13 +65,13 @@ class PauliAnnouncement:
     op: PauliOp
 
 
-@value(slots=True)
+@value
 class ModifiedControlDisclosure:
     basis: Basis
     outcome: Outcome
 
 
-@value(slots=True)
+@value
 class StateDisclosure:
     state_id: BellStateId
 
@@ -101,7 +101,7 @@ def pauli_for_target(current: BellStateId, target: BellStateId) -> PauliOp:
     return _MASK_TO_PAULI[current.bits ^ target.bits]
 
 
-@value(slots=True)
+@value
 class ModifiedPairRecord:
     """Transcript of one four-state round."""
 

@@ -112,7 +112,7 @@ STATE_BIT = {BellStateId.PSI_PLUS: 0, BellStateId.PHI_MINUS: 1}
 BIT_STATE = (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)
 
 
-@value(slots=True)
+@value
 class MeasuredFirst:
     """Alice's announcement that her first measurement is done; reveals the
     control flag and nothing else."""
@@ -120,12 +120,12 @@ class MeasuredFirst:
     control: bool
 
 
-@value(slots=True)
+@value
 class CorrelationAnnouncement:
     correlated: bool
 
 
-@value(slots=True)
+@value
 class ControlDisclosure:
     """CHSH-round disclosure of one party's setting and outcome; Bob's copy
     carries his state so estimates can be binned."""
@@ -135,7 +135,7 @@ class ControlDisclosure:
     state_id: BellStateId | None = None
 
 
-@value(slots=True)
+@value
 class QberDisclosure:
     basis: Basis
     correlated: bool
@@ -233,7 +233,7 @@ class PairSystem:
         return outcome
 
 
-@value(slots=True)
+@value
 class PairRecord:
     """Complete transcript of one base-protocol round."""
 
@@ -450,7 +450,8 @@ class Session:
     pair is resolved in numpy, a chunk of ``CHUNK`` pairs at a time, by
     comparing its draws with the cut points, and iteration yields its
     leaf's record itself: every pair that takes one path shares one
-    record, so treat yielded records as read-only.
+    record, an immutable value (its Eve log included), so no reader can
+    change what another pair reports.
 
     ``leaf_ids()`` yields the leaf of each pair, a chunk at a time,
     ``leaf_counts()`` the number of pairs per leaf, ``leaves`` holds one

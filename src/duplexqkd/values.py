@@ -2,14 +2,13 @@
 
 ``@value`` turns a class whose body annotates its fields into a value type.
 It gets an ``__init__`` that takes the fields by position or keyword,
-applies the class-body defaults (a ``factory(list)`` default is built afresh
+applies the class-body defaults (a ``factory(dict)`` default is built afresh
 for each instance) and then calls ``__post_init__`` if the class has one.
 It also gets equality that needs the exact type, the repr
 ``Name(field=value, ...)`` and a reduce hook, so pickle and copy rebuild an
 equal value through ``__init__``.  A frozen class (the default) refuses
 assignment and deletion and hashes by value; ``frozen=False`` makes it
-mutable and unhashable.  ``slots=True`` gives each field a slot and
-instances no ``__dict__``.  The field names, in declaration order, are the
+mutable and unhashable.  The field names, in declaration order, are the
 class attribute ``_fields``.
 
 Every method is a closure over the class's field names, so building a class
@@ -33,14 +32,14 @@ class factory:
         self.make = make
 
 
-def value(cls=None, /, *, frozen: bool = True, slots: bool = False):
-    """Make ``cls`` a value type; use as ``@value`` or ``@value(...)``."""
+def value(cls=None, /, *, frozen: bool = True):
+    """Make ``cls`` a value type; use as ``@value`` or ``@value(frozen=False)``."""
     if cls is None:
-        return lambda cls: _build(cls, frozen, slots)
-    return _build(cls, frozen, slots)
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
 
 
-def _build(cls: type, frozen: bool, slots: bool) -> type:
+def _build(cls: type, frozen: bool) -> type:
     names = tuple(cls.__annotations__)
     qualname = cls.__qualname__
     ns = {key: item for key, item in cls.__dict__.items() if key not in ("__dict__", "__weakref__")}
@@ -67,21 +66,11 @@ def _build(cls: type, frozen: bool, slots: bool) -> type:
             raise TypeError(f"{qualname}() got {problem} argument {name!r}")
         return bound
 
-    # Fields are stored past any __setattr__: through each slot's descriptor,
-    # or into the instance dict.
-    def fill_slots(self, args) -> None:
-        for set_field, item in zip(setters, args):
-            set_field(self, item)
-
-    def fill_dict(self, args) -> None:
-        self.__dict__.update(zip(names, args))
-
-    fill = fill_slots if slots else fill_dict
-
+    # Fields go straight into the instance dict, past any __setattr__.
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != n:
             args = bind(args, kwargs)
-        fill(self, args)
+        self.__dict__.update(zip(names, args))
         if post_init is not None:
             post_init(self)
 
@@ -101,8 +90,6 @@ def _build(cls: type, frozen: bool, slots: bool) -> type:
         __qualname__=qualname, _fields=names, __init__=__init__, __eq__=__eq__, __repr__=__repr__,
         __reduce__=__reduce__,
     )
-    if slots:
-        ns["__slots__"] = names
     if frozen:
 
         def __hash__(self) -> int:
@@ -117,7 +104,4 @@ def _build(cls: type, frozen: bool, slots: bool) -> type:
         ns.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
     else:
         ns["__hash__"] = None
-    built = type(cls)(cls.__name__, cls.__bases__, ns)
-    setters = tuple(built.__dict__[name].__set__ for name in names) if slots else ()
-    return built
-
+    return type(cls)(cls.__name__, cls.__bases__, ns)

@@ -233,12 +233,23 @@ def test_evasion_edge_cases():
         for d in (0.0, 0.5, 1.0):
             assert evasion_probability(c, d, 0) == 1.0
     assert evasion_probability(0.5, 0.5, 1) == pytest.approx(2 / 3, abs=1e-15)
+    # Large n: each power on its own underflows to 0 long before the ratio does.
+    for c in (0.1, 0.5, 0.9):
+        for n in (2000, 3000, 10**6):
+            assert evasion_probability(c, 0.0, n) == 1.0
+    assert evasion_probability(0.5, 0.25, 3000) == pytest.approx((4 / 5) ** 3000, rel=1e-9)
+    assert evasion_probability(0.1, 0.25, 10**6) == 0.0
+    assert 0.0 < evasion_probability(0.5, 1e-9, 10**6) < 1.0
+    # (1-C)/(1-C(1-d)) rounds up as C grows here, which the n-th power
+    # turns into a rise of 1e-10.
+    c, d, n = 0.21932321446393507, 3.4e-16, 998500
+    assert evasion_probability(c + 0.02, d, n) <= evasion_probability(c, d, n)
 
 
 @given(
     st.floats(min_value=0.0, max_value=0.95),
     st.floats(min_value=0.0, max_value=1.0),
-    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10**6),
 )
 def test_evasion_monotone_nonincreasing(c, d, n):
     p = evasion_probability(c, d, n)

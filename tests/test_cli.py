@@ -431,12 +431,21 @@ def test_loaded_transcript_shares_equal_cells(tmp_path):
 def test_records_are_shared_leaves(protocol, attack, check, tmp_path):
     # A record holds no pair index: a session yields its leaves' records
     # themselves, and loaded rows with equal cells after pair_index are one
-    # record.
+    # record.  Shared records are immutable values, Eve's log included.
     argv = ["--protocol", protocol.value, "--attack", attack.value, "--check", check.value,
             "--pairs", "3000", "--control-prob", "0.5", "--seed", "5", "--format", "csv"]
     session = run_session(parse_args(argv).config)
     leaves = {id(leaf) for leaf in session.leaves}
-    assert all(id(record) in leaves for record in session)
+    for record in session:
+        assert id(record) in leaves
+        hash(record)
+    for record in session.leaves:
+        with pytest.raises(AttributeError):
+            record.eve_log = None
+        if record.eve_log is not None:
+            for name in record.eve_log._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record.eve_log, name, None)
     out = tmp_path / "records.csv"
     assert run_cli([*argv, "--out", str(out)]) == 0
     loaded = load_records_csv(out)
@@ -444,7 +453,7 @@ def test_records_are_shared_leaves(protocol, attack, check, tmp_path):
     record_of = {}
     for suffix, record in zip(suffixes, loaded, strict=True):
         assert record_of.setdefault(suffix, record) is record
-    assert len({id(record) for record in loaded}) == len(record_of) < len(loaded)
+    assert len({id(record) for record in loaded}) == len(set(loaded)) == len(record_of) < len(loaded)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The contract every value type of the package keeps: construction by
 position or keyword with defaults and ``__post_init__``, equality that needs
-the exact type, immutability and hashing of the frozen classes, slots, the
-repr, and round trips through pickle and deepcopy."""
+the exact type, immutability and hashing of the frozen classes, the repr,
+and round trips through pickle and deepcopy."""
 
 import copy
 import math
@@ -54,10 +54,10 @@ _FIELDS = {
 
 _CONFIG = SimulationConfig(pairs=4, control_probability=0.5, attack=AttackKind.QMM_SWAP, seed=7)
 
-#: (class, field values in declaration order, frozen, slotted)
+#: (class, field values in declaration order, frozen)
 CASES = [
-    (PlanarObservable, {"angle": 0.25}, True, False),
-    (ChshSettings, {"alice_angles": (0.0, 1.0), "bob_angles": (2.0, 3.0)}, True, False),
+    (PlanarObservable, {"angle": 0.25}, True),
+    (ChshSettings, {"alice_angles": (0.0, 1.0), "bob_angles": (2.0, 3.0)}, True),
     (
         SimulationConfig,
         {
@@ -65,44 +65,40 @@ CASES = [
             "seed": 9, "settings": ChshSettings((0.0, 1.0), (2.0, 3.0)), "protocol": ProtocolKind.BASE,
         },
         True,
-        False,
     ),
-    (MeasuredFirst, {"control": True}, True, True),
-    (CorrelationAnnouncement, {"correlated": True}, True, True),
-    (ControlDisclosure, {"setting": 0.5, "outcome": -1, "state_id": BellStateId.PHI_MINUS}, True, True),
-    (QberDisclosure, {"basis": Basis.Z, "correlated": False}, True, True),
-    (PairRecord, _record_fields(_CONFIG), True, True),
+    (MeasuredFirst, {"control": True}, True),
+    (CorrelationAnnouncement, {"correlated": True}, True),
+    (ControlDisclosure, {"setting": 0.5, "outcome": -1, "state_id": BellStateId.PHI_MINUS}, True),
+    (QberDisclosure, {"basis": Basis.Z, "correlated": False}, True),
+    (PairRecord, _record_fields(_CONFIG), True),
     (
         EveLog,
         {
-            "measured_bases": [Basis.X], "measured_outcomes": [1], "substitute_state": BellStateId.PSI_PLUS,
+            "measured_bases": (Basis.X,), "measured_outcomes": (1,), "substitute_state": BellStateId.PSI_PLUS,
             "bell_outcome": None, "guessed_alice_bit": 0, "guessed_bob_bit": None,
-            "observations": [("qubit", 0), ("announcement", MeasuredFirst(False))],
+            "observations": (("qubit", 0), ("announcement", MeasuredFirst(False))),
         },
-        False,
         True,
     ),
-    (ReceiptAck, {}, True, True),
-    (PauliAnnouncement, {"op": PauliOp.SIGMA2}, True, True),
-    (ModifiedControlDisclosure, {"basis": Basis.X, "outcome": 1}, True, True),
-    (StateDisclosure, {"state_id": BellStateId.PSI_MINUS}, True, True),
+    (ReceiptAck, {}, True),
+    (PauliAnnouncement, {"op": PauliOp.SIGMA2}, True),
+    (ModifiedControlDisclosure, {"basis": Basis.X, "outcome": 1}, True),
+    (StateDisclosure, {"state_id": BellStateId.PSI_MINUS}, True),
     (
         ModifiedPairRecord,
         _record_fields(SimulationConfig(pairs=8, control_probability=0.5, attack=AttackKind.INTERCEPT_RESEND,
                                         seed=7, protocol=ProtocolKind.MODIFIED)),
         True,
-        True,
     ),
-    (ModifiedEfficiency, {"per_run": Fraction(4, 5), "average": Fraction(8, 15)}, True, False),
+    (ModifiedEfficiency, {"per_run": Fraction(4, 5), "average": Fraction(8, 15)}, True),
     (
         ChshBinEstimate,
         {"s_hat": 2.5, "stderr": 0.1, "counts": {(0, 0): 3}, "correlators": {(0, 0): 0.5}},
         True,
-        False,
     ),
-    (ChshEstimate, {"per_state": {BellStateId.PSI_PLUS: ChshBinEstimate(None, None, {}, {})}}, True, False),
-    (DetectionStats, {"checks": 4, "errors": 1}, True, False),
-    (EfficiencyQuery, {"secret_bits": 1, "qubits_transmitted": 1, "classical_bits": 1}, True, False),
+    (ChshEstimate, {"per_state": {BellStateId.PSI_PLUS: ChshBinEstimate(None, None, {}, {})}}, True),
+    (DetectionStats, {"checks": 4, "errors": 1}, True),
+    (EfficiencyQuery, {"secret_bits": 1, "qubits_transmitted": 1, "classical_bits": 1}, True),
     (
         SimulationReport,
         {
@@ -113,9 +109,8 @@ CASES = [
             "chsh_products": {(BellStateId.PSI_PLUS, 0, 1): -1},
         },
         False,
-        False,
     ),
-    (RunSpec, {"config": SimulationConfig(pairs=2), "out_format": "csv", "out_path": Path("r.csv")}, True, False),
+    (RunSpec, {"config": SimulationConfig(pairs=2), "out_format": "csv", "out_path": Path("r.csv")}, True),
 ]
 
 _IDS = [cls.__name__ for cls, *_ in CASES]
@@ -132,11 +127,11 @@ def _hashable(values) -> bool:
 def test_every_value_type_is_covered():
     assert len(CASES) == 21
     assert len(set(_IDS)) == len(_IDS)
-    assert sum(slotted for *_, slotted in CASES) == 11
+    assert [cls for cls, _, frozen in CASES if not frozen] == [SimulationReport]
 
 
-@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
-def test_construction_by_position_or_keyword(cls, values, frozen, slotted):
+@pytest.mark.parametrize("cls,values,frozen", CASES, ids=_IDS)
+def test_construction_by_position_or_keyword(cls, values, frozen):
     by_keyword = cls(**values)
     by_position = cls(*values.values())
     assert type(by_keyword) is cls
@@ -146,8 +141,8 @@ def test_construction_by_position_or_keyword(cls, values, frozen, slotted):
     assert repr(by_keyword) == f"{cls.__qualname__}({fields})"
 
 
-@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
-def test_equality_needs_the_exact_type(cls, values, frozen, slotted):
+@pytest.mark.parametrize("cls,values,frozen", CASES, ids=_IDS)
+def test_equality_needs_the_exact_type(cls, values, frozen):
     value = cls(**values)
     twin = type(cls.__name__, (cls,), {})(**values)
     assert value == cls(**values)
@@ -165,8 +160,8 @@ def test_equal_values_of_different_types_differ():
     assert hash(ReceiptAck()) == hash(ReceiptAck())
 
 
-@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
-def test_frozen_classes_refuse_assignment_and_hash_by_value(cls, values, frozen, slotted):
+@pytest.mark.parametrize("cls,values,frozen", CASES, ids=_IDS)
+def test_frozen_classes_refuse_assignment_and_hash_by_value(cls, values, frozen):
     value = cls(**values)
     if not frozen:
         assert cls.__hash__ is None
@@ -189,13 +184,6 @@ def test_frozen_classes_refuse_assignment_and_hash_by_value(cls, values, frozen,
             hash(value)
 
 
-@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
-def test_slotted_classes_have_no_instance_dict(cls, values, frozen, slotted):
-    value = cls(**values)
-    assert hasattr(value, "__dict__") is not slotted
-    assert ("__slots__" in cls.__dict__) is slotted
-
-
 def test_report_takes_instance_attributes():
     # Tools wrap a report's bound methods on the instance.
     report = SimulationReport(config_echo={}, seed=0)
@@ -206,8 +194,8 @@ def test_report_takes_instance_attributes():
     assert report.pairs == 5
 
 
-@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
-def test_bad_arguments_raise_type_error(cls, values, frozen, slotted):
+@pytest.mark.parametrize("cls,values,frozen", CASES, ids=_IDS)
+def test_bad_arguments_raise_type_error(cls, values, frozen):
     names = list(values)
     with pytest.raises(TypeError):
         cls(*values.values(), None)
@@ -237,16 +225,15 @@ def test_defaults_apply_and_mutable_defaults_are_fresh():
     assert ControlDisclosure(0.5, 1).state_id is None
     config = SimulationConfig(pairs=2)
     assert (config.control_probability, config.attack, config.seed) == (0.0, AttackKind.NONE, 0)
-    first, second = EveLog(), EveLog()
-    assert first == second
-    for name in ("measured_bases", "measured_outcomes", "observations"):
-        assert getattr(first, name) == [] and getattr(first, name) is not getattr(second, name)
-    first.measured_bases.append(Basis.X)
-    assert second.measured_bases == []
-    reports = SimulationReport(config_echo={}, seed=0), SimulationReport({}, 0)
-    assert reports[0] == reports[1] and reports[0].pairs == 0
-    assert reports[0].chsh_counts is not reports[1].chsh_counts
-    assert reports[0].chsh_products is not reports[1].chsh_products
+    log = EveLog()
+    assert (log.measured_bases, log.measured_outcomes, log.observations) == ((), (), ())
+    assert log == EveLog() and hash(log) == hash(EveLog())
+    first, second = SimulationReport(config_echo={}, seed=0), SimulationReport({}, 0)
+    assert first == second and first.pairs == 0
+    for name in ("chsh_counts", "chsh_products"):
+        assert getattr(first, name) == {} and getattr(first, name) is not getattr(second, name)
+    first.chsh_counts[(BellStateId.PSI_PLUS, 0, 0)] = 1
+    assert second.chsh_counts == {} and first != second
 
 
 def test_post_init_validates_and_normalises():
@@ -267,8 +254,8 @@ def test_post_init_validates_and_normalises():
         EfficiencyQuery(0, 0, 0)
 
 
-@pytest.mark.parametrize("cls,values,frozen,slotted", CASES, ids=_IDS)
-def test_pickle_and_deepcopy_round_trip(cls, values, frozen, slotted):
+@pytest.mark.parametrize("cls,values,frozen", CASES, ids=_IDS)
+def test_pickle_and_deepcopy_round_trip(cls, values, frozen):
     value = cls(**values)
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(copied) is cls
