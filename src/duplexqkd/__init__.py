@@ -37,7 +37,6 @@ from .attacks import Adversary, EveLog, InterceptResend, QmmSubstitute, QmmSwap,
 from .fourstate import (
     ModifiedMode,
     ModifiedPairRecord,
-    modified_efficiency,
     pauli_for_target,
     pauli_transition,
     run_modified_pair,
@@ -45,10 +44,8 @@ from .fourstate import (
 from .analysis import (
     ChshEstimate,
     DetectionStats,
-    EfficiencyQuery,
     SimulationReport,
     build_report,
-    cabello_efficiency,
     efficiency_table,
     estimate_chsh,
     estimate_qber,

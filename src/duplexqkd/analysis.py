@@ -10,7 +10,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from .config import SimulationConfig
-from .fourstate import ModifiedMode, modified_efficiency
+from .fourstate import ModifiedMode
 from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, Session, correlation_signature
 from .quantum import BellStateId, ChshSettings
 from .values import factory, value
@@ -22,10 +22,8 @@ __all__ = [
     "ChshBinEstimate",
     "ChshEstimate",
     "DetectionStats",
-    "EfficiencyQuery",
     "SimulationReport",
     "build_report",
-    "cabello_efficiency",
     "efficiency_table",
     "estimate_chsh",
     "estimate_qber",
@@ -127,49 +125,28 @@ def evasion_probability(control_probability: float, detection_rate: float, n: in
     return (1.0 / (1.0 + c * d / (1.0 - c))) ** n
 
 
-@value
-class EfficiencyQuery:
-    """Secret-bit accounting for one accounting unit of a protocol."""
+def efficiency_table() -> dict[str, Fraction]:
+    """Closed-form secret bits per transmitted qubit plus classical bit
+    (Cabello's efficiency) for both protocols.
 
-    secret_bits: int
-    qubits_transmitted: int
-    classical_bits: int
-
-    def __post_init__(self) -> None:
-        if min(self.secret_bits, self.qubits_transmitted, self.classical_bits) < 0:
-            raise ValueError("efficiency accounting needs non-negative counts")
-        if self.qubits_transmitted + self.classical_bits == 0:
-            raise ValueError("efficiency denominator is zero")
-
-
-def cabello_efficiency(query: EfficiencyQuery) -> Fraction:
-    """Exact secret bits per transmitted qubit plus classical bit."""
+    Base protocol, full duplex: 2 secret bits against 2 qubits and 2
+    announcement bits.  Separate runs average Bob's direction (1 secret bit,
+    2 qubits, the measured-first bit) with Alice's (1 secret bit, 2 qubits,
+    both announcement bits).  Four-state variant, full duplex: 4 secret bits
+    against 2 qubits and 3 classical bits (Alice's 1-bit receipt and 2-bit
+    operation index).  Separate runs average Alice's direction (2 secret
+    bits, 2 qubits, receipt and index) with Bob's (2 secret bits, 2 qubits,
+    the receipt alone).
+    """
     # Imported here: ``fractions`` loads ``decimal``, which only the exact
     # figures need, so a run that writes no report never imports it.
     from fractions import Fraction
 
-    return Fraction(query.secret_bits, query.qubits_transmitted + query.classical_bits)
-
-
-def efficiency_table() -> dict[str, Fraction]:
-    """Closed-form efficiency figures for both protocols.
-
-    Base protocol, full duplex: both bits ride one pair (2 qubits, 2
-    announcement bits).  Separate runs average Bob's direction (1 secret bit
-    against the measured-first bit) with Alice's (1 secret bit against both
-    announcement bits).  Four-state figures come from the variant module's
-    accounting.
-    """
-    base = cabello_efficiency(EfficiencyQuery(2, 2, 2))
-    base_avg = (
-        cabello_efficiency(EfficiencyQuery(1, 2, 1)) + cabello_efficiency(EfficiencyQuery(1, 2, 2))
-    ) / 2
-    mod = modified_efficiency()
     return {
-        "base": base,
-        "base_avg": base_avg,
-        "modified": mod.per_run,
-        "modified_avg": mod.average,
+        "base": Fraction(2, 2 + 2),
+        "base_avg": (Fraction(1, 2 + 1) + Fraction(1, 2 + 2)) / 2,
+        "modified": Fraction(4, 2 + 3),
+        "modified_avg": (Fraction(2, 2 + 3) + Fraction(2, 2 + 1)) / 2,
     }
 
 

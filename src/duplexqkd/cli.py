@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import re
 import sys
@@ -263,6 +264,17 @@ def _parser(values: Iterable) -> Callable[[str], object]:
     return {_cell(value): value for value in values}.__getitem__
 
 
+def _angle(cell: str) -> float | None:
+    """An angle cell's value: None for an empty cell, else the finite float
+    whose ``repr`` (what ``_cell`` writes) is the cell, ``-0.0`` included;
+    any other spelling raises ValueError."""
+    if cell == "":
+        return None
+    if repr(angle := float(cell)) != cell or not math.isfinite(angle):
+        raise ValueError(cell)
+    return angle
+
+
 #: The value of each cell after ``protocol`` and ``mode``, by what the
 #: column holds; each parser raises KeyError or ValueError on a cell no
 #: record renders to.
@@ -276,7 +288,7 @@ _CELL_VALUE: dict[str, Callable[[str], object]] = {
     **dict.fromkeys(["alice_basis", "bob_decoded_basis", "control_basis"], _parser([None, *Basis])),
     "alice_pauli": _parser([None, *PauliOp]),
     **dict.fromkeys(["alice_setting", "bob_setting"], _parser([None, 0, 1])),
-    **dict.fromkeys(["alice_angle", "bob_angle"], lambda cell: float(cell) if cell != "" else None),
+    **dict.fromkeys(["alice_angle", "bob_angle"], _angle),
     **dict.fromkeys(["outcome_1", "outcome_2"], _parser([None, +1, -1])),
     **dict.fromkeys(["correlated", "qber_pass", "control_pass"], _parser([None, True, False])),
     **dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], _parser([None, 0, 1, 2, 3])),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from numbers import Integral, Real
 
 from .quantum import ChshSettings
 from .stream import STREAM_VERSION
@@ -72,6 +73,12 @@ class SimulationConfig:
     protocol: ProtocolKind = ProtocolKind.BASE
 
     def __post_init__(self) -> None:
+        # A bool, a whole float or a string is refused here, not deep in the
+        # walk or in ``json.dumps``.
+        for name, kind in (("pairs", Integral), ("seed", Integral), ("control_probability", Real)):
+            field = getattr(self, name)
+            if isinstance(field, bool) or not isinstance(field, kind):
+                raise ConfigFieldError(name, f"{name} must be {kind.__name__.lower()}, not {field!r}")
         modified = self.protocol is ProtocolKind.MODIFIED
         if self.check_kind is None:
             object.__setattr__(self, "check_kind", CheckKind.QBER if modified else CheckKind.CHSH)
@@ -88,6 +95,11 @@ class SimulationConfig:
             )
         if not (0 <= self.seed < 2**64):
             raise ConfigFieldError("seed", "seed must be a 64-bit unsigned integer")
+        # Stored as the plain types the CLI gives (a numpy integer becomes an
+        # ``int``), so the echo is the CLI's; converted once in range, so no
+        # out-of-range number overflows ``float``.
+        for name, plain in (("pairs", int), ("seed", int), ("control_probability", float)):
+            object.__setattr__(self, name, plain(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {

@@ -25,22 +25,15 @@ from .quantum import Basis, BellStateId, Choice, Outcome, PauliOp
 from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
-    from fractions import Fraction
-
     from .attacks import Adversary, EveLog
 
 __all__ = [
-    "CLASSICAL_BITS_PER_RUN",
     "ModifiedControlDisclosure",
-    "ModifiedEfficiency",
     "ModifiedMode",
     "ModifiedPairRecord",
-    "OPERATION_INDEX_BITS",
     "PauliAnnouncement",
-    "RECEIPT_BITS",
     "ReceiptAck",
     "StateDisclosure",
-    "modified_efficiency",
     "pauli_for_target",
     "pauli_transition",
     "run_modified_pair",
@@ -167,39 +160,3 @@ def run_modified_pair(
         announcements=tuple(round_.announcements),
         eve_log=round_.end(),
     )
-
-
-# Classical-bit accounting for one message round: Alice's receipt plus her
-# two-bit operation index.
-RECEIPT_BITS = 1
-OPERATION_INDEX_BITS = 2
-CLASSICAL_BITS_PER_RUN = RECEIPT_BITS + OPERATION_INDEX_BITS
-
-
-@value
-class ModifiedEfficiency:
-    per_run: Fraction
-    average: Fraction
-
-
-def modified_efficiency() -> ModifiedEfficiency:
-    """Exact secret-bit efficiency of the four-state variant.
-
-    Per full-duplex run: four secret bits against two qubits plus the three
-    classical bits.  The averaged figure alternates the directions: Alice's
-    two bits need receipt and operation index (3 classical bits), Bob's two
-    bits only the receipt.
-    """
-    # Imported here: analysis imports this module to tally its records.
-    from .analysis import EfficiencyQuery, cabello_efficiency
-
-    per_run = cabello_efficiency(
-        EfficiencyQuery(secret_bits=4, qubits_transmitted=2, classical_bits=CLASSICAL_BITS_PER_RUN)
-    )
-    alice_run = cabello_efficiency(
-        EfficiencyQuery(secret_bits=2, qubits_transmitted=2, classical_bits=CLASSICAL_BITS_PER_RUN)
-    )
-    bob_run = cabello_efficiency(
-        EfficiencyQuery(secret_bits=2, qubits_transmitted=2, classical_bits=RECEIPT_BITS)
-    )
-    return ModifiedEfficiency(per_run=per_run, average=(alice_run + bob_run) / 2)

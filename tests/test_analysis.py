@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from duplexqkd.analysis import (
     ChshEstimate,
     DetectionStats,
-    EfficiencyQuery,
     SETTING_PAIRS,
     build_report,
-    cabello_efficiency,
     efficiency_table,
     estimate_chsh,
     estimate_qber,
@@ -272,15 +270,6 @@ def test_evasion_validates_arguments():
 # Efficiency
 
 
-def test_cabello_efficiency_exact_values():
-    assert cabello_efficiency(EfficiencyQuery(2, 2, 2)) == Fraction(1, 2)
-    assert cabello_efficiency(EfficiencyQuery(4, 2, 3)) == Fraction(4, 5)
-    base_avg = (
-        cabello_efficiency(EfficiencyQuery(1, 2, 1)) + cabello_efficiency(EfficiencyQuery(1, 2, 2))
-    ) / 2
-    assert base_avg == Fraction(7, 24)
-
-
 def test_efficiency_table():
     table = efficiency_table()
     assert table == {
@@ -290,13 +279,6 @@ def test_efficiency_table():
         "modified_avg": Fraction(8, 15),
     }
     assert all(isinstance(v, Fraction) for v in table.values())
-
-
-def test_efficiency_query_validation():
-    with pytest.raises(ValueError):
-        EfficiencyQuery(-1, 2, 2)
-    with pytest.raises(ValueError):
-        EfficiencyQuery(1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

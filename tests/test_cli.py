@@ -347,11 +347,18 @@ def _set_cell(column: str, text: str):
         ("base", _set_cell("pair_index", "11"), "pair_index cell '11', expected 12"),
         ("modified", _set_cell("pair_index", "-7"), "pair_index cell '-7', expected 12"),
         ("base", _set_cell("pair_index", "1_2"), "pair_index cell '1_2', expected 12"),
+        ("base", _set_cell("alice_angle", "0.00"), "alice_angle cell '0.00'"),
+        ("base", _set_cell("bob_angle", "1_0"), "bob_angle cell '1_0'"),
+        ("base", _set_cell("alice_angle", " 0.0"), "alice_angle cell ' 0.0'"),
+        ("base", _set_cell("bob_angle", "+0.0"), "bob_angle cell '+0.0'"),
+        ("base", _set_cell("alice_angle", "nan"), "alice_angle cell 'nan'"),
+        ("base", _set_cell("bob_angle", "inf"), "bob_angle cell 'inf'"),
     ],
     ids=[
         "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
         "misspelled-decoded", "bad-bit", "short-row", "extra-cell", "base-row-four-state-cell",
         "modified-row-base-cell", "repeated-index", "negative-index", "underscored-index",
+        "padded-angle", "underscored-angle", "spaced-angle", "signed-angle", "nan-angle", "inf-angle",
     ],
 )
 def test_csv_loading_is_strict(tmp_path, protocol, edit, needle):
@@ -371,6 +378,22 @@ def test_csv_loading_is_strict(tmp_path, protocol, edit, needle):
         load_records_csv(out)
     assert str(err.value).startswith(f"line {lineno}: ")
     assert needle in str(err.value)
+
+
+def test_csv_angle_cells_are_the_written_text(tmp_path):
+    # A CHSH row's angle loads back only in the spelling the writer gives
+    # it, negative zero included.
+    config = parse_args(["--pairs", "40", "--control-prob", "0.9", "--settings=-0.0,1.5,0.25,3.0"]).config
+    out = tmp_path / "records.csv"
+    with out.open("w") as handle:
+        records_to_csv(run_session(config), handle)
+    text = out.read_text()
+    assert ",-0.0," in text
+    loaded = load_records_csv(out)
+    assert any(math.copysign(1.0, r.alice_angle) < 0 for r in loaded if r.mode is Mode.CONTROL_CHSH)
+    out.write_text(text.replace(",-0.0,", ",-0.00,", 1))
+    with pytest.raises(ValueError, match="alice_angle cell '-0.00'"):
+        load_records_csv(out)
 
 
 @pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)

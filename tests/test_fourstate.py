@@ -1,8 +1,7 @@
 """Tests for the four-state variant: Pauli/Bell permutation algebra, the
-two-bit round flow, its control mode, and the exact efficiency figures."""
+two-bit round flow, and its control mode."""
 
 import math
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -11,15 +10,11 @@ import pytest
 from duplexqkd.analysis import build_report
 from duplexqkd.config import AttackKind, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import (
-    CLASSICAL_BITS_PER_RUN,
     ModifiedControlDisclosure,
     ModifiedMode,
-    OPERATION_INDEX_BITS,
     PauliAnnouncement,
-    RECEIPT_BITS,
     ReceiptAck,
     StateDisclosure,
-    modified_efficiency,
     pauli_for_target,
     pauli_transition,
     run_modified_pair,
@@ -199,19 +194,3 @@ def test_report_on_modified_records():
     assert report.detection.d_hat == 0.0
     assert report.control_fraction == pytest.approx(0.2, abs=0.03)
 
-
-# ---------------------------------------------------------------------------
-# Efficiency
-
-
-def test_modified_efficiency_exact_rationals():
-    eff = modified_efficiency()
-    assert eff.per_run == Fraction(4, 5)
-    assert eff.average == Fraction(8, 15)
-    assert isinstance(eff.per_run, Fraction) and isinstance(eff.average, Fraction)
-
-
-def test_classical_bit_bookkeeping():
-    assert RECEIPT_BITS == 1
-    assert OPERATION_INDEX_BITS == 2
-    assert CLASSICAL_BITS_PER_RUN == 3

@@ -40,7 +40,7 @@ from duplexqkd.protocol import (
     run_pair,
     run_session,
 )
-from duplexqkd.quantum import Basis, BellStateId, bell_state
+from duplexqkd.quantum import Basis, BellStateId, ChshSettings, TwoQubitDensity, bell_state, chsh_value
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,28 @@ def test_round_tree_chsh_values(attack, s_psi, s_phi):
     per_state = _expected_report(attack=attack, check_kind=CheckKind.CHSH).chsh_estimate().per_state
     assert abs(per_state[BellStateId.PSI_PLUS].s_hat - s_psi) <= EXACT
     assert abs(per_state[BellStateId.PHI_MINUS].s_hat - s_phi) <= EXACT
+
+
+_ANGLE = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(_ANGLE, _ANGLE), st.tuples(_ANGLE, _ANGLE))
+def test_round_tree_chsh_values_at_any_angles(alice_angles, bob_angles):
+    # The exact S of each sent state at arbitrary settings: the quantum
+    # value on a clean channel, 0 once the swap attack cuts the correlation,
+    # and within the local bound under intercept-resend.
+    chsh = ChshSettings(alice_angles=alice_angles, bob_angles=bob_angles)
+    clean, swap, ir = (
+        _expected_report(attack=attack, check_kind=CheckKind.CHSH, settings=chsh).chsh_estimate().per_state
+        for attack in (AttackKind.NONE, AttackKind.QMM_SWAP, AttackKind.INTERCEPT_RESEND)
+    )
+    assert clean.keys() == swap.keys() == ir.keys() == set(BIT_STATE)
+    for state in BIT_STATE:
+        quantum = chsh_value(TwoQubitDensity.from_pure(bell_state(state)), chsh)
+        assert abs(clean[state].s_hat - quantum) <= EXACT
+        assert abs(swap[state].s_hat) <= EXACT
+        assert abs(ir[state].s_hat) <= 2.0 + EXACT
 
 
 @pytest.mark.parametrize("protocol", ProtocolKind, ids=lambda kind: kind.value)

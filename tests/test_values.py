@@ -4,20 +4,20 @@ the exact type, immutability and hashing of the frozen classes, the repr,
 and round trips through pickle and deepcopy."""
 
 import copy
+import json
 import math
 import pickle
-from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from duplexqkd.analysis import ChshBinEstimate, ChshEstimate, DetectionStats, EfficiencyQuery, SimulationReport
+from duplexqkd.analysis import ChshBinEstimate, ChshEstimate, DetectionStats, SimulationReport
 from duplexqkd.attacks import EveLog
-from duplexqkd.cli import RunSpec
+from duplexqkd.cli import RunSpec, parse_args
 from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import (
     ModifiedControlDisclosure,
-    ModifiedEfficiency,
     ModifiedPairRecord,
     PauliAnnouncement,
     ReceiptAck,
@@ -90,7 +90,6 @@ CASES = [
                                         seed=7, protocol=ProtocolKind.MODIFIED)),
         True,
     ),
-    (ModifiedEfficiency, {"per_run": Fraction(4, 5), "average": Fraction(8, 15)}, True),
     (
         ChshBinEstimate,
         {"s_hat": 2.5, "stderr": 0.1, "counts": {(0, 0): 3}, "correlators": {(0, 0): 0.5}},
@@ -98,7 +97,6 @@ CASES = [
     ),
     (ChshEstimate, {"per_state": {BellStateId.PSI_PLUS: ChshBinEstimate(None, None, {}, {})}}, True),
     (DetectionStats, {"checks": 4, "errors": 1}, True),
-    (EfficiencyQuery, {"secret_bits": 1, "qubits_transmitted": 1, "classical_bits": 1}, True),
     (
         SimulationReport,
         {
@@ -125,7 +123,7 @@ def _hashable(values) -> bool:
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 21
+    assert len(CASES) == 19
     assert len(set(_IDS)) == len(_IDS)
     assert [cls for cls, _, frozen in CASES if not frozen] == [SimulationReport]
 
@@ -250,8 +248,25 @@ def test_post_init_validates_and_normalises():
         PlanarObservable(math.nan)
     settings = ChshSettings([0, 1], bob_angles=[2, 3])
     assert settings.alice_angles == (0.0, 1.0) and type(settings.bob_angles[0]) is float
-    with pytest.raises(ValueError):
-        EfficiencyQuery(0, 0, 0)
+    # A bool or a non-integer count is refused by name; numbers are stored
+    # as the plain types the CLI gives, so the echo is the CLI's.
+    for fields, name in [
+        ({"pairs": True}, "pairs"),
+        ({"pairs": 2.0}, "pairs"),
+        ({"pairs": 1, "seed": True}, "seed"),
+        ({"pairs": 1, "seed": 1.5}, "seed"),
+        ({"pairs": 1, "seed": "3"}, "seed"),
+        ({"pairs": 1, "control_probability": False}, "control_probability"),
+        ({"pairs": 1, "control_probability": "0.5"}, "control_probability"),
+        ({"pairs": 1, "control_probability": 10**400}, "control_probability"),
+    ]:
+        with pytest.raises(ConfigFieldError) as error:
+            SimulationConfig(**fields)
+        assert error.value.field_name == name
+    config = SimulationConfig(pairs=np.int64(5), control_probability=0, seed=np.uint64(3))
+    assert [type(config.pairs), type(config.control_probability), type(config.seed)] == [int, float, int]
+    cli = parse_args(["--pairs", "5", "--control-prob", "0", "--seed", "3"]).config
+    assert json.dumps(config.to_dict()) == json.dumps(cli.to_dict())
 
 
 @pytest.mark.parametrize("cls,values,frozen", CASES, ids=_IDS)
