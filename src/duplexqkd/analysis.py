@@ -259,26 +259,33 @@ class SimulationReport:
         }
 
 
+def _tally_message(report: SimulationReport, n, alice_ok: bool, bob_ok: bool, log, alice_bit, bob_bit) -> None:
+    """A message round of either protocol: whether each party decoded the
+    other, and Eve's guesses of Alice's and Bob's true bits."""
+    report.message_rounds += n
+    report.alice_decode_total += n
+    report.bob_decode_total += n
+    if alice_ok:
+        report.alice_decode_ok += n
+    if bob_ok:
+        report.bob_decode_ok += n
+    if log.guessed_alice_bit is not None:
+        report.eve_alice_guesses += n
+        if log.guessed_alice_bit == alice_bit:
+            report.eve_alice_correct += n
+    if log.guessed_bob_bit is not None:
+        report.eve_bob_guesses += n
+        if log.guessed_bob_bit == bob_bit:
+            report.eve_bob_correct += n
+
+
 def _tally_base_record(report: SimulationReport, record: PairRecord, n: int) -> None:
     report.pairs += n
     if record.mode is Mode.MESSAGE:
-        report.message_rounds += n
-        report.alice_decode_total += n
-        report.bob_decode_total += n
-        if record.alice_decoded_state == record.bob_state:
-            report.alice_decode_ok += n
-        if record.bob_decoded_basis == record.alice_basis:
-            report.bob_decode_ok += n
-        log = record.eve_log
-        if log is not None:
-            if log.guessed_alice_bit is not None:
-                report.eve_alice_guesses += n
-                if log.guessed_alice_bit == BASIS_BIT[record.alice_basis]:
-                    report.eve_alice_correct += n
-            if log.guessed_bob_bit is not None:
-                report.eve_bob_guesses += n
-                if log.guessed_bob_bit == STATE_BIT[record.bob_state]:
-                    report.eve_bob_correct += n
+        _tally_message(
+            report, n, record.alice_decoded_state == record.bob_state, record.bob_decoded_basis == record.alice_basis,
+            record.eve_log, BASIS_BIT[record.alice_basis], STATE_BIT[record.bob_state],
+        )
     elif record.mode is Mode.CONTROL_QBER:
         report.control_rounds += n
         report.qber_checks += n
@@ -296,23 +303,10 @@ def _tally_base_record(report: SimulationReport, record: PairRecord, n: int) -> 
 def _tally_modified_record(report: SimulationReport, record, n: int) -> None:
     report.pairs += n
     if record.mode is ModifiedMode.MESSAGE:
-        report.message_rounds += n
-        report.alice_decode_total += n
-        report.bob_decode_total += n
-        if record.alice_bell_outcome == record.bob_state:
-            report.alice_decode_ok += n
-        if record.bob_decoded == record.alice_target:
-            report.bob_decode_ok += n
-        log = record.eve_log
-        if log is not None:
-            if log.guessed_alice_bit is not None:
-                report.eve_alice_guesses += n
-                if log.guessed_alice_bit == record.alice_target.bits:
-                    report.eve_alice_correct += n
-            if log.guessed_bob_bit is not None:
-                report.eve_bob_guesses += n
-                if log.guessed_bob_bit == record.bob_state.bits:
-                    report.eve_bob_correct += n
+        _tally_message(
+            report, n, record.alice_bell_outcome == record.bob_state, record.bob_decoded == record.alice_target,
+            record.eve_log, record.alice_target.bits, record.bob_state.bits,
+        )
     else:
         report.control_rounds += n
         report.qber_checks += n

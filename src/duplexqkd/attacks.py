@@ -3,12 +3,16 @@
 An adversary sees exactly two things: qubits in transit (which it may
 transform before forwarding) and classical announcements after they are
 sent.  It never sees local measurement results or the control flag ahead of
-Alice's first-measurement announcement.  Each attack keeps its round's
-scratch on itself, resets it in ``begin_pair`` and builds the round's
-immutable :class:`EveLog`, ordered observation trace included, once in
-``end_pair``, so tests can assert that causality discipline.
+Alice's first-measurement announcement.  A session calls ``begin_session``
+before any other hook, and each round calls ``begin_pair`` before its first
+qubit moves.  Each attack keeps its round's scratch on itself, resets it in
+``begin_pair`` and builds the round's immutable :class:`EveLog`, ordered
+observation trace included, once in ``end_pair``, so tests can assert that
+causality discipline.
 
-Three concrete attacks:
+The base :class:`Adversary` is the null adversary, the layer every session
+without an attack runs; its rounds log an empty ``EveLog()``.  Three
+concrete attacks:
 
 * :class:`InterceptResend` measures each transiting qubit in a basis drawn
   on the first leg (reused on the second) and forwards the collapsed
@@ -72,11 +76,13 @@ class EveLog:
 
 
 class Adversary:
-    """Base adversary: a strict no-op wiretap that records nothing.
+    """The null adversary: a strict no-op wiretap, and the layer a session
+    with no attack runs.  It forwards every qubit untouched, draws nothing
+    and logs ``EveLog()`` for every round, so its transcripts are those of
+    the honest channel (honest draws come from a separate lane).
 
-    Transcripts produced with this instance are bit-identical to transcripts
-    produced with no adversary layer at all (honest draws come from a
-    separate stream).
+    The hooks' contract, for every subclass: ``begin_session`` is called
+    once before any other hook, ``begin_pair`` at the start of each round.
     """
 
     def begin_session(self, config: SimulationConfig) -> None:
@@ -93,8 +99,8 @@ class Adversary:
     def hear(self, system: PairSystem, message: ProtocolMessage, lane: Lane) -> None:
         pass
 
-    def end_pair(self, system: PairSystem, lane: Lane) -> EveLog | None:
-        return None
+    def end_pair(self, system: PairSystem, lane: Lane) -> EveLog:
+        return EveLog()
 
 
 class InterceptResend(Adversary):
@@ -104,9 +110,6 @@ class InterceptResend(Adversary):
     and reused on the second leg; forwarding the collapsed eigenstate
     maximizes what Eve learns from the announcements later.
     """
-
-    def __init__(self) -> None:
-        self.begin_pair()
 
     def begin_pair(self) -> None:
         self._observations: list = []
@@ -153,11 +156,6 @@ class QmmSubstitute(Adversary):
     protocol encodes with: the two base states, or all four Bell states in
     the four-state variant.
     """
-
-    def __init__(self) -> None:
-        self._protocol = ProtocolKind.BASE
-        self._choice = Choice.uniform(BIT_STATE)
-        self.begin_pair()
 
     def begin_session(self, config):
         self._protocol = config.protocol
@@ -224,10 +222,6 @@ class QmmSwap(QmmSubstitute):
     with a vanishing CHSH value.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._check = CheckKind.CHSH
-
     def begin_session(self, config):
         super().begin_session(config)
         self._check = config.check_kind
@@ -238,14 +232,9 @@ class QmmSwap(QmmSubstitute):
 
     def hear(self, system, message, lane):
         super().hear(system, message, lane)
-        if (
-            isinstance(message, MeasuredFirst)
-            and message.control
-            and self._check is CheckKind.CHSH
-            and self._swap_outcome is None
-            and self._retained
-            and system.holds("eve1")
-        ):
+        # MeasuredFirst comes once a base round, after the first leg and
+        # before the second: Eve holds Bob's first half and her own second.
+        if isinstance(message, MeasuredFirst) and message.control and self._check is CheckKind.CHSH:
             self._swap_outcome = system.bell_measure_pair(self._retained[0], "eve1", lane)
 
     def end_pair(self, system, lane):
@@ -262,8 +251,8 @@ _ATTACKS = {
 
 
 def build_adversary(kind: AttackKind) -> Adversary | None:
-    """Instantiate the attack layer of the given kind; None means no layer
-    at all."""
+    """Instantiate the attack of the given kind; None for no attack, which a
+    session runs with the null :class:`Adversary`."""
     if kind is AttackKind.NONE:
         return None
     return _ATTACKS[kind]()

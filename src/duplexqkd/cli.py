@@ -214,6 +214,7 @@ _EVE_FIELDS = {
     "eve_guessed_alice_bit": "guessed_alice_bit",
     "eve_guessed_bob_bit": "guessed_bob_bit",
 }
+_OUTCOME_COLUMNS = ("outcome_1", "outcome_2")
 
 
 def _record_row(record) -> str:
@@ -223,9 +224,8 @@ def _record_row(record) -> str:
     the Eve log fills the ``eve_*`` columns and every other column is empty.
     No cell text needs quoting, so the cells are joined by bare commas."""
     values = {name: getattr(record, name) for name in record._fields}
-    values.update(zip(("outcome_1", "outcome_2"), record.outcomes))
-    if record.eve_log is not None:
-        values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
+    values.update(zip(_OUTCOME_COLUMNS, record.outcomes))
+    values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
     cells = [_PROTOCOL_TAGS[type(record)] if c == "protocol" else _cell(values.get(c)) for c in CSV_COLUMNS[1:]]
     return ",".join(cells) + "\n"
 
@@ -264,12 +264,10 @@ def _parser(values: Iterable) -> Callable[[str], object]:
     return {_cell(value): value for value in values}.__getitem__
 
 
-def _angle(cell: str) -> float | None:
-    """An angle cell's value: None for an empty cell, else the finite float
-    whose ``repr`` (what ``_cell`` writes) is the cell, ``-0.0`` included;
-    any other spelling raises ValueError."""
-    if cell == "":
-        return None
+def _angle(cell: str) -> float:
+    """An angle cell's value: the finite float whose ``repr`` (what
+    ``_cell`` writes) is the cell, ``-0.0`` included; any other spelling
+    raises ValueError."""
     if repr(angle := float(cell)) != cell or not math.isfinite(angle):
         raise ValueError(cell)
     return angle
@@ -277,26 +275,33 @@ def _angle(cell: str) -> float | None:
 
 #: The value of each cell after ``protocol`` and ``mode``, by what the
 #: column holds; each parser raises KeyError or ValueError on a cell no
-#: record renders to.
+#: record renders to.  Only an Eve cell may be empty (None).
 _CELL_VALUE: dict[str, Callable[[str], object]] = {
-    "bob_state": _parser(BellStateId),
     **dict.fromkeys(
-        ["alice_decoded_state", "alice_bell_outcome", "alice_target", "bob_decoded", "eve_substitute",
-         "eve_bell_outcome"],
-        _parser([None, *BellStateId]),
+        ["bob_state", "alice_decoded_state", "alice_bell_outcome", "alice_target", "bob_decoded"], _parser(BellStateId)
     ),
-    **dict.fromkeys(["alice_basis", "bob_decoded_basis", "control_basis"], _parser([None, *Basis])),
-    "alice_pauli": _parser([None, *PauliOp]),
-    **dict.fromkeys(["alice_setting", "bob_setting"], _parser([None, 0, 1])),
+    **dict.fromkeys(["alice_basis", "bob_decoded_basis", "control_basis"], _parser(Basis)),
+    "alice_pauli": _parser(PauliOp),
+    **dict.fromkeys(["alice_setting", "bob_setting"], _parser([0, 1])),
     **dict.fromkeys(["alice_angle", "bob_angle"], _angle),
-    **dict.fromkeys(["outcome_1", "outcome_2"], _parser([None, +1, -1])),
-    **dict.fromkeys(["correlated", "qber_pass", "control_pass"], _parser([None, True, False])),
+    **dict.fromkeys(["outcome_1", "outcome_2"], _parser([+1, -1])),
+    **dict.fromkeys(["correlated", "qber_pass", "control_pass"], _parser([True, False])),
+    **dict.fromkeys(["eve_substitute", "eve_bell_outcome"], _parser([None, *BellStateId])),
     **dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], _parser([None, 0, 1, 2, 3])),
 }
-#: The columns each record type fills.
-_OWN_COLUMNS = {
-    record_type: {*record_type._fields, "outcome_1", "outcome_2", *_EVE_FIELDS}
-    for record_type, _ in _RECORD_TYPES.values()
+_SHARED_COLUMNS = ("bob_state", *_EVE_FIELDS)
+#: The columns a row of each mode fills (an Eve cell may still be empty);
+#: every other cell of the row is empty.
+_MODE_COLUMNS = {
+    Mode.MESSAGE: {
+        *_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_basis", "correlated", "bob_decoded_basis", "alice_decoded_state"
+    },
+    Mode.CONTROL_CHSH: {
+        *_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_setting", "alice_angle", "bob_setting", "bob_angle"
+    },
+    Mode.CONTROL_QBER: {*_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_basis", "correlated", "qber_pass"},
+    ModifiedMode.MESSAGE: {*_SHARED_COLUMNS, "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded"},
+    ModifiedMode.CONTROL: {*_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "control_basis", "control_pass"},
 }
 
 
@@ -310,33 +315,35 @@ def _value(column: str, cell: str, parse: Callable[[str], object]):
 def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRecord:
     """The record of a row whose cells after ``pair_index`` are ``cells``.
     ``eve_logs`` holds the Eve log of each set of Eve cells parsed so far
-    (None for empty cells)."""
+    (``EveLog()`` for empty cells)."""
     if len(cells) != len(CSV_COLUMNS) - 1:
         raise ValueError(f"{len(cells) + 1} cells, expected {len(CSV_COLUMNS)}")
-    record_type, mode = _value("protocol", cells[0], _RECORD_TYPES.__getitem__)
-    values = {"mode": _value("mode", cells[1], mode)}
-    own = _OWN_COLUMNS[record_type]
+    record_type, modes = _value("protocol", cells[0], _RECORD_TYPES.__getitem__)
+    mode = _value("mode", cells[1], modes)
+    filled = _MODE_COLUMNS[mode]
+    values = {"mode": mode}
     for column, cell in zip(CSV_COLUMNS[3:], cells[2:]):
-        if column in own:
+        if column in filled:
             values[column] = _value(column, cell, _CELL_VALUE[column])
         elif cell != "":
-            raise ValueError(f"{column} cell {cell!r} in a {cells[0]} row")
-    values["outcomes"] = tuple(v for v in (values["outcome_1"], values["outcome_2"]) if v is not None)
+            raise ValueError(f"{column} cell {cell!r} in a {cells[0]} row of mode {cells[1]}")
+    values["outcomes"] = tuple(values[column] for column in _OUTCOME_COLUMNS if column in filled)
     values["announcements"] = ()
     eve = tuple(values[column] for column in _EVE_FIELDS)
     if eve not in eve_logs:
         eve_logs[eve] = EveLog(**dict(zip(_EVE_FIELDS.values(), eve)))
     values["eve_log"] = eve_logs[eve]
-    return record_type(*(values[name] for name in record_type._fields))
+    return record_type(*(values.get(name) for name in record_type._fields))
 
 
 def load_records_csv(path) -> list:
     """Rebuild records from a CSV transcript.
 
     Loading is strict: a row with too few or too many cells, a cell no
-    record renders to, a non-empty cell in the other protocol's columns, or
-    a ``pair_index`` other than the row's position (0 for the first row)
-    raises ValueError naming the line.  Announcement lists and Eve's
+    record renders to, an empty cell in a column its mode fills, a non-empty
+    cell in a column its mode leaves empty, or a ``pair_index`` other than
+    the row's position (0 for the first row) raises ValueError naming the
+    line.  Empty Eve cells load as ``EveLog()``.  Announcement lists and Eve's
     measurement and observation traces are not serialized to CSV (loaded
     logs hold empty tuples there); everything the estimators consume
     round-trips.  Each distinct row past ``pair_index`` is parsed once into
@@ -345,7 +352,7 @@ def load_records_csv(path) -> list:
     records and logs are immutable, so a shared one cannot be changed.
     """
     leaves: dict[str, PairRecord | ModifiedPairRecord] = {}
-    eve_logs: dict[tuple, EveLog | None] = {(None,) * len(_EVE_FIELDS): None}
+    eve_logs: dict[tuple, EveLog] = {}
     records = []
     with open(path, newline="") as handle:
         header = handle.readline().rstrip("\r\n").split(",")

@@ -108,11 +108,11 @@ class ModifiedPairRecord:
     outcomes: tuple[Outcome, ...]
     control_pass: bool | None
     announcements: tuple[ModifiedMessage, ...]
-    eve_log: "EveLog | None"
+    eve_log: "EveLog"
 
 
 def run_modified_pair(
-    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _replay: tuple | None = None
+    config: SimulationConfig, adversary: "Adversary", pair_index: int, *, _replay: tuple | None = None
 ) -> ModifiedPairRecord:
     """One four-state round; deterministic given (config, pair_index,
     adversary type).  ``_replay`` replays one path of its session's trie, as

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
+from .config import CheckKind, ProtocolKind, SimulationConfig
 from .quantum import (
     Basis,
     BELL_ORDER,
@@ -212,9 +212,6 @@ class PairSystem:
             self._pos[name0] = offset
             self._pos[name1] = offset + 1
 
-    def holds(self, name: str) -> bool:
-        return name in self._pos
-
     def measure(self, name: str, obs: PlanarObservable, lane: "Lane") -> Outcome:
         """Measure one qubit; ``lane`` draws the branch."""
         pos = self._pos[name]
@@ -250,7 +247,7 @@ class PairRecord:
     bob_decoded_basis: Basis | None
     alice_decoded_state: BellStateId | None
     qber_pass: bool | None
-    eve_log: "EveLog | None"
+    eve_log: "EveLog"
 
 
 _HONEST_LANE, _EVE_LANE = range(LANES)
@@ -308,53 +305,48 @@ def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> Lane:
 class _Round:
     """The scaffold every round of either protocol shares: the pair's honest
     and adversary lanes, the live qubits, the channel adversary's hooks and
-    the public announcement list.  With no adversary the qubits travel
-    untouched and ``eve`` is None.  In a replay both lanes share ``replay``
-    (see :class:`Lane`)."""
+    the public announcement list.  A round always has an adversary; with no
+    attack it is the null :class:`~duplexqkd.attacks.Adversary`, which
+    forwards the qubits untouched, never draws from ``eve`` and logs an
+    empty ``EveLog``.  In a replay both lanes share ``replay`` (see
+    :class:`Lane`)."""
 
     __slots__ = ("system", "announcements", "honest", "eve", "_adversary")
 
-    def __init__(
-        self, config: SimulationConfig, adversary: "Adversary | None", pair_index: int, replay: tuple | None
-    ) -> None:
+    def __init__(self, config: SimulationConfig, adversary: "Adversary", pair_index: int, replay: tuple | None) -> None:
         self.system = PairSystem()
         self.announcements: list = []
         self.honest = Lane(config.seed, pair_index, _HONEST_LANE, replay)
-        self.eve = Lane(config.seed, pair_index, _EVE_LANE, replay) if adversary is not None else None
+        self.eve = Lane(config.seed, pair_index, _EVE_LANE, replay)
         self._adversary = adversary
 
     def send_first(self, bob_state: BellStateId) -> str:
         """Bob prepares his pair and the first half crosses the channel;
         returns the handle of the qubit Alice receives."""
         self.system.add_pair(bob_state, "bob0", "bob1")
-        if self._adversary is None:
-            return "bob0"
         self._adversary.begin_pair()
         return self._adversary.relay_qubit(self.system, "bob0", 1, self.eve)
 
     def send_second(self) -> str:
         """The second half crosses the channel to Alice."""
-        if self._adversary is None:
-            return "bob1"
         return self._adversary.relay_qubit(self.system, "bob1", 2, self.eve)
 
     def announce(self, message) -> None:
         self.announcements.append(message)
-        if self._adversary is not None:
-            self._adversary.hear(self.system, message, self.eve)
+        self._adversary.hear(self.system, message, self.eve)
 
-    def end(self) -> "EveLog | None":
-        if self._adversary is None:
-            return None
+    def end(self) -> "EveLog":
         return self._adversary.end_pair(self.system, self.eve)
 
 
 def run_pair(
-    config: SimulationConfig, adversary: "Adversary | None", pair_index: int, *, _replay: tuple | None = None
+    config: SimulationConfig, adversary: "Adversary", pair_index: int, *, _replay: tuple | None = None
 ) -> PairRecord:
     """Execute one round; deterministic given (config, pair_index, adversary
-    type).  With ``_replay``, the round replays one path of its session's
-    trie instead of reading its draws (see :class:`Lane`)."""
+    type).  ``adversary`` is the session's, its ``begin_session`` already
+    called (the null ``Adversary`` for no attack).  With ``_replay``, the
+    round replays one path of its session's trie instead of reading its
+    draws (see :class:`Lane`)."""
     round_ = _Round(config, adversary, pair_index, _replay)
     honest = round_.honest
     system = round_.system
@@ -460,23 +452,26 @@ class Session:
     relies on the adversary contract: a round's record is a function of its
     draws and its events, and an adversary resets its per-pair state in
     ``begin_pair``.
+
+    Every session has one adversary, ``adversary`` or else the one
+    ``config.attack`` names (the null ``Adversary`` for no attack), and
+    calls its ``begin_session`` before any round.  The walk draws keys only
+    for the lanes the trie reads, so an honest session draws the honest
+    lane alone.
     """
 
     def __init__(self, config: SimulationConfig, adversary: "Adversary | None") -> None:
+        from .attacks import Adversary, build_adversary
+
         if config.protocol is ProtocolKind.MODIFIED:
             from . import fourstate
 
             round_fn = fourstate.run_modified_pair
         else:
             round_fn = run_pair
-        if adversary is None and config.attack is not AttackKind.NONE:
-            from .attacks import build_adversary
-
-            adversary = build_adversary(config.attack)
-        if adversary is not None:
-            adversary.begin_session(config)
+        adversary = adversary or build_adversary(config.attack) or Adversary()
+        adversary.begin_session(config)
         self._config = config
-        self._lanes = (_HONEST_LANE,) if adversary is None else (_HONEST_LANE, _EVE_LANE)
         self.leaves: list = []
         self.probabilities: list[float] = []
         # Per node: (lane, slot, cuts) and the code of each branch's child, a
@@ -521,6 +516,7 @@ class Session:
             self._depth = max(self._depth, len(steps))
         self._root = top[0]
         self._table = _walk_table(nodes, children, len(self.leaves))
+        self._lanes = range(1 + max(lane for lane, _ in self._table[0]))
 
     def __iter__(self) -> Iterator[PairRecord | ModifiedPairRecord]:
         for ids in self.leaf_ids():
@@ -604,6 +600,7 @@ def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) 
     that folds or writes each record keeps memory flat however many pairs
     run; callers that need the whole transcript take ``list(...)``.  With
     ``adversary=None`` the attack layer is instantiated from
-    ``config.attack`` (no layer at all for AttackKind.NONE).
+    ``config.attack``: the null ``Adversary`` for AttackKind.NONE, so every
+    record carries an ``EveLog``, empty when nothing attacked.
     """
     return Session(config, adversary)

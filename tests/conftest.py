@@ -1,6 +1,6 @@
 import numpy as np
 
-from duplexqkd.attacks import build_adversary
+from duplexqkd.attacks import Adversary, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import run_modified_pair
 from duplexqkd.protocol import run_pair
@@ -35,9 +35,8 @@ def standalone_rounds(config: SimulationConfig) -> list:
     """Every pair of ``config``'s session run alone by its protocol's round
     function, with one adversary for the session: the reference a session
     must equal record for record."""
-    adversary = build_adversary(config.attack)
-    if adversary is not None:
-        adversary.begin_session(config)
+    adversary = build_adversary(config.attack) or Adversary()
+    adversary.begin_session(config)
     round_fn = run_modified_pair if config.protocol is ProtocolKind.MODIFIED else run_pair
     return [round_fn(config, adversary, i) for i in range(config.pairs)]
 

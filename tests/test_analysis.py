@@ -18,6 +18,7 @@ from duplexqkd.analysis import (
     estimate_qber,
     evasion_probability,
 )
+from duplexqkd.attacks import EveLog
 from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import Mode, PairRecord, run_session
 from duplexqkd.quantum import Basis, BellStateId, ChshSettings, TwoQubitDensity, bell_state, correlator, PlanarObservable
@@ -42,7 +43,7 @@ def _chsh_record(state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
         bob_decoded_basis=None,
         alice_decoded_state=None,
         qber_pass=None,
-        eve_log=None,
+        eve_log=EveLog(),
     )
 
 
@@ -146,7 +147,7 @@ def _qber_record(state, basis, correlated) -> PairRecord:
         bob_decoded_basis=None,
         alice_decoded_state=None,
         qber_pass=None,
-        eve_log=None,
+        eve_log=EveLog(),
     )
 
 

@@ -18,6 +18,7 @@ import pytest
 from conftest import SESSION_CASES, standalone_rounds
 from test_golden import GOLDEN
 from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
+from duplexqkd.attacks import EveLog
 from duplexqkd.cli import (
     CSV_COLUMNS,
     _cell,
@@ -332,45 +333,63 @@ def _set_cell(column: str, text: str):
 
 
 @pytest.mark.parametrize(
-    "protocol,edit,needle",
+    "protocol,mode,edit,needle",
     [
-        ("base", _set_cell("alice_decoded_state", "psi_plu"), "alice_decoded_state cell 'psi_plu'"),
-        ("modified", _set_cell("alice_bell_outcome", "phi_plu"), "alice_bell_outcome cell 'phi_plu'"),
-        ("modified", _set_cell("alice_pauli", "sigma4"), "alice_pauli cell 'sigma4'"),
-        ("modified", _set_cell("alice_target", "psi-minus"), "alice_target cell 'psi-minus'"),
-        ("modified", _set_cell("bob_decoded", "Phi_minus"), "bob_decoded cell 'Phi_minus'"),
-        ("base", _set_cell("correlated", "yes"), "correlated cell 'yes'"),
-        ("base", lambda cells: cells[:-1], "24 cells, expected 25"),
-        ("base", lambda cells: cells + [""], "26 cells, expected 25"),
-        ("base", _set_cell("alice_target", "psi_plus"), "alice_target cell 'psi_plus' in a base row"),
-        ("modified", _set_cell("alice_basis", "x"), "alice_basis cell 'x' in a modified row"),
-        ("base", _set_cell("pair_index", "11"), "pair_index cell '11', expected 12"),
-        ("modified", _set_cell("pair_index", "-7"), "pair_index cell '-7', expected 12"),
-        ("base", _set_cell("pair_index", "1_2"), "pair_index cell '1_2', expected 12"),
-        ("base", _set_cell("alice_angle", "0.00"), "alice_angle cell '0.00'"),
-        ("base", _set_cell("bob_angle", "1_0"), "bob_angle cell '1_0'"),
-        ("base", _set_cell("alice_angle", " 0.0"), "alice_angle cell ' 0.0'"),
-        ("base", _set_cell("bob_angle", "+0.0"), "bob_angle cell '+0.0'"),
-        ("base", _set_cell("alice_angle", "nan"), "alice_angle cell 'nan'"),
-        ("base", _set_cell("bob_angle", "inf"), "bob_angle cell 'inf'"),
+        ("base", "message", _set_cell("alice_decoded_state", "psi_plu"), "alice_decoded_state cell 'psi_plu'"),
+        ("modified", "message", _set_cell("alice_bell_outcome", "phi_plu"), "alice_bell_outcome cell 'phi_plu'"),
+        ("modified", "message", _set_cell("alice_pauli", "sigma4"), "alice_pauli cell 'sigma4'"),
+        ("modified", "message", _set_cell("alice_target", "psi-minus"), "alice_target cell 'psi-minus'"),
+        ("modified", "message", _set_cell("bob_decoded", "Phi_minus"), "bob_decoded cell 'Phi_minus'"),
+        ("base", "message", _set_cell("correlated", "yes"), "correlated cell 'yes'"),
+        ("base", "message", lambda cells: cells[:-1], "24 cells, expected 25"),
+        ("base", "message", lambda cells: cells + [""], "26 cells, expected 25"),
+        ("base", "message", _set_cell("alice_target", "psi_plus"), "alice_target cell 'psi_plus' in a base row"),
+        ("modified", "message", _set_cell("alice_basis", "x"), "alice_basis cell 'x' in a modified row"),
+        ("base", "message", _set_cell("pair_index", "11"), "pair_index cell '11', expected 12"),
+        ("modified", "message", _set_cell("pair_index", "-7"), "pair_index cell '-7', expected 12"),
+        ("base", "message", _set_cell("pair_index", "1_2"), "pair_index cell '1_2', expected 12"),
+        ("base", "control-chsh", _set_cell("alice_angle", "0.00"), "alice_angle cell '0.00'"),
+        ("base", "control-chsh", _set_cell("bob_angle", "1_0"), "bob_angle cell '1_0'"),
+        ("base", "control-chsh", _set_cell("alice_angle", " 0.0"), "alice_angle cell ' 0.0'"),
+        ("base", "control-chsh", _set_cell("bob_angle", "+0.0"), "bob_angle cell '+0.0'"),
+        ("base", "control-chsh", _set_cell("alice_angle", "nan"), "alice_angle cell 'nan'"),
+        ("base", "control-chsh", _set_cell("bob_angle", "inf"), "bob_angle cell 'inf'"),
+        # A cell that contradicts its row's mode: every column a mode fills
+        # must parse, and every other column must be empty.
+        ("base", "message", _set_cell("alice_angle", "0.0"), "alice_angle cell '0.0' in a base row of mode message"),
+        ("base", "message", _set_cell("alice_basis", ""), "bad alice_basis cell ''"),
+        ("base", "message", _set_cell("qber_pass", "1"), "qber_pass cell '1' in a base row of mode message"),
+        ("base", "message", _set_cell("outcome_2", ""), "bad outcome_2 cell ''"),
+        ("base", "control-chsh", _set_cell("alice_angle", ""), "bad alice_angle cell ''"),
+        ("base", "control-chsh", _set_cell("alice_basis", "x"),
+         "alice_basis cell 'x' in a base row of mode control-chsh"),
+        ("base", "control-qber", _set_cell("correlated", ""), "bad correlated cell ''"),
+        ("modified", "message", _set_cell("control_basis", "x"),
+         "control_basis cell 'x' in a modified row of mode message"),
+        ("modified", "message", _set_cell("outcome_1", "1"), "outcome_1 cell '1' in a modified row of mode message"),
+        ("modified", "control", _set_cell("control_pass", ""), "bad control_pass cell ''"),
     ],
     ids=[
         "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
         "misspelled-decoded", "bad-bit", "short-row", "extra-cell", "base-row-four-state-cell",
         "modified-row-base-cell", "repeated-index", "negative-index", "underscored-index",
         "padded-angle", "underscored-angle", "spaced-angle", "signed-angle", "nan-angle", "inf-angle",
+        "message-row-angle", "message-row-empty-basis", "message-row-qber-pass", "message-row-one-outcome",
+        "chsh-row-empty-angle", "chsh-row-basis", "qber-row-empty-correlated", "four-state-message-row-basis",
+        "four-state-message-row-outcome", "four-state-control-row-empty-pass",
     ],
 )
-def test_csv_loading_is_strict(tmp_path, protocol, edit, needle):
+def test_csv_loading_is_strict(tmp_path, protocol, mode, edit, needle):
     # One bad cell in a clean transcript must not load as a plausible but
     # wrong record: the loader names the line and the cell instead.
-    config = parse_args(["--protocol", protocol, "--pairs", "200", "--control-prob", "0.5", "--seed", "6"]).config
+    check = ["--check", "qber"] if mode == "control-qber" else []
+    argv = ["--protocol", protocol, "--pairs", "200", "--control-prob", "0.5", "--seed", "6", *check]
     text = io.StringIO()
-    records_to_csv(run_session(config), text)
+    records_to_csv(run_session(parse_args(argv).config), text)
     lines = text.getvalue().splitlines()
-    # The first message row from pair 10 on: its index has two digits and
-    # rows before it.
-    lineno = next(n for n, line in enumerate(lines[11:], start=12) if ",message," in line)
+    # The first row of the mode from pair 10 on: its index has two digits
+    # and rows before it.
+    lineno = next(n for n, line in enumerate(lines[11:], start=12) if f",{mode}," in line)
     lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
     out = tmp_path / "records.csv"
     out.write_text("\n".join(lines) + "\n")
@@ -465,10 +484,9 @@ def test_records_are_shared_leaves(protocol, attack, check, tmp_path):
     for record in session.leaves:
         with pytest.raises(AttributeError):
             record.eve_log = None
-        if record.eve_log is not None:
-            for name in record.eve_log._fields:
-                with pytest.raises(AttributeError):
-                    setattr(record.eve_log, name, None)
+        for name in record.eve_log._fields:
+            with pytest.raises(AttributeError):
+                setattr(record.eve_log, name, None)
     out = tmp_path / "records.csv"
     assert run_cli([*argv, "--out", str(out)]) == 0
     loaded = load_records_csv(out)
@@ -477,6 +495,17 @@ def test_records_are_shared_leaves(protocol, attack, check, tmp_path):
     for suffix, record in zip(suffixes, loaded, strict=True):
         assert record_of.setdefault(suffix, record) is record
     assert len({id(record) for record in loaded}) == len(set(loaded)) == len(record_of) < len(loaded)
+
+
+@pytest.mark.parametrize("protocol", ["base", "modified"])
+def test_honest_records_carry_an_empty_eve_log(protocol, tmp_path):
+    # With no attack the session runs the null adversary: every record, and
+    # every row loaded back from the transcript, holds an empty Eve log.
+    argv = ["--protocol", protocol, "--pairs", "500", "--control-prob", "0.5", "--seed", "12", "--format", "csv"]
+    assert all(record.eve_log == EveLog() for record in run_session(parse_args(argv).config))
+    out = tmp_path / "records.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    assert all(record.eve_log == EveLog() for record in load_records_csv(out))
 
 
 @pytest.mark.parametrize(

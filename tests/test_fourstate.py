@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from duplexqkd.analysis import build_report
+from duplexqkd.attacks import Adversary
 from duplexqkd.config import AttackKind, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import (
     ModifiedControlDisclosure,
@@ -124,7 +125,7 @@ def test_all_bit_combinations_decode():
 
 
 def test_message_round_announcements():
-    record = run_modified_pair(_config(), None, 0)
+    record = run_modified_pair(_config(), Adversary(), 0)
     assert [type(m) for m in record.announcements] == [ReceiptAck, PauliAnnouncement]
     assert record.announcements[1].op is record.alice_pauli
 
@@ -183,7 +184,7 @@ def test_modified_session_determinism_and_dispatch():
     records = list(run_session(config))
     assert records == list(run_session(config))
     # run_session dispatches on config.protocol and matches standalone rounds
-    assert records == [run_modified_pair(config, None, i) for i in range(config.pairs)]
+    assert records == [run_modified_pair(config, Adversary(), i) for i in range(config.pairs)]
 
 
 def test_report_on_modified_records():

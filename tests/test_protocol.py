@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SESSION_CASES, standalone_rounds
+from test_analysis import _evasion_dp
 from duplexqkd import stream
 from duplexqkd.analysis import (
     SimulationReport,
@@ -18,6 +19,7 @@ from duplexqkd.analysis import (
     build_report,
     estimate_chsh,
     estimate_qber,
+    evasion_probability,
 )
 from duplexqkd.attacks import Adversary
 from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
@@ -141,7 +143,7 @@ def test_clean_qber_checks_always_pass():
 
 
 def test_message_round_announcement_order():
-    record = run_pair(_config(), None, 1)
+    record = run_pair(_config(), Adversary(), 1)
     kinds = [type(m) for m in record.announcements]
     assert kinds == [MeasuredFirst, CorrelationAnnouncement]
     assert record.announcements[0].control is False
@@ -161,7 +163,7 @@ def test_control_rounds_announce_measured_first_first():
 
 
 def test_measured_first_reveals_no_basis_or_outcome():
-    record = run_pair(_config(), None, 2)
+    record = run_pair(_config(), Adversary(), 2)
     assert record.announcements[0] == MeasuredFirst(control=False)
 
 
@@ -202,7 +204,7 @@ def test_replaying_one_pair_reproduces_its_record():
     config = _config(pairs=50, control_probability=0.4, seed=5)
     records = list(run_session(config))
     for index in (0, 7, 49):
-        assert run_pair(config, None, index) == records[index]
+        assert run_pair(config, Adversary(), index) == records[index]
 
 
 def test_pair_records_independent_of_session_length():
@@ -348,6 +350,26 @@ def test_round_tree_decode_and_guess_accuracies():
     assert abs(four_state.eve_bob_accuracy - 0.375) <= EXACT
 
 
+@pytest.mark.parametrize(
+    "protocol,attack,d",
+    [
+        (ProtocolKind.BASE, AttackKind.INTERCEPT_RESEND, 0.25),
+        (ProtocolKind.BASE, AttackKind.QMM_SUBSTITUTE, 0.5),
+        (ProtocolKind.MODIFIED, AttackKind.INTERCEPT_RESEND, 0.25),
+    ],
+    ids=["base-ir", "base-qmm", "four-state-ir"],
+)
+def test_round_tree_evasion_probability(protocol, attack, d):
+    # The chance that an attack takes n message rounds unseen, with its
+    # detection rate read off the exact tree, against the enumeration of
+    # the detection process.
+    report = _expected_report(protocol=protocol, attack=attack, check_kind=CheckKind.QBER)
+    tree_d = report.qber_errors / report.qber_checks
+    assert abs(tree_d - d) <= EXACT
+    for n in (1, 5, 20):
+        assert abs(evasion_probability(0.5, tree_d, n) - _evasion_dp(0.5, tree_d, n)) <= EXACT
+
+
 # ---------------------------------------------------------------------------
 # Keyed stream and the session trie
 
@@ -455,6 +477,23 @@ def test_session_equals_standalone_rounds_at_full_chunk():
         pairs=3 * CHUNK + 500, control_probability=0.5, attack=AttackKind.QMM_SWAP, seed=2027
     )
     _assert_session_equals_standalone_rounds(config, CHUNK)
+
+
+@pytest.mark.parametrize(
+    "attack,lanes", [(AttackKind.NONE, [0]), (AttackKind.INTERCEPT_RESEND, [0, 1])], ids=["none", "ir"]
+)
+def test_walk_keys_only_the_lanes_its_trie_reads(attack, lanes, monkeypatch):
+    # The null adversary never draws, so an honest session keys the honest
+    # lane alone; an attack that draws keys the adversary's lane as well.
+    requested = []
+
+    def spy(seed, pairs, lane):
+        requested.append(lane)
+        return stream.stream_keys(seed, pairs, lane)
+
+    monkeypatch.setattr("duplexqkd.protocol.stream_keys", spy)
+    list(run_session(_config(pairs=100, control_probability=0.5, attack=attack)))
+    assert requested == lanes
 
 
 class _PairCounter(Adversary):
