@@ -9,11 +9,7 @@ from .quantum import (
     PauliOp,
     PlanarObservable,
     PureState,
-    TwoQubitDensity,
     bell_state,
-    chsh_value,
-    correlator,
-    mix,
 )
 from .config import (
     AttackKind,

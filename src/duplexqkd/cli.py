@@ -24,8 +24,8 @@ import numpy as np
 from .analysis import build_report
 from .attacks import EveLog
 from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
-from .fourstate import ModifiedMode, ModifiedPairRecord
-from .protocol import Mode, PairRecord, Session, run_session
+from .fourstate import ModifiedMode, ModifiedPairRecord, modified_derived_fields
+from .protocol import STATE_BIT, Mode, PairRecord, Session, derived_fields, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
 from .values import value
 
@@ -204,9 +204,24 @@ def _cell(value) -> str:
     return render(value)
 
 
-#: Each ``protocol`` tag's record type, and the enum of its ``mode`` column.
-_RECORD_TYPES = {"base": (PairRecord, Mode), "modified": (ModifiedPairRecord, ModifiedMode)}
-_PROTOCOL_TAGS = {record_type: tag for tag, (record_type, _) in _RECORD_TYPES.items()}
+#: Each ``protocol`` tag's record type, the enum of its ``mode`` column, and
+#: its round's derived fields, by name, of a row's parsed values.
+_RECORD_TYPES = {
+    "base": (
+        PairRecord,
+        Mode,
+        lambda v: derived_fields(v["mode"], v["bob_state"], v.get("alice_basis"), v["outcomes"]),
+    ),
+    "modified": (
+        ModifiedPairRecord,
+        ModifiedMode,
+        lambda v: modified_derived_fields(
+            v["mode"], v["bob_state"], v.get("alice_bell_outcome"), v.get("alice_target"), v.get("control_basis"),
+            v["outcomes"],
+        ),
+    ),
+}
+_PROTOCOL_TAGS = {record_type: tag for tag, (record_type, *_) in _RECORD_TYPES.items()}
 #: The ``EveLog`` field in each ``eve_*`` column.
 _EVE_FIELDS = {
     "eve_substitute": "substitute_state",
@@ -318,7 +333,7 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRe
     (``EveLog()`` for empty cells)."""
     if len(cells) != len(CSV_COLUMNS) - 1:
         raise ValueError(f"{len(cells) + 1} cells, expected {len(CSV_COLUMNS)}")
-    record_type, modes = _value("protocol", cells[0], _RECORD_TYPES.__getitem__)
+    record_type, modes, derive = _value("protocol", cells[0], _RECORD_TYPES.__getitem__)
     mode = _value("mode", cells[1], modes)
     filled = _MODE_COLUMNS[mode]
     values = {"mode": mode}
@@ -328,6 +343,11 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRe
         elif cell != "":
             raise ValueError(f"{column} cell {cell!r} in a {cells[0]} row of mode {cells[1]}")
     values["outcomes"] = tuple(values[column] for column in _OUTCOME_COLUMNS if column in filled)
+    if record_type is PairRecord and values["bob_state"] not in STATE_BIT:
+        raise ValueError(f"bob_state cell {cells[2]!r} in a base row")
+    for column, derived in derive(values).items():
+        if values.get(column) != derived:
+            raise ValueError(f"{column} cell {_cell(values[column])!r} does not follow from the row's other cells")
     values["announcements"] = ()
     eve = tuple(values[column] for column in _EVE_FIELDS)
     if eve not in eve_logs:
@@ -341,8 +361,10 @@ def load_records_csv(path) -> list:
 
     Loading is strict: a row with too few or too many cells, a cell no
     record renders to, an empty cell in a column its mode fills, a non-empty
-    cell in a column its mode leaves empty, or a ``pair_index`` other than
-    the row's position (0 for the first row) raises ValueError naming the
+    cell in a column its mode leaves empty, a derived cell (a correlation,
+    decode, Pauli or pass flag) other than the one its protocol's round
+    derives from the row's other cells, or a ``pair_index`` other than the
+    row's position (0 for the first row) raises ValueError naming the
     line.  Empty Eve cells load as ``EveLog()``.  Announcement lists and Eve's
     measurement and observation traces are not serialized to CSV (loaded
     logs hold empty tuples there); everything the estimators consume

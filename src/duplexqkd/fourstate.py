@@ -34,6 +34,7 @@ __all__ = [
     "PauliAnnouncement",
     "ReceiptAck",
     "StateDisclosure",
+    "modified_derived_fields",
     "pauli_for_target",
     "pauli_transition",
     "run_modified_pair",
@@ -94,6 +95,27 @@ def pauli_for_target(current: BellStateId, target: BellStateId) -> PauliOp:
     return _MASK_TO_PAULI[current.bits ^ target.bits]
 
 
+def modified_derived_fields(
+    mode: ModifiedMode,
+    bob_state: BellStateId,
+    alice_bell_outcome: BellStateId | None,
+    alice_target: BellStateId | None,
+    control_basis: Basis | None,
+    outcomes: tuple[Outcome, ...],
+) -> dict:
+    """The fields of a four-state round that follow from its others, by
+    name: ``alice_pauli``, ``bob_decoded`` and ``control_pass``, each None
+    where ``mode`` has none.  A round takes them from here, and the CSV
+    loader refuses a row whose cells differ."""
+    derived = dict.fromkeys(("alice_pauli", "bob_decoded", "control_pass"))
+    if mode is ModifiedMode.MESSAGE:
+        alice_pauli = derived["alice_pauli"] = pauli_for_target(alice_bell_outcome, alice_target)
+        derived["bob_decoded"] = pauli_transition(bob_state, alice_pauli)
+    else:
+        derived["control_pass"] = outcomes[0] * outcomes[1] == correlation_signature(bob_state, control_basis)
+    return derived
+
+
 @value
 class ModifiedPairRecord:
     """Transcript of one four-state round."""
@@ -127,16 +149,12 @@ def run_modified_pair(
 
     first = round_.send_first(bob_state)
 
-    alice_bell_outcome = alice_pauli = alice_target = bob_decoded = None
-    control_basis = control_pass = None
+    alice_bell_outcome = alice_target = control_basis = None
 
     if mode is ModifiedMode.MESSAGE:
         round_.announce(ReceiptAck())
         alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), honest)
         alice_target = honest.choose(FOUR_STATE_CHOICE)
-        alice_pauli = pauli_for_target(alice_bell_outcome, alice_target)
-        round_.announce(PauliAnnouncement(op=alice_pauli))
-        bob_decoded = pauli_transition(bob_state, alice_pauli)
         outcomes: tuple[Outcome, ...] = ()
     else:
         control_basis = honest.choose(BASIS_CHOICE)
@@ -145,18 +163,18 @@ def run_modified_pair(
         round_.announce(StateDisclosure(state_id=bob_state))
         outcome_2 = system.measure(round_.send_second(), control_basis.observable, honest)
         outcomes = (outcome_1, outcome_2)
-        control_pass = outcome_1 * outcome_2 == correlation_signature(bob_state, control_basis)
+    derived = modified_derived_fields(mode, bob_state, alice_bell_outcome, alice_target, control_basis, outcomes)
+    if mode is ModifiedMode.MESSAGE:
+        round_.announce(PauliAnnouncement(op=derived["alice_pauli"]))
 
     return ModifiedPairRecord(
         mode=mode,
         bob_state=bob_state,
         alice_bell_outcome=alice_bell_outcome,
-        alice_pauli=alice_pauli,
         alice_target=alice_target,
-        bob_decoded=bob_decoded,
         control_basis=control_basis,
         outcomes=outcomes,
-        control_pass=control_pass,
         announcements=tuple(round_.announcements),
         eve_log=round_.end(),
+        **derived,
     )

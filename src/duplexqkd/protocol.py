@@ -88,6 +88,7 @@ __all__ = [
     "alice_decode",
     "bob_decode",
     "correlation_signature",
+    "derived_fields",
     "pair_stream",
     "run_pair",
     "run_session",
@@ -183,6 +184,24 @@ def alice_decode(basis: Basis, correlated: bool) -> BellStateId:
         if _SIGNATURE[(state, basis)] == announced:
             return state
     raise AssertionError("unreachable: each basis has one state per sign")
+
+
+def derived_fields(
+    mode: Mode, bob_state: BellStateId, alice_basis: Basis | None, outcomes: tuple[Outcome, ...]
+) -> dict:
+    """The fields of a base round that follow from its others, by name:
+    ``correlated``, ``bob_decoded_basis``, ``alice_decoded_state`` and
+    ``qber_pass``, each None where ``mode`` has none.  A round takes them
+    from here, and the CSV loader refuses a row whose cells differ."""
+    derived = dict.fromkeys(("correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass"))
+    if mode is not Mode.CONTROL_CHSH:
+        correlated = derived["correlated"] = outcomes[0] * outcomes[1] == +1
+        if mode is Mode.MESSAGE:
+            derived["bob_decoded_basis"] = bob_decode(bob_state, correlated)
+            derived["alice_decoded_state"] = alice_decode(alice_basis, correlated)
+        else:
+            derived["qber_pass"] = correlated == (correlation_signature(bob_state, alice_basis) == +1)
+    return derived
 
 
 class PairSystem:
@@ -380,34 +399,24 @@ def run_pair(
     # Alice announces the measurement itself, never its result.
     round_.announce(MeasuredFirst(control=control))
 
-    outcomes: tuple[Outcome, ...]
-    correlated: bool | None = None
     bob_setting = bob_angle = None
-    bob_decoded_basis: Basis | None = None
-    alice_decoded_state: BellStateId | None = None
-    qber_pass: bool | None = None
-
     if mode is Mode.CONTROL_CHSH:
         # Bob keeps the second half and measures locally.
         bob_setting = honest.choose(SETTING_CHOICE)
         bob_angle = config.settings.bob_angles[bob_setting]
         outcome_2 = system.measure("bob1", PlanarObservable(bob_angle), honest)
-        outcomes = (outcome_1, outcome_2)
         round_.announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
         round_.announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))
     else:
         # Message and error-check rounds: the second half travels to Alice,
         # who measures it in her first basis.
         outcome_2 = system.measure(round_.send_second(), first_obs, honest)
-        outcomes = (outcome_1, outcome_2)
-        correlated = outcome_1 * outcome_2 == +1
-        if mode is Mode.MESSAGE:
-            round_.announce(CorrelationAnnouncement(correlated=correlated))
-            bob_decoded_basis = bob_decode(bob_state, correlated)
-            alice_decoded_state = alice_decode(alice_basis, correlated)
-        else:
-            round_.announce(QberDisclosure(basis=alice_basis, correlated=correlated))
-            qber_pass = correlated == (correlation_signature(bob_state, alice_basis) == +1)
+    outcomes = (outcome_1, outcome_2)
+    derived = derived_fields(mode, bob_state, alice_basis, outcomes)
+    if mode is Mode.MESSAGE:
+        round_.announce(CorrelationAnnouncement(correlated=derived["correlated"]))
+    elif mode is Mode.CONTROL_QBER:
+        round_.announce(QberDisclosure(basis=alice_basis, correlated=derived["correlated"]))
 
     return PairRecord(
         mode=mode,
@@ -419,11 +428,8 @@ def run_pair(
         bob_angle=bob_angle,
         outcomes=outcomes,
         announcements=tuple(round_.announcements),
-        correlated=correlated,
-        bob_decoded_basis=bob_decoded_basis,
-        alice_decoded_state=alice_decoded_state,
-        qber_pass=qber_pass,
         eve_log=round_.end(),
+        **derived,
     )
 
 

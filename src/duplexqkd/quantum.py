@@ -2,9 +2,10 @@
 
 Everything downstream (protocol runners, attacks, estimators) is built on the
 handful of primitives here: Bell-state construction, tensor composition,
-projective single-qubit measurement with collapse, Bell-basis measurement,
-Pauli application, two-qubit density matrices, and analytic correlators /
-CHSH values.
+projective single-qubit measurement with collapse and Bell-basis
+measurement, each collapse's decision as a :class:`Choice`.  The analytic
+reference they are tested against (Pauli matrices, density matrices,
+correlators, CHSH values) lives in ``tests/oracle.py``.
 
 Conventions, fixed once and relied on everywhere:
 
@@ -19,8 +20,9 @@ Conventions, fixed once and relied on everywhere:
   :class:`Choice`, an interval table over [0, 1): the +1 branch is taken
   when u < P(+1); Bell outcomes are laid out cumulatively in the order
   psi+, psi-, phi+, phi-.
-* Global phase is never observable: state comparisons use
-  :func:`equal_up_to_phase`.
+* Global phase is never observable, and nothing here compares states:
+  the caches key on exact amplitude bytes, and the tests compare states up
+  to phase through the oracle in ``tests/oracle.py``.
 
 The collapsing primitives and :func:`tensor` are memoized.  Their
 deterministic part is a pure function of the exact amplitudes (keyed by the
@@ -45,7 +47,6 @@ from .values import value
 
 __all__ = [
     "ATOL_ALGEBRA",
-    "ATOL_ANALYTIC",
     "BELL_ORDER",
     "MAX_QUBITS",
     "Basis",
@@ -57,29 +58,18 @@ __all__ = [
     "PauliOp",
     "PlanarObservable",
     "PureState",
-    "TwoQubitDensity",
-    "apply_pauli",
     "bell_choice",
     "bell_measure",
-    "bell_outcome_probabilities",
     "bell_state",
-    "chsh_value",
-    "correlator",
-    "equal_up_to_phase",
-    "identify_bell",
-    "ket",
     "measure_choice",
     "measure_qubit",
-    "mix",
     "tensor",
 ]
 
 MAX_QUBITS = 4
 
-# Algebraic invariants (norms, traces, Hermiticity) hold to 1e-12; analytic
-# equalities (phase overlaps, CHSH bounds) are checked at 1e-9.
+# A state's squared norm is 1 within 1e-12.
 ATOL_ALGEBRA = 1e-12
-ATOL_ANALYTIC = 1e-9
 
 #: Measurement outcome: always +1 or -1.
 Outcome = int
@@ -120,20 +110,6 @@ class PauliOp(Enum):
     SIGMA2 = 2
     SIGMA3 = 3
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return _PAULI_MATRICES[self]
-
-
-_PAULI_MATRICES: dict[PauliOp, np.ndarray] = {
-    PauliOp.SIGMA0: np.array([[1, 0], [0, 1]], dtype=complex),
-    PauliOp.SIGMA1: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliOp.SIGMA2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PauliOp.SIGMA3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-for _m in _PAULI_MATRICES.values():
-    _m.setflags(write=False)
-
 
 @value
 class PlanarObservable:
@@ -149,17 +125,6 @@ class PlanarObservable:
         if not math.isfinite(angle):
             raise ValueError(f"observable angle must be finite, got {angle}")
         object.__setattr__(self, "angle", angle % (2.0 * math.pi))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, s], [s, -c]], dtype=complex)
-
-    def eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real unit eigenvectors ``(plus, minus)`` for eigenvalues +1, -1."""
-        half = 0.5 * self.angle
-        c, s = math.cos(half), math.sin(half)
-        return np.array([c, s]), np.array([-s, c])
 
 
 class Basis(Enum):
@@ -245,25 +210,6 @@ class PureState:
         return f"PureState({self.num_qubits} qubits, {np.round(self.amplitudes, 6)!r})"
 
 
-_KET_INDEX = {"H": 0, "V": 1}
-
-
-def ket(label: str) -> PureState:
-    """Computational-basis state from a polarization label, e.g. ``"H"`` or
-    ``"HV"``."""
-    if not label or any(ch not in _KET_INDEX for ch in label):
-        raise ValueError(f"labels use only 'H' and 'V': {label!r}")
-    n = len(label)
-    if n > MAX_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit capacity")
-    index = 0
-    for ch in label:
-        index = (index << 1) | _KET_INDEX[ch]
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[index] = 1.0
-    return PureState._wrap(amps, n)
-
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _BELL_AMPLITUDES: dict[BellStateId, np.ndarray] = {
@@ -337,8 +283,8 @@ _CACHE_CAP = 4096
 
 #: (state key, qubit, angle) -> Choice over (outcome, collapsed state)
 _MEASURE_CACHE: dict[tuple[bytes, int, float], Choice] = {}
-#: (state key, qubit_a, qubit_b) -> (probabilities, Choice over (outcome, residual))
-_BELL_CACHE: dict[tuple[bytes, int, int], tuple] = {}
+#: (state key, qubit_a, qubit_b) -> Choice over (outcome, residual)
+_BELL_CACHE: dict[tuple[bytes, int, int], Choice] = {}
 #: (key of a, key of b) -> a (x) b
 _TENSOR_CACHE: dict[tuple[bytes, bytes], PureState] = {}
 
@@ -461,27 +407,9 @@ def measure_qubit(
 _MIN_BRANCH = 1e-15
 
 
-def apply_pauli(state: PureState, qubit: int, op: PauliOp) -> PureState:
-    """Apply a Pauli unitary to one qubit.
-
-    Global phase follows from the matrix convention and is not meaningful;
-    compare results with :func:`equal_up_to_phase`.
-    """
-    _check_qubit(state, qubit)
-    if op is PauliOp.SIGMA0:
-        return state
-    m = op.matrix
-    a = state.amplitudes.reshape((1 << qubit, 2, -1))
-    out = np.empty_like(a)
-    out[:, 0, :] = m[0, 0] * a[:, 0, :] + m[0, 1] * a[:, 1, :]
-    out[:, 1, :] = m[1, 0] * a[:, 0, :] + m[1, 1] * a[:, 1, :]
-    return PureState._wrap(out.reshape(-1), state.num_qubits)
-
-
-def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> tuple[tuple[float, ...], Choice]:
-    """Born probabilities of the four Bell outcomes (ordered like
-    BELL_ORDER) and the decision of a Bell measurement over ``(outcome,
-    residual)``.  Outcomes are laid out cumulatively; an outcome below
+def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
+    """The decision of a Bell measurement over ``(outcome, residual)``.
+    Outcomes are laid out cumulatively in BELL_ORDER; an outcome below
     ``_MIN_BRANCH``, and any ``u`` past the last cumulative sum (rounding),
     selects the most likely outcome instead.  The residual keeps the
     surviving qubits in their original relative order (None for a two-qubit
@@ -524,40 +452,22 @@ def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> tuple[tupl
         acc += p
         cuts.append(acc)
     branches = [outcome if p >= _MIN_BRANCH else likeliest for outcome, p in zip(outcomes, probs)]
-    return tuple(probs), Choice(cuts, branches + [likeliest])
-
-
-def _check_bell_pair(state: PureState, qubit_a: int, qubit_b: int) -> None:
-    if qubit_a == qubit_b:
-        raise IndexError("bell measurement needs two distinct qubits")
-    _check_qubit(state, qubit_a)
-    _check_qubit(state, qubit_b)
-
-
-def _cached_bell_transition(
-    state: PureState, qubit_a: int, qubit_b: int
-) -> tuple[tuple[float, ...], Choice]:
-    _check_bell_pair(state, qubit_a, qubit_b)
-    key = (_key(state), qubit_a, qubit_b)
-    transition = _BELL_CACHE.get(key)
-    if transition is None:
-        transition = _remember(_BELL_CACHE, key, _bell_transition(state, qubit_a, qubit_b))
-    return transition
-
-
-def bell_outcome_probabilities(
-    state: PureState, qubit_a: int, qubit_b: int
-) -> dict[BellStateId, float]:
-    """Born-rule probabilities of each Bell outcome on the addressed pair."""
-    probs, _ = _cached_bell_transition(state, qubit_a, qubit_b)
-    return dict(zip(BELL_ORDER, probs))
+    return Choice(cuts, branches + [likeliest])
 
 
 def bell_choice(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
     """The decision a Bell measurement of the addressed pair makes, as a
     :class:`Choice` over ``(outcome, residual)``; cached per exact (state,
     qubit_a, qubit_b)."""
-    return _cached_bell_transition(state, qubit_a, qubit_b)[1]
+    if qubit_a == qubit_b:
+        raise IndexError("bell measurement needs two distinct qubits")
+    _check_qubit(state, qubit_a)
+    _check_qubit(state, qubit_b)
+    key = (_key(state), qubit_a, qubit_b)
+    choice = _BELL_CACHE.get(key)
+    if choice is None:
+        choice = _remember(_BELL_CACHE, key, _bell_transition(state, qubit_a, qubit_b))
+    return choice
 
 
 def bell_measure(
@@ -574,91 +484,3 @@ def bell_measure(
     if not (0.0 <= rand < 1.0):
         raise ValueError("rand must lie in [0, 1)")
     return choice.pick(rand)
-
-
-def equal_up_to_phase(a: PureState, b: PureState, atol: float = ATOL_ANALYTIC) -> bool:
-    """True when |<a|b>| = 1 within ``atol`` (identical physical states)."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    return abs(abs(complex(np.vdot(a.amplitudes, b.amplitudes))) - 1.0) <= atol
-
-
-def identify_bell(state: PureState) -> BellStateId | None:
-    """Which Bell state a two-qubit state is, up to global phase; None if it
-    is not one."""
-    if state.num_qubits != 2:
-        return None
-    for b in BELL_ORDER:
-        if abs(abs(_BELL_AMPLITUDES[b] @ state.amplitudes.conj()) - 1.0) <= ATOL_ANALYTIC:
-            return b
-    return None
-
-
-class TwoQubitDensity:
-    """4x4 Hermitian, unit-trace, positive-semidefinite density matrix."""
-
-    __slots__ = ("matrix",)
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if abs(np.trace(m).real - 1.0) > ATOL_ALGEBRA or abs(np.trace(m).imag) > ATOL_ALGEBRA:
-            raise ValueError("density matrix trace must be 1")
-        if np.abs(m - m.conj().T).max() > ATOL_ALGEBRA:
-            raise ValueError("density matrix must be Hermitian")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("TwoQubitDensity is immutable")
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "TwoQubitDensity":
-        if state.num_qubits != 2:
-            raise ValueError("density matrices are supported for 2-qubit states only")
-        v = state.amplitudes
-        return cls(np.outer(v, v.conj()))
-
-
-def mix(components: list[tuple[float, TwoQubitDensity]]) -> TwoQubitDensity:
-    """Convex combination of two-qubit density matrices."""
-    if not components:
-        raise ValueError("mix needs at least one component")
-    total = 0.0
-    acc = np.zeros((4, 4), dtype=complex)
-    for weight, rho in components:
-        w = float(weight)
-        if w < 0.0:
-            raise ValueError(f"negative mixture weight {w}")
-        total += w
-        acc += w * rho.matrix
-    if abs(total - 1.0) > ATOL_ALGEBRA:
-        raise ValueError(f"mixture weights sum to {total!r}, expected 1")
-    return TwoQubitDensity(acc)
-
-
-def correlator(rho: TwoQubitDensity, obs_a: PlanarObservable, obs_b: PlanarObservable) -> float:
-    """Exact expectation value Tr[rho (A x B)] of the product observable."""
-    m = np.kron(obs_a.matrix, obs_b.matrix)
-    value = float(np.einsum("ij,ji->", rho.matrix, m).real)
-    if abs(value) > 1.0 + ATOL_ALGEBRA:
-        raise ArithmeticError(f"correlator {value} outside [-1, 1]")
-    return value
-
-
-def chsh_value(rho: TwoQubitDensity, settings: ChshSettings) -> float:
-    """Analytic CHSH combination S = E(a1,b1) - E(a1,b2) + E(a2,b1) + E(a2,b2)."""
-    a1, a2 = (PlanarObservable(a) for a in settings.alice_angles)
-    b1, b2 = (PlanarObservable(b) for b in settings.bob_angles)
-    return (
-        correlator(rho, a1, b1)
-        - correlator(rho, a1, b2)
-        + correlator(rho, a2, b1)
-        + correlator(rho, a2, b2)
-    )

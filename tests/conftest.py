@@ -4,7 +4,8 @@ from duplexqkd.attacks import Adversary, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import run_modified_pair
 from duplexqkd.protocol import run_pair
-from duplexqkd.quantum import PureState, TwoQubitDensity, mix
+from duplexqkd.quantum import PureState
+from oracle import TwoQubitDensity, mix
 
 
 def random_pure_state(rng: np.random.Generator, num_qubits: int) -> PureState:

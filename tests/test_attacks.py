@@ -16,13 +16,11 @@ from duplexqkd.quantum import (
     Basis,
     BellStateId,
     ChshSettings,
-    TwoQubitDensity,
     bell_state,
-    chsh_value,
     measure_qubit,
-    mix,
     tensor,
 )
+from oracle import TwoQubitDensity, chsh_value, eigenvectors, mix
 
 
 def _config(**kwargs) -> SimulationConfig:
@@ -234,7 +232,7 @@ def _embed_bell_projector(state_id: BellStateId) -> np.ndarray:
 def _planar_projector(angle: float, outcome: int) -> np.ndarray:
     from duplexqkd.quantum import PlanarObservable
 
-    plus, minus = PlanarObservable(angle).eigenvectors()
+    plus, minus = eigenvectors(PlanarObservable(angle))
     v = plus if outcome == +1 else minus
     return np.outer(v, v.conj()).astype(complex)
 

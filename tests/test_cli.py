@@ -34,7 +34,8 @@ from duplexqkd.cli import (
 )
 from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS
 from duplexqkd.protocol import CHUNK, Mode, run_session
-from duplexqkd.quantum import BellStateId, TwoQubitDensity, bell_state, chsh_value
+from duplexqkd.quantum import BellStateId, bell_state
+from oracle import TwoQubitDensity, chsh_value
 
 
 def test_parse_happy_path():
@@ -368,6 +369,18 @@ def _set_cell(column: str, text: str):
          "control_basis cell 'x' in a modified row of mode message"),
         ("modified", "message", _set_cell("outcome_1", "1"), "outcome_1 cell '1' in a modified row of mode message"),
         ("modified", "control", _set_cell("control_pass", ""), "bad control_pass cell ''"),
+        # A derived cell that contradicts the row's other cells: each one
+        # parses and fits its mode, so only the protocol's own derivation
+        # can refuse it.
+        ("base", "control-qber", _set_cell("correlated", "0"), "correlated cell '0' does not follow"),
+        ("base", "message", _set_cell("alice_decoded_state", "phi_minus"),
+         "alice_decoded_state cell 'phi_minus' does not follow"),
+        ("base", "message", _set_cell("bob_decoded_basis", "x"), "bob_decoded_basis cell 'x' does not follow"),
+        ("base", "control-qber", _set_cell("qber_pass", "0"), "qber_pass cell '0' does not follow"),
+        ("modified", "control", _set_cell("control_pass", "0"), "control_pass cell '0' does not follow"),
+        ("modified", "message", _set_cell("bob_decoded", "psi_plus"), "bob_decoded cell 'psi_plus' does not follow"),
+        ("modified", "message", _set_cell("alice_pauli", "sigma0"), "alice_pauli cell 'sigma0' does not follow"),
+        ("base", "message", _set_cell("bob_state", "psi_minus"), "bob_state cell 'psi_minus' in a base row"),
     ],
     ids=[
         "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
@@ -377,6 +390,9 @@ def _set_cell(column: str, text: str):
         "message-row-angle", "message-row-empty-basis", "message-row-qber-pass", "message-row-one-outcome",
         "chsh-row-empty-angle", "chsh-row-basis", "qber-row-empty-correlated", "four-state-message-row-basis",
         "four-state-message-row-outcome", "four-state-control-row-empty-pass",
+        "qber-row-correlated", "message-row-alice-decode", "message-row-bob-decode", "qber-row-pass",
+        "four-state-control-row-pass", "four-state-message-row-decoded", "four-state-message-row-pauli",
+        "message-row-four-state-bob-state",
     ],
 )
 def test_csv_loading_is_strict(tmp_path, protocol, mode, edit, needle):

@@ -21,7 +21,8 @@ from duplexqkd.fourstate import (
     run_modified_pair,
 )
 from duplexqkd.protocol import correlation_signature, run_session
-from duplexqkd.quantum import BellStateId, PauliOp, apply_pauli, bell_state, identify_bell
+from duplexqkd.quantum import BellStateId, PauliOp, bell_state
+from oracle import apply_pauli, identify_bell, pauli_matrix
 
 
 def _config(**kwargs) -> SimulationConfig:
@@ -36,7 +37,7 @@ def _config(**kwargs) -> SimulationConfig:
 
 def _transition_oracle(state: BellStateId, op: PauliOp) -> BellStateId:
     """Independent route: 4x4 matrix application plus state identification."""
-    moved = np.kron(op.matrix, np.eye(2)) @ bell_state(state).amplitudes
+    moved = np.kron(pauli_matrix(op), np.eye(2)) @ bell_state(state).amplitudes
     for candidate in BellStateId:
         if abs(abs(np.vdot(bell_state(candidate).amplitudes, moved)) - 1.0) < 1e-12:
             return candidate

@@ -42,7 +42,8 @@ from duplexqkd.protocol import (
     run_pair,
     run_session,
 )
-from duplexqkd.quantum import Basis, BellStateId, ChshSettings, TwoQubitDensity, bell_state, chsh_value
+from duplexqkd.quantum import Basis, BellStateId, ChshSettings, bell_state
+from oracle import TwoQubitDensity, chsh_value, observable_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def test_correlation_signature_matches_eigenvalue_oracle():
     for state_id in BellStateId:
         vec = bell_state(state_id).amplitudes
         for basis in Basis:
-            m = basis.observable.matrix
+            m = observable_matrix(basis.observable)
             eig = np.vdot(vec, np.kron(m, m) @ vec).real
             assert correlation_signature(state_id, basis) == round(eig)
 
@@ -270,11 +271,11 @@ def test_chsh_round_records_settings_and_outcomes():
 EXACT = 1e-12
 
 
-def _expected_report(**kwargs) -> SimulationReport:
+def _expected_report(control_probability: float = 0.5, **kwargs) -> SimulationReport:
     """Each counter of the session's report as its exact expectation per
     pair: every leaf of its trie tallied once, with its probability for
     weight."""
-    config = _config(pairs=1, control_probability=0.5, **kwargs)
+    config = _config(pairs=1, control_probability=control_probability, **kwargs)
     session = run_session(config)
     tally = _tally_modified_record if config.protocol is ProtocolKind.MODIFIED else _tally_base_record
     report = SimulationReport(config_echo={}, seed=0)
@@ -347,6 +348,23 @@ def test_round_tree_decode_and_guess_accuracies():
     assert abs(base.decode_accuracy_alice - 0.75) <= EXACT
     assert abs(base.decode_accuracy_bob - 0.75) <= EXACT
     four_state = _expected_report(protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
+    assert abs(four_state.eve_bob_accuracy - 0.375) <= EXACT
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.01, 0.99))
+def test_round_tree_figures_at_any_control_probability(control):
+    # The detection rates and accuracies do not depend on C, and a share C
+    # of the pairs are control rounds.
+    for protocol in ProtocolKind:
+        for attack, d in ((AttackKind.INTERCEPT_RESEND, 0.25), (AttackKind.QMM_SUBSTITUTE, 0.5)):
+            report = _expected_report(control, protocol=protocol, attack=attack, check_kind=CheckKind.QBER)
+            assert abs(report.detection.d_hat - d) <= EXACT
+            assert abs(report.control_rounds / report.pairs - control) <= EXACT
+    base = _expected_report(control, attack=AttackKind.INTERCEPT_RESEND, check_kind=CheckKind.QBER)
+    assert abs(base.decode_accuracy_alice - 0.75) <= EXACT
+    assert abs(base.decode_accuracy_bob - 0.75) <= EXACT
+    four_state = _expected_report(control, protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
     assert abs(four_state.eve_bob_accuracy - 0.375) <= EXACT
 
 

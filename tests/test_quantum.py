@@ -1,4 +1,4 @@
-"""Tests for the statevector / density-matrix core."""
+"""Tests for the statevector core, and for the analytic oracle in ``oracle.py``."""
 
 import math
 
@@ -18,19 +18,23 @@ from duplexqkd.quantum import (
     PauliOp,
     PlanarObservable,
     PureState,
+    bell_measure,
+    bell_state,
+    measure_qubit,
+    tensor,
+)
+from oracle import (
     TwoQubitDensity,
     apply_pauli,
-    bell_measure,
     bell_outcome_probabilities,
-    bell_state,
     chsh_value,
     correlator,
     equal_up_to_phase,
     identify_bell,
     ket,
-    measure_qubit,
     mix,
-    tensor,
+    observable_matrix,
+    pauli_matrix,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -135,7 +139,7 @@ SIGNATURES = {
 def test_signature_table_matches_matrix_oracle():
     # <B| (O x O) |B> must be exactly the tabulated +-1 eigenvalue.
     for (state_id, basis), expected in SIGNATURES.items():
-        obs = basis.observable.matrix
+        obs = observable_matrix(basis.observable)
         vec = bell_state(state_id).amplitudes
         eig = np.vdot(vec, np.kron(obs, obs) @ vec).real
         assert abs(eig - expected) < 1e-12
@@ -204,7 +208,7 @@ def test_collapse_keeps_unit_norm(seed):
 
 def _pauli_oracle(state_id: BellStateId, op: PauliOp) -> np.ndarray:
     """Independent 4x4 matrix-multiplication oracle for Paulis on qubit 0."""
-    return np.kron(op.matrix, np.eye(2)) @ bell_state(state_id).amplitudes
+    return np.kron(pauli_matrix(op), np.eye(2)) @ bell_state(state_id).amplitudes
 
 
 def test_apply_pauli_identity():
@@ -438,7 +442,7 @@ def test_identify_bell_rejects_non_bell():
 def test_basis_angles():
     assert Basis.Z.observable.angle == 0.0
     assert Basis.X.observable.angle == pytest.approx(math.pi / 2)
-    assert Basis.Z.observable.matrix[0, 0] == 1.0 + 0j
+    assert observable_matrix(Basis.Z.observable)[0, 0] == 1.0 + 0j
 
 
 # ---------------------------------------------------------------------------
