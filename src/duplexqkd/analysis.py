@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .config import SimulationConfig
 from .fourstate import ModifiedMode
-from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, Session, correlation_signature
+from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, Session
 from .quantum import BellStateId, ChshSettings
 from .values import factory, value
 
@@ -120,6 +121,8 @@ def evasion_probability(control_probability: float, detection_rate: float, n: in
         raise ValueError(f"control probability must lie in [0, 1), got {c}")
     if not (0.0 <= d <= 1.0):
         raise ValueError(f"detection rate must lie in [0, 1], got {d}")
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     return (1.0 / (1.0 + c * d / (1.0 - c))) ** n
@@ -162,9 +165,7 @@ class SimulationReport:
     control_rounds: int = 0
     message_rounds: int = 0
     alice_decode_ok: int = 0
-    alice_decode_total: int = 0
     bob_decode_ok: int = 0
-    bob_decode_total: int = 0
     eve_alice_guesses: int = 0
     eve_alice_correct: int = 0
     eve_bob_guesses: int = 0
@@ -182,11 +183,11 @@ class SimulationReport:
 
     @property
     def decode_accuracy_alice(self) -> float | None:
-        return self.alice_decode_ok / self.alice_decode_total if self.alice_decode_total else None
+        return self.alice_decode_ok / self.message_rounds if self.message_rounds else None
 
     @property
     def decode_accuracy_bob(self) -> float | None:
-        return self.bob_decode_ok / self.bob_decode_total if self.bob_decode_total else None
+        return self.bob_decode_ok / self.message_rounds if self.message_rounds else None
 
     @property
     def eve_alice_accuracy(self) -> float | None:
@@ -263,8 +264,6 @@ def _tally_message(report: SimulationReport, n, alice_ok: bool, bob_ok: bool, lo
     """A message round of either protocol: whether each party decoded the
     other, and Eve's guesses of Alice's and Bob's true bits."""
     report.message_rounds += n
-    report.alice_decode_total += n
-    report.bob_decode_total += n
     if alice_ok:
         report.alice_decode_ok += n
     if bob_ok:
@@ -289,8 +288,7 @@ def _tally_base_record(report: SimulationReport, record: PairRecord, n: int) -> 
     elif record.mode is Mode.CONTROL_QBER:
         report.control_rounds += n
         report.qber_checks += n
-        expected = correlation_signature(record.bob_state, record.alice_basis) == +1
-        if record.correlated != expected:
+        if not record.qber_pass:
             report.qber_errors += n
     else:  # CONTROL_CHSH
         report.control_rounds += n

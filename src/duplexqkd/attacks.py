@@ -1,14 +1,15 @@
 """Channel adversaries for the protocol runners.
 
 An adversary sees exactly two things: qubits in transit (which it may
-transform before forwarding) and classical announcements after they are
+transform before forwarding) and each classical announcement after it is
 sent.  It never sees local measurement results or the control flag ahead of
 Alice's first-measurement announcement.  A session calls ``begin_session``
 before any other hook, and each round calls ``begin_pair`` before its first
 qubit moves.  Each attack keeps its round's scratch on itself, resets it in
-``begin_pair`` and builds the round's immutable :class:`EveLog`, ordered
-observation trace included, once in ``end_pair``, so tests can assert that
-causality discipline.
+``begin_pair`` and builds the round's immutable :class:`EveLog`, what it
+learned, once in ``end_pair``.  The hooks are the whole channel: a round
+keeps no other copy of its qubits' legs or of what it announces, so a test
+asserts that causality discipline by wiretapping the hooks.
 
 The base :class:`Adversary` is the null adversary, the layer every session
 without an attack runs; its rounds log an empty ``EveLog()``.  Three
@@ -20,8 +21,8 @@ concrete attacks:
 * :class:`QmmSubstitute` plays man-in-the-middle: it hands Alice the halves
   of its own Bell pair (drawn uniformly from the states the protocol
   encodes with) in the sequence Bob would, keeps Bob's qubits, and
-  Bell-measures them to read Bob's encoding; overheard announcements then
-  give it Alice's encoding as well.
+  Bell-measures them to read Bob's encoding; what Alice then announces
+  gives it her encoding as well.
 * :class:`QmmSwap` substitutes the same way, but in a CHSH control round it
   Bell-measures (Bob's intercepted half, its own retained half) - an
   entanglement swap that projects the Alice/Bob marginal onto a Bell state
@@ -41,7 +42,6 @@ from .protocol import (
     Lane,
     MeasuredFirst,
     PairSystem,
-    ProtocolMessage,
     alice_decode,
     bob_decode,
 )
@@ -64,15 +64,10 @@ class EveLog:
     attack legitimately accessed.  The attack builds it once, when the round
     ends."""
 
-    measured_bases: tuple[Basis, ...] = ()
-    measured_outcomes: tuple[int, ...] = ()
     substitute_state: BellStateId | None = None
     bell_outcome: BellStateId | None = None
     guessed_alice_bit: int | None = None
     guessed_bob_bit: int | None = None
-    #: Ordered trace of everything Eve saw: ("qubit", leg) entries and
-    #: ("announcement", message) entries.
-    observations: tuple = ()
 
 
 class Adversary:
@@ -96,7 +91,7 @@ class Adversary:
         qubit actually delivered."""
         return handle
 
-    def hear(self, system: PairSystem, message: ProtocolMessage, lane: Lane) -> None:
+    def hear(self, system: PairSystem, message: object, lane: Lane) -> None:
         pass
 
     def end_pair(self, system: PairSystem, lane: Lane) -> EveLog:
@@ -108,29 +103,26 @@ class InterceptResend(Adversary):
 
     The basis is drawn once per pair on the first leg (uniform over {X, Z})
     and reused on the second leg; forwarding the collapsed eigenstate
-    maximizes what Eve learns from the announcements later.
+    maximizes what Eve learns from each announcement later.
     """
 
     def begin_pair(self) -> None:
-        self._observations: list = []
         self._outcomes: list[int] = []
         self._basis: Basis | None = None
         self._heard_correlation: bool | None = None
 
     def relay_qubit(self, system, handle, leg, lane):
-        self._observations.append(("qubit", leg))
         if leg == 1:
             self._basis = lane.choose(BASIS_CHOICE)
         self._outcomes.append(system.measure(handle, self._basis.observable, lane))
         return handle
 
     def hear(self, system, message, lane):
-        self._observations.append(("announcement", message))
         if isinstance(message, CorrelationAnnouncement):
             self._heard_correlation = message.correlated
 
     def end_pair(self, system, lane):
-        outcomes = tuple(self._outcomes)
+        outcomes = self._outcomes
         guessed_alice_bit = guessed_bob_bit = None
         if len(outcomes) == 2:
             # Her own same-basis product always equals the sent state's
@@ -139,13 +131,7 @@ class InterceptResend(Adversary):
             guessed_bob_bit = STATE_BIT.get(guessed_state)
             if self._heard_correlation is not None and guessed_state in STATE_BIT:
                 guessed_alice_bit = BASIS_BIT[bob_decode(guessed_state, self._heard_correlation)]
-        return EveLog(
-            measured_bases=(self._basis,) * len(outcomes),
-            measured_outcomes=outcomes,
-            guessed_alice_bit=guessed_alice_bit,
-            guessed_bob_bit=guessed_bob_bit,
-            observations=tuple(self._observations),
-        )
+        return EveLog(guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit)
 
 
 class QmmSubstitute(Adversary):
@@ -162,14 +148,12 @@ class QmmSubstitute(Adversary):
         self._choice = Choice.uniform(tuple(BellStateId) if config.protocol is ProtocolKind.MODIFIED else BIT_STATE)
 
     def begin_pair(self) -> None:
-        self._observations: list = []
         self._retained: list[str] = []
         self._substitute: BellStateId | None = None
         self._heard_correlation: bool | None = None
         self._heard_pauli = None
 
     def relay_qubit(self, system, handle, leg, lane):
-        self._observations.append(("qubit", leg))
         self._retained.append(handle)
         if leg == 1:
             self._substitute = lane.choose(self._choice)
@@ -178,15 +162,14 @@ class QmmSubstitute(Adversary):
         return "eve1"
 
     def hear(self, system, message, lane):
-        self._observations.append(("announcement", message))
         if isinstance(message, CorrelationAnnouncement):
             self._heard_correlation = message.correlated
         elif isinstance(message, PauliAnnouncement):
             self._heard_pauli = message.op
 
     def _log(self, **learned) -> EveLog:
-        """The round's log: the substitute, what Eve saw and ``learned``."""
-        return EveLog(substitute_state=self._substitute, observations=tuple(self._observations), **learned)
+        """The round's log: the substitute and ``learned``."""
+        return EveLog(substitute_state=self._substitute, **learned)
 
     def end_pair(self, system, lane):
         substitute = self._substitute

@@ -138,6 +138,8 @@ def parse_args(argv: list[str]) -> RunSpec:
     args = parser.parse_args(argv)
     if args.config is not None:
         args = parser.parse_args(_read_config_file(args.config, parser) + argv)
+    if args.out == "":
+        raise UsageError("--out: the path is empty (omit --out to write to stdout)")
     try:
         config = SimulationConfig(
             pairs=args.pairs,
@@ -150,7 +152,7 @@ def parse_args(argv: list[str]) -> RunSpec:
         )
     except ConfigFieldError as exc:
         raise UsageError(f"{_FIELD_FLAGS[exc.field_name]}: {exc}") from exc
-    return RunSpec(config=config, out_format=args.out_format, out_path=Path(args.out) if args.out else None)
+    return RunSpec(config=config, out_format=args.out_format, out_path=None if args.out is None else Path(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +350,6 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRe
     for column, derived in derive(values).items():
         if values.get(column) != derived:
             raise ValueError(f"{column} cell {_cell(values[column])!r} does not follow from the row's other cells")
-    values["announcements"] = ()
     eve = tuple(values[column] for column in _EVE_FIELDS)
     if eve not in eve_logs:
         eve_logs[eve] = EveLog(**dict(zip(_EVE_FIELDS.values(), eve)))
@@ -365,13 +366,13 @@ def load_records_csv(path) -> list:
     decode, Pauli or pass flag) other than the one its protocol's round
     derives from the row's other cells, or a ``pair_index`` other than the
     row's position (0 for the first row) raises ValueError naming the
-    line.  Empty Eve cells load as ``EveLog()``.  Announcement lists and Eve's
-    measurement and observation traces are not serialized to CSV (loaded
-    logs hold empty tuples there); everything the estimators consume
-    round-trips.  Each distinct row past ``pair_index`` is parsed once into
-    one record, which every row with those cells shares, as a session's
-    pairs share their leaf's record (equal Eve cells share one log as well);
-    records and logs are immutable, so a shared one cannot be changed.
+    line.  Empty Eve cells load as ``EveLog()``.  A record holds exactly
+    what its row holds, so loading is the inverse of ``records_to_csv``: a
+    session's transcript loads back equal to ``list(session)``.  Each
+    distinct row past ``pair_index`` is parsed once into one record, which
+    every row with those cells shares, as a session's pairs share their
+    leaf's record (equal Eve cells share one log as well); records and logs
+    are immutable, so a shared one cannot be changed.
     """
     leaves: dict[str, PairRecord | ModifiedPairRecord] = {}
     eve_logs: dict[tuple, EveLog] = {}

@@ -17,7 +17,7 @@ passes iff the outcome product equals the state's deterministic signature.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .config import SimulationConfig
 from .protocol import BASIS_CHOICE, FOUR_STATE_CHOICE, _Round, correlation_signature
@@ -68,9 +68,6 @@ class ModifiedControlDisclosure:
 @value
 class StateDisclosure:
     state_id: BellStateId
-
-
-ModifiedMessage = Union[ReceiptAck, PauliAnnouncement, ModifiedControlDisclosure, StateDisclosure]
 
 
 # A Pauli on qubit 0 permutes the Bell states; in the two-bit encoding each
@@ -129,7 +126,6 @@ class ModifiedPairRecord:
     control_basis: Basis | None
     outcomes: tuple[Outcome, ...]
     control_pass: bool | None
-    announcements: tuple[ModifiedMessage, ...]
     eve_log: "EveLog"
 
 
@@ -174,7 +170,6 @@ def run_modified_pair(
         alice_target=alice_target,
         control_basis=control_basis,
         outcomes=outcomes,
-        announcements=tuple(round_.announcements),
         eve_log=round_.end(),
         **derived,
     )

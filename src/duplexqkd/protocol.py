@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -80,7 +80,6 @@ __all__ = [
     "Mode",
     "PairRecord",
     "PairSystem",
-    "ProtocolMessage",
     "ProtocolViolation",
     "QberDisclosure",
     "STATE_BIT",
@@ -140,9 +139,6 @@ class ControlDisclosure:
 class QberDisclosure:
     basis: Basis
     correlated: bool
-
-
-ProtocolMessage = Union[MeasuredFirst, CorrelationAnnouncement, ControlDisclosure, QberDisclosure]
 
 
 # Deterministic outcome product when both halves of a Bell pair are measured
@@ -261,7 +257,6 @@ class PairRecord:
     bob_setting: int | None
     bob_angle: float | None
     outcomes: tuple[Outcome, ...]
-    announcements: tuple[ProtocolMessage, ...]
     correlated: bool | None
     bob_decoded_basis: Basis | None
     alice_decoded_state: BellStateId | None
@@ -323,18 +318,18 @@ def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> Lane:
 
 class _Round:
     """The scaffold every round of either protocol shares: the pair's honest
-    and adversary lanes, the live qubits, the channel adversary's hooks and
-    the public announcement list.  A round always has an adversary; with no
-    attack it is the null :class:`~duplexqkd.attacks.Adversary`, which
-    forwards the qubits untouched, never draws from ``eve`` and logs an
-    empty ``EveLog``.  In a replay both lanes share ``replay`` (see
-    :class:`Lane`)."""
+    and adversary lanes, the live qubits and the channel adversary's hooks.
+    Every qubit in transit and every public announcement passes through
+    those hooks, and the round keeps no other copy of them.  A round always
+    has an adversary; with no attack it is the null
+    :class:`~duplexqkd.attacks.Adversary`, which forwards the qubits
+    untouched, never draws from ``eve`` and logs an empty ``EveLog``.  In a
+    replay both lanes share ``replay`` (see :class:`Lane`)."""
 
-    __slots__ = ("system", "announcements", "honest", "eve", "_adversary")
+    __slots__ = ("system", "honest", "eve", "_adversary")
 
     def __init__(self, config: SimulationConfig, adversary: "Adversary", pair_index: int, replay: tuple | None) -> None:
         self.system = PairSystem()
-        self.announcements: list = []
         self.honest = Lane(config.seed, pair_index, _HONEST_LANE, replay)
         self.eve = Lane(config.seed, pair_index, _EVE_LANE, replay)
         self._adversary = adversary
@@ -351,7 +346,6 @@ class _Round:
         return self._adversary.relay_qubit(self.system, "bob1", 2, self.eve)
 
     def announce(self, message) -> None:
-        self.announcements.append(message)
         self._adversary.hear(self.system, message, self.eve)
 
     def end(self) -> "EveLog":
@@ -427,7 +421,6 @@ def run_pair(
         bob_setting=bob_setting,
         bob_angle=bob_angle,
         outcomes=outcomes,
-        announcements=tuple(round_.announcements),
         eve_log=round_.end(),
         **derived,
     )

@@ -32,6 +32,41 @@ def random_product_state(rng: np.random.Generator) -> PureState:
     return tensor(random_pure_state(rng, 1), random_pure_state(rng, 1))
 
 
+class Wiretap(Adversary):
+    """Records what crosses the channel in each round, then hands every hook
+    to ``inner`` (the null ``Adversary`` by default), so the attack runs
+    unchanged.  ``rounds[k]`` is the k-th round's trace, in hook order:
+    ``("qubit", leg)`` for each qubit relayed and ``("announcement",
+    message)`` for each message heard.  A session replays each of its
+    leaves once, so there the k-th round is ``session.leaves[k]``'s."""
+
+    def __init__(self, inner: Adversary | None = None) -> None:
+        self.inner = inner or Adversary()
+        self.rounds: list[list[tuple]] = []
+
+    def begin_session(self, config):
+        self.inner.begin_session(config)
+
+    def begin_pair(self):
+        self.rounds.append([])
+        self.inner.begin_pair()
+
+    def relay_qubit(self, system, handle, leg, lane):
+        self.rounds[-1].append(("qubit", leg))
+        return self.inner.relay_qubit(system, handle, leg, lane)
+
+    def hear(self, system, message, lane):
+        self.rounds[-1].append(("announcement", message))
+        self.inner.hear(system, message, lane)
+
+    def end_pair(self, system, lane):
+        return self.inner.end_pair(system, lane)
+
+    def announcements(self, k: int = -1) -> list:
+        """The messages heard in round ``k``, in order."""
+        return [payload for tag, payload in self.rounds[k] if tag == "announcement"]
+
+
 def standalone_rounds(config: SimulationConfig) -> list:
     """Every pair of ``config``'s session run alone by its protocol's round
     function, with one adversary for the session: the reference a session

@@ -1,6 +1,7 @@
 """Tests for estimators, closed forms, and counter-based reports."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from duplexqkd.analysis import (
 )
 from duplexqkd.attacks import EveLog
 from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
-from duplexqkd.protocol import Mode, PairRecord, run_session
+from duplexqkd.protocol import Mode, PairRecord, derived_fields, run_session
 from duplexqkd.quantum import Basis, BellStateId, ChshSettings, bell_state, PlanarObservable
 from oracle import TwoQubitDensity, correlator
 
@@ -39,7 +40,6 @@ def _chsh_record(state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
         bob_setting=j,
         bob_angle=settings.bob_angles[j],
         outcomes=(1, product),
-        announcements=(),
         correlated=None,
         bob_decoded_basis=None,
         alice_decoded_state=None,
@@ -134,6 +134,9 @@ def test_estimate_chsh_counts_sum_to_binned_rounds():
 
 
 def _qber_record(state, basis, correlated) -> PairRecord:
+    # The derived fields, the pass flag the tally reads among them, are the
+    # ones a round with these outcomes records.
+    outcomes = (1, 1 if correlated else -1)
     return PairRecord(
         mode=Mode.CONTROL_QBER,
         bob_state=state,
@@ -142,13 +145,9 @@ def _qber_record(state, basis, correlated) -> PairRecord:
         alice_angle=None,
         bob_setting=None,
         bob_angle=None,
-        outcomes=(1, 1 if correlated else -1),
-        announcements=(),
-        correlated=correlated,
-        bob_decoded_basis=None,
-        alice_decoded_state=None,
-        qber_pass=None,
+        outcomes=outcomes,
         eve_log=EveLog(),
+        **derived_fields(Mode.CONTROL_QBER, state, basis, outcomes),
     )
 
 
@@ -266,6 +265,11 @@ def test_evasion_validates_arguments():
         evasion_probability(0.5, 1.5, 3)
     with pytest.raises(ValueError):
         evasion_probability(0.5, 0.5, -1)
+    # ``n`` counts rounds: a bool, a float (whole or not) or nan is refused.
+    for n in (math.nan, 2.5, 3.0, True, False, "3"):
+        with pytest.raises(ValueError):
+            evasion_probability(0.5, 0.25, n)
+    assert evasion_probability(0.5, 0.25, np.int64(3)) == evasion_probability(0.5, 0.25, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the adversary layer: intercept-resend statistics, both
-man-in-the-middle variants, observation-log causality, and the strict
-no-op property of the null adversary."""
+man-in-the-middle variants, the causality of what a wiretap on the channel
+observes, and the strict no-op property of the null adversary."""
 
 import math
 from collections import Counter
@@ -11,7 +11,7 @@ import pytest
 from duplexqkd.analysis import estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary, InterceptResend, QmmSubstitute, QmmSwap, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
-from duplexqkd.protocol import BASIS_BIT, STATE_BIT, MeasuredFirst, Mode, correlation_signature, run_session
+from duplexqkd.protocol import BASIS_BIT, STATE_BIT, MeasuredFirst, Mode, correlation_signature, run_pair, run_session
 from duplexqkd.quantum import (
     Basis,
     BellStateId,
@@ -20,6 +20,7 @@ from duplexqkd.quantum import (
     measure_qubit,
     tensor,
 )
+from conftest import Wiretap
 from oracle import TwoQubitDensity, chsh_value, eigenvectors, mix
 
 
@@ -87,12 +88,17 @@ def test_ir_crossed_basis_randomizes_product():
 
 
 def test_ir_conditional_error_rates():
-    # Split the error checks by Eve's logged basis: rounds where Alice
-    # picked the same basis are error-free, crossed rounds err half the time.
+    # Split the error checks by Eve's basis, read off the wiretapped attack
+    # after each round run alone: rounds where Alice picked the same basis
+    # are error-free, crossed rounds err half the time.
     config = _config(pairs=8000, check_kind=CheckKind.QBER, attack=AttackKind.INTERCEPT_RESEND, seed=77)
-    records = [r for r in run_session(config) if r.mode is Mode.CONTROL_QBER]
-    matched = [r for r in records if r.eve_log.measured_bases[0] is r.alice_basis]
-    crossed = [r for r in records if r.eve_log.measured_bases[0] is not r.alice_basis]
+    tap = Wiretap(InterceptResend())
+    tap.begin_session(config)
+    matched, crossed = [], []
+    for index in range(config.pairs):
+        record = run_pair(config, tap, index)
+        if record.mode is Mode.CONTROL_QBER:
+            (matched if tap.inner._basis is record.alice_basis else crossed).append(record)
     assert matched and all(r.qber_pass for r in matched)
     crossed_error = sum(not r.qber_pass for r in crossed) / len(crossed)
     assert abs(crossed_error - 0.5) < 0.04
@@ -293,32 +299,36 @@ def test_swap_degrades_to_substitute_for_qber_checks():
 
 
 # ---------------------------------------------------------------------------
-# Observation-log causality and determinism
+# Channel causality and determinism
 
 
 @pytest.mark.parametrize(
     "kind", [AttackKind.INTERCEPT_RESEND, AttackKind.QMM_SUBSTITUTE, AttackKind.QMM_SWAP]
 )
 def test_observation_log_causality(kind):
+    # A wiretap around the attack hears every path of the round: the session
+    # replays each of its leaves once, in ``leaves`` order.
     config = _config(pairs=600, control_probability=0.5, check_kind=CheckKind.CHSH, attack=kind, seed=101)
-    for record in run_session(config):
-        log = record.eve_log
-        assert log is not None
+    tap = Wiretap(build_adversary(kind))
+    session = run_session(config, tap)
+    assert len(tap.rounds) == len(session.leaves)
+    for record, observations in zip(session.leaves, tap.rounds):
+        assert record.eve_log is not None
         # Eve sees the first qubit before anything else; the control flag
         # only arrives with the measured-first announcement, after Alice's
         # measurement.
-        assert log.observations[0] == ("qubit", 1)
-        for tag, payload in log.observations:
+        assert observations[0] == ("qubit", 1)
+        for tag, payload in observations:
             assert tag in ("qubit", "announcement")
             if tag == "qubit":
                 assert payload in (1, 2)
         measured_first_positions = [
-            i for i, (tag, payload) in enumerate(log.observations)
+            i for i, (tag, payload) in enumerate(observations)
             if tag == "announcement" and isinstance(payload, MeasuredFirst)
         ]
         assert measured_first_positions and measured_first_positions[0] >= 1
         # Any second-leg qubit comes after the measured-first announcement.
-        for i, (tag, payload) in enumerate(log.observations):
+        for i, (tag, payload) in enumerate(observations):
             if tag == "qubit" and payload == 2:
                 assert i > measured_first_positions[0]
 

@@ -112,6 +112,8 @@ def _write_config(tmp_path, content: str | bytes) -> str:
         (["--config", _ConfigLines("help = 1\n")], "unknown key 'help'"),
         (["--config", _ConfigLines("config = x\n")], "unknown key 'config'"),
         (["--config", ""], "--config"),
+        (["--out", ""], "--out"),
+        (["--config", _ConfigLines("out =\n")], "--out"),
     ],
 )
 def test_rejections_name_the_flag(argv, needle, tmp_path):
@@ -317,6 +319,8 @@ def test_csv_round_trip(tmp_path, protocol, attack, check):
 
     loaded = load_records_csv(out)
     assert len(loaded) == config.pairs
+    # A record holds exactly its row, so the loader inverts the writer.
+    assert loaded == list(run_session(config))
     # Loading and re-writing is byte-stable.
     rewritten = io.StringIO()
     records_to_csv(loaded, rewritten)
@@ -472,8 +476,9 @@ def test_loaded_transcript_shares_equal_cells(tmp_path):
     # loaded transcript holds little more than one record per round (each
     # record used to carry its own log with three empty lists, ~530 B a round).
     out = tmp_path / "records.csv"
-    assert run_cli(["--pairs", "2000", "--control-prob", "0.5", "--attack", "qmm-swap", "--seed", "4",
-                    "--format", "csv", "--out", str(out)]) == 0
+    argv = ["--pairs", "2000", "--control-prob", "0.5", "--attack", "qmm-swap", "--seed", "4",
+            "--format", "csv", "--out", str(out)]
+    assert run_cli(argv) == 0
     tracemalloc.start()
     try:
         loaded = load_records_csv(out)
@@ -482,7 +487,8 @@ def test_loaded_transcript_shares_equal_cells(tmp_path):
         tracemalloc.stop()
     assert held / len(loaded) < 300
     assert len({id(r.eve_log) for r in loaded}) < 50
-    assert loaded[0].eve_log.observations == ()
+    # The shared log is the session's own, with nothing the CSV leaves out.
+    assert loaded[0].eve_log == next(iter(run_session(parse_args(argv).config))).eve_log
 
 
 @pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)

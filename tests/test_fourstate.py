@@ -22,6 +22,7 @@ from duplexqkd.fourstate import (
 )
 from duplexqkd.protocol import correlation_signature, run_session
 from duplexqkd.quantum import BellStateId, PauliOp, bell_state
+from conftest import Wiretap
 from oracle import apply_pauli, identify_bell, pauli_matrix
 
 
@@ -126,20 +127,26 @@ def test_all_bit_combinations_decode():
 
 
 def test_message_round_announcements():
-    record = run_modified_pair(_config(), Adversary(), 0)
-    assert [type(m) for m in record.announcements] == [ReceiptAck, PauliAnnouncement]
-    assert record.announcements[1].op is record.alice_pauli
+    tap = Wiretap()
+    record = run_modified_pair(_config(), tap, 0)
+    announcements = tap.announcements()
+    assert [type(m) for m in announcements] == [ReceiptAck, PauliAnnouncement]
+    assert announcements[1].op is record.alice_pauli
 
 
 def test_control_round_flow_and_signature_check():
+    # Every control path of the round, each as the wiretap heard its replay.
     config = _config(pairs=800, control_probability=0.5, seed=14)
-    records = run_session(config)
-    controls = [r for r in records if r.mode is ModifiedMode.CONTROL]
+    tap = Wiretap()
+    session = run_session(config, tap)
+    assert len(tap.rounds) == len(session.leaves)
+    controls = [(k, r) for k, r in enumerate(session.leaves) if r.mode is ModifiedMode.CONTROL]
     assert controls
-    for record in controls:
-        assert [type(m) for m in record.announcements] == [ModifiedControlDisclosure, StateDisclosure]
-        assert record.announcements[0].outcome == record.outcomes[0]
-        assert record.announcements[1].state_id == record.bob_state
+    for k, record in controls:
+        announcements = tap.announcements(k)
+        assert [type(m) for m in announcements] == [ModifiedControlDisclosure, StateDisclosure]
+        assert announcements[0].outcome == record.outcomes[0]
+        assert announcements[1].state_id == record.bob_state
         product_ = record.outcomes[0] * record.outcomes[1]
         assert record.control_pass == (
             product_ == correlation_signature(record.bob_state, record.control_basis)

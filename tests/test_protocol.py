@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SESSION_CASES, standalone_rounds
+from conftest import SESSION_CASES, Wiretap, standalone_rounds
 from test_analysis import _evasion_dp
 from duplexqkd import stream
 from duplexqkd.analysis import (
@@ -144,28 +144,37 @@ def test_clean_qber_checks_always_pass():
 
 
 def test_message_round_announcement_order():
-    record = run_pair(_config(), Adversary(), 1)
-    kinds = [type(m) for m in record.announcements]
+    tap = Wiretap()
+    run_pair(_config(), tap, 1)
+    announcements = tap.announcements()
+    kinds = [type(m) for m in announcements]
     assert kinds == [MeasuredFirst, CorrelationAnnouncement]
-    assert record.announcements[0].control is False
+    assert announcements[0].control is False
 
 
 def test_control_rounds_announce_measured_first_first():
-    config = _config(pairs=300, control_probability=0.5, check_kind=CheckKind.CHSH)
-    for record in run_session(config):
-        first = record.announcements[0]
-        assert isinstance(first, MeasuredFirst)
-        assert first.control == (record.mode is not Mode.MESSAGE)
-        if record.mode is Mode.CONTROL_CHSH:
-            assert [type(m) for m in record.announcements[1:]] == [ControlDisclosure, ControlDisclosure]
-            assert record.announcements[2].state_id == record.bob_state
-        elif record.mode is Mode.CONTROL_QBER:
-            assert [type(m) for m in record.announcements[1:]] == [QberDisclosure]
+    # The wiretap hears every path of the round, one replay per leaf, under
+    # either check.
+    for check in CheckKind:
+        tap = Wiretap()
+        session = run_session(_config(pairs=300, control_probability=0.5, check_kind=check), tap)
+        assert len(tap.rounds) == len(session.leaves)
+        for k, record in enumerate(session.leaves):
+            announcements = tap.announcements(k)
+            first = announcements[0]
+            assert isinstance(first, MeasuredFirst)
+            assert first.control == (record.mode is not Mode.MESSAGE)
+            if record.mode is Mode.CONTROL_CHSH:
+                assert [type(m) for m in announcements[1:]] == [ControlDisclosure, ControlDisclosure]
+                assert announcements[2].state_id == record.bob_state
+            elif record.mode is Mode.CONTROL_QBER:
+                assert [type(m) for m in announcements[1:]] == [QberDisclosure]
 
 
 def test_measured_first_reveals_no_basis_or_outcome():
-    record = run_pair(_config(), Adversary(), 2)
-    assert record.announcements[0] == MeasuredFirst(control=False)
+    tap = Wiretap()
+    run_pair(_config(), tap, 2)
+    assert tap.announcements()[0] == MeasuredFirst(control=False)
 
 
 # ---------------------------------------------------------------------------

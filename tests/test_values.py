@@ -36,19 +36,19 @@ from duplexqkd.quantum import Basis, BellStateId, ChshSettings, PauliOp, PlanarO
 
 def _record_fields(config: SimulationConfig) -> dict:
     """The fields of the first attacked record of a real session."""
-    record = next(r for r in run_session(config) if r.eve_log is not None and r.eve_log.observations)
+    record = next(r for r in run_session(config) if r.eve_log != EveLog())
     return {name: getattr(record, name) for name in _FIELDS[type(record)]}
 
 
 _FIELDS = {
     PairRecord: (
         "mode", "bob_state", "alice_basis", "alice_setting", "alice_angle", "bob_setting", "bob_angle",
-        "outcomes", "announcements", "correlated", "bob_decoded_basis", "alice_decoded_state",
+        "outcomes", "correlated", "bob_decoded_basis", "alice_decoded_state",
         "qber_pass", "eve_log",
     ),
     ModifiedPairRecord: (
         "mode", "bob_state", "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded",
-        "control_basis", "outcomes", "control_pass", "announcements", "eve_log",
+        "control_basis", "outcomes", "control_pass", "eve_log",
     ),
 }
 
@@ -74,9 +74,8 @@ CASES = [
     (
         EveLog,
         {
-            "measured_bases": (Basis.X,), "measured_outcomes": (1,), "substitute_state": BellStateId.PSI_PLUS,
-            "bell_outcome": None, "guessed_alice_bit": 0, "guessed_bob_bit": None,
-            "observations": (("qubit", 0), ("announcement", MeasuredFirst(False))),
+            "substitute_state": BellStateId.PSI_PLUS, "bell_outcome": None, "guessed_alice_bit": 0,
+            "guessed_bob_bit": None,
         },
         True,
     ),
@@ -101,7 +100,7 @@ CASES = [
         SimulationReport,
         {
             "config_echo": {"pairs": 3}, "seed": 9, "pairs": 3, "control_rounds": 1, "message_rounds": 2,
-            "alice_decode_ok": 2, "alice_decode_total": 2, "bob_decode_ok": 1, "bob_decode_total": 2,
+            "alice_decode_ok": 2, "bob_decode_ok": 1,
             "eve_alice_guesses": 0, "eve_alice_correct": 0, "eve_bob_guesses": 0, "eve_bob_correct": 0,
             "qber_checks": 1, "qber_errors": 0, "chsh_counts": {(BellStateId.PSI_PLUS, 0, 1): 1},
             "chsh_products": {(BellStateId.PSI_PLUS, 0, 1): -1},
@@ -208,7 +207,7 @@ def test_bad_arguments_raise_type_error(cls, values, frozen):
 
 @pytest.mark.parametrize(
     "cls,required",
-    [(PairRecord, 14), (ModifiedPairRecord, 11), (SimulationConfig, 1), (ControlDisclosure, 2),
+    [(PairRecord, 13), (ModifiedPairRecord, 10), (SimulationConfig, 1), (ControlDisclosure, 2),
      (SimulationReport, 2), (EveLog, 0), (ReceiptAck, 0), (RunSpec, 3)],
 )
 def test_missing_arguments_raise_type_error(cls, required):
@@ -224,7 +223,7 @@ def test_defaults_apply_and_mutable_defaults_are_fresh():
     config = SimulationConfig(pairs=2)
     assert (config.control_probability, config.attack, config.seed) == (0.0, AttackKind.NONE, 0)
     log = EveLog()
-    assert (log.measured_bases, log.measured_outcomes, log.observations) == ((), (), ())
+    assert (log.substitute_state, log.bell_outcome, log.guessed_alice_bit, log.guessed_bob_bit) == (None,) * 4
     assert log == EveLog() and hash(log) == hash(EveLog())
     first, second = SimulationReport(config_echo={}, seed=0), SimulationReport({}, 0)
     assert first == second and first.pairs == 0
