@@ -106,6 +106,9 @@ class InterceptResend(Adversary):
     maximizes what Eve learns from each announcement later.
     """
 
+    def begin_session(self, config):
+        self._modified = config.protocol is ProtocolKind.MODIFIED
+
     def begin_pair(self) -> None:
         self._outcomes: list[int] = []
         self._basis: Basis | None = None
@@ -126,9 +129,10 @@ class InterceptResend(Adversary):
         guessed_alice_bit = guessed_bob_bit = None
         if len(outcomes) == 2:
             # Her own same-basis product always equals the sent state's
-            # signature, so Bob's state is known exactly.
+            # signature, which fixes a base state and halves the four-state
+            # alphabet; a four-state guess is written as its state's two bits.
             guessed_state = alice_decode(self._basis, outcomes[0] * outcomes[1] == +1)
-            guessed_bob_bit = STATE_BIT.get(guessed_state)
+            guessed_bob_bit = guessed_state.bits if self._modified else STATE_BIT[guessed_state]
             if self._heard_correlation is not None and guessed_state in STATE_BIT:
                 guessed_alice_bit = BASIS_BIT[bob_decode(guessed_state, self._heard_correlation)]
         return EveLog(guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit)

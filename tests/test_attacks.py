@@ -11,6 +11,7 @@ import pytest
 from duplexqkd.analysis import estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary, InterceptResend, QmmSubstitute, QmmSwap, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
+from duplexqkd.fourstate import ModifiedMode
 from duplexqkd.protocol import BASIS_BIT, STATE_BIT, MeasuredFirst, Mode, correlation_signature, run_pair, run_session
 from duplexqkd.quantum import (
     Basis,
@@ -147,6 +148,19 @@ def test_ir_learns_bob_state_in_message_rounds():
     config = _config(pairs=2000, control_probability=0.0, attack=AttackKind.INTERCEPT_RESEND, seed=9)
     for record in run_session(config):
         assert record.eve_log.guessed_bob_bit == STATE_BIT[record.bob_state]
+
+
+def test_four_state_ir_guesses_half_of_bobs_states():
+    # Eve's same-basis product fixes only a base state, so in the four-state
+    # variant she guesses psi+ or phi-, written as its two bits: on the exact
+    # tree she is right on every psi+ and phi- message leaf and wrong on
+    # every psi- and phi+ one.
+    config = _config(pairs=1, protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
+    messages = [leaf for leaf in run_session(config).leaves if leaf.mode is ModifiedMode.MESSAGE]
+    assert {leaf.bob_state for leaf in messages} == set(BellStateId)
+    for leaf in messages:
+        right = leaf.bob_state in (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)
+        assert (leaf.eve_log.guessed_bob_bit == leaf.bob_state.bits) == right
 
 
 # ---------------------------------------------------------------------------

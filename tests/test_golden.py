@@ -50,8 +50,8 @@ GOLDEN = {
     "modified none qber csv": "90f82512ad9119e13feb5c4228c0f9cbd3d3e55f648367bce34137f128165f10",
     "modified ir chsh json": None,
     "modified ir chsh csv": None,
-    "modified ir qber json": "af6c2a682471fb2e810d601ddf6e5d356adb0c7e97ad8a8a5677e72ef0e63c50",
-    "modified ir qber csv": "e93c0a1b7651934a5a6a092b9d838c22c9818d56c9ff79440391ea923a28f9a3",
+    "modified ir qber json": "fa55327db7786c9895d0afaa9e9caea014d224a11cb9d2b589fc345bd7153c23",
+    "modified ir qber csv": "69f2248c09fe0b3528097889407d415166306089224ee26f150050ec28e5c0b5",
     "modified qmm chsh json": None,
     "modified qmm chsh csv": None,
     "modified qmm qber json": "ac2f29f558f8e309545da6210e3cebc781ad3d7db9d04dc68360a1d41c5fe7aa",

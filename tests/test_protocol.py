@@ -357,7 +357,7 @@ def test_round_tree_decode_and_guess_accuracies():
     assert abs(base.decode_accuracy_alice - 0.75) <= EXACT
     assert abs(base.decode_accuracy_bob - 0.75) <= EXACT
     four_state = _expected_report(protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
-    assert abs(four_state.eve_bob_accuracy - 0.375) <= EXACT
+    assert abs(four_state.eve_bob_accuracy - 0.5) <= EXACT
 
 
 @settings(max_examples=20, deadline=None)
@@ -374,7 +374,7 @@ def test_round_tree_figures_at_any_control_probability(control):
     assert abs(base.decode_accuracy_alice - 0.75) <= EXACT
     assert abs(base.decode_accuracy_bob - 0.75) <= EXACT
     four_state = _expected_report(control, protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
-    assert abs(four_state.eve_bob_accuracy - 0.375) <= EXACT
+    assert abs(four_state.eve_bob_accuracy - 0.5) <= EXACT
 
 
 @pytest.mark.parametrize(
