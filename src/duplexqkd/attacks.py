@@ -31,13 +31,12 @@ concrete attacks:
 
 from __future__ import annotations
 
-from .config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
+from .config import AttackKind, CheckKind, SimulationConfig
 from .quantum import Basis, BellStateId, Choice
 from .protocol import (
     BASIS_BIT,
     BASIS_CHOICE,
-    BIT_STATE,
-    STATE_BIT,
+    SENT_STATES,
     CorrelationAnnouncement,
     Lane,
     MeasuredFirst,
@@ -107,7 +106,7 @@ class InterceptResend(Adversary):
     """
 
     def begin_session(self, config):
-        self._modified = config.protocol is ProtocolKind.MODIFIED
+        self._states = SENT_STATES[config.protocol]
 
     def begin_pair(self) -> None:
         self._outcomes: list[int] = []
@@ -130,10 +129,10 @@ class InterceptResend(Adversary):
         if len(outcomes) == 2:
             # Her own same-basis product always equals the sent state's
             # signature, which fixes a base state and halves the four-state
-            # alphabet; a four-state guess is written as its state's two bits.
+            # alphabet.
             guessed_state = alice_decode(self._basis, outcomes[0] * outcomes[1] == +1)
-            guessed_bob_bit = guessed_state.bits if self._modified else STATE_BIT[guessed_state]
-            if self._heard_correlation is not None and guessed_state in STATE_BIT:
+            guessed_bob_bit = self._states.index(guessed_state)
+            if self._heard_correlation is not None:
                 guessed_alice_bit = BASIS_BIT[bob_decode(guessed_state, self._heard_correlation)]
         return EveLog(guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit)
 
@@ -143,13 +142,13 @@ class QmmSubstitute(Adversary):
 
     Eve must commit to her own pair before anything about Bob's choice is
     observable, so she draws it uniformly from the states the session's
-    protocol encodes with: the two base states, or all four Bell states in
-    the four-state variant.
+    protocol encodes with (its ``SENT_STATES``): the two base states, or all
+    four Bell states in the four-state variant.
     """
 
     def begin_session(self, config):
-        self._protocol = config.protocol
-        self._choice = Choice.uniform(tuple(BellStateId) if config.protocol is ProtocolKind.MODIFIED else BIT_STATE)
+        self._states = SENT_STATES[config.protocol]
+        self._choice = Choice.uniform(self._states)
 
     def begin_pair(self) -> None:
         self._retained: list[str] = []
@@ -182,18 +181,15 @@ class QmmSubstitute(Adversary):
             # Bob's pair reached Eve intact; the Bell measurement reads his
             # encoding with certainty.
             bell_outcome = system.bell_measure_pair(*self._retained, lane)
-            if self._protocol is ProtocolKind.MODIFIED:
-                guessed_bob_bit = bell_outcome.bits
-            else:
-                guessed_bob_bit = STATE_BIT.get(bell_outcome)
-        if self._heard_correlation is not None and substitute in STATE_BIT:
+            guessed_bob_bit = self._states.index(bell_outcome)
+        if self._heard_correlation is not None:
             # Alice measured Eve's pair, so the announced correlation decodes
             # against the substitute state.
             guessed_alice_bit = BASIS_BIT[bob_decode(substitute, self._heard_correlation)]
-        if self._heard_pauli is not None and substitute is not None:
+        if self._heard_pauli is not None:
             # Alice Bell-measured Eve's pair, so her announced operation maps
             # the substitute state to her target.
-            guessed_alice_bit = pauli_transition(substitute, self._heard_pauli).bits
+            guessed_alice_bit = self._states.index(pauli_transition(substitute, self._heard_pauli))
         return self._log(
             bell_outcome=bell_outcome, guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit
         )

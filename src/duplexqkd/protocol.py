@@ -82,6 +82,7 @@ __all__ = [
     "PairSystem",
     "ProtocolViolation",
     "QberDisclosure",
+    "SENT_STATES",
     "STATE_BIT",
     "Session",
     "alice_decode",
@@ -110,6 +111,10 @@ BASIS_BIT = {Basis.X: 0, Basis.Z: 1}
 BIT_BASIS = (Basis.X, Basis.Z)
 STATE_BIT = {BellStateId.PSI_PLUS: 0, BellStateId.PHI_MINUS: 1}
 BIT_STATE = (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)
+#: The states each protocol's Bob sends, in symbol order: a sent state's
+#: symbol is its index here, which is ``STATE_BIT`` in the base protocol and
+#: ``BellStateId.bits`` in the four-state variant.
+SENT_STATES = {ProtocolKind.BASE: BIT_STATE, ProtocolKind.MODIFIED: BELL_ORDER}
 
 
 @value
@@ -161,25 +166,25 @@ def correlation_signature(state: BellStateId, basis: Basis) -> Outcome:
     return _SIGNATURE[(state, basis)]
 
 
+# The base decodes, keyed by what the decoding party knows and whether the
+# round's outcomes were correlated: each base state has one basis of each
+# signature, and each basis one base state of each.
+_DECODED_BASIS = {(state, _SIGNATURE[state, basis] == +1): basis for state in BIT_STATE for basis in BIT_BASIS}
+_DECODED_STATE = {(basis, _SIGNATURE[state, basis] == +1): state for state in BIT_STATE for basis in BIT_BASIS}
+
+
 def bob_decode(sent: BellStateId, correlated: bool) -> Basis:
     """Bob recovers Alice's basis from his sent state and her announced
     correlation: the unique basis whose signature matches."""
     if sent not in STATE_BIT:
         raise ProtocolViolation(f"base protocol never sends {sent.name}")
-    announced: Outcome = +1 if correlated else -1
-    for basis in BIT_BASIS:
-        if _SIGNATURE[(sent, basis)] == announced:
-            return basis
-    raise AssertionError("unreachable: each state has one basis per sign")
+    return _DECODED_BASIS[sent, correlated]
 
 
 def alice_decode(basis: Basis, correlated: bool) -> BellStateId:
-    """Alice recovers Bob's state from her basis and her own correlation."""
-    announced: Outcome = +1 if correlated else -1
-    for state in BIT_STATE:
-        if _SIGNATURE[(state, basis)] == announced:
-            return state
-    raise AssertionError("unreachable: each basis has one state per sign")
+    """Alice recovers Bob's state from her basis and her own correlation:
+    the unique base state whose signature matches."""
+    return _DECODED_STATE[basis, correlated]
 
 
 def derived_fields(

@@ -35,6 +35,8 @@ from duplexqkd.protocol import (
     PairRecord,
     ProtocolViolation,
     QberDisclosure,
+    SENT_STATES,
+    STATE_BIT,
     alice_decode,
     bob_decode,
     correlation_signature,
@@ -83,6 +85,14 @@ def test_bob_decode(sent, correlated, expected):
 )
 def test_alice_decode(basis, correlated, expected):
     assert alice_decode(basis, correlated) == expected
+
+
+def test_a_sent_states_symbol_is_its_index():
+    # Each protocol's alphabet, in symbol order: the base protocol's bit and
+    # the four-state variant's two bits are a sent state's index.
+    assert [STATE_BIT[state] for state in SENT_STATES[ProtocolKind.BASE]] == [0, 1]
+    assert [state.bits for state in SENT_STATES[ProtocolKind.MODIFIED]] == [0, 1, 2, 3]
+    assert set(SENT_STATES[ProtocolKind.MODIFIED]) == set(BellStateId)
 
 
 def test_bob_decode_rejects_non_base_states():
