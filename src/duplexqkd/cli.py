@@ -25,7 +25,7 @@ from .analysis import build_report
 from .attacks import EveLog
 from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from .fourstate import ModifiedMode, ModifiedPairRecord, modified_derived_fields
-from .protocol import STATE_BIT, Mode, PairRecord, Session, derived_fields, run_session
+from .protocol import SENT_STATES, Mode, PairRecord, Session, derived_fields, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
 from .values import value
 
@@ -320,6 +320,14 @@ _MODE_COLUMNS = {
     ModifiedMode.MESSAGE: {*_SHARED_COLUMNS, "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded"},
     ModifiedMode.CONTROL: {*_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "control_basis", "control_pass"},
 }
+#: What each ``protocol`` tag's rows may hold in the columns of its alphabet:
+#: a state its Bob sends, and an Eve guess as an index among those states (a
+#: base guess of Alice's basis is its ``BASIS_BIT``, of as many values).
+_SYMBOLS = {
+    kind.value: {"bob_state": states, "eve_substitute": (None, *states)}
+    | dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], (None, *range(len(states))))
+    for kind, states in SENT_STATES.items()
+}
 
 
 def _value(column: str, cell: str, parse: Callable[[str], object]):
@@ -345,8 +353,9 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRe
         elif cell != "":
             raise ValueError(f"{column} cell {cell!r} in a {cells[0]} row of mode {cells[1]}")
     values["outcomes"] = tuple(values[column] for column in _OUTCOME_COLUMNS if column in filled)
-    if record_type is PairRecord and values["bob_state"] not in STATE_BIT:
-        raise ValueError(f"bob_state cell {cells[2]!r} in a base row")
+    for column, symbols in _SYMBOLS[cells[0]].items():
+        if values[column] not in symbols:
+            raise ValueError(f"{column} cell {_cell(values[column])!r} in a {cells[0]} row")
     for column, derived in derive(values).items():
         if values.get(column) != derived:
             raise ValueError(f"{column} cell {_cell(values[column])!r} does not follow from the row's other cells")
@@ -362,11 +371,12 @@ def load_records_csv(path) -> list:
 
     Loading is strict: a row with too few or too many cells, a cell no
     record renders to, an empty cell in a column its mode fills, a non-empty
-    cell in a column its mode leaves empty, a derived cell (a correlation,
-    decode, Pauli or pass flag) other than the one its protocol's round
-    derives from the row's other cells, or a ``pair_index`` other than the
-    row's position (0 for the first row) raises ValueError naming the
-    line.  Empty Eve cells load as ``EveLog()``.  A record holds exactly
+    cell in a column its mode leaves empty, a sent state, Eve substitute or
+    Eve guess outside its protocol's alphabet (``SENT_STATES``), a derived
+    cell (a correlation, decode, Pauli or pass flag) other than the one its
+    protocol's round derives from the row's other cells, or a
+    ``pair_index`` other than the row's position (0 for the first row)
+    raises ValueError naming the line.  Empty Eve cells load as ``EveLog()``.  A record holds exactly
     what its row holds, so loading is the inverse of ``records_to_csv``: a
     session's transcript loads back equal to ``list(session)``.  Each
     distinct row past ``pair_index`` is parsed once into one record, which

@@ -385,6 +385,12 @@ def _set_cell(column: str, text: str):
         ("modified", "message", _set_cell("bob_decoded", "psi_plus"), "bob_decoded cell 'psi_plus' does not follow"),
         ("modified", "message", _set_cell("alice_pauli", "sigma0"), "alice_pauli cell 'sigma0' does not follow"),
         ("base", "message", _set_cell("bob_state", "psi_minus"), "bob_state cell 'psi_minus' in a base row"),
+        # An Eve cell outside the base alphabet: she substitutes a state the
+        # base protocol sends, and guesses one of its two symbols.
+        ("base", "message", _set_cell("eve_guessed_bob_bit", "3"), "eve_guessed_bob_bit cell '3' in a base row"),
+        ("base", "control-chsh", _set_cell("eve_substitute", "psi_minus"),
+         "eve_substitute cell 'psi_minus' in a base row"),
+        ("base", "message", _set_cell("eve_guessed_alice_bit", "2"), "eve_guessed_alice_bit cell '2' in a base row"),
     ],
     ids=[
         "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
@@ -396,7 +402,8 @@ def _set_cell(column: str, text: str):
         "four-state-message-row-outcome", "four-state-control-row-empty-pass",
         "qber-row-correlated", "message-row-alice-decode", "message-row-bob-decode", "qber-row-pass",
         "four-state-control-row-pass", "four-state-message-row-decoded", "four-state-message-row-pauli",
-        "message-row-four-state-bob-state",
+        "message-row-four-state-bob-state", "base-row-four-state-guess", "base-row-four-state-substitute",
+        "base-row-alice-guess-out-of-range",
     ],
 )
 def test_csv_loading_is_strict(tmp_path, protocol, mode, edit, needle):
