@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from numbers import Integral
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 from .config import SimulationConfig
@@ -116,6 +116,8 @@ def evasion_probability(control_probability: float, detection_rate: float, n: in
     a large ``n`` underflows to 0 instead of dividing 0 by 0, and each
     rounded step keeps the result non-increasing in C and d.
     """
+    if any(isinstance(x, bool) or not isinstance(x, Real) for x in (control_probability, detection_rate)):
+        raise ValueError(f"C and d must be real numbers, not {control_probability!r} and {detection_rate!r}")
     c, d = float(control_probability), float(detection_rate)
     if not (0.0 <= c < 1.0):
         raise ValueError(f"control probability must lie in [0, 1), got {c}")

@@ -73,12 +73,6 @@ class SimulationConfig:
     protocol: ProtocolKind = ProtocolKind.BASE
 
     def __post_init__(self) -> None:
-        # A bool, a whole float or a string is refused here, not deep in the
-        # walk or in ``json.dumps``.
-        for name, kind in (("pairs", Integral), ("seed", Integral), ("control_probability", Real)):
-            field = getattr(self, name)
-            if isinstance(field, bool) or not isinstance(field, kind):
-                raise ConfigFieldError(name, f"{name} must be {kind.__name__.lower()}, not {field!r}")
         modified = self.protocol is ProtocolKind.MODIFIED
         if self.check_kind is None:
             object.__setattr__(self, "check_kind", CheckKind.QBER if modified else CheckKind.CHSH)
@@ -86,6 +80,14 @@ class SimulationConfig:
             raise ConfigFieldError(
                 "check_kind", "the four-state variant runs no CHSH rounds; its control rounds are error checks"
             )
+        # A bool, a whole float, a string or a stand-in for an enum or the
+        # settings is refused here, not deep in the walk or in ``json.dumps``.
+        kinds = (("pairs", Integral), ("seed", Integral), ("control_probability", Real), ("protocol", ProtocolKind),
+                 ("attack", AttackKind), ("check_kind", CheckKind), ("settings", ChshSettings))
+        for name, kind in kinds:
+            field = getattr(self, name)
+            if isinstance(field, bool) or not isinstance(field, kind):
+                raise ConfigFieldError(name, f"{name} must be {kind.__name__}, not {field!r}")
         if self.pairs < 1:
             raise ConfigFieldError("pairs", f"pairs must be >= 1, got {self.pairs}")
         if not (0.0 <= self.control_probability < 1.0):

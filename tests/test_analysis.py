@@ -270,6 +270,12 @@ def test_evasion_validates_arguments():
         with pytest.raises(ValueError):
             evasion_probability(0.5, 0.25, n)
     assert evasion_probability(0.5, 0.25, np.int64(3)) == evasion_probability(0.5, 0.25, 3)
+    # C and d are real numbers: a bool or a numeric string is refused, a
+    # numpy float is not.
+    for c, d in ((False, 0.25), (0.5, True), ("0.5", 0.25), (0.5, "0.25")):
+        with pytest.raises(ValueError):
+            evasion_probability(c, d, 3)
+    assert evasion_probability(np.float64(0.5), np.float32(0.25), 3) == evasion_probability(0.5, 0.25, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,17 @@ def test_config_validation():
     assert err.value.field_name == "check_kind"
     assert SimulationConfig(pairs=10).check_kind is CheckKind.CHSH
     assert SimulationConfig(pairs=10, protocol=ProtocolKind.MODIFIED).check_kind is CheckKind.QBER
+    # An enum's value or a bare tuple of angles is refused by field name,
+    # not run as some other session.
+    for field, stand_in in [
+        ("protocol", "modified"),
+        ("attack", "ir"),
+        ("check_kind", "qber"),
+        ("settings", ((0, 1), (2, 3))),
+    ]:
+        with pytest.raises(ConfigFieldError) as err:
+            SimulationConfig(pairs=5, **{field: stand_in})
+        assert err.value.field_name == field
 
 
 def test_same_seed_reproduces_session():
