@@ -17,6 +17,7 @@ import pytest
 
 from conftest import SESSION_CASES, standalone_rounds
 from test_golden import GOLDEN
+from duplexqkd import cli
 from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
 from duplexqkd.attacks import EveLog
 from duplexqkd.cli import (
@@ -114,6 +115,7 @@ def _write_config(tmp_path, content: str | bytes) -> str:
         (["--config", ""], "--config"),
         (["--out", ""], "--out"),
         (["--config", _ConfigLines("out =\n")], "--out"),
+        (["--config", _ConfigLines("pairs = 5\nseed 3\n")], "line 2 is not key=value: 'seed 3'"),
     ],
 )
 def test_rejections_name_the_flag(argv, needle, tmp_path):
@@ -258,6 +260,25 @@ def test_runtime_failure_exits_1_without_partial_file(tmp_path, capsys):
     assert main(spec) == EXIT_RUNTIME
     assert not missing_dir.exists()
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_failed_write_keeps_the_old_artifact_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    # The writer fails after some rows have reached the temp file: the run
+    # exits 1, the file at --out is the one from before, and the temp file
+    # is removed.
+    out = tmp_path / "r.csv"
+    out.write_text("an earlier artifact\n")
+    write_rows = cli.records_to_csv
+
+    def fail_partway(records, handle):
+        write_rows(list(records)[:10], handle)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "records_to_csv", fail_partway)
+    assert run_cli(["--pairs", "20", "--format", "csv", "--out", str(out)]) == EXIT_RUNTIME
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_text() == "an earlier artifact\n"
+    assert list(tmp_path.glob(".r.csv.*")) == []
 
 
 class _BrokenStdout:
@@ -424,6 +445,17 @@ def test_csv_loading_is_strict(tmp_path, protocol, mode, edit, needle):
         load_records_csv(out)
     assert str(err.value).startswith(f"line {lineno}: ")
     assert needle in str(err.value)
+
+
+def test_csv_loading_refuses_another_header(tmp_path):
+    text = io.StringIO()
+    records_to_csv(run_session(parse_args(["--pairs", "5"]).config), text)
+    header, rows = text.getvalue().split("\n", 1)
+    out = tmp_path / "records.csv"
+    for other in (header.replace("alice_basis,", ""), header.upper(), header + ",extra"):
+        out.write_text(other + "\n" + rows)
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            load_records_csv(out)
 
 
 def test_csv_angle_cells_are_the_written_text(tmp_path):

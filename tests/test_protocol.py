@@ -102,6 +102,19 @@ def test_bob_decode_rejects_non_base_states():
         bob_decode(BellStateId.PHI_PLUS, False)
 
 
+def test_decode_tables_follow_the_matrix_oracle():
+    # The decodes are tables keyed by (known state or basis, correlated): a
+    # state with two bases of one signature would overwrite a key and
+    # mis-decode one of them.
+    for state in BIT_STATE:
+        vec = bell_state(state).amplitudes
+        for basis in BIT_BASIS:
+            m = observable_matrix(basis.observable)
+            signature = round(np.vdot(vec, np.kron(m, m) @ vec).real)
+            assert bob_decode(state, signature == +1) == basis
+            assert alice_decode(basis, signature == +1) == state
+
+
 def test_decode_round_trips_exhaustive():
     # Encoding then decoding is the identity for all 4 (state, basis) pairs.
     for state in BIT_STATE:

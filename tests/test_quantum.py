@@ -15,6 +15,7 @@ from duplexqkd.quantum import (
     BellStateId,
     CapacityError,
     ChshSettings,
+    Choice,
     PauliOp,
     PlanarObservable,
     PureState,
@@ -306,6 +307,24 @@ def test_bell_measure_validates_indices():
         bell_measure(bell_state(BellStateId.PSI_PLUS), 0, 0, 0.5)
     with pytest.raises(IndexError):
         bell_measure(bell_state(BellStateId.PSI_PLUS), 0, 2, 0.5)
+
+
+@pytest.mark.parametrize("rand", [-0.25, 1.0, math.nan])
+def test_bell_measure_validates_rand(rand):
+    with pytest.raises(ValueError, match="rand must lie in"):
+        bell_measure(bell_state(BellStateId.PSI_PLUS), 0, 1, rand)
+
+
+@pytest.mark.parametrize("branches", [("a",), ("a", "b", "c")])
+def test_choice_needs_one_branch_more_than_cuts(branches):
+    with pytest.raises(ValueError, match="1 cuts need 2 branches"):
+        Choice((0.5,), branches)
+
+
+@pytest.mark.parametrize("alice,bob", [((0.0,), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0, 2.0))])
+def test_chsh_settings_need_two_angles_per_party(alice, bob):
+    with pytest.raises(ValueError, match="exactly two angles"):
+        ChshSettings(alice, bob)
 
 
 # ---------------------------------------------------------------------------
