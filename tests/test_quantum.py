@@ -321,12 +321,6 @@ def test_choice_needs_one_branch_more_than_cuts(branches):
         Choice((0.5,), branches)
 
 
-@pytest.mark.parametrize("alice,bob", [((0.0,), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0, 2.0))])
-def test_chsh_settings_need_two_angles_per_party(alice, bob):
-    with pytest.raises(ValueError, match="exactly two angles"):
-        ChshSettings(alice, bob)
-
-
 # ---------------------------------------------------------------------------
 # Density matrices, correlators, CHSH
 

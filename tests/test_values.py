@@ -247,6 +247,9 @@ def test_post_init_validates_and_normalises():
         PlanarObservable(math.nan)
     settings = ChshSettings([0, 1], bob_angles=[2, 3])
     assert settings.alice_angles == (0.0, 1.0) and type(settings.bob_angles[0]) is float
+    for alice, bob in (((0.0,), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0, 2.0))):
+        with pytest.raises(ValueError, match="exactly two angles"):
+            ChshSettings(alice, bob)
     # A bool or a non-integer count is refused by name; numbers are stored
     # as the plain types the CLI gives, so the echo is the CLI's.
     for fields, name in [
