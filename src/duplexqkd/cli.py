@@ -322,7 +322,7 @@ _MODE_COLUMNS = {
 }
 #: What each ``protocol`` tag's rows may hold in the columns of its alphabet:
 #: a state its Bob sends, and an Eve guess as an index among those states (a
-#: base guess of Alice's basis is its ``BASIS_BIT``, of as many values).
+#: base guess of Alice's basis is its ``BASIS_BIT``, which has as many).
 _SYMBOLS = {
     kind.value: {"bob_state": states, "eve_substitute": (None, *states)}
     | dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], (None, *range(len(states))))
@@ -376,13 +376,14 @@ def load_records_csv(path) -> list:
     cell (a correlation, decode, Pauli or pass flag) other than the one its
     protocol's round derives from the row's other cells, or a
     ``pair_index`` other than the row's position (0 for the first row)
-    raises ValueError naming the line.  Empty Eve cells load as ``EveLog()``.  A record holds exactly
-    what its row holds, so loading is the inverse of ``records_to_csv``: a
-    session's transcript loads back equal to ``list(session)``.  Each
-    distinct row past ``pair_index`` is parsed once into one record, which
-    every row with those cells shares, as a session's pairs share their
-    leaf's record (equal Eve cells share one log as well); records and logs
-    are immutable, so a shared one cannot be changed.
+    raises ValueError naming the line.  Empty Eve cells load as
+    ``EveLog()``.  A record holds exactly what its row holds, so loading is
+    the inverse of ``records_to_csv``: a session's transcript loads back
+    equal to ``list(session)``.  Each distinct row past ``pair_index`` is
+    parsed once into one record, which every row with those cells shares,
+    as a session's pairs share their leaf's record (equal Eve cells share
+    one log as well); records and logs are immutable, so a shared one
+    cannot be changed.
     """
     leaves: dict[str, PairRecord | ModifiedPairRecord] = {}
     eve_logs: dict[tuple, EveLog] = {}
