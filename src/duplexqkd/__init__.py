@@ -30,13 +30,7 @@ from .protocol import (
     run_session,
 )
 from .attacks import Adversary, EveLog, InterceptResend, QmmSubstitute, QmmSwap, build_adversary
-from .fourstate import (
-    ModifiedMode,
-    ModifiedPairRecord,
-    pauli_for_target,
-    pauli_transition,
-    run_modified_pair,
-)
+from .fourstate import pauli_for_target, pauli_transition, run_modified_pair
 from .analysis import (
     ChshEstimate,
     DetectionStats,

@@ -10,9 +10,8 @@ from collections.abc import Iterable
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
-from .config import SimulationConfig
-from .fourstate import ModifiedMode
-from .protocol import BASIS_BIT, Mode, PairRecord, STATE_BIT, Session
+from .config import ProtocolKind, SimulationConfig
+from .protocol import BASIS_BIT, SENT_STATES, Mode, PairRecord, Session
 from .quantum import BellStateId, ChshSettings
 from .values import factory, value
 
@@ -262,31 +261,34 @@ class SimulationReport:
         }
 
 
-def _tally_message(report: SimulationReport, n, alice_ok: bool, bob_ok: bool, log, alice_bit, bob_bit) -> None:
-    """A message round of either protocol: whether each party decoded the
-    other, and Eve's guesses of Alice's and Bob's true bits."""
-    report.message_rounds += n
-    if alice_ok:
-        report.alice_decode_ok += n
-    if bob_ok:
-        report.bob_decode_ok += n
-    if log.guessed_alice_bit is not None:
-        report.eve_alice_guesses += n
-        if log.guessed_alice_bit == alice_bit:
-            report.eve_alice_correct += n
-    if log.guessed_bob_bit is not None:
-        report.eve_bob_guesses += n
-        if log.guessed_bob_bit == bob_bit:
-            report.eve_bob_correct += n
-
-
-def _tally_base_record(report: SimulationReport, record: PairRecord, n: int) -> None:
+def _tally_record(report: SimulationReport, record: PairRecord, n: int) -> None:
     report.pairs += n
     if record.mode is Mode.MESSAGE:
-        _tally_message(
-            report, n, record.alice_decoded_state == record.bob_state, record.bob_decoded_basis == record.alice_basis,
-            record.eve_log, BASIS_BIT[record.alice_basis], STATE_BIT[record.bob_state],
-        )
+        # Whether each party decoded the other, and the true bits Eve
+        # guesses: Alice's basis or two-bit target, and Bob's state's symbol.
+        if record.protocol is ProtocolKind.BASE:
+            alice_ok = record.alice_decoded_state == record.bob_state
+            bob_ok = record.bob_decoded_basis == record.alice_basis
+            alice_bit = BASIS_BIT[record.alice_basis]
+        else:
+            alice_ok = record.alice_bell_outcome == record.bob_state
+            bob_ok = record.bob_decoded == record.alice_target
+            alice_bit = record.alice_target.bits
+        bob_bit = SENT_STATES[record.protocol].index(record.bob_state)
+        log = record.eve_log
+        report.message_rounds += n
+        if alice_ok:
+            report.alice_decode_ok += n
+        if bob_ok:
+            report.bob_decode_ok += n
+        if log.guessed_alice_bit is not None:
+            report.eve_alice_guesses += n
+            if log.guessed_alice_bit == alice_bit:
+                report.eve_alice_correct += n
+        if log.guessed_bob_bit is not None:
+            report.eve_bob_guesses += n
+            if log.guessed_bob_bit == bob_bit:
+                report.eve_bob_correct += n
     elif record.mode is Mode.CONTROL_QBER:
         report.control_rounds += n
         report.qber_checks += n
@@ -300,29 +302,15 @@ def _tally_base_record(report: SimulationReport, record: PairRecord, n: int) -> 
         report.chsh_products[key] = report.chsh_products.get(key, 0) + n * product
 
 
-def _tally_modified_record(report: SimulationReport, record, n: int) -> None:
-    report.pairs += n
-    if record.mode is ModifiedMode.MESSAGE:
-        _tally_message(
-            report, n, record.alice_bell_outcome == record.bob_state, record.bob_decoded == record.alice_target,
-            record.eve_log, record.alice_target.bits, record.bob_state.bits,
-        )
-    else:
-        report.control_rounds += n
-        report.qber_checks += n
-        if not record.control_pass:
-            report.qber_errors += n
-
-
 def _tally(
     report: SimulationReport, records: Iterable, settings: ChshSettings | None = None
 ) -> SimulationReport:
     """The one counting path: every estimator reads these counters.  Each
-    record is tallied once by its own protocol's rules, with a weight: a
-    session's leaf counts once per pair that reached it (a leaf no pair
-    reached is skipped), any other record once.  With ``settings``, each
-    record is checked against them as it is tallied: a CHSH round measured
-    at other angles raises ValueError."""
+    record is tallied once, with a weight: a session's leaf counts once per
+    pair that reached it (a leaf no pair reached is skipped), any other
+    record once.  With ``settings``, each record is checked against them as
+    it is tallied: a CHSH round measured at other angles raises
+    ValueError."""
     if isinstance(records, Session):
         weighted = [(leaf, n) for leaf, n in zip(records.leaves, records.leaf_counts()) if n]
     else:
@@ -333,10 +321,7 @@ def _tally(
             expected = (settings.alice_angles[record.alice_setting], settings.bob_angles[record.bob_setting])
             if recorded != expected:
                 raise ValueError(f"a CHSH round was measured at angles {recorded}, not the settings' {expected}")
-        if isinstance(record, PairRecord):
-            _tally_base_record(report, record, n)
-        else:
-            _tally_modified_record(report, record, n)
+        _tally_record(report, record, n)
     return report
 
 

@@ -215,8 +215,8 @@ class QmmSwap(QmmSubstitute):
 
     def hear(self, system, message, lane):
         super().hear(system, message, lane)
-        # MeasuredFirst comes once a base round, after the first leg and
-        # before the second: Eve holds Bob's first half and her own second.
+        # MeasuredFirst comes after the first leg and before the second: Eve
+        # holds Bob's first half and her own second.
         if isinstance(message, MeasuredFirst) and message.control and self._check is CheckKind.CHSH:
             self._swap_outcome = system.bell_measure_pair(self._retained[0], "eve1", lane)
 

@@ -24,7 +24,6 @@ import numpy as np
 from .analysis import build_report
 from .attacks import EveLog
 from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
-from .fourstate import ModifiedMode, ModifiedPairRecord, modified_derived_fields
 from .protocol import SENT_STATES, Mode, PairRecord, Session, derived_fields, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
 from .values import value
@@ -178,8 +177,6 @@ CSV_COLUMNS = [
     "alice_pauli",
     "alice_target",
     "bob_decoded",
-    "control_basis",
-    "control_pass",
     "eve_substitute",
     "eve_bell_outcome",
     "eve_guessed_alice_bit",
@@ -194,7 +191,7 @@ _CELL_TEXT: dict[type, Callable[[object], str]] = {
     int: repr,
     float: repr,
     **{enum: {m: m.name.lower() for m in enum}.__getitem__ for enum in (BellStateId, PauliOp)},
-    **{enum: {m: m.value for m in enum}.__getitem__ for enum in (Basis, Mode, ModifiedMode)},
+    **{enum: {m: m.value for m in enum}.__getitem__ for enum in (Basis, Mode, ProtocolKind)},
 }
 
 
@@ -206,24 +203,6 @@ def _cell(value) -> str:
     return render(value)
 
 
-#: Each ``protocol`` tag's record type, the enum of its ``mode`` column, and
-#: its round's derived fields, by name, of a row's parsed values.
-_RECORD_TYPES = {
-    "base": (
-        PairRecord,
-        Mode,
-        lambda v: derived_fields(v["mode"], v["bob_state"], v.get("alice_basis"), v["outcomes"]),
-    ),
-    "modified": (
-        ModifiedPairRecord,
-        ModifiedMode,
-        lambda v: modified_derived_fields(
-            v["mode"], v["bob_state"], v.get("alice_bell_outcome"), v.get("alice_target"), v.get("control_basis"),
-            v["outcomes"],
-        ),
-    ),
-}
-_PROTOCOL_TAGS = {record_type: tag for tag, (record_type, *_) in _RECORD_TYPES.items()}
 #: The ``EveLog`` field in each ``eve_*`` column.
 _EVE_FIELDS = {
     "eve_substitute": "substitute_state",
@@ -236,15 +215,14 @@ _OUTCOME_COLUMNS = ("outcome_1", "outcome_2")
 
 def _record_row(record) -> str:
     """The end of a transcript line after its ``pair_index`` cell and comma,
-    its cells in ``CSV_COLUMNS`` order: each field of ``record`` fills the
-    column named after it, ``outcomes`` fill ``outcome_1``/``outcome_2``,
+    its cells in ``CSV_COLUMNS`` order: each field of ``record`` (its
+    ``protocol`` included) fills the column named after it, ``outcomes`` fill ``outcome_1``/``outcome_2``,
     the Eve log fills the ``eve_*`` columns and every other column is empty.
     No cell text needs quoting, so the cells are joined by bare commas."""
     values = {name: getattr(record, name) for name in record._fields}
     values.update(zip(_OUTCOME_COLUMNS, record.outcomes))
     values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
-    cells = [_PROTOCOL_TAGS[type(record)] if c == "protocol" else _cell(values.get(c)) for c in CSV_COLUMNS[1:]]
-    return ",".join(cells) + "\n"
+    return ",".join([_cell(values.get(column)) for column in CSV_COLUMNS[1:]]) + "\n"
 
 
 #: Rows joined into one write: the text held at once stays a few hundred rows
@@ -297,34 +275,40 @@ _CELL_VALUE: dict[str, Callable[[str], object]] = {
     **dict.fromkeys(
         ["bob_state", "alice_decoded_state", "alice_bell_outcome", "alice_target", "bob_decoded"], _parser(BellStateId)
     ),
-    **dict.fromkeys(["alice_basis", "bob_decoded_basis", "control_basis"], _parser(Basis)),
+    **dict.fromkeys(["alice_basis", "bob_decoded_basis"], _parser(Basis)),
     "alice_pauli": _parser(PauliOp),
     **dict.fromkeys(["alice_setting", "bob_setting"], _parser([0, 1])),
     **dict.fromkeys(["alice_angle", "bob_angle"], _angle),
     **dict.fromkeys(["outcome_1", "outcome_2"], _parser([+1, -1])),
-    **dict.fromkeys(["correlated", "qber_pass", "control_pass"], _parser([True, False])),
+    **dict.fromkeys(["correlated", "qber_pass"], _parser([True, False])),
     **dict.fromkeys(["eve_substitute", "eve_bell_outcome"], _parser([None, *BellStateId])),
     **dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], _parser([None, 0, 1, 2, 3])),
 }
 _SHARED_COLUMNS = ("bob_state", *_EVE_FIELDS)
-#: The columns a row of each mode fills (an Eve cell may still be empty);
-#: every other cell of the row is empty.
+_QBER_COLUMNS = {*_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_basis", "correlated", "qber_pass"}
+#: The columns a row of each protocol and mode fills (an Eve cell may still
+#: be empty); every other cell of the row is empty.  Every four-state
+#: control round is an error check.
 _MODE_COLUMNS = {
-    Mode.MESSAGE: {
+    (ProtocolKind.BASE, Mode.MESSAGE): {
         *_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_basis", "correlated", "bob_decoded_basis", "alice_decoded_state"
     },
-    Mode.CONTROL_CHSH: {
+    (ProtocolKind.BASE, Mode.CONTROL_CHSH): {
         *_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_setting", "alice_angle", "bob_setting", "bob_angle"
     },
-    Mode.CONTROL_QBER: {*_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_basis", "correlated", "qber_pass"},
-    ModifiedMode.MESSAGE: {*_SHARED_COLUMNS, "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded"},
-    ModifiedMode.CONTROL: {*_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "control_basis", "control_pass"},
+    (ProtocolKind.BASE, Mode.CONTROL_QBER): _QBER_COLUMNS,
+    (ProtocolKind.MODIFIED, Mode.MESSAGE): {
+        *_SHARED_COLUMNS, "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded"
+    },
+    (ProtocolKind.MODIFIED, Mode.CONTROL_QBER): _QBER_COLUMNS,
 }
-#: What each ``protocol`` tag's rows may hold in the columns of its alphabet:
-#: a state its Bob sends, and an Eve guess as an index among those states (a
+#: Each pair of ``protocol`` and ``mode`` cells a row may hold.
+_ROW_KINDS = {(kind.value, mode.value): (kind, mode) for kind, mode in _MODE_COLUMNS}
+#: What each protocol's rows may hold in the columns of its alphabet: a
+#: state its Bob sends, and an Eve guess as an index among those states (a
 #: base guess of Alice's basis is its ``BASIS_BIT``, which has as many).
 _SYMBOLS = {
-    kind.value: {"bob_state": states, "eve_substitute": (None, *states)}
+    kind: {"bob_state": states, "eve_substitute": (None, *states)}
     | dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], (None, *range(len(states))))
     for kind, states in SENT_STATES.items()
 }
@@ -337,44 +321,51 @@ def _value(column: str, cell: str, parse: Callable[[str], object]):
         raise ValueError(f"bad {column} cell {cell!r}") from None
 
 
-def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord | ModifiedPairRecord:
+def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
     """The record of a row whose cells after ``pair_index`` are ``cells``.
     ``eve_logs`` holds the Eve log of each set of Eve cells parsed so far
     (``EveLog()`` for empty cells)."""
     if len(cells) != len(CSV_COLUMNS) - 1:
         raise ValueError(f"{len(cells) + 1} cells, expected {len(CSV_COLUMNS)}")
-    record_type, modes, derive = _value("protocol", cells[0], _RECORD_TYPES.__getitem__)
-    mode = _value("mode", cells[1], modes)
-    filled = _MODE_COLUMNS[mode]
-    values = {"mode": mode}
+    try:
+        protocol, mode = _ROW_KINDS[cells[0], cells[1]]
+    except KeyError:
+        raise ValueError(f"protocol cell {cells[0]!r} and mode cell {cells[1]!r} name no round") from None
+    filled = _MODE_COLUMNS[protocol, mode]
+    values = {"protocol": protocol, "mode": mode}
     for column, cell in zip(CSV_COLUMNS[3:], cells[2:]):
         if column in filled:
             values[column] = _value(column, cell, _CELL_VALUE[column])
         elif cell != "":
             raise ValueError(f"{column} cell {cell!r} in a {cells[0]} row of mode {cells[1]}")
     values["outcomes"] = tuple(values[column] for column in _OUTCOME_COLUMNS if column in filled)
-    for column, symbols in _SYMBOLS[cells[0]].items():
+    for column, symbols in _SYMBOLS[protocol].items():
         if values[column] not in symbols:
             raise ValueError(f"{column} cell {_cell(values[column])!r} in a {cells[0]} row")
-    for column, derived in derive(values).items():
-        if values.get(column) != derived:
+    derived = derived_fields(
+        protocol, mode, values["bob_state"], values.get("alice_basis"), values["outcomes"],
+        values.get("alice_bell_outcome"), values.get("alice_target"),
+    )
+    for column, value in derived.items():
+        if values.get(column) != value:
             raise ValueError(f"{column} cell {_cell(values[column])!r} does not follow from the row's other cells")
     eve = tuple(values[column] for column in _EVE_FIELDS)
     if eve not in eve_logs:
         eve_logs[eve] = EveLog(**dict(zip(_EVE_FIELDS.values(), eve)))
     values["eve_log"] = eve_logs[eve]
-    return record_type(*(values.get(name) for name in record_type._fields))
+    return PairRecord(*(values.get(name) for name in PairRecord._fields))
 
 
 def load_records_csv(path) -> list:
     """Rebuild records from a CSV transcript.
 
-    Loading is strict: a row with too few or too many cells, a cell no
-    record renders to, an empty cell in a column its mode fills, a non-empty
-    cell in a column its mode leaves empty, a sent state, Eve substitute or
-    Eve guess outside its protocol's alphabet (``SENT_STATES``), a derived
-    cell (a correlation, decode, Pauli or pass flag) other than the one its
-    protocol's round derives from the row's other cells, or a
+    Loading is strict: a row with too few or too many cells, a protocol
+    and mode no round has (a four-state CHSH check), a cell no record
+    renders to, an empty cell in a column its mode fills, a non-empty cell
+    in a column its mode leaves empty, a sent state, Eve substitute or Eve
+    guess outside its protocol's alphabet (``SENT_STATES``), a derived cell
+    (a correlation, decode, Pauli or pass flag) other than the one
+    ``protocol.derived_fields`` derives from the row's other cells, or a
     ``pair_index`` other than the row's position (0 for the first row)
     raises ValueError naming the line.  Empty Eve cells load as
     ``EveLog()``.  A record holds exactly what its row holds, so loading is
@@ -385,7 +376,7 @@ def load_records_csv(path) -> list:
     one log as well); records and logs are immutable, so a shared one
     cannot be changed.
     """
-    leaves: dict[str, PairRecord | ModifiedPairRecord] = {}
+    leaves: dict[str, PairRecord] = {}
     eve_logs: dict[tuple, EveLog] = {}
     records = []
     with open(path, newline="") as handle:

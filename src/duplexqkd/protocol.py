@@ -1,4 +1,4 @@
-"""Round and session runners for the base two-state protocol.
+"""Round and session runners for both protocols.
 
 One round ("pair") of the base protocol:
 
@@ -20,6 +20,12 @@ One round ("pair") of the base protocol:
    Error-check control round: the second qubit travels to Alice, she
    measures in her first basis and discloses basis plus correlation; Bob
    checks the correlation against the state's deterministic signature.
+
+The four-state variant (:mod:`duplexqkd.fourstate`) runs the same round
+with Bob's state drawn from all four Bell states.  Only its message round
+differs: Alice acknowledges the first qubit, Bell-measures both and
+announces the Pauli that maps Bob's state to her target.  Its control
+rounds are the error checks above.
 
 Every random choice of a round - a party's bits, the control flag, a
 measurement's branch, the attacker's moves - is a :class:`~quantum.Choice`
@@ -46,12 +52,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import CheckKind, ProtocolKind, SimulationConfig
+from . import fourstate
+from .fourstate import PauliAnnouncement, ReceiptAck, pauli_for_target, pauli_transition
 from .quantum import (
     Basis,
     BELL_ORDER,
     BellStateId,
     Choice,
     Outcome,
+    PauliOp,
     PlanarObservable,
     PureState,
     bell_choice,
@@ -66,7 +75,6 @@ from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .attacks import Adversary, EveLog
-    from .fourstate import ModifiedPairRecord
 
 __all__ = [
     "BASIS_BIT",
@@ -188,14 +196,23 @@ def alice_decode(basis: Basis, correlated: bool) -> BellStateId:
 
 
 def derived_fields(
-    mode: Mode, bob_state: BellStateId, alice_basis: Basis | None, outcomes: tuple[Outcome, ...]
+    protocol: ProtocolKind, mode: Mode, bob_state: BellStateId, alice_basis: Basis | None,
+    outcomes: tuple[Outcome, ...], alice_bell_outcome: BellStateId | None = None, alice_target: BellStateId | None = None,
 ) -> dict:
-    """The fields of a base round that follow from its others, by name:
-    ``correlated``, ``bob_decoded_basis``, ``alice_decoded_state`` and
-    ``qber_pass``, each None where ``mode`` has none.  A round takes them
+    """The fields of a round that follow from its others, by name:
+    ``correlated``, ``bob_decoded_basis``, ``alice_decoded_state``,
+    ``qber_pass``, ``alice_pauli`` and ``bob_decoded``, each None where the
+    round has none.  A four-state message round derives Alice's Pauli from
+    her Bell outcome and target, and Bob's decode from it and his state;
+    every other round derives as in the base protocol.  A round takes them
     from here, and the CSV loader refuses a row whose cells differ."""
-    derived = dict.fromkeys(("correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass"))
-    if mode is not Mode.CONTROL_CHSH:
+    derived = dict.fromkeys(
+        ("correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass", "alice_pauli", "bob_decoded")
+    )
+    if mode is Mode.MESSAGE and protocol is ProtocolKind.MODIFIED:
+        alice_pauli = derived["alice_pauli"] = pauli_for_target(alice_bell_outcome, alice_target)
+        derived["bob_decoded"] = pauli_transition(bob_state, alice_pauli)
+    elif mode is not Mode.CONTROL_CHSH:
         correlated = derived["correlated"] = outcomes[0] * outcomes[1] == +1
         if mode is Mode.MESSAGE:
             derived["bob_decoded_basis"] = bob_decode(bob_state, correlated)
@@ -252,8 +269,10 @@ class PairSystem:
 
 @value
 class PairRecord:
-    """Complete transcript of one base-protocol round."""
+    """Complete transcript of one round of either protocol; the fields its
+    protocol and mode leave out are None."""
 
+    protocol: ProtocolKind
     mode: Mode
     bob_state: BellStateId
     alice_basis: Basis | None
@@ -266,6 +285,10 @@ class PairRecord:
     bob_decoded_basis: Basis | None
     alice_decoded_state: BellStateId | None
     qber_pass: bool | None
+    alice_bell_outcome: BellStateId | None
+    alice_pauli: PauliOp | None
+    alice_target: BellStateId | None
+    bob_decoded: BellStateId | None
     eve_log: "EveLog"
 
 
@@ -273,7 +296,7 @@ _HONEST_LANE, _EVE_LANE = range(LANES)
 
 
 #: The honest parties' uniform choices.
-BOB_STATE_CHOICE = Choice.uniform(BIT_STATE)
+BOB_STATE_CHOICE = {kind: Choice.uniform(states) for kind, states in SENT_STATES.items()}
 BASIS_CHOICE = Choice.uniform(BIT_BASIS)
 SETTING_CHOICE = Choice.uniform((0, 1))
 FOUR_STATE_CHOICE = Choice.uniform(BELL_ORDER)
@@ -360,17 +383,17 @@ class _Round:
 def run_pair(
     config: SimulationConfig, adversary: "Adversary", pair_index: int, *, _replay: tuple | None = None
 ) -> PairRecord:
-    """Execute one round; deterministic given (config, pair_index, adversary
-    type).  ``adversary`` is the session's, its ``begin_session`` already
-    called (the null ``Adversary`` for no attack).  With ``_replay``, the
-    round replays one path of its session's trie instead of reading its
-    draws (see :class:`Lane`)."""
+    """Execute one round of either protocol; deterministic given (config,
+    pair_index, adversary type).  ``adversary`` is the session's, its
+    ``begin_session`` already called (the null ``Adversary`` for no
+    attack).  With ``_replay``, the round replays one path of its session's
+    trie instead of reading its draws (see :class:`Lane`)."""
     round_ = _Round(config, adversary, pair_index, _replay)
     honest = round_.honest
     system = round_.system
 
-    # Bob's state choice.
-    bob_state = honest.choose(BOB_STATE_CHOICE)
+    # Bob's state choice, from his protocol's alphabet.
+    bob_state = honest.choose(BOB_STATE_CHOICE[config.protocol])
 
     # The encoding party flags the round as control with probability C; the
     # flag stays private until Alice's first measurement is announced.
@@ -379,45 +402,54 @@ def run_pair(
         mode = Mode.CONTROL_CHSH if config.check_kind is CheckKind.CHSH else Mode.CONTROL_QBER
     else:
         mode = Mode.MESSAGE
+    four_state_message = mode is Mode.MESSAGE and config.protocol is ProtocolKind.MODIFIED
 
     first = round_.send_first(bob_state)
 
-    # Alice's first measurement (a CHSH angle in control-CHSH rounds, her
-    # basis bit otherwise).
     alice_basis: Basis | None = None
-    alice_setting = alice_angle = None
-    if mode is Mode.CONTROL_CHSH:
-        alice_setting = honest.choose(SETTING_CHOICE)
-        alice_angle = config.settings.alice_angles[alice_setting]
-        first_obs = PlanarObservable(alice_angle)
+    alice_setting = alice_angle = bob_setting = bob_angle = alice_bell_outcome = alice_target = None
+    if four_state_message:
+        # Alice acknowledges the first half, reads Bob's two bits with a
+        # Bell measurement of both and picks the target she will encode.
+        round_.announce(ReceiptAck())
+        alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), honest)
+        alice_target = honest.choose(FOUR_STATE_CHOICE)
+        outcomes: tuple[Outcome, ...] = ()
     else:
-        alice_basis = honest.choose(BASIS_CHOICE)
-        first_obs = alice_basis.observable
-    outcome_1 = system.measure(first, first_obs, honest)
+        # Alice's first measurement (a CHSH angle in control-CHSH rounds,
+        # her basis bit otherwise), announced itself but never its result.
+        if mode is Mode.CONTROL_CHSH:
+            alice_setting = honest.choose(SETTING_CHOICE)
+            alice_angle = config.settings.alice_angles[alice_setting]
+            first_obs = PlanarObservable(alice_angle)
+        else:
+            alice_basis = honest.choose(BASIS_CHOICE)
+            first_obs = alice_basis.observable
+        outcome_1 = system.measure(first, first_obs, honest)
+        round_.announce(MeasuredFirst(control=control))
 
-    # Alice announces the measurement itself, never its result.
-    round_.announce(MeasuredFirst(control=control))
-
-    bob_setting = bob_angle = None
-    if mode is Mode.CONTROL_CHSH:
-        # Bob keeps the second half and measures locally.
-        bob_setting = honest.choose(SETTING_CHOICE)
-        bob_angle = config.settings.bob_angles[bob_setting]
-        outcome_2 = system.measure("bob1", PlanarObservable(bob_angle), honest)
-        round_.announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
-        round_.announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))
-    else:
-        # Message and error-check rounds: the second half travels to Alice,
-        # who measures it in her first basis.
-        outcome_2 = system.measure(round_.send_second(), first_obs, honest)
-    outcomes = (outcome_1, outcome_2)
-    derived = derived_fields(mode, bob_state, alice_basis, outcomes)
-    if mode is Mode.MESSAGE:
+        if mode is Mode.CONTROL_CHSH:
+            # Bob keeps the second half and measures locally.
+            bob_setting = honest.choose(SETTING_CHOICE)
+            bob_angle = config.settings.bob_angles[bob_setting]
+            outcome_2 = system.measure("bob1", PlanarObservable(bob_angle), honest)
+            round_.announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
+            round_.announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))
+        else:
+            # Message and error-check rounds: the second half travels to
+            # Alice, who measures it in her first basis.
+            outcome_2 = system.measure(round_.send_second(), first_obs, honest)
+        outcomes = (outcome_1, outcome_2)
+    derived = derived_fields(config.protocol, mode, bob_state, alice_basis, outcomes, alice_bell_outcome, alice_target)
+    if four_state_message:
+        round_.announce(PauliAnnouncement(op=derived["alice_pauli"]))
+    elif mode is Mode.MESSAGE:
         round_.announce(CorrelationAnnouncement(correlated=derived["correlated"]))
     elif mode is Mode.CONTROL_QBER:
         round_.announce(QberDisclosure(basis=alice_basis, correlated=derived["correlated"]))
 
     return PairRecord(
+        protocol=config.protocol,
         mode=mode,
         bob_state=bob_state,
         alice_basis=alice_basis,
@@ -426,6 +458,8 @@ def run_pair(
         bob_setting=bob_setting,
         bob_angle=bob_angle,
         outcomes=outcomes,
+        alice_bell_outcome=alice_bell_outcome,
+        alice_target=alice_target,
         eve_log=round_.end(),
         **derived,
     )
@@ -467,12 +501,8 @@ class Session:
     def __init__(self, config: SimulationConfig, adversary: "Adversary | None") -> None:
         from .attacks import Adversary, build_adversary
 
-        if config.protocol is ProtocolKind.MODIFIED:
-            from . import fourstate
-
-            round_fn = fourstate.run_modified_pair
-        else:
-            round_fn = run_pair
+        # The variant's sessions call their rounds through its own entry.
+        round_fn = fourstate.run_modified_pair if config.protocol is ProtocolKind.MODIFIED else run_pair
         adversary = adversary or build_adversary(config.attack) or Adversary()
         adversary.begin_session(config)
         self._config = config
@@ -522,7 +552,7 @@ class Session:
         self._table = _walk_table(nodes, children, len(self.leaves))
         self._lanes = range(1 + max(lane for lane, _ in self._table[0]))
 
-    def __iter__(self) -> Iterator[PairRecord | ModifiedPairRecord]:
+    def __iter__(self) -> Iterator[PairRecord]:
         for ids in self.leaf_ids():
             yield from map(self.leaves.__getitem__, ids.tolist())
 

@@ -2,7 +2,6 @@ import numpy as np
 
 from duplexqkd.attacks import Adversary, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
-from duplexqkd.fourstate import run_modified_pair
 from duplexqkd.protocol import run_pair
 from duplexqkd.quantum import PureState
 from oracle import TwoQubitDensity, mix
@@ -68,13 +67,12 @@ class Wiretap(Adversary):
 
 
 def standalone_rounds(config: SimulationConfig) -> list:
-    """Every pair of ``config``'s session run alone by its protocol's round
-    function, with one adversary for the session: the reference a session
-    must equal record for record."""
+    """Every pair of ``config``'s session run alone by the round function,
+    with one adversary for the session: the reference a session must equal
+    record for record."""
     adversary = build_adversary(config.attack) or Adversary()
     adversary.begin_session(config)
-    round_fn = run_modified_pair if config.protocol is ProtocolKind.MODIFIED else run_pair
-    return [round_fn(config, adversary, i) for i in range(config.pairs)]
+    return [run_pair(config, adversary, i) for i in range(config.pairs)]
 
 
 #: Every protocol x attack x check a session accepts (the four-state

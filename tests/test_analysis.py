@@ -32,6 +32,7 @@ from oracle import TwoQubitDensity, correlator
 
 def _chsh_record(state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
     return PairRecord(
+        protocol=ProtocolKind.BASE,
         mode=Mode.CONTROL_CHSH,
         bob_state=state,
         alice_basis=None,
@@ -44,6 +45,10 @@ def _chsh_record(state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
         bob_decoded_basis=None,
         alice_decoded_state=None,
         qber_pass=None,
+        alice_bell_outcome=None,
+        alice_pauli=None,
+        alice_target=None,
+        bob_decoded=None,
         eve_log=EveLog(),
     )
 
@@ -138,6 +143,7 @@ def _qber_record(state, basis, correlated) -> PairRecord:
     # ones a round with these outcomes records.
     outcomes = (1, 1 if correlated else -1)
     return PairRecord(
+        protocol=ProtocolKind.BASE,
         mode=Mode.CONTROL_QBER,
         bob_state=state,
         alice_basis=basis,
@@ -146,8 +152,10 @@ def _qber_record(state, basis, correlated) -> PairRecord:
         bob_setting=None,
         bob_angle=None,
         outcomes=outcomes,
+        alice_bell_outcome=None,
+        alice_target=None,
         eve_log=EveLog(),
-        **derived_fields(Mode.CONTROL_QBER, state, basis, outcomes),
+        **derived_fields(ProtocolKind.BASE, Mode.CONTROL_QBER, state, basis, outcomes),
     )
 
 

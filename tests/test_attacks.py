@@ -11,7 +11,6 @@ import pytest
 from duplexqkd.analysis import estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary, InterceptResend, QmmSubstitute, QmmSwap, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
-from duplexqkd.fourstate import ModifiedMode
 from duplexqkd.protocol import BASIS_BIT, STATE_BIT, MeasuredFirst, Mode, correlation_signature, run_pair, run_session
 from duplexqkd.quantum import (
     Basis,
@@ -156,7 +155,7 @@ def test_four_state_ir_guesses_half_of_bobs_states():
     # tree she is right on every psi+ and phi- message leaf and wrong on
     # every psi- and phi+ one.
     config = _config(pairs=1, protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
-    messages = [leaf for leaf in run_session(config).leaves if leaf.mode is ModifiedMode.MESSAGE]
+    messages = [leaf for leaf in run_session(config).leaves if leaf.mode is Mode.MESSAGE]
     assert {leaf.bob_state for leaf in messages} == set(BellStateId)
     for leaf in messages:
         right = leaf.bob_state in (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)

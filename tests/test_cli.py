@@ -367,8 +367,8 @@ def _set_cell(column: str, text: str):
         ("modified", "message", _set_cell("alice_target", "psi-minus"), "alice_target cell 'psi-minus'"),
         ("modified", "message", _set_cell("bob_decoded", "Phi_minus"), "bob_decoded cell 'Phi_minus'"),
         ("base", "message", _set_cell("correlated", "yes"), "correlated cell 'yes'"),
-        ("base", "message", lambda cells: cells[:-1], "24 cells, expected 25"),
-        ("base", "message", lambda cells: cells + [""], "26 cells, expected 25"),
+        ("base", "message", lambda cells: cells[:-1], "22 cells, expected 23"),
+        ("base", "message", lambda cells: cells + [""], "24 cells, expected 23"),
         ("base", "message", _set_cell("alice_target", "psi_plus"), "alice_target cell 'psi_plus' in a base row"),
         ("modified", "message", _set_cell("alice_basis", "x"), "alice_basis cell 'x' in a modified row"),
         ("base", "message", _set_cell("pair_index", "11"), "pair_index cell '11', expected 12"),
@@ -390,10 +390,18 @@ def _set_cell(column: str, text: str):
         ("base", "control-chsh", _set_cell("alice_basis", "x"),
          "alice_basis cell 'x' in a base row of mode control-chsh"),
         ("base", "control-qber", _set_cell("correlated", ""), "bad correlated cell ''"),
-        ("modified", "message", _set_cell("control_basis", "x"),
-         "control_basis cell 'x' in a modified row of mode message"),
+        ("modified", "message", _set_cell("alice_basis", "x"),
+         "alice_basis cell 'x' in a modified row of mode message"),
         ("modified", "message", _set_cell("outcome_1", "1"), "outcome_1 cell '1' in a modified row of mode message"),
-        ("modified", "control", _set_cell("control_pass", ""), "bad control_pass cell ''"),
+        ("modified", "control-qber", _set_cell("qber_pass", ""), "bad qber_pass cell ''"),
+        ("modified", "control-qber", _set_cell("alice_pauli", "sigma0"),
+         "alice_pauli cell 'sigma0' in a modified row of mode control-qber"),
+        # No four-state round is a CHSH check, and its error checks are
+        # spelled as the base protocol's.
+        ("modified", "control-qber", _set_cell("mode", "control-chsh"),
+         "protocol cell 'modified' and mode cell 'control-chsh' name no round"),
+        ("modified", "control-qber", _set_cell("mode", "control"),
+         "protocol cell 'modified' and mode cell 'control' name no round"),
         # A derived cell that contradicts the row's other cells: each one
         # parses and fits its mode, so only the protocol's own derivation
         # can refuse it.
@@ -402,7 +410,7 @@ def _set_cell(column: str, text: str):
          "alice_decoded_state cell 'phi_minus' does not follow"),
         ("base", "message", _set_cell("bob_decoded_basis", "x"), "bob_decoded_basis cell 'x' does not follow"),
         ("base", "control-qber", _set_cell("qber_pass", "0"), "qber_pass cell '0' does not follow"),
-        ("modified", "control", _set_cell("control_pass", "0"), "control_pass cell '0' does not follow"),
+        ("modified", "control-qber", _set_cell("qber_pass", "0"), "qber_pass cell '0' does not follow"),
         ("modified", "message", _set_cell("bob_decoded", "psi_plus"), "bob_decoded cell 'psi_plus' does not follow"),
         ("modified", "message", _set_cell("alice_pauli", "sigma0"), "alice_pauli cell 'sigma0' does not follow"),
         ("base", "message", _set_cell("bob_state", "psi_minus"), "bob_state cell 'psi_minus' in a base row"),
@@ -420,7 +428,8 @@ def _set_cell(column: str, text: str):
         "padded-angle", "underscored-angle", "spaced-angle", "signed-angle", "nan-angle", "inf-angle",
         "message-row-angle", "message-row-empty-basis", "message-row-qber-pass", "message-row-one-outcome",
         "chsh-row-empty-angle", "chsh-row-basis", "qber-row-empty-correlated", "four-state-message-row-basis",
-        "four-state-message-row-outcome", "four-state-control-row-empty-pass",
+        "four-state-message-row-outcome", "four-state-control-row-empty-pass", "four-state-control-row-pauli",
+        "four-state-chsh-row", "four-state-old-control-row",
         "qber-row-correlated", "message-row-alice-decode", "message-row-bob-decode", "qber-row-pass",
         "four-state-control-row-pass", "four-state-message-row-decoded", "four-state-message-row-pauli",
         "message-row-four-state-bob-state", "base-row-four-state-guess", "base-row-four-state-substitute",
@@ -452,7 +461,10 @@ def test_csv_loading_refuses_another_header(tmp_path):
     records_to_csv(run_session(parse_args(["--pairs", "5"]).config), text)
     header, rows = text.getvalue().split("\n", 1)
     out = tmp_path / "records.csv"
-    for other in (header.replace("alice_basis,", ""), header.upper(), header + ",extra"):
+    # The 25-column header of the schema that kept four-state error checks
+    # in their own columns is refused too.
+    old = header.replace("bob_decoded,", "bob_decoded,control_basis,control_pass,")
+    for other in (header.replace("alice_basis,", ""), header.upper(), header + ",extra", old):
         out.write_text(other + "\n" + rows)
         with pytest.raises(ValueError, match="unexpected CSV header"):
             load_records_csv(out)

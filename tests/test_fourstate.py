@@ -11,16 +11,13 @@ from duplexqkd.analysis import build_report
 from duplexqkd.attacks import Adversary
 from duplexqkd.config import AttackKind, ProtocolKind, SimulationConfig
 from duplexqkd.fourstate import (
-    ModifiedControlDisclosure,
-    ModifiedMode,
     PauliAnnouncement,
     ReceiptAck,
-    StateDisclosure,
     pauli_for_target,
     pauli_transition,
     run_modified_pair,
 )
-from duplexqkd.protocol import correlation_signature, run_session
+from duplexqkd.protocol import MeasuredFirst, Mode, QberDisclosure, correlation_signature, run_session
 from duplexqkd.quantum import BellStateId, PauliOp, bell_state
 from conftest import Wiretap
 from oracle import apply_pauli, identify_bell, pauli_matrix
@@ -108,7 +105,7 @@ def test_two_bit_encoding_bijection():
 
 def test_clean_rounds_decode_both_directions():
     records = list(run_session(_config(pairs=2000, seed=8)))
-    assert all(r.mode is ModifiedMode.MESSAGE for r in records)
+    assert all(r.mode is Mode.MESSAGE for r in records)
     for record in records:
         assert record.alice_bell_outcome == record.bob_state
         assert record.bob_decoded == record.alice_target
@@ -119,7 +116,7 @@ def test_all_bit_combinations_decode():
     # session's clean message rounds, and each decodes both ways.
     combinations = set()
     for record in run_session(_config()):
-        assert record.mode is ModifiedMode.MESSAGE
+        assert record.mode is Mode.MESSAGE
         assert record.alice_bell_outcome == record.bob_state
         assert record.bob_decoded == record.alice_target
         combinations.add((record.bob_state.bits, record.alice_target.bits))
@@ -136,22 +133,28 @@ def test_message_round_announcements():
 
 def test_control_round_flow_and_signature_check():
     # Every control path of the round, each as the wiretap heard its replay.
+    # A four-state control round is the base protocol's error check: before
+    # the second qubit moves Alice announces only the control flag, and she
+    # discloses her basis and correlation once both qubits have arrived.
     config = _config(pairs=800, control_probability=0.5, seed=14)
     tap = Wiretap()
     session = run_session(config, tap)
     assert len(tap.rounds) == len(session.leaves)
-    controls = [(k, r) for k, r in enumerate(session.leaves) if r.mode is ModifiedMode.CONTROL]
+    assert {r.mode for r in session.leaves} == {Mode.MESSAGE, Mode.CONTROL_QBER}
+    controls = [(k, r) for k, r in enumerate(session.leaves) if r.mode is Mode.CONTROL_QBER]
     assert controls
     for k, record in controls:
-        announcements = tap.announcements(k)
-        assert [type(m) for m in announcements] == [ModifiedControlDisclosure, StateDisclosure]
-        assert announcements[0].outcome == record.outcomes[0]
-        assert announcements[1].state_id == record.bob_state
+        assert tap.rounds[k] == [
+            ("qubit", 1),
+            ("announcement", MeasuredFirst(control=True)),
+            ("qubit", 2),
+            ("announcement", QberDisclosure(basis=record.alice_basis, correlated=record.correlated)),
+        ]
         product_ = record.outcomes[0] * record.outcomes[1]
-        assert record.control_pass == (
-            product_ == correlation_signature(record.bob_state, record.control_basis)
+        assert record.qber_pass == (
+            product_ == correlation_signature(record.bob_state, record.alice_basis)
         )
-        assert record.control_pass  # clean channel never fails
+        assert record.qber_pass  # clean channel never fails
 
 
 def test_passive_listener_guesses_target_at_chance():
@@ -174,15 +177,15 @@ def test_four_state_substitution_is_caught_and_read():
     records = list(run_session(config))
     # A four-state session's man-in-the-middle substitutes all four states.
     assert {r.eve_log.substitute_state for r in records} == set(BellStateId)
-    controls = [r for r in records if r.mode is ModifiedMode.CONTROL]
-    fail_rate = sum(not r.control_pass for r in controls) / len(controls)
+    controls = [r for r in records if r.mode is Mode.CONTROL_QBER]
+    fail_rate = sum(not r.qber_pass for r in controls) / len(controls)
     assert 0.0 < fail_rate < 1.0
     # A uniform substitute matches the sent state's signature in the
     # disclosed basis for two of the four Bell states: d = 1/2, checked to
     # 4 standard errors.
     assert abs(fail_rate - 0.5) <= 4 * math.sqrt(0.25 / len(controls))
     for record in records:
-        if record.mode is ModifiedMode.MESSAGE:
+        if record.mode is Mode.MESSAGE:
             assert record.eve_log.guessed_bob_bit == record.bob_state.bits
             assert record.eve_log.guessed_alice_bit == record.alice_target.bits
 

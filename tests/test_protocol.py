@@ -14,8 +14,7 @@ from test_analysis import _evasion_dp
 from duplexqkd import stream
 from duplexqkd.analysis import (
     SimulationReport,
-    _tally_base_record,
-    _tally_modified_record,
+    _tally_record,
     build_report,
     estimate_chsh,
     estimate_qber,
@@ -320,10 +319,9 @@ def _expected_report(control_probability: float = 0.5, **kwargs) -> SimulationRe
     weight."""
     config = _config(pairs=1, control_probability=control_probability, **kwargs)
     session = run_session(config)
-    tally = _tally_modified_record if config.protocol is ProtocolKind.MODIFIED else _tally_base_record
     report = SimulationReport(config_echo={}, seed=0)
     for leaf, p in zip(session.leaves, session.probabilities):
-        tally(report, leaf, p)
+        _tally_record(report, leaf, p)
     return report
 
 

@@ -16,13 +16,7 @@ from duplexqkd.analysis import ChshBinEstimate, ChshEstimate, DetectionStats, Si
 from duplexqkd.attacks import EveLog
 from duplexqkd.cli import RunSpec, parse_args
 from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, ProtocolKind, SimulationConfig
-from duplexqkd.fourstate import (
-    ModifiedControlDisclosure,
-    ModifiedPairRecord,
-    PauliAnnouncement,
-    ReceiptAck,
-    StateDisclosure,
-)
+from duplexqkd.fourstate import PauliAnnouncement, ReceiptAck
 from duplexqkd.protocol import (
     ControlDisclosure,
     CorrelationAnnouncement,
@@ -37,20 +31,14 @@ from duplexqkd.quantum import Basis, BellStateId, ChshSettings, PauliOp, PlanarO
 def _record_fields(config: SimulationConfig) -> dict:
     """The fields of the first attacked record of a real session."""
     record = next(r for r in run_session(config) if r.eve_log != EveLog())
-    return {name: getattr(record, name) for name in _FIELDS[type(record)]}
+    return {name: getattr(record, name) for name in _RECORD_FIELDS}
 
 
-_FIELDS = {
-    PairRecord: (
-        "mode", "bob_state", "alice_basis", "alice_setting", "alice_angle", "bob_setting", "bob_angle",
-        "outcomes", "correlated", "bob_decoded_basis", "alice_decoded_state",
-        "qber_pass", "eve_log",
-    ),
-    ModifiedPairRecord: (
-        "mode", "bob_state", "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded",
-        "control_basis", "outcomes", "control_pass", "eve_log",
-    ),
-}
+_RECORD_FIELDS = (
+    "protocol", "mode", "bob_state", "alice_basis", "alice_setting", "alice_angle", "bob_setting", "bob_angle",
+    "outcomes", "correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass",
+    "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded", "eve_log",
+)
 
 _CONFIG = SimulationConfig(pairs=4, control_probability=0.5, attack=AttackKind.QMM_SWAP, seed=7)
 
@@ -81,10 +69,8 @@ CASES = [
     ),
     (ReceiptAck, {}, True),
     (PauliAnnouncement, {"op": PauliOp.SIGMA2}, True),
-    (ModifiedControlDisclosure, {"basis": Basis.X, "outcome": 1}, True),
-    (StateDisclosure, {"state_id": BellStateId.PSI_MINUS}, True),
     (
-        ModifiedPairRecord,
+        PairRecord,
         _record_fields(SimulationConfig(pairs=8, control_probability=0.5, attack=AttackKind.INTERCEPT_RESEND,
                                         seed=7, protocol=ProtocolKind.MODIFIED)),
         True,
@@ -110,7 +96,11 @@ CASES = [
     (RunSpec, {"config": SimulationConfig(pairs=2), "out_format": "csv", "out_path": Path("r.csv")}, True),
 ]
 
-_IDS = [cls.__name__ for cls, *_ in CASES]
+#: Each class's name; the four-state record's case is told apart.
+_IDS = [
+    cls.__name__ + ("-four-state" if values.get("protocol") is ProtocolKind.MODIFIED else "")
+    for cls, values, _ in CASES
+]
 
 
 def _hashable(values) -> bool:
@@ -122,7 +112,7 @@ def _hashable(values) -> bool:
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 19
+    assert len(CASES) == 17
     assert len(set(_IDS)) == len(_IDS)
     assert [cls for cls, _, frozen in CASES if not frozen] == [SimulationReport]
 
@@ -152,7 +142,6 @@ def test_equality_needs_the_exact_type(cls, values, frozen):
 
 def test_equal_values_of_different_types_differ():
     assert MeasuredFirst(True) != CorrelationAnnouncement(True)
-    assert StateDisclosure(BellStateId.PSI_PLUS) != ControlDisclosure(BellStateId.PSI_PLUS, 1)
     assert ReceiptAck() == ReceiptAck()
     assert hash(ReceiptAck()) == hash(ReceiptAck())
 
@@ -207,7 +196,7 @@ def test_bad_arguments_raise_type_error(cls, values, frozen):
 
 @pytest.mark.parametrize(
     "cls,required",
-    [(PairRecord, 13), (ModifiedPairRecord, 10), (SimulationConfig, 1), (ControlDisclosure, 2),
+    [(PairRecord, 18), (SimulationConfig, 1), (ControlDisclosure, 2),
      (SimulationReport, 2), (EveLog, 0), (ReceiptAck, 0), (RunSpec, 3)],
 )
 def test_missing_arguments_raise_type_error(cls, required):
