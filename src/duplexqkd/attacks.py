@@ -142,8 +142,8 @@ def substitution_guesses(
     states: tuple[BellStateId, ...],
     substitute: BellStateId,
     bell_outcome: BellStateId | None,
-    correlated: bool | None = None,
-    pauli: PauliOp | None = None,
+    correlated: bool | None,
+    pauli: PauliOp | None,
 ) -> dict:
     """A substituting Eve's guesses, by ``EveLog`` field, from what she
     holds at the round's end; each is None where the round gives her none.

@@ -302,8 +302,9 @@ _MODE_COLUMNS = {
     },
     (ProtocolKind.MODIFIED, Mode.CONTROL_QBER): _QBER_COLUMNS,
 }
-#: Each pair of ``protocol`` and ``mode`` cells a row may hold.
-_ROW_KINDS = {(kind.value, mode.value): (kind, mode) for kind, mode in _MODE_COLUMNS}
+#: The protocol, mode and filled columns of each pair of ``protocol`` and
+#: ``mode`` cells a row may hold.
+_ROW_KINDS = {(kind.value, mode.value): (kind, mode, columns) for (kind, mode), columns in _MODE_COLUMNS.items()}
 #: What each protocol's rows may hold in the columns of its alphabet: a
 #: state its Bob sends, and an Eve guess as an index among those states (a
 #: base guess of Alice's basis is its ``BASIS_BIT``, which has as many).
@@ -328,10 +329,9 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
     if len(cells) != len(CSV_COLUMNS) - 1:
         raise ValueError(f"{len(cells) + 1} cells, expected {len(CSV_COLUMNS)}")
     try:
-        protocol, mode = _ROW_KINDS[cells[0], cells[1]]
+        protocol, mode, filled = _ROW_KINDS[cells[0], cells[1]]
     except KeyError:
         raise ValueError(f"protocol cell {cells[0]!r} and mode cell {cells[1]!r} name no round") from None
-    filled = _MODE_COLUMNS[protocol, mode]
     values = {"protocol": protocol, "mode": mode}
     for column, cell in zip(CSV_COLUMNS[3:], cells[2:]):
         if column in filled:

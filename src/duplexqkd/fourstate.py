@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+# ``protocol`` imports this module first, so its names are read at call time.
 from . import protocol
 from .quantum import BellStateId, PauliOp
 from .values import value

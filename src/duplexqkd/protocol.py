@@ -197,7 +197,7 @@ def alice_decode(basis: Basis, correlated: bool) -> BellStateId:
 
 def derived_fields(
     protocol: ProtocolKind, mode: Mode, bob_state: BellStateId, alice_basis: Basis | None,
-    outcomes: tuple[Outcome, ...], alice_bell_outcome: BellStateId | None = None, alice_target: BellStateId | None = None,
+    outcomes: tuple[Outcome, ...], alice_bell_outcome: BellStateId | None, alice_target: BellStateId | None,
 ) -> dict:
     """The fields of a round that follow from its others, by name:
     ``correlated``, ``bob_decoded_basis``, ``alice_decoded_state``,

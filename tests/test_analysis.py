@@ -155,7 +155,7 @@ def _qber_record(state, basis, correlated) -> PairRecord:
         alice_bell_outcome=None,
         alice_target=None,
         eve_log=EveLog(),
-        **derived_fields(ProtocolKind.BASE, Mode.CONTROL_QBER, state, basis, outcomes),
+        **derived_fields(ProtocolKind.BASE, Mode.CONTROL_QBER, state, basis, outcomes, None, None),
     )
 
 
