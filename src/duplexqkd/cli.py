@@ -216,9 +216,10 @@ _OUTCOME_COLUMNS = ("outcome_1", "outcome_2")
 def _record_row(record) -> str:
     """The end of a transcript line after its ``pair_index`` cell and comma,
     its cells in ``CSV_COLUMNS`` order: each field of ``record`` (its
-    ``protocol`` included) fills the column named after it, ``outcomes`` fill ``outcome_1``/``outcome_2``,
-    the Eve log fills the ``eve_*`` columns and every other column is empty.
-    No cell text needs quoting, so the cells are joined by bare commas."""
+    ``protocol`` included) fills the column named after it, ``outcomes``
+    fill ``outcome_1``/``outcome_2``, the Eve log fills the ``eve_*``
+    columns and every other column is empty.  No cell text needs quoting,
+    so the cells are joined by bare commas."""
     values = {name: getattr(record, name) for name in record._fields}
     values.update(zip(_OUTCOME_COLUMNS, record.outcomes))
     values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
@@ -354,7 +355,7 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
             bell_outcome = None
         elif bell_outcome not in SENT_STATES[protocol]:
             raise ValueError(f"eve_bell_outcome cell {_cell(bell_outcome)!r} in a {cells[0]} row of mode {cells[1]}")
-        correlated = values["correlated"] if mode is Mode.MESSAGE and protocol is ProtocolKind.BASE else None
+        correlated = values.get("correlated") if mode is Mode.MESSAGE else None
         guesses = substitution_guesses(
             SENT_STATES[protocol], substitute, bell_outcome, correlated, values.get("alice_pauli")
         )
