@@ -468,7 +468,8 @@ def _refusal(tmp_path, argv: list[str], mode: str, edit) -> str:
 
 
 def _next_symbol(column: str, symbols: int):
-    """Sets ``column``'s integer cell to the next of ``symbols`` values."""
+    """An edit that moves ``column``'s integer cell to the next of
+    ``symbols`` values."""
     at = CSV_COLUMNS.index(column)
     return lambda cells: cells[:at] + [str((int(cells[at]) + 1) % symbols)] + cells[at + 1 :]
 
