@@ -32,7 +32,7 @@ concrete attacks:
 from __future__ import annotations
 
 from .config import AttackKind, CheckKind, SimulationConfig
-from .quantum import Basis, BellStateId, Choice, PauliOp
+from .quantum import Basis, BellStateId, Choice
 from .protocol import (
     BASIS_BIT,
     BASIS_CHOICE,
@@ -54,7 +54,6 @@ __all__ = [
     "QmmSubstitute",
     "QmmSwap",
     "build_adversary",
-    "substitution_guesses",
 ]
 
 
@@ -138,33 +137,6 @@ class InterceptResend(Adversary):
         return EveLog(guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit)
 
 
-def substitution_guesses(
-    states: tuple[BellStateId, ...],
-    substitute: BellStateId,
-    bell_outcome: BellStateId | None,
-    correlated: bool | None,
-    pauli: PauliOp | None,
-) -> dict:
-    """A substituting Eve's guesses, by ``EveLog`` field, from what she
-    holds at the round's end; each is None where the round gives her none.
-    ``states`` is her protocol's ``SENT_STATES``, ``bell_outcome`` her Bell
-    measurement of Bob's two halves (None when he kept the second, in a
-    CHSH check), and ``correlated`` or ``pauli`` what Alice announced in a
-    base or four-state message round.  :class:`QmmSubstitute` logs these,
-    and the CSV loader refuses a row whose guesses differ."""
-    guessed_alice_bit = None
-    if correlated is not None:
-        # Alice measured Eve's pair, so the announced correlation decodes
-        # against the substitute state.
-        guessed_alice_bit = BASIS_BIT[bob_decode(substitute, correlated)]
-    elif pauli is not None:
-        # Alice Bell-measured Eve's pair, so her announced operation maps
-        # the substitute state to her target.
-        guessed_alice_bit = states.index(pauli_transition(substitute, pauli))
-    guessed_bob_bit = None if bell_outcome is None else states.index(bell_outcome)
-    return {"guessed_alice_bit": guessed_alice_bit, "guessed_bob_bit": guessed_bob_bit}
-
-
 class QmmSubstitute(Adversary):
     """Pair-substitution man-in-the-middle.
 
@@ -203,15 +175,24 @@ class QmmSubstitute(Adversary):
         return EveLog(substitute_state=self._substitute, **learned)
 
     def end_pair(self, system, lane):
-        bell_outcome = None
+        substitute = self._substitute
+        bell_outcome = guessed_alice_bit = guessed_bob_bit = None
         if len(self._retained) == 2:
             # Bob's pair reached Eve intact; the Bell measurement reads his
             # encoding with certainty.
             bell_outcome = system.bell_measure_pair(*self._retained, lane)
-        guesses = substitution_guesses(
-            self._states, self._substitute, bell_outcome, self._heard_correlation, self._heard_pauli
+            guessed_bob_bit = self._states.index(bell_outcome)
+        if self._heard_correlation is not None:
+            # Alice measured Eve's pair, so the announced correlation decodes
+            # against the substitute state.
+            guessed_alice_bit = BASIS_BIT[bob_decode(substitute, self._heard_correlation)]
+        if self._heard_pauli is not None:
+            # Alice Bell-measured Eve's pair, so her announced operation maps
+            # the substitute state to her target.
+            guessed_alice_bit = self._states.index(pauli_transition(substitute, self._heard_pauli))
+        return self._log(
+            bell_outcome=bell_outcome, guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit
         )
-        return self._log(bell_outcome=bell_outcome, **guesses)
 
 
 class QmmSwap(QmmSubstitute):

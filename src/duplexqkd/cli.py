@@ -22,7 +22,7 @@ from typing import TextIO
 import numpy as np
 
 from .analysis import build_report
-from .attacks import EveLog, substitution_guesses
+from .attacks import EveLog
 from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
 from .protocol import SENT_STATES, Mode, PairRecord, Session, derived_fields, run_session
 from .quantum import Basis, BellStateId, ChshSettings, PauliOp
@@ -347,21 +347,6 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
         protocol, mode, values["bob_state"], values.get("alice_basis"), values["outcomes"],
         values.get("alice_bell_outcome"), values.get("alice_target"),
     )
-    substitute, bell_outcome = values["eve_substitute"], values["eve_bell_outcome"]
-    if substitute is not None:
-        # Eve holds Bob's pair in every round but a CHSH check, and her
-        # guesses follow from it, her substitute and Alice's announcement.
-        if mode is Mode.CONTROL_CHSH:
-            bell_outcome = None
-        elif bell_outcome not in SENT_STATES[protocol]:
-            raise ValueError(f"eve_bell_outcome cell {_cell(bell_outcome)!r} in a {cells[0]} row of mode {cells[1]}")
-        correlated = values.get("correlated") if mode is Mode.MESSAGE else None
-        guesses = substitution_guesses(
-            SENT_STATES[protocol], substitute, bell_outcome, correlated, values.get("alice_pauli")
-        )
-        derived.update(("eve_" + name, guess) for name, guess in guesses.items())
-    elif bell_outcome is not None:
-        raise ValueError(f"eve_bell_outcome cell {_cell(bell_outcome)!r} in a row with no eve_substitute")
     for column, value in derived.items():
         if values.get(column) != value:
             raise ValueError(f"{column} cell {_cell(values[column])!r} does not follow from the row's other cells")
@@ -381,11 +366,8 @@ def load_records_csv(path) -> list:
     in a column its mode leaves empty, a sent state, Eve substitute or Eve
     guess outside its protocol's alphabet (``SENT_STATES``), a derived cell
     (a correlation, decode, Pauli or pass flag) other than the one
-    ``protocol.derived_fields`` derives from the row's other cells, a
-    substituting Eve's Bell outcome or guess other than the one
-    ``attacks.substitution_guesses`` gives (an intercept-resend guess rests
-    on Eve's basis and outcomes, which no row holds, and is not checked), or
-    a ``pair_index`` other than the row's position (0 for the first row)
+    ``protocol.derived_fields`` derives from the row's other cells, or a
+    ``pair_index`` other than the row's position (0 for the first row)
     raises ValueError naming the line.  Empty Eve cells load as
     ``EveLog()``.  A record holds exactly what its row holds, so loading is
     the inverse of ``records_to_csv``: a session's transcript loads back

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -440,23 +439,13 @@ def _set_cell(column: str, text: str):
 def test_csv_loading_is_strict(tmp_path, protocol, mode, edit, needle):
     # One bad cell in a clean transcript must not load as a plausible but
     # wrong record: the loader names the line and the cell instead.
-    message = _refusal(tmp_path, _strict_argv(protocol, "none", mode), mode, edit)
-    assert needle in message
-
-
-def _strict_argv(protocol: str, attack: str, mode: str) -> list[str]:
     check = ["--check", "qber"] if mode == "control-qber" else []
-    return ["--protocol", protocol, "--attack", attack, "--pairs", "200", "--control-prob", "0.5", "--seed", "6", *check]
-
-
-def _refusal(tmp_path, argv: list[str], mode: str, edit) -> str:
-    """The loader's message for the transcript of ``argv``'s session after
-    ``edit`` changed one row of ``mode``, which it must refuse by that row's
-    line.  The row is the first of the mode from pair 10 on: its index has
-    two digits and rows before it."""
+    argv = ["--protocol", protocol, "--pairs", "200", "--control-prob", "0.5", "--seed", "6", *check]
     text = io.StringIO()
     records_to_csv(run_session(parse_args(argv).config), text)
     lines = text.getvalue().splitlines()
+    # The first row of the mode from pair 10 on: its index has two digits
+    # and rows before it.
     lineno = next(n for n, line in enumerate(lines[11:], start=12) if f",{mode}," in line)
     lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
     out = tmp_path / "records.csv"
@@ -464,51 +453,7 @@ def _refusal(tmp_path, argv: list[str], mode: str, edit) -> str:
     with pytest.raises(ValueError) as err:
         load_records_csv(out)
     assert str(err.value).startswith(f"line {lineno}: ")
-    return str(err.value)
-
-
-def _next_symbol(column: str, symbols: int):
-    """An edit that moves ``column``'s integer cell to the next of
-    ``symbols`` values."""
-    at = CSV_COLUMNS.index(column)
-    return lambda cells: cells[:at] + [str((int(cells[at]) + 1) % symbols)] + cells[at + 1 :]
-
-
-@pytest.mark.parametrize(
-    "protocol,attack,mode,edit,needle",
-    [
-        # A guess that contradicts Eve's own Bell outcome or what Alice
-        # announced: each follows from the row's other cells.
-        ("base", "qmm", "message", _next_symbol("eve_guessed_bob_bit", 2),
-         r"eve_guessed_bob_bit cell '[01]' does not follow"),
-        ("base", "qmm-swap", "message", _next_symbol("eve_guessed_alice_bit", 2),
-         r"eve_guessed_alice_bit cell '[01]' does not follow"),
-        ("modified", "qmm", "message", _next_symbol("eve_guessed_alice_bit", 4),
-         r"eve_guessed_alice_bit cell '[0-3]' does not follow"),
-        ("modified", "qmm", "control-qber", _next_symbol("eve_guessed_bob_bit", 4),
-         r"eve_guessed_bob_bit cell '[0-3]' does not follow"),
-        # No guess where Eve learns nothing: her Alice guess in an error
-        # check, either guess in a CHSH check.
-        ("base", "qmm", "control-qber", _set_cell("eve_guessed_alice_bit", "0"),
-         r"eve_guessed_alice_bit cell '0' does not follow"),
-        ("base", "qmm-swap", "control-chsh", _set_cell("eve_guessed_bob_bit", "1"),
-         r"eve_guessed_bob_bit cell '1' does not follow"),
-        # A substituting Eve holds Bob's pair in every round but a CHSH
-        # check, and only she Bell-measures.
-        ("base", "qmm", "message", lambda cells: _set_cell("eve_guessed_bob_bit", "")(
-            _set_cell("eve_bell_outcome", "")(cells)), r"eve_bell_outcome cell '' in a base row of mode message"),
-        ("modified", "ir", "message", _set_cell("eve_bell_outcome", "psi_plus"),
-         r"eve_bell_outcome cell 'psi_plus' in a row with no eve_substitute"),
-    ],
-    ids=[
-        "base-bob-guess", "base-alice-guess", "four-state-alice-guess", "four-state-check-bob-guess",
-        "check-alice-guess", "chsh-bob-guess", "missing-bell-outcome", "bell-outcome-without-substitute",
-    ],
-)
-def test_csv_loading_checks_eve_cells(tmp_path, protocol, attack, mode, edit, needle):
-    # A substituting Eve's cells follow from each other, as the honest
-    # parties' derived cells do; an edited one is refused by name.
-    assert re.search(needle, _refusal(tmp_path, _strict_argv(protocol, attack, mode), mode, edit))
+    assert needle in str(err.value)
 
 
 def test_csv_loading_refuses_another_header(tmp_path):
