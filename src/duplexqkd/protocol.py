@@ -299,7 +299,6 @@ _HONEST_LANE, _EVE_LANE = range(LANES)
 BOB_STATE_CHOICE = {kind: Choice.uniform(states) for kind, states in SENT_STATES.items()}
 BASIS_CHOICE = Choice.uniform(BIT_BASIS)
 SETTING_CHOICE = Choice.uniform((0, 1))
-FOUR_STATE_CHOICE = Choice.uniform(BELL_ORDER)
 
 
 class Lane:
@@ -413,7 +412,7 @@ def run_pair(
         # Bell measurement of both and picks the target she will encode.
         round_.announce(ReceiptAck())
         alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), honest)
-        alice_target = honest.choose(FOUR_STATE_CHOICE)
+        alice_target = honest.choose(BOB_STATE_CHOICE[ProtocolKind.MODIFIED])
         outcomes: tuple[Outcome, ...] = ()
     else:
         # Alice's first measurement (a CHSH angle in control-CHSH rounds,
