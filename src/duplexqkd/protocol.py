@@ -599,13 +599,11 @@ class Session:
 
 def _walk_table(nodes: list, children: list, leaves: int) -> tuple:
     """A session's trie as arrays for :meth:`Session._walk`: the lane and
-    slot of each row of draws (the slot as a one-element ``uint64`` array,
-    since scalar ``uint64`` arithmetic warns on the wraparound the draws
-    rely on), and per row of the node table its row of draws, its cuts (one
-    array per cut, padded with +inf) and its children (flat, ``stride`` per
-    row).  The nodes come first, then one row per leaf; these are in
-    reverse code order, so a leaf's negative code indexes its own row from
-    the end, and each holds its own code as every child."""
+    slot of each row of draws, and per row of the node table its row of
+    draws, its cuts (one array per cut, padded with +inf) and its children
+    (flat, ``stride`` per row).  The nodes come first, then one row per
+    leaf; these are in reverse code order, so a leaf's negative code indexes
+    its own row from the end, and each holds its own code as every child."""
     rows_of: dict[tuple[int, int], int] = {}
     draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in nodes]
     width = max(len(cuts) for _, _, cuts in nodes)
@@ -616,7 +614,7 @@ def _walk_table(nodes: list, children: list, leaves: int) -> tuple:
     child = [row + [0] * (width + 1 - len(row)) for row in children]
     child += [[end] * (width + 1) for end in ends]
     return (
-        [(lane, np.array([slot], dtype=np.uint64)) for lane, slot in rows_of],
+        list(rows_of),
         np.array(draw_row + [0] * leaves, dtype=np.intp),
         cuts,
         np.array(child, dtype=np.intp).ravel(),

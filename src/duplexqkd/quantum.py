@@ -20,18 +20,22 @@ Conventions, fixed once and relied on everywhere:
   :class:`Choice`, an interval table over [0, 1): the +1 branch is taken
   when u < P(+1); Bell outcomes are laid out cumulatively in the order
   psi+, psi-, phi+, phi-.
+* Amplitudes are a tuple of Python ``complex``; a state never holds more
+  than 16 of them, so the algebra is plain Python.
 * Global phase is never observable, and nothing here compares states:
-  the caches key on exact amplitude bytes, and the tests compare states up
+  the caches key on the state object, and the tests compare states up
   to phase through the oracle in ``tests/oracle.py``.
 
 The collapsing primitives and :func:`tensor` are memoized.  Their
-deterministic part is a pure function of the exact amplitudes (keyed by the
-amplitude bytes), the qubit indices and the angle; only the final branch
-choice reads ``u``.  A session only ever reaches a small fixed set of states
-(a few dozen to a few hundred transitions), so each transition is computed
-once and then looked up.  The cached
-results are built with the same arithmetic in the same order as an uncached
-call, so outputs are bit-identical; each cache is cleared when it reaches
+deterministic part is a pure function of the state, the qubit indices and
+the angle; only the final branch choice reads ``u``.  A state is immutable
+and every cached transition returns the same state objects, so the caches
+key on the state object itself: an equal state held by another object gets
+its own entry, with bit-identical contents.  A session only ever reaches a
+small fixed set of states (a few dozen to a few hundred transitions), so
+each transition is computed once and then looked up.  The cached results
+are built with the same arithmetic in the same order as an uncached call,
+so outputs are bit-identical; each cache is cleared when it reaches
 ``_CACHE_CAP`` entries, so memory stays bounded for any input.
 """
 
@@ -40,8 +44,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
-
-import numpy as np
 
 from .values import value
 
@@ -168,58 +170,52 @@ class ChshSettings:
 class PureState:
     """Normalized complex amplitude vector over 1..4 qubits.
 
-    Instances are immutable; the amplitude array is read-only.  The squared
-    norm is 1 within 1e-12 after construction and after every collapse.
+    Instances are immutable; the amplitudes are a tuple of ``complex``.  The
+    squared norm is 1 within 1e-12 after construction and after every
+    collapse.
     """
 
-    __slots__ = ("amplitudes", "num_qubits", "_key")
+    __slots__ = ("amplitudes", "num_qubits")
 
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
     num_qubits: int
 
     def __init__(self, amplitudes) -> None:
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
-        n = int(amps.size).bit_length() - 1
-        if amps.size != (1 << n) or not (1 <= n <= MAX_QUBITS):
+        amps = tuple(map(complex, amplitudes))
+        n = len(amps).bit_length() - 1
+        if len(amps) != (1 << n) or not (1 <= n <= MAX_QUBITS):
             raise ValueError(
-                f"amplitude vector of length {amps.size} does not describe "
+                f"amplitude vector of length {len(amps)} does not describe "
                 f"1..{MAX_QUBITS} qubits"
             )
-        norm_sq = float((amps.real**2 + amps.imag**2).sum())
+        norm_sq = sum(a.real * a.real + a.imag * a.imag for a in amps)
         if not abs(norm_sq - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
-        object.__setattr__(self, "_key", None)
 
     @classmethod
-    def _wrap(cls, amps: np.ndarray, num_qubits: int) -> "PureState":
+    def _wrap(cls, amps: tuple[complex, ...], num_qubits: int) -> "PureState":
         # Internal fast path: caller guarantees normalization.
         self = object.__new__(cls)
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "_key", None)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PureState is immutable")
 
     def __repr__(self) -> str:
-        return f"PureState({self.num_qubits} qubits, {np.round(self.amplitudes, 6)!r})"
+        return f"PureState({self.num_qubits} qubits, ({', '.join(f'{a:.6f}' for a in self.amplitudes)}))"
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-_BELL_AMPLITUDES: dict[BellStateId, np.ndarray] = {
-    BellStateId.PSI_PLUS: np.array([0, _SQRT_HALF, _SQRT_HALF, 0], dtype=complex),
-    BellStateId.PSI_MINUS: np.array([0, _SQRT_HALF, -_SQRT_HALF, 0], dtype=complex),
-    BellStateId.PHI_PLUS: np.array([_SQRT_HALF, 0, 0, _SQRT_HALF], dtype=complex),
-    BellStateId.PHI_MINUS: np.array([_SQRT_HALF, 0, 0, -_SQRT_HALF], dtype=complex),
-}
 _BELL_STATES: dict[BellStateId, PureState] = {
-    state_id: PureState._wrap(amps, 2) for state_id, amps in _BELL_AMPLITUDES.items()
+    BellStateId.PSI_PLUS: PureState((0, _SQRT_HALF, _SQRT_HALF, 0)),
+    BellStateId.PSI_MINUS: PureState((0, _SQRT_HALF, -_SQRT_HALF, 0)),
+    BellStateId.PHI_PLUS: PureState((_SQRT_HALF, 0, 0, _SQRT_HALF)),
+    BellStateId.PHI_MINUS: PureState((_SQRT_HALF, 0, 0, -_SQRT_HALF)),
 }
 
 
@@ -275,28 +271,19 @@ class Choice:
 
 
 # ---------------------------------------------------------------------------
-# Transition caches.  Keys hold a state's exact amplitude bytes, so a hit
-# means bit-identical input.  A CLI session fills at most a few hundred
-# entries per cache; the cap only bounds memory on arbitrary inputs.
+# Transition caches.  Keys hold the state objects themselves (a state is
+# immutable, and hashes and compares by identity), so a hit means the same
+# input.  A CLI session fills at most a few hundred entries per cache; the
+# cap only bounds memory on arbitrary inputs.
 
 _CACHE_CAP = 4096
 
-#: (state key, qubit, angle) -> Choice over (outcome, collapsed state)
-_MEASURE_CACHE: dict[tuple[bytes, int, float], Choice] = {}
-#: (state key, qubit_a, qubit_b) -> Choice over (outcome, residual)
-_BELL_CACHE: dict[tuple[bytes, int, int], Choice] = {}
-#: (key of a, key of b) -> a (x) b
-_TENSOR_CACHE: dict[tuple[bytes, bytes], PureState] = {}
-
-
-def _key(state: PureState) -> bytes:
-    """Exact identity of a state's amplitudes (always complex128), computed
-    once per instance."""
-    key = state._key
-    if key is None:
-        key = state.amplitudes.tobytes()
-        object.__setattr__(state, "_key", key)
-    return key
+#: (state, qubit, angle) -> Choice over (outcome, collapsed state)
+_MEASURE_CACHE: dict[tuple[PureState, int, float], Choice] = {}
+#: (state, qubit_a, qubit_b) -> Choice over (outcome, residual)
+_BELL_CACHE: dict[tuple[PureState, int, int], Choice] = {}
+#: (a, b) -> a (x) b
+_TENSOR_CACHE: dict[tuple[PureState, PureState], PureState] = {}
 
 
 def _remember(cache: dict, key, value):
@@ -311,10 +298,11 @@ def tensor(a: PureState, b: PureState) -> PureState:
     n = a.num_qubits + b.num_qubits
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit capacity")
-    key = (_key(a), _key(b))
+    key = (a, b)
     product = _TENSOR_CACHE.get(key)
     if product is None:
-        product = _remember(_TENSOR_CACHE, key, PureState._wrap(np.kron(a.amplitudes, b.amplitudes), n))
+        amps = tuple(x * y for x in a.amplitudes for y in b.amplitudes)
+        product = _remember(_TENSOR_CACHE, key, PureState._wrap(amps, n))
     return product
 
 
@@ -333,7 +321,7 @@ def _collapsed(
         q = coeff * scale
         out[i0] = u0 * q
         out[i1] = u1 * q
-    return PureState._wrap(np.asarray(out, dtype=complex), n)
+    return PureState._wrap(tuple(out), n)
 
 
 def _measure_transition(state: PureState, qubit: int, angle: float) -> Choice:
@@ -343,7 +331,7 @@ def _measure_transition(state: PureState, qubit: int, angle: float) -> Choice:
     of the Born sums cannot pick an impossible branch (not even at u = 0)
     and nothing divides by zero."""
     n = state.num_qubits
-    amps = state.amplitudes.tolist()
+    amps = state.amplitudes
     right = 1 << (n - 1 - qubit)  # stride of the addressed qubit's bit
     block = right << 1
     half = 0.5 * angle
@@ -374,12 +362,12 @@ def _measure_transition(state: PureState, qubit: int, angle: float) -> Choice:
 def measure_choice(state: PureState, qubit: int, obs: PlanarObservable) -> Choice:
     """The decision a measurement of ``qubit`` with ``obs`` makes, as a
     :class:`Choice` over ``(outcome, collapsed state)``; computed once per
-    exact (state, qubit, angle) and cached, so repeated calls return the
+    (state object, qubit, angle) and cached, so repeated calls return the
     same table and the same state objects."""
     _check_qubit(state, qubit)
     # PlanarObservable reduces its angle into [0, 2*pi), never -0.0 or NaN,
     # so float equality of angles is bit equality.
-    key = (_key(state), qubit, obs.angle)
+    key = (state, qubit, obs.angle)
     choice = _MEASURE_CACHE.get(key)
     if choice is None:
         choice = _remember(_MEASURE_CACHE, key, _measure_transition(state, qubit, obs.angle))
@@ -415,7 +403,7 @@ def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
     surviving qubits in their original relative order (None for a two-qubit
     input)."""
     n = state.num_qubits
-    amps = state.amplitudes.tolist()
+    amps = state.amplitudes
     sa = 1 << (n - 1 - qubit_a)
     sb = 1 << (n - 1 - qubit_b)
     both = sa | sb
@@ -443,7 +431,7 @@ def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
         residual = None
         if n > 2 and p >= _MIN_BRANCH:
             scale = 1.0 / math.sqrt(p)
-            residual = PureState._wrap(np.asarray([c * scale for c in coeffs[slot]], dtype=complex), n - 2)
+            residual = PureState._wrap(tuple(c * scale for c in coeffs[slot]), n - 2)
         outcomes.append((BELL_ORDER[slot], residual))
     likeliest = outcomes[max(range(4), key=probs.__getitem__)]
     cuts = []
@@ -457,13 +445,13 @@ def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
 
 def bell_choice(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
     """The decision a Bell measurement of the addressed pair makes, as a
-    :class:`Choice` over ``(outcome, residual)``; cached per exact (state,
+    :class:`Choice` over ``(outcome, residual)``; cached per (state object,
     qubit_a, qubit_b)."""
     if qubit_a == qubit_b:
         raise IndexError("bell measurement needs two distinct qubits")
     _check_qubit(state, qubit_a)
     _check_qubit(state, qubit_b)
-    key = (_key(state), qubit_a, qubit_b)
+    key = (state, qubit_a, qubit_b)
     choice = _BELL_CACHE.get(key)
     if choice is None:
         choice = _remember(_BELL_CACHE, key, _bell_transition(state, qubit_a, qubit_b))

@@ -67,7 +67,7 @@ def stream_keys(seed: int, pairs: np.ndarray, lane: int) -> np.ndarray:
     return _mix_array(np.uint64(seed) + np.uint64(GAMMA) * (np.uint64(LANES) * pairs + np.uint64(lane + 1)))
 
 
-def uniforms(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """:func:`uniform` elementwise over ``uint64`` arrays of keys and
-    slots."""
-    return (_mix_array(keys + np.uint64(GAMMA) * (slots + np.uint64(1))) >> 11).astype(np.float64) * _UNIT
+def uniforms(keys: np.ndarray, slot: int) -> np.ndarray:
+    """:func:`uniform` of draw ``slot`` of every key in the ``uint64`` array
+    ``keys``."""
+    return (_mix_array(keys + np.uint64((GAMMA * (slot + 1)) & _MASK)) >> 11).astype(np.float64) * _UNIT

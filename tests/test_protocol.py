@@ -464,8 +464,11 @@ def test_keyed_stream_known_answers():
         keys = stream.stream_keys(seed, np.array([pair, pair], dtype=np.uint64), lane)
         assert keys.dtype == np.uint64 and int(keys[0]) == draws.key
         for slot, u in enumerate(python):
-            batch = stream.uniforms(keys, np.array([slot, slot], dtype=np.uint64))
+            batch = stream.uniforms(keys, slot)
             assert batch.dtype == np.float64 and batch.tolist() == [u, u]
+        # Slots far past a round's reach, where GAMMA * (slot + 1) wraps.
+        for slot in (2**20, 2**63, 2**64 - 2):
+            assert stream.uniforms(keys, slot).tolist() == [stream.uniform(draws.key, slot)] * 2
 
 
 def _unmix(z: int) -> int:

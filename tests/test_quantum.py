@@ -36,6 +36,7 @@ from oracle import (
     mix,
     observable_matrix,
     pauli_matrix,
+    vector,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -290,12 +291,12 @@ def test_entanglement_swap_identity():
     for p in probs.values():
         assert p == pytest.approx(0.25, abs=1e-12)
 
-    vec = joint.amplitudes.reshape(2, 2, 2, 2)
+    vec = vector(joint).reshape(2, 2, 2, 2)
     for i, expected in enumerate(BELL_ORDER):
         outcome, residual = bell_measure(joint, 1, 2, (i + 0.5) / 4)
         assert outcome == expected
         # Projector oracle: contract <B|_{12} against the joint tensor.
-        b = bell_state(expected).amplitudes.reshape(2, 2).conj()
+        b = vector(bell_state(expected)).reshape(2, 2).conj()
         resid_oracle = np.einsum("ijkl,jk->il", vec, b).reshape(-1)
         resid_oracle = resid_oracle / np.linalg.norm(resid_oracle)
         assert abs(abs(np.vdot(resid_oracle, residual.amplitudes)) - 1.0) < 1e-12
@@ -338,11 +339,11 @@ def test_mix_equal_bell_mixture():
         ]
     )
     expected = 0.5 * np.outer(
-        bell_state(BellStateId.PSI_PLUS).amplitudes,
-        bell_state(BellStateId.PSI_PLUS).amplitudes.conj(),
+        vector(bell_state(BellStateId.PSI_PLUS)),
+        vector(bell_state(BellStateId.PSI_PLUS)).conj(),
     ) + 0.5 * np.outer(
-        bell_state(BellStateId.PHI_MINUS).amplitudes,
-        bell_state(BellStateId.PHI_MINUS).amplitudes.conj(),
+        vector(bell_state(BellStateId.PHI_MINUS)),
+        vector(bell_state(BellStateId.PHI_MINUS)).conj(),
     )
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
@@ -441,7 +442,7 @@ def test_separable_bound(seed):
 
 def test_equal_up_to_phase():
     psi = bell_state(BellStateId.PSI_PLUS)
-    rotated = PureState(psi.amplitudes * np.exp(1j * 0.83))
+    rotated = PureState(vector(psi) * np.exp(1j * 0.83))
     assert equal_up_to_phase(psi, rotated)
     assert not equal_up_to_phase(psi, bell_state(BellStateId.PHI_MINUS))
     assert not equal_up_to_phase(psi, ket("H"))
@@ -467,7 +468,7 @@ _MIN_BRANCH = 1e-15
 def _oracle_measure(state, qubit, obs, rand):
     """The uncached measure_qubit arithmetic, kept as the reference."""
     n = state.num_qubits
-    amps = state.amplitudes.tolist()
+    amps = state.amplitudes
     dim = 1 << n
     right = 1 << (n - 1 - qubit)
     block = right << 1
@@ -508,12 +509,12 @@ def _oracle_measure(state, qubit, obs, rand):
             q = cm * scale
             out[i0] = -s * q
             out[i1] = c * q
-    return outcome, np.asarray(out, dtype=complex), p_plus
+    return outcome, out, p_plus
 
 
 def _oracle_bell_coefficients(state, qubit_a, qubit_b):
     n = state.num_qubits
-    amps = state.amplitudes.tolist()
+    amps = state.amplitudes
     sa = 1 << (n - 1 - qubit_a)
     sb = 1 << (n - 1 - qubit_b)
     both = sa | sb
@@ -554,7 +555,13 @@ def _oracle_bell_measure(state, qubit_a, qubit_b, rand):
     if state.num_qubits == 2:
         return BELL_ORDER[chosen], None
     scale = 1.0 / math.sqrt(probs[chosen])
-    return BELL_ORDER[chosen], np.asarray([c * scale for c in coeffs[chosen]], dtype=complex)
+    return BELL_ORDER[chosen], [c * scale for c in coeffs[chosen]]
+
+
+def _bits(amplitudes):
+    """Each amplitude's real and imaginary parts in ``float.hex``, so that
+    equality is bit identity (a signed zero included)."""
+    return [(a.real.hex(), a.imag.hex()) for a in amplitudes]
 
 
 def _around(threshold):
@@ -604,7 +611,7 @@ def test_cached_transitions_equal_uncached_arithmetic(drawn, angle, u):
                 outcome, post = measure_qubit(state, qubit, obs, rand)
                 expected_outcome, expected_amps, _ = _oracle_measure(state, qubit, obs, rand)
                 assert outcome == expected_outcome
-                assert post.amplitudes.tobytes() == expected_amps.tobytes()
+                assert _bits(post.amplitudes) == _bits(expected_amps)
     for qa in range(n):
         for qb in range(n):
             if qa == qb:
@@ -622,11 +629,11 @@ def test_cached_transitions_equal_uncached_arithmetic(drawn, angle, u):
                 if expected_amps is None:
                     assert residual is None
                 else:
-                    assert residual.amplitudes.tobytes() == expected_amps.tobytes()
+                    assert _bits(residual.amplitudes) == _bits(expected_amps)
     for other in (ket("H"), bell_state(BellStateId.PSI_MINUS), random_pure_state(np.random.default_rng(1), 2)):
         if n + other.num_qubits <= 4:
-            expected = np.kron(state.amplitudes, other.amplitudes)
-            assert tensor(state, other).amplitudes.tobytes() == expected.tobytes()
+            expected = [x * y for x in state.amplitudes for y in other.amplitudes]
+            assert _bits(tensor(state, other).amplitudes) == _bits(expected)
 
 
 def test_measure_choice_of_a_bell_state_keeps_no_branch_below_min_branch():
@@ -659,14 +666,34 @@ def test_cached_transitions_return_the_same_read_only_states():
     outcome, post = measure_qubit(four, 2, Basis.X.observable, 0.3)
     assert measure_qubit(four, 2, Basis.X.observable, 0.3) == (outcome, post)
     assert measure_qubit(four, 2, Basis.X.observable, 0.3)[1] is post
-    # An equal state held by a different object hits the same entry.
-    assert measure_qubit(PureState(four.amplitudes), 2, Basis.X.observable, 0.3)[1] is post
     swapped, residual = bell_measure(four, 0, 3, 0.3)
     assert bell_measure(four, 0, 3, 0.3)[1] is residual
     for state in (four, post, residual, bell_state(BellStateId.PSI_PLUS)):
-        assert not state.amplitudes.flags.writeable
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.0
+        assert type(state.amplitudes) is tuple
+        with pytest.raises(AttributeError):
+            state.amplitudes = ()
+
+
+def test_transitions_of_equal_states_are_bit_identical():
+    # The caches key on the state object, so an equal state held by another
+    # object computes its own transitions; they equal the original's bit for
+    # bit, and the original still hits its own entries.
+    four = tensor(bell_state(BellStateId.PSI_PLUS), bell_state(BellStateId.PHI_MINUS))
+    copy = PureState(four.amplitudes)
+    transitions = [
+        *((quantum.measure_choice, (qubit, basis.observable)) for qubit in range(4) for basis in Basis),
+        *((quantum.bell_choice, pair) for pair in ((0, 3), (1, 2), (2, 0))),
+    ]
+    for transition, args in transitions:
+        original = transition(four, *args)
+        copied = transition(copy, *args)
+        assert copied is not original
+        assert list(map(float.hex, copied.cuts)) == list(map(float.hex, original.cuts))
+        assert len(copied.branches) == len(original.branches)
+        for (outcome, state), (copy_outcome, copy_state) in zip(original.branches, copied.branches):
+            assert copy_outcome == outcome
+            assert _bits(copy_state.amplitudes) == _bits(state.amplitudes)
+        assert transition(four, *args) is original
 
 
 def test_transition_caches_stay_under_their_cap():

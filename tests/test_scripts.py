@@ -42,3 +42,12 @@ def test_headline_numbers_prints_every_chsh_block():
 def test_evasion_sweep_runs():
     out = _run_script("evasion_sweep.py", "--trials", "200")
     assert "evasion probability at detection rate d = 0.25" in out
+
+
+def test_code_lines_total_is_the_sum_of_its_modules():
+    rows = [line.split() for line in _run_script("code_lines.py").splitlines()]
+    counts = {name: int(count) for name, count in rows}
+    total = counts.pop("total")
+    assert {"quantum", "protocol", "stream"} <= counts.keys()
+    assert all(count > 0 for count in counts.values())
+    assert total == sum(counts.values())
