@@ -181,6 +181,8 @@ class PureState:
     num_qubits: int
 
     def __init__(self, amplitudes) -> None:
+        if isinstance(amplitudes, str):
+            raise ValueError(f"amplitudes must be numbers, not the string {amplitudes!r}")
         amps = tuple(map(complex, amplitudes))
         n = len(amps).bit_length() - 1
         if len(amps) != (1 << n) or not (1 <= n <= MAX_QUBITS):

@@ -102,6 +102,8 @@ def test_pure_state_rejects_unnormalized_and_oversized():
         PureState([1.0] + [0.0] * 31)
     with pytest.raises(ValueError):
         PureState([math.nan, 0.0])
+    with pytest.raises(ValueError, match="not the string"):
+        PureState("10")
 
 
 # ---------------------------------------------------------------------------
