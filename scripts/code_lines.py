@@ -8,10 +8,9 @@ string statement anywhere else.  Lines are counted with ``tokenize``, so a
 line that only continues a docstring or a comment never counts, and a
 multi-line statement counts every line that carries one of its tokens.
 
-Usage: python scripts/code_lines.py [PACKAGE_DIR]
+Usage: python scripts/code_lines.py
 """
 
-import argparse
 import io
 import tokenize
 from pathlib import Path
@@ -38,10 +37,7 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("package", nargs="?", type=Path, default=PACKAGE, help="package directory")
-    args = parser.parse_args()
-    counts = {path.stem: code_lines(path.read_text()) for path in sorted(args.package.glob("*.py"))}
+    counts = {path.stem: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{name:<12} {count:>5}")
     print(f"{'total':<12} {sum(counts.values()):>5}")
