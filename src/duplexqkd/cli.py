@@ -19,8 +19,6 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import TextIO
 
-import numpy as np
-
 from .analysis import build_report
 from .attacks import EveLog
 from .config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
@@ -246,11 +244,11 @@ def records_to_csv(records: Iterable, handle: TextIO) -> None:
     suffixes: list[str | None] = [None] * len(records.leaves)
     start = 0
     for ids in records.leaf_ids():
-        for leaf in np.flatnonzero(np.bincount(ids, minlength=len(suffixes))).tolist():
+        for leaf in set(ids):
             if suffixes[leaf] is None:
                 suffixes[leaf] = _record_row(records.leaves[leaf])
         for lo in range(0, len(ids), _CSV_SLICE):
-            leaves = ids[lo : lo + _CSV_SLICE].tolist()
+            leaves = ids[lo : lo + _CSV_SLICE]
             handle.write("".join([f"{i},{suffixes[leaf]}" for i, leaf in enumerate(leaves, start + lo)]))
         start += len(ids)
 
@@ -467,11 +465,15 @@ def entry() -> int:
     What the imports built lives until the process exits, so it is frozen
     out of the collector (``gc.freeze``): neither the run's full collections
     nor interpreter teardown traverse it again.  Objects made during the run
-    are collected as before.  ``run_cli`` leaves the collector alone, so
-    tests and library callers keep theirs untouched.
+    are collected as before.  What is left when the run returns, numpy among
+    it if a long session imported it, is frozen too, so teardown skips it.
+    ``run_cli`` leaves the collector alone, so tests and library callers keep
+    theirs untouched.
     """
     gc.freeze()
-    return run_cli()
+    code = run_cli()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -38,18 +38,19 @@ place.
 
 A session (:class:`Session`) has only a few distinct rounds.  It replays
 the round function once per path of choices, forcing each branch in turn,
-and resolves every pair in numpy, by walking the trie of those choices with
-the pair's draws.
+and resolves every pair by walking the trie of those choices with the pair's
+draws: in plain Python for a session of at most one chunk (``CHUNK`` pairs),
+and in numpy, a chunk at a time, for a longer one.  Numpy is imported only
+when a longer session first walks, so a short run never loads it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .config import CheckKind, ProtocolKind, SimulationConfig
 from . import fourstate
@@ -464,7 +465,8 @@ def run_pair(
     )
 
 
-#: Pairs resolved together in one numpy pass over a session's trie.
+#: Pairs resolved together in one numpy pass over a session's trie; a
+#: session of at most this many pairs walks its trie in Python instead.
 CHUNK = 4096
 
 
@@ -476,13 +478,14 @@ class Session:
     replaying every branch: a node is one choice that ``u`` decides (the
     lane and slot it reads, its cut points), an edge is one of its branches,
     and a leaf holds the record of every round that takes that path.  Each
-    pair is resolved in numpy, a chunk of ``CHUNK`` pairs at a time, by
-    comparing its draws with the cut points, and iteration yields its
-    leaf's record itself: every pair that takes one path shares one
+    pair is resolved by comparing its draws with the cut points, in Python
+    pair by pair when the session has at most ``CHUNK`` pairs, and else in
+    numpy, a chunk of ``CHUNK`` pairs at a time.  Iteration yields the
+    pair's leaf's record itself: every pair that takes one path shares one
     record, an immutable value (its Eve log included), so no reader can
     change what another pair reports.
 
-    ``leaf_ids()`` yields the leaf of each pair, a chunk at a time,
+    ``leaf_ids()`` yields the leaf of each pair, a list per chunk,
     ``leaf_counts()`` the number of pairs per leaf, ``leaves`` holds one
     record per leaf and ``probabilities`` the chance that a pair reaches
     each leaf, so consumers can work per leaf instead of per pair.  The trie
@@ -548,41 +551,75 @@ class Session:
             self.probabilities.append(p)
             self._depth = max(self._depth, len(steps))
         self._root = top[0]
-        self._table = _walk_table(nodes, children, len(self.leaves))
-        self._lanes = range(1 + max(lane for lane, _ in self._table[0]))
+        self._nodes, self._children = nodes, children
+        self._lanes = range(1 + max(lane for lane, _, _ in nodes))
 
     def __iter__(self) -> Iterator[PairRecord]:
         for ids in self.leaf_ids():
-            yield from map(self.leaves.__getitem__, ids.tolist())
+            yield from map(self.leaves.__getitem__, ids)
 
-    def leaf_ids(self) -> Iterator[np.ndarray]:
-        """The leaf id of every pair, in pair order, one array per chunk of
+    def leaf_ids(self) -> Iterator[list[int]]:
+        """The leaf id of every pair, in pair order, one list per chunk of
         at most ``CHUNK`` pairs."""
-        config = self._config
-        for start in range(0, config.pairs, CHUNK):
-            pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
-            keys = np.stack([stream_keys(config.seed, pairs, lane) for lane in self._lanes])
-            yield -1 - self._walk(keys)
+        if self._config.pairs <= CHUNK:
+            yield self._python_walk()
+        else:
+            for ids in self._numpy_walk():
+                yield ids.tolist()
 
     def leaf_counts(self) -> list[int]:
         """How many pairs reach each leaf, in ``leaves`` order, from one
         walk of the whole session."""
+        if self._config.pairs <= CHUNK:
+            counts = Counter(self._python_walk())
+            return [counts[leaf] for leaf in range(len(self.leaves))]
+        import numpy as np
+
         counts = np.zeros(len(self.leaves), dtype=np.int64)
-        for ids in self.leaf_ids():
+        for ids in self._numpy_walk():
             counts += np.bincount(ids, minlength=len(self.leaves))
         return counts.tolist()
 
-    def _walk(self, keys: np.ndarray) -> np.ndarray:
+    def _python_walk(self) -> list[int]:
+        """The leaf id of every pair of the session: each pair keys the
+        lanes the trie reads, and at each node moves to the child that its
+        draw selects, by the rule of :meth:`Choice.pick`."""
+        seed, nodes, children = self._config.seed, self._nodes, self._children
+        ids = []
+        for pair in range(self._config.pairs):
+            keys = [stream_key(seed, pair, lane) for lane in self._lanes]
+            code = self._root
+            while code >= 0:
+                lane, slot, cuts = nodes[code]
+                code = children[code][bisect_right(cuts, uniform(keys[lane], slot))]
+            ids.append(-1 - code)
+        return ids
+
+    def _numpy_walk(self) -> Iterator:
+        """The leaf id of every pair, one numpy array per chunk of at most
+        ``CHUNK`` pairs."""
+        import numpy as np
+
+        table = _walk_table(self._nodes, self._children, len(self.leaves))
+        config = self._config
+        for start in range(0, config.pairs, CHUNK):
+            pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
+            keys = np.stack([stream_keys(config.seed, pairs, lane) for lane in self._lanes])
+            yield -1 - self._walk(keys, table)
+
+    def _walk(self, keys, table: tuple):
         """The leaf code each pair's draws lead to.  ``keys[lane]`` holds
-        the pairs' keys.
+        the pairs' keys and ``table`` is the trie's :func:`_walk_table`.
 
         Every pair takes ``_depth`` steps over the node table, in which a
         leaf is a row that leads back to itself.  Each step reads a pair's
         draw from its node's row of draws (one row per (lane, slot) the trie
         reads, drawn once for the whole chunk), counts the cuts at or below
         it and moves to that child."""
+        import numpy as np
+
         n = keys.shape[1]
-        draws, draw_row, cuts, child = self._table
+        draws, draw_row, cuts, child = table
         u = np.concatenate([uniforms(keys[lane], slot) for lane, slot in draws])
         at = draw_row * n
         pairs = np.arange(n)
@@ -604,6 +641,8 @@ def _walk_table(nodes: list, children: list, leaves: int) -> tuple:
     (flat, ``stride`` per row).  The nodes come first, then one row per
     leaf; these are in reverse code order, so a leaf's negative code indexes
     its own row from the end, and each holds its own code as every child."""
+    import numpy as np
+
     rows_of: dict[tuple[int, int], int] = {}
     draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in nodes]
     width = max(len(cuts) for _, _, cuts in nodes)

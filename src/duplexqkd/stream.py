@@ -14,15 +14,15 @@ counter-based style of Salmon et al. ("Parallel Random Numbers: As Easy as
 is a 53-bit double in [0, 1).  No draw depends on any other, so a pair can be
 replayed alone and many pairs can be drawn at once.
 
-The arithmetic is written twice: in Python integers for one round
-(:func:`stream_key`, :func:`uniform`) and in numpy ``uint64``, which wraps
-mod 2**64, for many pairs (:func:`stream_keys`, :func:`uniforms`).  The two agree bit for
-bit.  ``STREAM_VERSION`` names this definition in every report.
+The arithmetic is written twice: in Python integers (:func:`stream_key`,
+:func:`uniform`), which replays, single rounds and sessions of at most one
+chunk read, and in numpy ``uint64``, which wraps mod 2**64, for the chunks
+of a longer session (:func:`stream_keys`, :func:`uniforms`).  The two agree
+bit for bit.  Numpy is imported only when the second form is first called.
+``STREAM_VERSION`` names this definition in every report.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = ["LANES", "STREAM_VERSION", "stream_key", "stream_keys", "uniform", "uniforms"]
 
@@ -55,19 +55,25 @@ def uniform(key: int, slot: int) -> float:
     return (_mix((key + GAMMA * (slot + 1)) & _MASK) >> 11) * _UNIT
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
+def _mix_array(z):
+    import numpy as np
+
     z = (z ^ (z >> 30)) * np.uint64(_MIX1)
     z = (z ^ (z >> 27)) * np.uint64(_MIX2)
     return z ^ (z >> 31)
 
 
-def stream_keys(seed: int, pairs: np.ndarray, lane: int) -> np.ndarray:
+def stream_keys(seed: int, pairs, lane: int):
     """:func:`stream_key` of every pair index in the ``uint64`` array
     ``pairs``."""
+    import numpy as np
+
     return _mix_array(np.uint64(seed) + np.uint64(GAMMA) * (np.uint64(LANES) * pairs + np.uint64(lane + 1)))
 
 
-def uniforms(keys: np.ndarray, slot: int) -> np.ndarray:
+def uniforms(keys, slot: int):
     """:func:`uniform` of draw ``slot`` of every key in the ``uint64`` array
     ``keys``."""
+    import numpy as np
+
     return (_mix_array(keys + np.uint64((GAMMA * (slot + 1)) & _MASK)) >> 11).astype(np.float64) * _UNIT

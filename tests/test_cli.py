@@ -699,6 +699,38 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert child.stdout.strip() == "[]"
 
 
+def test_numpy_loads_only_when_a_session_outgrows_one_chunk(tmp_path):
+    # A session of at most ``CHUNK`` pairs walks its trie in Python, so
+    # neither importing the CLI nor a one-chunk run loads numpy; a longer
+    # session walks in numpy.
+    script = (
+        "import sys\n"
+        "from duplexqkd.cli import run_cli\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "code = run_cli(sys.argv[1:])\n"
+        "print(code, loaded, 'numpy' in sys.modules)\n"
+    )
+    for pairs, loaded in ((CHUNK, "False"), (CHUNK + 1, "True")):
+        out = tmp_path / f"{pairs}.csv"
+        flags = ["--attack", "qmm-swap", "--format", "csv", "--pairs", str(pairs), "--out", str(out)]
+        child = _spawn("-c", script, *flags)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["0", "False", loaded]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--attack", "qmm-swap", "--format", "csv"], ["--protocol", "modified", "--attack", "ir"]], ids=["csv", "json"]
+)
+def test_one_chunk_run_needs_no_numpy(flags, tmp_path):
+    # With numpy made unimportable, a one-chunk run writes what a normal
+    # run writes.
+    args = [*flags, "--pairs", str(CHUNK), "--seed", "3", "--control-prob", "0.4"]
+    blocked = "import sys; sys.modules['numpy'] = None; from duplexqkd.cli import entry; sys.exit(entry())"
+    assert _spawn("-c", blocked, *args, "--out", str(tmp_path / "blocked")).returncode == 0
+    assert _spawn("-m", "duplexqkd.cli", *args, "--out", str(tmp_path / "normal")).returncode == 0
+    assert (tmp_path / "blocked").read_bytes() == (tmp_path / "normal").read_bytes()
+
+
 def test_only_the_process_entry_freezes_the_collector(tmp_path):
     imported = _spawn("-c", "import gc, duplexqkd.cli; print(gc.get_freeze_count())")
     assert imported.returncode == 0, imported.stderr

@@ -547,15 +547,58 @@ def test_session_equals_standalone_rounds_at_full_chunk():
 def test_walk_keys_only_the_lanes_its_trie_reads(attack, lanes, monkeypatch):
     # The null adversary never draws, so an honest session keys the honest
     # lane alone; an attack that draws keys the adversary's lane as well.
+    # The numpy walk keys each chunk's lanes at once; the Python walk of a
+    # one-chunk session keys them pair by pair (replays key pair 0 too).
     requested = []
+    keyed = []
 
-    def spy(seed, pairs, lane):
+    def spy_keys(seed, pairs, lane):
         requested.append(lane)
         return stream.stream_keys(seed, pairs, lane)
 
-    monkeypatch.setattr("duplexqkd.protocol.stream_keys", spy)
+    def spy_key(seed, pair, lane):
+        if pair:
+            keyed.append(lane)
+        return stream.stream_key(seed, pair, lane)
+
+    monkeypatch.setattr("duplexqkd.protocol.stream_keys", spy_keys)
+    monkeypatch.setattr("duplexqkd.protocol.stream_key", spy_key)
+    list(run_session(_config(pairs=CHUNK + 1, control_probability=0.5, attack=attack)))
+    assert requested == lanes * 2
+    assert keyed == []
     list(run_session(_config(pairs=100, control_probability=0.5, attack=attack)))
-    assert requested == lanes
+    assert requested == lanes * 2
+    assert keyed == lanes * 99
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
+)
+def test_python_and_numpy_walks_agree(protocol, attack, check, monkeypatch):
+    # A one-chunk session walks in Python; a chunk size below its pair count
+    # makes the same session walk in numpy.  Both give the standalone rounds.
+    config = SimulationConfig(
+        pairs=CHUNK, control_probability=0.3, check_kind=check, attack=attack, seed=2028, protocol=protocol
+    )
+    session = run_session(config)
+    python_ids = list(session.leaf_ids())
+    monkeypatch.setattr("duplexqkd.protocol.CHUNK", 1000)
+    numpy_ids = [leaf for ids in session.leaf_ids() for leaf in ids]
+    assert [len(ids) for ids in python_ids] == [CHUNK]
+    assert numpy_ids == python_ids[0]
+    assert [session.leaves[leaf] for leaf in numpy_ids] == standalone_rounds(config)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.floats(0.0, 1.0), st.sampled_from(SESSION_CASES))
+def test_python_and_numpy_walks_agree_at_drawn_seeds(seed, control, case):
+    protocol, attack, check = case
+    session = run_session(SimulationConfig(
+        pairs=300, control_probability=control, check_kind=check, attack=attack, seed=seed, protocol=protocol
+    ))
+    numpy_ids = [leaf for ids in session._numpy_walk() for leaf in ids.tolist()]
+    assert session._python_walk() == numpy_ids
+    assert session.leaf_counts() == [numpy_ids.count(leaf) for leaf in range(len(session.leaves))]
 
 
 class _PairCounter(Adversary):
