@@ -719,7 +719,9 @@ def test_numpy_loads_only_when_a_session_outgrows_one_chunk(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--attack", "qmm-swap", "--format", "csv"], ["--protocol", "modified", "--attack", "ir"]], ids=["csv", "json"]
+    "flags",
+    [["--attack", "qmm-swap", "--format", "csv"], ["--protocol", "modified", "--attack", "ir"]],
+    ids=["csv", "json"],
 )
 def test_one_chunk_run_needs_no_numpy(flags, tmp_path):
     # With numpy made unimportable, a one-chunk run writes what a normal
