@@ -71,7 +71,7 @@ from .quantum import (
     measure_qubit,
     tensor,
 )
-from .stream import LANES, stream_key, stream_keys, uniform, uniforms
+from .stream import LANES, stream_key, uniform
 from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -344,53 +344,24 @@ def pair_stream(seed: int, pair_index: int, lane: int = _HONEST_LANE) -> Lane:
     return Lane(seed, pair_index, lane)
 
 
-class _Round:
-    """The scaffold every round of either protocol shares: the pair's honest
-    and adversary lanes, the live qubits and the channel adversary's hooks.
-    Every qubit in transit and every public announcement passes through
-    those hooks, and the round keeps no other copy of them.  A round always
-    has an adversary; with no attack it is the null
-    :class:`~duplexqkd.attacks.Adversary`, which forwards the qubits
-    untouched, never draws from ``eve`` and logs an empty ``EveLog``.  In a
-    replay both lanes share ``replay`` (see :class:`Lane`)."""
-
-    __slots__ = ("system", "honest", "eve", "_adversary")
-
-    def __init__(self, config: SimulationConfig, adversary: "Adversary", pair_index: int, replay: tuple | None) -> None:
-        self.system = PairSystem()
-        self.honest = Lane(config.seed, pair_index, _HONEST_LANE, replay)
-        self.eve = Lane(config.seed, pair_index, _EVE_LANE, replay)
-        self._adversary = adversary
-
-    def send_first(self, bob_state: BellStateId) -> str:
-        """Bob prepares his pair and the first half crosses the channel;
-        returns the handle of the qubit Alice receives."""
-        self.system.add_pair(bob_state, "bob0", "bob1")
-        self._adversary.begin_pair()
-        return self._adversary.relay_qubit(self.system, "bob0", 1, self.eve)
-
-    def send_second(self) -> str:
-        """The second half crosses the channel to Alice."""
-        return self._adversary.relay_qubit(self.system, "bob1", 2, self.eve)
-
-    def announce(self, message) -> None:
-        self._adversary.hear(self.system, message, self.eve)
-
-    def end(self) -> "EveLog":
-        return self._adversary.end_pair(self.system, self.eve)
-
-
 def run_pair(
     config: SimulationConfig, adversary: "Adversary", pair_index: int, *, _replay: tuple | None = None
 ) -> PairRecord:
     """Execute one round of either protocol; deterministic given (config,
-    pair_index, adversary type).  ``adversary`` is the session's, its
-    ``begin_session`` already called (the null ``Adversary`` for no
-    attack).  With ``_replay``, the round replays one path of its session's
-    trie instead of reading its draws (see :class:`Lane`)."""
-    round_ = _Round(config, adversary, pair_index, _replay)
-    honest = round_.honest
-    system = round_.system
+    pair_index, adversary type).
+
+    ``adversary`` is the session's, its ``begin_session`` already called.
+    A round always has one: with no attack it is the null
+    :class:`~duplexqkd.attacks.Adversary`, which forwards the qubits
+    untouched, never draws from the adversary's lane and logs an empty
+    ``EveLog``.  Its hooks are the whole channel: every qubit in transit
+    (``bob0`` on leg 1, ``bob1`` on leg 2) and every public announcement
+    passes through them, and the round keeps no other copy of either.  With
+    ``_replay``, the round replays one path of its session's trie instead
+    of reading its draws, and both lanes share it (see :class:`Lane`)."""
+    system = PairSystem()
+    honest = Lane(config.seed, pair_index, _HONEST_LANE, _replay)
+    eve = Lane(config.seed, pair_index, _EVE_LANE, _replay)
 
     # Bob's state choice, from his protocol's alphabet.
     bob_state = honest.choose(BOB_STATE_CHOICE[config.protocol])
@@ -404,15 +375,18 @@ def run_pair(
         mode = Mode.MESSAGE
     four_state_message = mode is Mode.MESSAGE and config.protocol is ProtocolKind.MODIFIED
 
-    first = round_.send_first(bob_state)
+    # Bob prepares his pair and the first half crosses the channel.
+    system.add_pair(bob_state, "bob0", "bob1")
+    adversary.begin_pair()
+    first = adversary.relay_qubit(system, "bob0", 1, eve)
 
     alice_basis: Basis | None = None
     alice_setting = alice_angle = bob_setting = bob_angle = alice_bell_outcome = alice_target = None
     if four_state_message:
         # Alice acknowledges the first half, reads Bob's two bits with a
         # Bell measurement of both and picks the target she will encode.
-        round_.announce(ReceiptAck())
-        alice_bell_outcome = system.bell_measure_pair(first, round_.send_second(), honest)
+        adversary.hear(system, ReceiptAck(), eve)
+        alice_bell_outcome = system.bell_measure_pair(first, adversary.relay_qubit(system, "bob1", 2, eve), honest)
         alice_target = honest.choose(BOB_STATE_CHOICE[ProtocolKind.MODIFIED])
         outcomes: tuple[Outcome, ...] = ()
     else:
@@ -426,27 +400,27 @@ def run_pair(
             alice_basis = honest.choose(BASIS_CHOICE)
             first_obs = alice_basis.observable
         outcome_1 = system.measure(first, first_obs, honest)
-        round_.announce(MeasuredFirst(control=control))
+        adversary.hear(system, MeasuredFirst(control=control), eve)
 
         if mode is Mode.CONTROL_CHSH:
             # Bob keeps the second half and measures locally.
             bob_setting = honest.choose(SETTING_CHOICE)
             bob_angle = config.settings.bob_angles[bob_setting]
             outcome_2 = system.measure("bob1", PlanarObservable(bob_angle), honest)
-            round_.announce(ControlDisclosure(setting=alice_angle, outcome=outcome_1))
-            round_.announce(ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state))
+            adversary.hear(system, ControlDisclosure(setting=alice_angle, outcome=outcome_1), eve)
+            adversary.hear(system, ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state), eve)
         else:
             # Message and error-check rounds: the second half travels to
             # Alice, who measures it in her first basis.
-            outcome_2 = system.measure(round_.send_second(), first_obs, honest)
+            outcome_2 = system.measure(adversary.relay_qubit(system, "bob1", 2, eve), first_obs, honest)
         outcomes = (outcome_1, outcome_2)
     derived = derived_fields(config.protocol, mode, bob_state, alice_basis, outcomes, alice_bell_outcome, alice_target)
     if four_state_message:
-        round_.announce(PauliAnnouncement(op=derived["alice_pauli"]))
+        adversary.hear(system, PauliAnnouncement(op=derived["alice_pauli"]), eve)
     elif mode is Mode.MESSAGE:
-        round_.announce(CorrelationAnnouncement(correlated=derived["correlated"]))
+        adversary.hear(system, CorrelationAnnouncement(correlated=derived["correlated"]), eve)
     elif mode is Mode.CONTROL_QBER:
-        round_.announce(QberDisclosure(basis=alice_basis, correlated=derived["correlated"]))
+        adversary.hear(system, QberDisclosure(basis=alice_basis, correlated=derived["correlated"]), eve)
 
     return PairRecord(
         protocol=config.protocol,
@@ -460,7 +434,7 @@ def run_pair(
         outcomes=outcomes,
         alice_bell_outcome=alice_bell_outcome,
         alice_target=alice_target,
-        eve_log=round_.end(),
+        eve_log=adversary.end_pair(system, eve),
         **derived,
     )
 
@@ -597,31 +571,50 @@ class Session:
 
     def _numpy_walk(self) -> Iterator:
         """The leaf id of every pair, one numpy array per chunk of at most
-        ``CHUNK`` pairs."""
+        ``CHUNK`` pairs.
+
+        The walk reads the trie as a node table: the nodes come first, then
+        one row per leaf, in reverse code order, so a leaf's negative code
+        indexes its own row from the end, and a leaf holds its own code as
+        every child.  Per row the table holds its row of draws (one per
+        (lane, slot) the trie reads), its cuts (one array per cut, padded
+        with +inf) and its children (flat, one more than the cuts per
+        row)."""
         import numpy as np
 
-        table = _walk_table(self._nodes, self._children, len(self.leaves))
+        nodes, leaves = self._nodes, len(self.leaves)
+        rows_of: dict[tuple[int, int], int] = {}
+        draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in nodes]
+        width = max(len(cuts) for _, _, cuts in nodes)
+        cuts = np.full((width, len(nodes) + leaves), np.inf)
+        for node, (_, _, node_cuts) in enumerate(nodes):
+            cuts[: len(node_cuts), node] = node_cuts
+        child = [row + [0] * (width + 1 - len(row)) for row in self._children]
+        child += [[end] * (width + 1) for end in range(-leaves, 0)]
+        draws = list(rows_of)
+        at_row = np.array(draw_row + [0] * leaves, dtype=np.intp)
+        child = np.array(child, dtype=np.intp).ravel()
         config = self._config
         for start in range(0, config.pairs, CHUNK):
             pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
-            keys = np.stack([stream_keys(config.seed, pairs, lane) for lane in self._lanes])
-            yield -1 - self._walk(keys, table)
+            keys = [stream_key(config.seed, pairs, lane) for lane in self._lanes]
+            yield -1 - self._walk(keys, draws, at_row, cuts, child)
 
-    def _walk(self, keys, table: tuple):
-        """The leaf code each pair's draws lead to.  ``keys[lane]`` holds
-        the pairs' keys and ``table`` is the trie's :func:`_walk_table`.
+    def _walk(self, keys: list, draws: list, at_row, cuts, child):
+        """The leaf code each pair's draws lead to, over the node table of
+        :meth:`_numpy_walk`.  ``keys[lane]`` holds the pairs' keys,
+        ``draws`` the (lane, slot) of each row of draws and ``at_row`` the
+        row of draws of each row of the table.
 
-        Every pair takes ``_depth`` steps over the node table, in which a
-        leaf is a row that leads back to itself.  Each step reads a pair's
-        draw from its node's row of draws (one row per (lane, slot) the trie
-        reads, drawn once for the whole chunk), counts the cuts at or below
-        it and moves to that child."""
+        Every pair takes ``_depth`` steps over the table, in which a leaf is
+        a row that leads back to itself.  Each step reads a pair's draw from
+        the row of draws of its node (drawn once for the whole chunk), counts
+        the cuts at or below it and moves to that child."""
         import numpy as np
 
-        n = keys.shape[1]
-        draws, draw_row, cuts, child = table
-        u = np.concatenate([uniforms(keys[lane], slot) for lane, slot in draws])
-        at = draw_row * n
+        n = len(keys[0])
+        u = np.concatenate([uniform(keys[lane], slot) for lane, slot in draws])
+        at = at_row * n
         pairs = np.arange(n)
         stride = len(cuts) + 1
         code = np.full(n, self._root, dtype=np.intp)
@@ -632,32 +625,6 @@ class Session:
                 flat += d >= cut[code]
             code = child[flat]
         return code
-
-
-def _walk_table(nodes: list, children: list, leaves: int) -> tuple:
-    """A session's trie as arrays for :meth:`Session._walk`: the lane and
-    slot of each row of draws, and per row of the node table its row of
-    draws, its cuts (one array per cut, padded with +inf) and its children
-    (flat, ``stride`` per row).  The nodes come first, then one row per
-    leaf; these are in reverse code order, so a leaf's negative code indexes
-    its own row from the end, and each holds its own code as every child."""
-    import numpy as np
-
-    rows_of: dict[tuple[int, int], int] = {}
-    draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in nodes]
-    width = max(len(cuts) for _, _, cuts in nodes)
-    ends = range(-leaves, 0)
-    cuts = np.full((width, len(nodes) + leaves), np.inf)
-    for node, (_, _, node_cuts) in enumerate(nodes):
-        cuts[: len(node_cuts), node] = node_cuts
-    child = [row + [0] * (width + 1 - len(row)) for row in children]
-    child += [[end] * (width + 1) for end in ends]
-    return (
-        list(rows_of),
-        np.array(draw_row + [0] * leaves, dtype=np.intp),
-        cuts,
-        np.array(child, dtype=np.intp).ravel(),
-    )
 
 
 def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) -> Session:

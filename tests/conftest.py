@@ -36,30 +36,39 @@ class Wiretap(Adversary):
     to ``inner`` (the null ``Adversary`` by default), so the attack runs
     unchanged.  ``rounds[k]`` is the k-th round's trace, in hook order:
     ``("qubit", leg)`` for each qubit relayed and ``("announcement",
-    message)`` for each message heard.  A session replays each of its
-    leaves once, so there the k-th round is ``session.leaves[k]``'s."""
+    message)`` for each message heard.  ``hooks`` is every round's trace
+    in call order, each opened by ``("begin_pair",)`` and closed by
+    ``("end_pair",)``.  A session replays each of its leaves once, so there
+    the k-th round is ``session.leaves[k]``'s."""
 
     def __init__(self, inner: Adversary | None = None) -> None:
         self.inner = inner or Adversary()
         self.rounds: list[list[tuple]] = []
+        self.hooks: list[tuple] = []
 
     def begin_session(self, config):
         self.inner.begin_session(config)
 
     def begin_pair(self):
+        self.hooks.append(("begin_pair",))
         self.rounds.append([])
         self.inner.begin_pair()
 
     def relay_qubit(self, system, handle, leg, lane):
-        self.rounds[-1].append(("qubit", leg))
+        self._record(("qubit", leg))
         return self.inner.relay_qubit(system, handle, leg, lane)
 
     def hear(self, system, message, lane):
-        self.rounds[-1].append(("announcement", message))
+        self._record(("announcement", message))
         self.inner.hear(system, message, lane)
 
     def end_pair(self, system, lane):
+        self.hooks.append(("end_pair",))
         return self.inner.end_pair(system, lane)
+
+    def _record(self, event: tuple) -> None:
+        self.rounds[-1].append(event)
+        self.hooks.append(event)
 
     def announcements(self, k: int = -1) -> list:
         """The messages heard in round ``k``, in order."""

@@ -20,8 +20,9 @@ from duplexqkd.analysis import (
     estimate_qber,
     evasion_probability,
 )
-from duplexqkd.attacks import Adversary
+from duplexqkd.attacks import Adversary, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ConfigFieldError, DEFAULT_SETTINGS, ProtocolKind, SimulationConfig
+from duplexqkd.fourstate import PauliAnnouncement, ReceiptAck
 from duplexqkd.protocol import (
     BASIS_CHOICE,
     BIT_BASIS,
@@ -191,6 +192,54 @@ def test_control_rounds_announce_measured_first_first():
                 assert announcements[2].state_id == record.bob_state
             elif record.mode is Mode.CONTROL_QBER:
                 assert [type(m) for m in announcements[1:]] == [QberDisclosure]
+
+
+def _expected_hooks(record: PairRecord) -> list[tuple]:
+    """The adversary hooks a round calls, in order, read off its record."""
+    if record.protocol is ProtocolKind.MODIFIED and record.mode is Mode.MESSAGE:
+        middle = [
+            ("announcement", ReceiptAck()),
+            ("qubit", 2),
+            ("announcement", PauliAnnouncement(op=record.alice_pauli)),
+        ]
+    elif record.mode is Mode.CONTROL_CHSH:
+        middle = [
+            ("announcement", MeasuredFirst(control=True)),
+            ("announcement", ControlDisclosure(setting=record.alice_angle, outcome=record.outcomes[0])),
+            ("announcement", ControlDisclosure(
+                setting=record.bob_angle, outcome=record.outcomes[1], state_id=record.bob_state
+            )),
+        ]
+    elif record.mode is Mode.CONTROL_QBER:
+        middle = [
+            ("announcement", MeasuredFirst(control=True)),
+            ("qubit", 2),
+            ("announcement", QberDisclosure(basis=record.alice_basis, correlated=record.correlated)),
+        ]
+    else:
+        middle = [
+            ("announcement", MeasuredFirst(control=False)),
+            ("qubit", 2),
+            ("announcement", CorrelationAnnouncement(correlated=record.correlated)),
+        ]
+    return [("begin_pair",), ("qubit", 1), *middle, ("end_pair",)]
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
+)
+def test_every_round_calls_its_hooks_in_order(protocol, attack, check):
+    # The whole hook trace of every leaf, one replay each: begin_pair before
+    # the first leg, then each leg and message in protocol order, and
+    # end_pair last, with no hook between two rounds.
+    config = SimulationConfig(
+        pairs=300, control_probability=0.5, check_kind=check, attack=attack, seed=2029, protocol=protocol
+    )
+    tap = Wiretap(build_adversary(attack))
+    session = run_session(config, tap)
+    control = Mode.CONTROL_CHSH if check is CheckKind.CHSH else Mode.CONTROL_QBER
+    assert {record.mode for record in session.leaves} == {Mode.MESSAGE, control}
+    assert tap.hooks == [hook for record in session.leaves for hook in _expected_hooks(record)]
 
 
 def test_measured_first_reveals_no_basis_or_outcome():
@@ -461,14 +510,16 @@ def test_keyed_stream_known_answers():
         python = [stream.uniform(draws.key, slot) for slot in range(len(expected))]
         assert [u * 2**53 for u in python] == list(expected)
         assert all(0.0 <= u < 1.0 for u in python)
-        keys = stream.stream_keys(seed, np.array([pair, pair], dtype=np.uint64), lane)
-        assert keys.dtype == np.uint64 and int(keys[0]) == draws.key
+        # The same functions over uint64 arrays, bit for bit.
+        keys = stream.stream_key(seed, np.array([pair, pair], dtype=np.uint64), lane)
+        assert keys.dtype == np.uint64 and keys.tolist() == [draws.key] * 2
         for slot, u in enumerate(python):
-            batch = stream.uniforms(keys, slot)
+            batch = stream.uniform(keys, slot)
             assert batch.dtype == np.float64 and batch.tolist() == [u, u]
         # Slots far past a round's reach, where GAMMA * (slot + 1) wraps.
         for slot in (2**20, 2**63, 2**64 - 2):
-            assert stream.uniforms(keys, slot).tolist() == [stream.uniform(draws.key, slot)] * 2
+            batch = stream.uniform(keys, slot)
+            assert batch.dtype == np.float64 and batch.tolist() == [stream.uniform(draws.key, slot)] * 2
 
 
 def _unmix(z: int) -> int:
@@ -547,21 +598,20 @@ def test_session_equals_standalone_rounds_at_full_chunk():
 def test_walk_keys_only_the_lanes_its_trie_reads(attack, lanes, monkeypatch):
     # The null adversary never draws, so an honest session keys the honest
     # lane alone; an attack that draws keys the adversary's lane as well.
-    # The numpy walk keys each chunk's lanes at once; the Python walk of a
-    # one-chunk session keys them pair by pair (replays key pair 0 too).
+    # The numpy walk keys each chunk's lanes at once, with an array of
+    # pairs; the Python walk of a one-chunk session keys them pair by pair
+    # (replays key pair 0 too).
     requested = []
     keyed = []
 
-    def spy_keys(seed, pairs, lane):
-        requested.append(lane)
-        return stream.stream_keys(seed, pairs, lane)
-
     def spy_key(seed, pair, lane):
-        if pair:
-            keyed.append(lane)
+        if isinstance(pair, int):
+            if pair:
+                keyed.append(lane)
+        else:
+            requested.append(lane)
         return stream.stream_key(seed, pair, lane)
 
-    monkeypatch.setattr("duplexqkd.protocol.stream_keys", spy_keys)
     monkeypatch.setattr("duplexqkd.protocol.stream_key", spy_key)
     list(run_session(_config(pairs=CHUNK + 1, control_probability=0.5, attack=attack)))
     assert requested == lanes * 2
@@ -590,7 +640,9 @@ def test_python_and_numpy_walks_agree(protocol, attack, check, monkeypatch):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.floats(0.0, 1.0), st.sampled_from(SESSION_CASES))
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1), st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(SESSION_CASES)
+)
 def test_python_and_numpy_walks_agree_at_drawn_seeds(seed, control, case):
     protocol, attack, check = case
     session = run_session(SimulationConfig(
