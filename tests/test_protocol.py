@@ -605,11 +605,10 @@ def test_walk_keys_only_the_lanes_its_trie_reads(attack, lanes, monkeypatch):
     keyed = []
 
     def spy_key(seed, pair, lane):
-        if isinstance(pair, int):
-            if pair:
-                keyed.append(lane)
-        else:
+        if not isinstance(pair, int):
             requested.append(lane)
+        elif pair:
+            keyed.append(lane)
         return stream.stream_key(seed, pair, lane)
 
     monkeypatch.setattr("duplexqkd.protocol.stream_key", spy_key)
