@@ -38,10 +38,12 @@ place.
 
 A session (:class:`Session`) has only a few distinct rounds.  It replays
 the round function once per path of choices, forcing each branch in turn,
-and resolves every pair by walking the trie of those choices with the pair's
-draws: in plain Python for a session of at most one chunk (``CHUNK`` pairs),
-and in numpy, a chunk at a time, for a longer one.  Numpy is imported only
-when a longer session first walks, so a short run never loads it.
+and resolves every pair from its draws.  A session of at most one chunk
+(``CHUNK`` pairs) walks the trie of those choices in plain Python, pair by
+pair.  A longer one turns the trie into a bucket table, in which each
+(lane, slot) the trie reads is one dimension, and resolves a chunk of pairs
+at a time in numpy with one lookup per pair.  Numpy is imported only when a
+longer session first walks, so a short run never loads it.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .quantum import (
     measure_qubit,
     tensor,
 )
-from .stream import LANES, stream_key, uniform
+from .stream import LANES, draw_bits, stream_key, threshold_bits, uniform
 from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -452,12 +454,15 @@ class Session:
     replaying every branch: a node is one choice that ``u`` decides (the
     lane and slot it reads, its cut points), an edge is one of its branches,
     and a leaf holds the record of every round that takes that path.  Each
-    pair is resolved by comparing its draws with the cut points, in Python
-    pair by pair when the session has at most ``CHUNK`` pairs, and else in
-    numpy, a chunk of ``CHUNK`` pairs at a time.  Iteration yields the
-    pair's leaf's record itself: every pair that takes one path shares one
-    record, an immutable value (its Eve log included), so no reader can
-    change what another pair reports.
+    pair is resolved by comparing its draws with the cut points.  When the
+    session has at most ``CHUNK`` pairs, it walks the trie in Python pair by
+    pair.  Otherwise it builds a bucket table from the trie (the cuts of
+    each (lane, slot) split [0, 1) into buckets, and the table holds the
+    leaf of each tuple of buckets) and looks up a chunk of ``CHUNK`` pairs
+    at a time in numpy.  Iteration yields the pair's leaf's record itself:
+    every pair that takes one path shares one record, an immutable value
+    (its Eve log included), so no reader can change what another pair
+    reports.
 
     ``leaf_ids()`` yields the leaf of each pair, a list per chunk,
     ``leaf_counts()`` the number of pairs per leaf, ``leaves`` holds one
@@ -496,7 +501,6 @@ class Session:
         # each distinct cut, since ``bisect_right`` skips the zero-width
         # interval between equal cuts.
         todo: list[tuple] = [((), [], top, 0, 1.0)]
-        self._depth = 0
         while todo:
             forced, expected, row, branch, p = todo.pop()
             path: list = []
@@ -523,7 +527,6 @@ class Session:
             row[branch] = -1 - len(self.leaves)
             self.leaves.append(record)
             self.probabilities.append(p)
-            self._depth = max(self._depth, len(steps))
         self._root = top[0]
         self._nodes, self._children = nodes, children
         self._lanes = range(1 + max(lane for lane, _, _ in nodes))
@@ -573,58 +576,61 @@ class Session:
         """The leaf id of every pair, one numpy array per chunk of at most
         ``CHUNK`` pairs.
 
-        The walk reads the trie as a node table: the nodes come first, then
-        one row per leaf, in reverse code order, so a leaf's negative code
-        indexes its own row from the end, and a leaf holds its own code as
-        every child.  Per row the table holds its row of draws (one per
-        (lane, slot) the trie reads), its cuts (one array per cut, padded
-        with +inf) and its children (flat, one more than the cuts per
-        row)."""
+        The walk reads the trie as a bucket table.  Each (lane, slot) the
+        trie reads is one row, and the sorted distinct cuts of that row's
+        nodes split [0, 1) into its buckets, so a pair's draw falls in one
+        bucket per row.  The table has one dimension per row and holds, at
+        each tuple of buckets, the leaf that a pair with draws in those
+        buckets reaches.  A pair then costs, per row, one draw and a count
+        of the row's thresholds at or below it, and one gather in the
+        table.  The thresholds are :func:`~duplexqkd.stream.threshold_bits`
+        of the cuts, so a pair's 64-bit draw reaches one exactly when its
+        uniform reaches the cut, the rule of :meth:`Choice.pick`."""
         import numpy as np
 
-        nodes, leaves = self._nodes, len(self.leaves)
-        rows_of: dict[tuple[int, int], int] = {}
-        draw_row = [rows_of.setdefault((lane, slot), len(rows_of)) for lane, slot, _ in nodes]
-        width = max(len(cuts) for _, _, cuts in nodes)
-        cuts = np.full((width, len(nodes) + leaves), np.inf)
-        for node, (_, _, node_cuts) in enumerate(nodes):
-            cuts[: len(node_cuts), node] = node_cuts
-        child = [row + [0] * (width + 1 - len(row)) for row in self._children]
-        child += [[end] * (width + 1) for end in range(-leaves, 0)]
-        draws = list(rows_of)
-        at_row = np.array(draw_row + [0] * leaves, dtype=np.intp)
-        child = np.array(child, dtype=np.intp).ravel()
+        rows, table = self._bucket_table()
         config = self._config
         for start in range(0, config.pairs, CHUNK):
             pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
             keys = [stream_key(config.seed, pairs, lane) for lane in self._lanes]
-            yield -1 - self._walk(keys, draws, at_row, cuts, child)
+            at = np.zeros(len(pairs), dtype=np.intp)
+            for lane, slot, thresholds in rows:
+                bits = draw_bits(keys[lane], slot)
+                at *= len(thresholds) + 1
+                for threshold in thresholds:
+                    at += bits >= threshold
+            yield table[at]
 
-    def _walk(self, keys: list, draws: list, at_row, cuts, child):
-        """The leaf code each pair's draws lead to, over the node table of
-        :meth:`_numpy_walk`.  ``keys[lane]`` holds the pairs' keys,
-        ``draws`` the (lane, slot) of each row of draws and ``at_row`` the
-        row of draws of each row of the table.
-
-        Every pair takes ``_depth`` steps over the table, in which a leaf is
-        a row that leads back to itself.  Each step reads a pair's draw from
-        the row of draws of its node (drawn once for the whole chunk), counts
-        the cuts at or below it and moves to that child."""
+    def _bucket_table(self) -> tuple[list, object]:
+        """The rows of the bucket table, each as (lane, slot, thresholds),
+        and the table itself, flattened.  A depth-first pass gives each leaf
+        its box: the buckets of the branch its path takes at each row it
+        reads, and every bucket of the rows it does not read.  The boxes
+        partition the table, so one slice assignment per leaf fills it."""
         import numpy as np
 
-        n = len(keys[0])
-        u = np.concatenate([uniform(keys[lane], slot) for lane, slot in draws])
-        at = at_row * n
-        pairs = np.arange(n)
-        stride = len(cuts) + 1
-        code = np.full(n, self._root, dtype=np.intp)
-        for _ in range(self._depth):
-            d = u[at[code] + pairs]
-            flat = code * stride
-            for cut in cuts:
-                flat += d >= cut[code]
-            code = child[flat]
-        return code
+        cuts_of: dict[tuple[int, int], set[float]] = {}
+        for lane, slot, cuts in self._nodes:
+            cuts_of.setdefault((lane, slot), set()).update(cuts)
+        row_of = {draw: row for row, draw in enumerate(cuts_of)}
+        # Per row, the lower edge of each bucket, then 1.0.
+        edges = [(0.0, *sorted(cuts), 1.0) for cuts in cuts_of.values()]
+        table = np.empty([len(row_edges) - 1 for row_edges in edges], dtype=np.intp)
+        todo = [(self._root, (slice(None),) * len(edges))]
+        while todo:
+            code, box = todo.pop()
+            if code < 0:
+                table[box] = -1 - code
+                continue
+            lane, slot, cuts = self._nodes[code]
+            row, bounds = row_of[lane, slot], (0.0, *cuts, 1.0)
+            for branch, child in enumerate(self._children[code]):
+                lower, upper = bounds[branch : branch + 2]
+                if lower < upper:  # a zero-width branch has no bucket and no child
+                    span = slice(edges[row].index(lower), edges[row].index(upper))
+                    todo.append((child, box[:row] + (span,) + box[row + 1 :]))
+        thresholds = [[np.uint64(threshold_bits(cut)) for cut in row_edges[1:-1]] for row_edges in edges]
+        return [(*draw, row) for draw, row in zip(cuts_of, thresholds)], table.ravel()
 
 
 def run_session(config: SimulationConfig, adversary: "Adversary | None" = None) -> Session:

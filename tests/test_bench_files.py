@@ -17,6 +17,14 @@ def test_a_perf_trajectory_is_committed():
     assert BENCH_FILES
 
 
+def test_the_trajectory_has_no_gap_since_bench_21():
+    # Every change from the 21st on commits its file, so the numbers run
+    # without a gap from 21 to the highest one.
+    numbers = {int(path.stem.removeprefix("BENCH_")) for path in BENCH_FILES}
+    missing = set(range(21, max(numbers) + 1)) - numbers
+    assert not missing, sorted(f"BENCH_{n}.json" for n in missing)
+
+
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
 def test_bench_file_has_parent_and_change_results(path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

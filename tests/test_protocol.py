@@ -510,16 +510,25 @@ def test_keyed_stream_known_answers():
         python = [stream.uniform(draws.key, slot) for slot in range(len(expected))]
         assert [u * 2**53 for u in python] == list(expected)
         assert all(0.0 <= u < 1.0 for u in python)
+        # The 64-bit draws that the uniforms keep the top 53 bits of.
+        bits = [stream.draw_bits(draws.key, slot) for slot in range(len(expected))]
+        assert all(0 <= b < 2**64 for b in bits)
+        assert [b >> 11 for b in bits] == list(expected)
         # The same functions over uint64 arrays, bit for bit.
         keys = stream.stream_key(seed, np.array([pair, pair], dtype=np.uint64), lane)
         assert keys.dtype == np.uint64 and keys.tolist() == [draws.key] * 2
         for slot, u in enumerate(python):
             batch = stream.uniform(keys, slot)
             assert batch.dtype == np.float64 and batch.tolist() == [u, u]
+            batch = stream.draw_bits(keys, slot)
+            assert batch.dtype == np.uint64 and batch.tolist() == [bits[slot]] * 2
         # Slots far past a round's reach, where GAMMA * (slot + 1) wraps.
         for slot in (2**20, 2**63, 2**64 - 2):
             batch = stream.uniform(keys, slot)
             assert batch.dtype == np.float64 and batch.tolist() == [stream.uniform(draws.key, slot)] * 2
+            batch = stream.draw_bits(keys, slot)
+            assert batch.dtype == np.uint64 and batch.tolist() == [stream.draw_bits(draws.key, slot)] * 2
+        assert keys.tolist() == [draws.key] * 2, "a draw overwrote its keys"
 
 
 def _unmix(z: int) -> int:
@@ -537,12 +546,51 @@ def _unmix(z: int) -> int:
     return unshift(z, 30)
 
 
+def _key_drawing(bits: int, slot: int) -> int:
+    """A key whose draw ``slot`` has the 64 bits ``bits``."""
+    return (_unmix(bits) - stream.GAMMA * (slot + 1)) % 2**64
+
+
 def _seed_with_zero_draw(slot: int, low: int) -> int:
     """A seed whose pair 0 draws exactly 0.0 at ``slot`` of the honest lane:
     a draw keeps the top 53 bits of ``_mix(key + GAMMA * (slot + 1))``, so
     each finalizer output ``low`` below 2**11 gives one such seed."""
-    key = (_unmix(low) - stream.GAMMA * (slot + 1)) % 2**64
-    return (_unmix(key) - stream.GAMMA) % 2**64
+    return (_unmix(_key_drawing(low, slot)) - stream.GAMMA) % 2**64
+
+
+def _assert_threshold_exact(cut: float) -> None:
+    # The draws at the threshold, just below it and at the top of its
+    # uniform: the integer test must agree with ``uniform >= cut``, in the
+    # int form and in the uint64 form that the numpy walk compares.
+    threshold = stream.threshold_bits(cut)
+    assert 0 < threshold < 2**64
+    draws = (threshold, threshold - 1, threshold + 2047)
+    keys = [_key_drawing(bits, 3) for bits in draws]
+    assert [stream.draw_bits(key, 3) for key in keys] == list(draws)
+    reached = [stream.uniform(key, 3) >= cut for key in keys]
+    assert reached == [True, False, True], cut
+    assert [bits >= threshold for bits in draws] == reached
+    batch = stream.draw_bits(np.array(keys, dtype=np.uint64), 3)
+    assert (batch >= np.uint64(threshold)).tolist() == reached
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_thresholds_are_exact_at_drawn_cuts(cut):
+    _assert_threshold_exact(cut)
+
+
+def test_thresholds_are_exact_at_every_trie_cut():
+    cuts = set()
+    for protocol, attack, check in SESSION_CASES:
+        for control in (0.2, 0.5):
+            session = run_session(SimulationConfig(
+                pairs=1, control_probability=control, check_kind=check, attack=attack, protocol=protocol
+            ))
+            cuts.update(cut for _, _, node_cuts in session._nodes for cut in node_cuts)
+    assert len(cuts) > 20
+    for cut in cuts:
+        _assert_threshold_exact(cut)
 
 
 @pytest.mark.parametrize("slot", range(8))
@@ -650,6 +698,36 @@ def test_python_and_numpy_walks_agree_at_drawn_seeds(seed, control, case):
     numpy_ids = [leaf for ids in session._numpy_walk() for leaf in ids.tolist()]
     assert session._python_walk() == numpy_ids
     assert session.leaf_counts() == [numpy_ids.count(leaf) for leaf in range(len(session.leaves))]
+
+
+#: Entries a base CHSH session's bucket table may hold.  Drawn angles give
+#: the most buckets: the largest table seen over 1200 random settings had
+#: 172,224 entries (``qmm-swap``, 38 cuts in one row).
+BUCKET_TABLE_BOUND = 2**18
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=4, max_size=4),
+    st.floats(0.01, 0.99),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_python_and_numpy_walks_agree_at_drawn_chsh_settings(angles, control, seed):
+    for protocol, attack, check in SESSION_CASES:
+        if check is not CheckKind.CHSH:
+            continue
+        session = run_session(SimulationConfig(
+            pairs=300, control_probability=control, check_kind=check, attack=attack, seed=seed,
+            protocol=protocol, settings=ChshSettings(angles[:2], angles[2:]),
+        ))
+        python_ids = [leaf for ids in session.leaf_ids() for leaf in ids]
+        python_counts = session.leaf_counts()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("duplexqkd.protocol.CHUNK", 128)
+            assert [len(ids) for ids in session.leaf_ids()] == [128, 128, 44]
+            assert [leaf for ids in session.leaf_ids() for leaf in ids] == python_ids
+            assert session.leaf_counts() == python_counts
+        assert session._bucket_table()[1].size < BUCKET_TABLE_BOUND
 
 
 class _PairCounter(Adversary):
