@@ -701,7 +701,7 @@ def test_python_and_numpy_walks_agree_at_drawn_seeds(seed, control, case):
 
 
 #: Entries a base CHSH session's bucket table may hold.  Drawn angles give
-#: the most buckets: the largest table seen over 1200 random settings had
+#: the most buckets: the largest table seen over 750 random settings had
 #: 172,224 entries (``qmm-swap``, 38 cuts in one row).
 BUCKET_TABLE_BOUND = 2**18
 
