@@ -26,23 +26,25 @@ Conventions, fixed once and relied on everywhere:
   the caches key on the state object, and the tests compare states up
   to phase through the oracle in ``tests/oracle.py``.
 
-The collapsing primitives and :func:`tensor` are memoized.  Their
-deterministic part is a pure function of the state, the qubit indices and
-the angle; only the final branch choice reads ``u``.  A state is immutable
-and every cached transition returns the same state objects, so the caches
-key on the state object itself: an equal state held by another object gets
-its own entry, with bit-identical contents.  A session only ever reaches a
-small fixed set of states (a few dozen to a few hundred transitions), so
-each transition is computed once and then looked up.  The cached results
-are built with the same arithmetic in the same order as an uncached call,
-so outputs are bit-identical; each cache is cleared when it reaches
-``_CACHE_CAP`` entries, so memory stays bounded for any input.
+The collapsing primitives and :func:`tensor` are memoized with
+:func:`functools.lru_cache`.  Their deterministic part is a pure function
+of the state, the qubit indices and the angle; only the final branch choice
+reads ``u``.  A state is immutable and every cached transition returns the
+same state objects, so the caches key on the state object itself: an equal
+state held by another object gets its own entry, with bit-identical
+contents.  A session only ever reaches a small fixed set of states (a few
+dozen to a few hundred transitions), so each transition is computed once
+and then looked up.  The cached results are built with the same arithmetic
+in the same order as an uncached call, so outputs are bit-identical; each
+cache keeps at most ``_CACHE_CAP`` entries and drops the least recently
+used one, so memory stays bounded for any input.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import lru_cache
 from enum import Enum
 
 from .values import value
@@ -98,12 +100,7 @@ class BellStateId(Enum):
 
 #: Canonical enumeration order; also the cumulative layout for sampling in
 #: :func:`bell_measure`.
-BELL_ORDER: tuple[BellStateId, ...] = (
-    BellStateId.PSI_PLUS,
-    BellStateId.PSI_MINUS,
-    BellStateId.PHI_PLUS,
-    BellStateId.PHI_MINUS,
-)
+BELL_ORDER: tuple[BellStateId, ...] = tuple(BellStateId)
 
 
 class PauliOp(Enum):
@@ -280,19 +277,10 @@ class Choice:
 
 _CACHE_CAP = 4096
 
-#: (state, qubit, angle) -> Choice over (outcome, collapsed state)
-_MEASURE_CACHE: dict[tuple[PureState, int, float], Choice] = {}
-#: (state, qubit_a, qubit_b) -> Choice over (outcome, residual)
-_BELL_CACHE: dict[tuple[PureState, int, int], Choice] = {}
-#: (a, b) -> a (x) b
-_TENSOR_CACHE: dict[tuple[PureState, PureState], PureState] = {}
 
-
-def _remember(cache: dict, key, value):
-    if len(cache) >= _CACHE_CAP:
-        cache.clear()
-    cache[key] = value
-    return value
+@lru_cache(maxsize=_CACHE_CAP)
+def _product(a: PureState, b: PureState) -> PureState:
+    return PureState._wrap(tuple(x * y for x in a.amplitudes for y in b.amplitudes), a.num_qubits + b.num_qubits)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -300,12 +288,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     n = a.num_qubits + b.num_qubits
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit capacity")
-    key = (a, b)
-    product = _TENSOR_CACHE.get(key)
-    if product is None:
-        amps = tuple(x * y for x in a.amplitudes for y in b.amplitudes)
-        product = _remember(_TENSOR_CACHE, key, PureState._wrap(amps, n))
-    return product
+    return _product(a, b)
 
 
 def _check_qubit(state: PureState, qubit: int) -> None:
@@ -326,6 +309,7 @@ def _collapsed(
     return PureState._wrap(tuple(out), n)
 
 
+@lru_cache(maxsize=_CACHE_CAP)
 def _measure_transition(state: PureState, qubit: int, angle: float) -> Choice:
     """The decision of a planar measurement: +1 with its collapsed state for
     u < P(+1), else -1 with its own.  A branch whose probability is below
@@ -369,11 +353,7 @@ def measure_choice(state: PureState, qubit: int, obs: PlanarObservable) -> Choic
     _check_qubit(state, qubit)
     # PlanarObservable reduces its angle into [0, 2*pi), never -0.0 or NaN,
     # so float equality of angles is bit equality.
-    key = (state, qubit, obs.angle)
-    choice = _MEASURE_CACHE.get(key)
-    if choice is None:
-        choice = _remember(_MEASURE_CACHE, key, _measure_transition(state, qubit, obs.angle))
-    return choice
+    return _measure_transition(state, qubit, obs.angle)
 
 
 def measure_qubit(
@@ -397,6 +377,7 @@ def measure_qubit(
 _MIN_BRANCH = 1e-15
 
 
+@lru_cache(maxsize=_CACHE_CAP)
 def _bell_transition(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
     """The decision of a Bell measurement over ``(outcome, residual)``.
     Outcomes are laid out cumulatively in BELL_ORDER; an outcome below
@@ -453,11 +434,7 @@ def bell_choice(state: PureState, qubit_a: int, qubit_b: int) -> Choice:
         raise IndexError("bell measurement needs two distinct qubits")
     _check_qubit(state, qubit_a)
     _check_qubit(state, qubit_b)
-    key = (state, qubit_a, qubit_b)
-    choice = _BELL_CACHE.get(key)
-    if choice is None:
-        choice = _remember(_BELL_CACHE, key, _bell_transition(state, qubit_a, qubit_b))
-    return choice
+    return _bell_transition(state, qubit_a, qubit_b)
 
 
 def bell_measure(

@@ -699,18 +699,19 @@ def test_transitions_of_equal_states_are_bit_identical():
 
 
 def test_transition_caches_stay_under_their_cap():
-    caches = (quantum._MEASURE_CACHE, quantum._BELL_CACHE, quantum._TENSOR_CACHE)
+    caches = (quantum._measure_transition, quantum._bell_transition, quantum._product)
     cap = quantum._CACHE_CAP
-    largest = 0
+    largest = [0] * len(caches)
     try:
         for i in range(cap + 200):
             theta = math.pi * (i + 1) / (cap + 400)
             state = PureState([math.cos(theta), math.sin(theta)])
             _, post = measure_qubit(state, 0, Basis.X.observable, 0.5)
             bell_measure(tensor(state, post), 0, 1, 0.5)
-            largest = max(largest, *map(len, caches))
-            assert all(len(cache) <= cap for cache in caches)
-        assert largest == cap
+            sizes = [cache.cache_info().currsize for cache in caches]
+            largest = list(map(max, largest, sizes))
+            assert all(size <= cap for size in sizes)
+        assert largest == [cap] * len(caches)
     finally:
         for cache in caches:
-            cache.clear()
+            cache.cache_clear()
