@@ -17,7 +17,8 @@ concrete attacks:
 
 * :class:`InterceptResend` measures each transiting qubit in a basis drawn
   on the first leg (reused on the second) and forwards the collapsed
-  eigenstate.
+  eigenstate; its two outcomes give it a guess of Bob's state, against
+  which it decodes what Alice announces.
 * :class:`QmmSubstitute` plays man-in-the-middle: it hands Alice the halves
   of its own Bell pair (drawn uniformly from the states the protocol
   encodes with) in the sequence Bob would, keeps Bob's qubits, and
@@ -97,7 +98,33 @@ class Adversary:
         return EveLog()
 
 
-class InterceptResend(Adversary):
+class _Listener(Adversary):
+    """An attack that guesses Alice's bits from her message-round
+    announcement, decoded against the state it believes she measured."""
+
+    def begin_session(self, config):
+        self._states = SENT_STATES[config.protocol]
+
+    def begin_pair(self) -> None:
+        self._heard: CorrelationAnnouncement | PauliAnnouncement | None = None
+
+    def hear(self, system, message, lane):
+        if isinstance(message, (CorrelationAnnouncement, PauliAnnouncement)):
+            self._heard = message
+
+    def _guess_alice(self, state: BellStateId | None) -> int | None:
+        """Alice's bits as the heard announcement decodes against ``state``:
+        the basis a correlation gives with it, or the index of the target a
+        Pauli maps it to; None if nothing was heard."""
+        heard = self._heard
+        if isinstance(heard, CorrelationAnnouncement):
+            return BASIS_BIT[bob_decode(state, heard.correlated)]
+        if heard is not None:
+            return self._states.index(pauli_transition(state, heard.op))
+        return None
+
+
+class InterceptResend(_Listener):
     """Measure-and-forward with von Neumann measurements.
 
     The basis is drawn once per pair on the first leg (uniform over {X, Z})
@@ -105,13 +132,10 @@ class InterceptResend(Adversary):
     maximizes what Eve learns from each announcement later.
     """
 
-    def begin_session(self, config):
-        self._states = SENT_STATES[config.protocol]
-
     def begin_pair(self) -> None:
+        super().begin_pair()
         self._outcomes: list[int] = []
         self._basis: Basis | None = None
-        self._heard_correlation: bool | None = None
 
     def relay_qubit(self, system, handle, leg, lane):
         if leg == 1:
@@ -119,25 +143,20 @@ class InterceptResend(Adversary):
         self._outcomes.append(system.measure(handle, self._basis.observable, lane))
         return handle
 
-    def hear(self, system, message, lane):
-        if isinstance(message, CorrelationAnnouncement):
-            self._heard_correlation = message.correlated
-
     def end_pair(self, system, lane):
         outcomes = self._outcomes
         guessed_alice_bit = guessed_bob_bit = None
         if len(outcomes) == 2:
             # Her own same-basis product always equals the sent state's
             # signature, which fixes a base state and halves the four-state
-            # alphabet.
+            # alphabet.  Alice's announcement decodes against that guess.
             guessed_state = alice_decode(self._basis, outcomes[0] * outcomes[1] == +1)
             guessed_bob_bit = self._states.index(guessed_state)
-            if self._heard_correlation is not None:
-                guessed_alice_bit = BASIS_BIT[bob_decode(guessed_state, self._heard_correlation)]
+            guessed_alice_bit = self._guess_alice(guessed_state)
         return EveLog(guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit)
 
 
-class QmmSubstitute(Adversary):
+class QmmSubstitute(_Listener):
     """Pair-substitution man-in-the-middle.
 
     Eve must commit to her own pair before anything about Bob's choice is
@@ -147,14 +166,13 @@ class QmmSubstitute(Adversary):
     """
 
     def begin_session(self, config):
-        self._states = SENT_STATES[config.protocol]
+        super().begin_session(config)
         self._choice = Choice.uniform(self._states)
 
     def begin_pair(self) -> None:
+        super().begin_pair()
         self._retained: list[str] = []
         self._substitute: BellStateId | None = None
-        self._heard_correlation: bool | None = None
-        self._heard_pauli = None
 
     def relay_qubit(self, system, handle, leg, lane):
         self._retained.append(handle)
@@ -164,34 +182,23 @@ class QmmSubstitute(Adversary):
             return "eve0"
         return "eve1"
 
-    def hear(self, system, message, lane):
-        if isinstance(message, CorrelationAnnouncement):
-            self._heard_correlation = message.correlated
-        elif isinstance(message, PauliAnnouncement):
-            self._heard_pauli = message.op
-
     def _log(self, **learned) -> EveLog:
         """The round's log: the substitute and ``learned``."""
         return EveLog(substitute_state=self._substitute, **learned)
 
     def end_pair(self, system, lane):
-        substitute = self._substitute
-        bell_outcome = guessed_alice_bit = guessed_bob_bit = None
+        bell_outcome = guessed_bob_bit = None
         if len(self._retained) == 2:
             # Bob's pair reached Eve intact; the Bell measurement reads his
             # encoding with certainty.
             bell_outcome = system.bell_measure_pair(*self._retained, lane)
             guessed_bob_bit = self._states.index(bell_outcome)
-        if self._heard_correlation is not None:
-            # Alice measured Eve's pair, so the announced correlation decodes
-            # against the substitute state.
-            guessed_alice_bit = BASIS_BIT[bob_decode(substitute, self._heard_correlation)]
-        if self._heard_pauli is not None:
-            # Alice Bell-measured Eve's pair, so her announced operation maps
-            # the substitute state to her target.
-            guessed_alice_bit = self._states.index(pauli_transition(substitute, self._heard_pauli))
+        # Alice measured Eve's pair, so her announcement decodes against the
+        # substitute state.
         return self._log(
-            bell_outcome=bell_outcome, guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit
+            bell_outcome=bell_outcome,
+            guessed_alice_bit=self._guess_alice(self._substitute),
+            guessed_bob_bit=guessed_bob_bit,
         )
 
 
