@@ -14,6 +14,11 @@ error check fills the base protocol's ``control-qber`` row (``alice_basis``,
 ``control_pass`` columns, so every CSV digest changed with that schema while
 every JSON digest stayed.
 
+The two ``modified ir qber`` digests changed once more when four-state
+intercept-resend began decoding Alice's Pauli announcement against its
+guess of Bob's state: its rounds now carry a guess of her symbol
+(``eve_guessed_alice_bit``, ``eve_guess_accuracy.alice_bit``).
+
 ``--check chsh`` with ``--protocol modified`` is rejected (exit 2, naming
 ``--check``): every four-state control round is an error check, so those
 eight cases hold None and assert the rejection.  Equal digests in the table
@@ -56,8 +61,8 @@ GOLDEN = {
     "modified none qber csv": "be44c9b8765901483aec3170e873bdcfb2a542102ac98129d21e989f6c1352f7",
     "modified ir chsh json": None,
     "modified ir chsh csv": None,
-    "modified ir qber json": "fa55327db7786c9895d0afaa9e9caea014d224a11cb9d2b589fc345bd7153c23",
-    "modified ir qber csv": "417627ecdd1226d2deab8ca7045b6ea92268079cd933fc1077e2ec0f0a6afd32",
+    "modified ir qber json": "c6eff4d50788dbe4faf2888f14d02f6eaa8dae4de8664d3e9257a8f1ceeb1bd1",
+    "modified ir qber csv": "900c7a632fe9d4a5706f9055e7d58164cac953f05c99265dead07e2535df4aa8",
     "modified qmm chsh json": None,
     "modified qmm chsh csv": None,
     "modified qmm qber json": "ac2f29f558f8e309545da6210e3cebc781ad3d7db9d04dc68360a1d41c5fe7aa",
