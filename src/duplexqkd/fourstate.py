@@ -6,8 +6,11 @@ sequentially; Alice acknowledges receipt of the first before the second
 moves.  She reads Bob's bits with a Bell measurement, then encodes her own
 two bits by announcing the index of the Pauli operator that maps the state
 Bob sent to her target state.  Bob applies the same permutation to the state
-he knows he sent and recovers her bits with certainty; a listener who missed
-the quantum channel learns nothing from the index alone.
+he knows he sent and recovers her bits with certainty.  A listener who
+missed the quantum channel learns nothing about either party's bits from
+the index alone.  It does learn about the pair: on a clean channel the
+index is Bob's two bits XOR Alice's target, two of the pair's four bits, so
+whoever learns one party's bits learns the other's.
 
 Only the message round is the variant's own.  Its control rounds are the
 base protocol's error checks (:func:`protocol.run_pair` runs both): Alice
