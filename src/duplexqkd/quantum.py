@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import lru_cache
 from enum import Enum
+from functools import lru_cache
 
 from .values import value
 

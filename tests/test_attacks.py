@@ -7,8 +7,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary, InterceptResend, QmmSubstitute, QmmSwap, build_adversary
@@ -24,7 +22,6 @@ from duplexqkd.quantum import (
 )
 from conftest import Wiretap
 from oracle import TwoQubitDensity, chsh_value, eigenvectors, mix, vector
-from test_protocol import EXACT, _expected_report
 
 
 def _config(**kwargs) -> SimulationConfig:
@@ -163,20 +160,6 @@ def test_four_state_ir_guesses_half_of_bobs_states():
     for leaf in messages:
         right = leaf.bob_state in (BellStateId.PSI_PLUS, BellStateId.PHI_MINUS)
         assert (leaf.eve_log.guessed_bob_bit == leaf.bob_state.bits) == right
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(0.01, 0.99))
-def test_four_state_ir_guesses_alice_as_often_as_bob_decodes(control_probability):
-    # Alice's Pauli announcement maps the state she measured to her target,
-    # so Eve decodes it against her guess of Bob's state.  On the exact tree
-    # she is right half the time (chance is 1/4), exactly as often as Bob.
-    report = _expected_report(
-        control_probability, protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND
-    )
-    assert report.eve_alice_guesses > 0
-    assert abs(report.eve_alice_accuracy - 0.5) <= EXACT
-    assert abs(report.eve_alice_accuracy - report.decode_accuracy_bob) <= EXACT
 
 
 def test_four_state_ir_alice_guess_rate_sampled():

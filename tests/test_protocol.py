@@ -3,6 +3,7 @@ announcement ordering, session determinism."""
 
 import gc
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from duplexqkd.protocol import (
     QberDisclosure,
     SENT_STATES,
     STATE_BIT,
+    Session,
     alice_decode,
     bob_decode,
     correlation_signature,
@@ -422,6 +424,48 @@ def test_round_tree_chsh_values_at_any_angles(alice_angles, bob_angles):
         assert abs(ir[state].s_hat) <= 2.0 + EXACT
 
 
+def _entropy(joint: dict, axes: tuple) -> float:
+    """Shannon entropy in bits of the key positions ``axes`` of ``joint``, a
+    map from keys to probabilities."""
+    marginal = defaultdict(float)
+    for key, p in joint.items():
+        marginal[tuple(key[i] for i in axes)] += p
+    total = math.fsum(marginal.values())
+    return -math.fsum(p / total * math.log2(p / total) for p in marginal.values() if p > 0)
+
+
+def _information(joint: dict, xs: tuple, ys: tuple) -> float:
+    """I(X;Y) in bits, X and Y the key positions ``xs`` and ``ys`` of
+    ``joint``."""
+    return _entropy(joint, xs) + _entropy(joint, ys) - _entropy(joint, xs + ys)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.01, 0.99))
+def test_public_channel_gives_away_the_xor_of_the_two_parties_bits(control):
+    # Over clean message rounds, the announcements a listener hears say
+    # nothing about either party's bits, but half of what the pair holds:
+    # the base correlation is Alice's basis bit XOR Bob's state bit, and the
+    # four-state Pauli index is Bob's two bits XOR Alice's target.
+    for protocol, attack, check in SESSION_CASES:
+        if attack is not AttackKind.NONE:
+            continue
+        tap = Wiretap()
+        session = run_session(
+            _config(pairs=1, control_probability=control, check_kind=check, protocol=protocol), tap
+        )
+        joint = defaultdict(float)  # (Alice's bits, Bob's bits, transcript) -> probability
+        for k, (leaf, p) in enumerate(zip(session.leaves, session.probabilities)):
+            if leaf.mode is Mode.MESSAGE:
+                alice = leaf.alice_target if protocol is ProtocolKind.MODIFIED else leaf.alice_basis
+                joint[alice, leaf.bob_state, tuple(tap.announcements(k))] += p
+        bits = 2 if protocol is ProtocolKind.MODIFIED else 1
+        assert abs(_entropy(joint, (0, 1)) - 2 * bits) <= EXACT
+        assert abs(_information(joint, (0,), (2,))) <= EXACT
+        assert abs(_information(joint, (1,), (2,))) <= EXACT
+        assert abs(_information(joint, (0, 1), (2,)) - bits) <= EXACT
+
+
 @pytest.mark.parametrize("protocol", ProtocolKind, ids=lambda kind: kind.value)
 @pytest.mark.parametrize(
     "attack,d",
@@ -445,7 +489,9 @@ def test_round_tree_decode_and_guess_accuracies():
 @given(st.floats(0.01, 0.99))
 def test_round_tree_figures_at_any_control_probability(control):
     # The detection rates and accuracies do not depend on C, and a share C
-    # of the pairs are control rounds.
+    # of the pairs are control rounds.  Four-state intercept-resend decodes
+    # Alice's Pauli announcement against its guess of Bob's state, so it
+    # reads her symbol exactly as often as Bob does.
     for protocol in ProtocolKind:
         for attack, d in ((AttackKind.INTERCEPT_RESEND, 0.25), (AttackKind.QMM_SUBSTITUTE, 0.5)):
             report = _expected_report(control, protocol=protocol, attack=attack, check_kind=CheckKind.QBER)
@@ -456,6 +502,8 @@ def test_round_tree_figures_at_any_control_probability(control):
     assert abs(base.decode_accuracy_bob - 0.75) <= EXACT
     four_state = _expected_report(control, protocol=ProtocolKind.MODIFIED, attack=AttackKind.INTERCEPT_RESEND)
     assert abs(four_state.eve_bob_accuracy - 0.5) <= EXACT
+    assert abs(four_state.eve_alice_accuracy - 0.5) <= EXACT
+    assert abs(four_state.eve_alice_accuracy - four_state.decode_accuracy_bob) <= EXACT
 
 
 @pytest.mark.parametrize(
@@ -728,6 +776,62 @@ def test_python_and_numpy_walks_agree_at_drawn_chsh_settings(angles, control, se
             assert [leaf for ids in session.leaf_ids() for leaf in ids] == python_ids
             assert session.leaf_counts() == python_counts
         assert session._bucket_table()[1].size < BUCKET_TABLE_BOUND
+
+
+#: The chance that a correct sampler fails any of the chi-squared tests
+#: below: each of the 2 * len(SESSION_CASES) tests refuses at a tail below
+#: its Bonferroni share of it.
+SAMPLER_FALSE_ALARM = 1e-6
+
+
+def _chi2_tail(statistic: float, df: int) -> float:
+    """P(X >= statistic) for X ~ chi-squared with ``df`` degrees of freedom,
+    by the Wilson-Hilferty approximation: (X/df)^(1/3) is close to normal
+    with mean 1 - 2/(9 df) and variance 2/(9 df)."""
+    variance = 2.0 / (9.0 * df)
+    z = ((statistic / df) ** (1.0 / 3.0) - (1.0 - variance)) / math.sqrt(variance)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _sampler_tail(session: Session, pairs: int) -> float:
+    """The chi-squared tail of the session's leaf counts against ``pairs``
+    times its leaf probabilities.  Leaves are pooled by equal record (a
+    rounding sliver, a leaf below 1e-12, shares a likelier leaf's), and the
+    smallest pools are merged into cells that expect at least 5 pairs."""
+    pools = defaultdict(lambda: [0, 0.0])
+    for leaf, count, p in zip(session.leaves, session.leaf_counts(), session.probabilities):
+        pools[leaf][0] += count
+        pools[leaf][1] += pairs * p
+    cells = []
+    observed, expected = 0, 0.0
+    for count, mean in sorted(pools.values(), key=lambda pool: pool[1]):
+        observed, expected = observed + count, expected + mean
+        if expected >= 5.0:
+            cells.append((observed, expected))
+            observed, expected = 0, 0.0
+    last_count, last_mean = cells.pop()
+    cells.append((last_count + observed, last_mean + expected))
+    assert sum(count for count, _ in cells) == pairs
+    statistic = math.fsum((count - mean) ** 2 / mean for count, mean in cells)
+    return _chi2_tail(statistic, len(cells) - 1)
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
+)
+def test_pairs_reach_leaves_at_the_tree_probabilities(protocol, attack, check, monkeypatch):
+    # The Python walk of one chunk, and the numpy walk of 200 chunks of a
+    # size that is no power of two, at fixed seeds.
+    threshold = SAMPLER_FALSE_ALARM / (2 * len(SESSION_CASES))
+    config = SimulationConfig(
+        pairs=CHUNK, control_probability=0.5, check_kind=check, attack=attack, seed=2030, protocol=protocol
+    )
+    assert _sampler_tail(run_session(config), CHUNK) >= threshold
+    monkeypatch.setattr("duplexqkd.protocol.CHUNK", 1000)
+    config = SimulationConfig(
+        pairs=200_000, control_probability=0.5, check_kind=check, attack=attack, seed=2031, protocol=protocol
+    )
+    assert _sampler_tail(run_session(config), 200_000) >= threshold
 
 
 class _PairCounter(Adversary):
