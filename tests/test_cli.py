@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,9 @@ from duplexqkd.cli import (
     records_to_csv,
     run_cli,
 )
-from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS
+from duplexqkd.config import AttackKind, CheckKind, DEFAULT_SETTINGS, ProtocolKind
 from duplexqkd.protocol import CHUNK, Mode, run_session
-from duplexqkd.quantum import BellStateId, bell_state
+from duplexqkd.quantum import Basis, BellStateId, PauliOp, bell_state
 from oracle import TwoQubitDensity, chsh_value
 
 
@@ -484,6 +485,46 @@ def test_csv_angle_cells_are_the_written_text(tmp_path):
     out.write_text(text.replace(",-0.0,", ",-0.00,", 1))
     with pytest.raises(ValueError, match="alice_angle cell '-0.00'"):
         load_records_csv(out)
+
+
+def test_csv_loader_accept_set_is_pinned(tmp_path):
+    # Which single-cell edits of a filled row load is pinned: each cell after
+    # pair_index of the first row of every round kind, Eve's cells filled, is
+    # set to each text the writer emits and to near misses of those texts,
+    # and each edited row is loaded alone.  A change to how the loader checks
+    # rows must keep this set.
+    angles = (*DEFAULT_SETTINGS.alice_angles, *DEFAULT_SETTINGS.bob_angles)
+    written = {_cell(v) for v in (None, True, False, -1, 0, 1, 2, 3, *angles)}
+    written |= {_cell(v) for enum in (BellStateId, PauliOp, Basis, Mode, ProtocolKind) for v in enum}
+    near = {"0.00", "-0.0", "1e0", "nan", "inf", "psi-plus", "sigma4", "X", "+1", "True", "none"}
+    vocabulary = sorted(written | near)
+    assert len(vocabulary) == 36
+    rows = []
+    for flags in (["--attack", "qmm", "--check", "chsh"], ["--attack", "qmm", "--check", "qber"],
+                  ["--protocol", "modified", "--attack", "qmm"], ["--attack", "ir", "--check", "qber"]):
+        config = parse_args([*flags, "--pairs", "400", "--control-prob", "0.5", "--seed", "4"]).config
+        text = io.StringIO()
+        records_to_csv(run_session(config), text)
+        first = {}
+        for line in text.getvalue().splitlines()[1:]:
+            cells = line.split(",")
+            first.setdefault(cells[2], cells[1:])
+        rows += first.values()
+    assert len(rows) == 8
+    out = tmp_path / "row.csv"
+    verdicts = []
+    for row, at, token in product(rows, range(len(CSV_COLUMNS) - 1), vocabulary):
+        edited = ",".join(row[:at] + [token] + row[at + 1 :])
+        out.write_text(f"{','.join(CSV_COLUMNS)}\n0,{edited}\n")
+        try:
+            load_records_csv(out)
+            verdicts.append(f"{edited} accept")
+        except ValueError:
+            verdicts.append(f"{edited} refuse")
+    assert len(verdicts) == 8 * 22 * 36
+    assert sum(v.endswith("accept") for v in verdicts) == 284
+    digest = hashlib.sha256("\n".join(sorted(verdicts)).encode()).hexdigest()
+    assert digest == "4ff1276accadfae6d2582548dda71c2a1ddb80e02fb7ac27d8256345c8351931"
 
 
 @pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)
