@@ -259,51 +259,45 @@ def _parser(values: Iterable) -> Callable[[str], object]:
 
 
 def _angle(cell: str) -> float:
-    """An angle cell's value: the finite float whose ``repr`` (what
-    ``_cell`` writes) is the cell, ``-0.0`` included; any other spelling
-    raises ValueError."""
-    if repr(angle := float(cell)) != cell or not math.isfinite(angle):
+    """An angle cell's value: a finite float, or ValueError.  ``nan`` and
+    ``inf`` are refused here, since they would write back as they read;
+    any spelling other than the writer's fails the row's write-back."""
+    if not math.isfinite(angle := float(cell)):
         raise ValueError(cell)
     return angle
 
 
-#: The value of each cell after ``protocol`` and ``mode``, by what the
-#: column holds; each parser raises KeyError or ValueError on a cell no
-#: record renders to.  Only an Eve cell may be empty (None).
+#: The value of each drawn cell, by what the column holds; each parser
+#: raises KeyError or ValueError on a cell no record renders to.  Only an
+#: Eve cell may be empty (None).
 _CELL_VALUE: dict[str, Callable[[str], object]] = {
-    **dict.fromkeys(
-        ["bob_state", "alice_decoded_state", "alice_bell_outcome", "alice_target", "bob_decoded"], _parser(BellStateId)
-    ),
-    **dict.fromkeys(["alice_basis", "bob_decoded_basis"], _parser(Basis)),
-    "alice_pauli": _parser(PauliOp),
+    **dict.fromkeys(["bob_state", "alice_bell_outcome", "alice_target"], _parser(BellStateId)),
+    "alice_basis": _parser(Basis),
     **dict.fromkeys(["alice_setting", "bob_setting"], _parser([0, 1])),
     **dict.fromkeys(["alice_angle", "bob_angle"], _angle),
     **dict.fromkeys(["outcome_1", "outcome_2"], _parser([+1, -1])),
-    **dict.fromkeys(["correlated", "qber_pass"], _parser([True, False])),
     **dict.fromkeys(["eve_substitute", "eve_bell_outcome"], _parser([None, *BellStateId])),
     **dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], _parser([None, 0, 1, 2, 3])),
 }
-_SHARED_COLUMNS = ("bob_state", *_EVE_FIELDS)
-_QBER_COLUMNS = {*_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_basis", "correlated", "qber_pass"}
-#: The columns a row of each protocol and mode fills (an Eve cell may still
-#: be empty); every other cell of the row is empty.  Every four-state
-#: control round is an error check.
+_BASIS_COLUMNS = (*_OUTCOME_COLUMNS, "alice_basis")
+_CHSH_COLUMNS = ("alice_setting", "alice_angle", "bob_setting", "bob_angle")
+#: The columns a row of each protocol and mode draws besides ``bob_state``
+#: and the Eve cells (which may be empty); ``protocol.derived_fields`` gives
+#: the others, or None where the writer leaves them empty.  Every
+#: four-state control round is an error check.
 _MODE_COLUMNS = {
-    (ProtocolKind.BASE, Mode.MESSAGE): {
-        *_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_basis", "correlated", "bob_decoded_basis", "alice_decoded_state"
-    },
-    (ProtocolKind.BASE, Mode.CONTROL_CHSH): {
-        *_SHARED_COLUMNS, *_OUTCOME_COLUMNS, "alice_setting", "alice_angle", "bob_setting", "bob_angle"
-    },
-    (ProtocolKind.BASE, Mode.CONTROL_QBER): _QBER_COLUMNS,
-    (ProtocolKind.MODIFIED, Mode.MESSAGE): {
-        *_SHARED_COLUMNS, "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded"
-    },
-    (ProtocolKind.MODIFIED, Mode.CONTROL_QBER): _QBER_COLUMNS,
+    (ProtocolKind.BASE, Mode.MESSAGE): _BASIS_COLUMNS,
+    (ProtocolKind.BASE, Mode.CONTROL_CHSH): (*_OUTCOME_COLUMNS, *_CHSH_COLUMNS),
+    (ProtocolKind.BASE, Mode.CONTROL_QBER): _BASIS_COLUMNS,
+    (ProtocolKind.MODIFIED, Mode.MESSAGE): ("alice_bell_outcome", "alice_target"),
+    (ProtocolKind.MODIFIED, Mode.CONTROL_QBER): _BASIS_COLUMNS,
 }
-#: The protocol, mode and filled columns of each pair of ``protocol`` and
+#: The protocol, mode and drawn columns of each pair of ``protocol`` and
 #: ``mode`` cells a row may hold.
-_ROW_KINDS = {(kind.value, mode.value): (kind, mode, columns) for (kind, mode), columns in _MODE_COLUMNS.items()}
+_ROW_KINDS = {
+    (kind.value, mode.value): (kind, mode, {"bob_state", *_EVE_FIELDS, *columns})
+    for (kind, mode), columns in _MODE_COLUMNS.items()
+}
 #: What each protocol's rows may hold in the columns of its alphabet: a
 #: state its Bob sends, and an Eve guess as an index among those states (a
 #: base guess of Alice's basis is its ``BASIS_BIT``, which has as many).
@@ -322,53 +316,61 @@ def _value(column: str, cell: str, parse: Callable[[str], object]):
 
 
 def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
-    """The record of a row whose cells after ``pair_index`` are ``cells``.
-    ``eve_logs`` holds the Eve log of each set of Eve cells parsed so far
-    (``EveLog()`` for empty cells)."""
+    """The record of a row whose cells after ``pair_index`` are ``cells``:
+    its drawn cells parsed, the rest derived, and refused unless
+    ``_record_row`` writes it back as exactly ``cells``.  ``eve_logs``
+    holds the Eve log of each set of Eve cells parsed so far (``EveLog()``
+    for empty cells)."""
     if len(cells) != len(CSV_COLUMNS) - 1:
         raise ValueError(f"{len(cells) + 1} cells, expected {len(CSV_COLUMNS)}")
     try:
-        protocol, mode, filled = _ROW_KINDS[cells[0], cells[1]]
+        protocol, mode, drawn = _ROW_KINDS[cells[0], cells[1]]
     except KeyError:
         raise ValueError(f"protocol cell {cells[0]!r} and mode cell {cells[1]!r} name no round") from None
     values = {"protocol": protocol, "mode": mode}
     for column, cell in zip(CSV_COLUMNS[3:], cells[2:]):
-        if column in filled:
+        if column in drawn:
             values[column] = _value(column, cell, _CELL_VALUE[column])
-        elif cell != "":
-            raise ValueError(f"{column} cell {cell!r} in a {cells[0]} row of mode {cells[1]}")
-    values["outcomes"] = tuple(values[column] for column in _OUTCOME_COLUMNS if column in filled)
+    values["outcomes"] = tuple(values[column] for column in _OUTCOME_COLUMNS if column in drawn)
     for column, symbols in _SYMBOLS[protocol].items():
         if values[column] not in symbols:
             raise ValueError(f"{column} cell {_cell(values[column])!r} in a {cells[0]} row")
-    derived = derived_fields(
+    values |= derived_fields(
         protocol, mode, values["bob_state"], values.get("alice_basis"), values["outcomes"],
         values.get("alice_bell_outcome"), values.get("alice_target"),
     )
-    for column, value in derived.items():
-        if values.get(column) != value:
-            raise ValueError(f"{column} cell {_cell(values[column])!r} does not follow from the row's other cells")
     eve = tuple(values[column] for column in _EVE_FIELDS)
-    if eve not in eve_logs:
-        eve_logs[eve] = EveLog(**dict(zip(_EVE_FIELDS.values(), eve)))
-    values["eve_log"] = eve_logs[eve]
-    return PairRecord(*(values.get(name) for name in PairRecord._fields))
+    values["eve_log"] = eve_logs.setdefault(eve, EveLog(**dict(zip(_EVE_FIELDS.values(), eve))))
+    record = PairRecord(*(values.get(name) for name in PairRecord._fields))
+    for column, cell, written in zip(CSV_COLUMNS[1:], cells, _record_row(record)[:-1].split(",")):
+        if cell != written:
+            where = "does not follow from the row's other cells"
+            where = where if written else f"in a {cells[0]} row of mode {cells[1]}"
+            raise ValueError(f"bad {column} cell ''" if cell == "" else f"{column} cell {cell!r} {where}")
+    return record
 
 
 def load_records_csv(path) -> list:
     """Rebuild records from a CSV transcript.
 
-    Loading is strict: a row with too few or too many cells, a protocol
-    and mode no round has (a four-state CHSH check), a cell no record
-    renders to, an empty cell in a column its mode fills, a non-empty cell
-    in a column its mode leaves empty, a sent state, Eve substitute or Eve
-    guess outside its protocol's alphabet (``SENT_STATES``), a derived cell
-    (a correlation, decode, Pauli or pass flag) other than the one
-    ``protocol.derived_fields`` derives from the row's other cells, or a
-    ``pair_index`` other than the row's position (0 for the first row)
-    raises ValueError naming the line.  Empty Eve cells load as
-    ``EveLog()``.  A record holds exactly what its row holds, so loading is
-    the inverse of ``records_to_csv``: a session's transcript loads back
+    Loading is strict: a row loads iff writing its record gives it back.
+    Only the cells a round draws are parsed: Bob's state, the Eve cells, and
+    Alice's basis and both outcomes (base message rounds and error checks),
+    both outcomes and the CHSH settings and angles (CHSH checks), or Alice's
+    Bell outcome and target (four-state message rounds).  The rest of the
+    record comes from ``protocol.derived_fields``, and the row is refused
+    unless ``records_to_csv`` writes that record as exactly its cells.  So a
+    row with too few or too many cells, a protocol and mode no round has (a
+    four-state CHSH check), a drawn cell no record renders to (``nan`` and
+    ``inf`` angles included), a sent state, Eve substitute or Eve guess
+    outside its protocol's alphabet (``SENT_STATES``), any cell the writer
+    would not give it (a derived cell that does not follow, a cell its mode
+    leaves empty or an empty one it fills, another spelling of an angle), or
+    a ``pair_index`` other than the row's position (0 for the first row)
+    raises ValueError naming the line and the first such cell.  Eve's cells
+    are not derived, so only her alphabet checks them.  Empty Eve cells load
+    as ``EveLog()``.  A record holds exactly what its row holds, so loading
+    is the inverse of ``records_to_csv``: a session's transcript loads back
     equal to ``list(session)``.  Each distinct row past ``pair_index`` is
     parsed once into one record, which every row with those cells shares,
     as a session's pairs share their leaf's record (equal Eve cells share
