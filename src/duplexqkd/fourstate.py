@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 # ``protocol`` imports this module first, so its names are read at call time.
 from . import protocol
-from .quantum import BellStateId, PauliOp
+from .quantum import BELL_ORDER, BellStateId, PauliOp
 from .values import value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,26 +48,15 @@ class PauliAnnouncement:
     op: PauliOp
 
 
-# A Pauli on qubit 0 permutes the Bell states; in the two-bit encoding each
-# permutation is an XOR mask (verified against the matrix oracle in tests).
-_PAULI_MASK = {
-    PauliOp.SIGMA0: 0b00,
-    PauliOp.SIGMA1: 0b10,
-    PauliOp.SIGMA2: 0b11,
-    PauliOp.SIGMA3: 0b01,
-}
-_MASK_TO_PAULI = {mask: op for op, mask in _PAULI_MASK.items()}
-
-
 def pauli_transition(state: BellStateId, op: PauliOp) -> BellStateId:
     """The Bell state (up to global phase) reached by applying ``op`` to the
     first qubit of ``state``."""
-    return BellStateId(state.bits ^ _PAULI_MASK[op])
+    return BELL_ORDER[state.value ^ op.value]
 
 
 def pauli_for_target(current: BellStateId, target: BellStateId) -> PauliOp:
     """The unique Pauli with pauli_transition(current, op) == target."""
-    return _MASK_TO_PAULI[current.bits ^ target.bits]
+    return PauliOp(current.value ^ target.value)
 
 
 def run_modified_pair(

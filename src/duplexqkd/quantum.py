@@ -104,10 +104,15 @@ BELL_ORDER: tuple[BellStateId, ...] = tuple(BellStateId)
 
 
 class PauliOp(Enum):
-    SIGMA0 = 0
-    SIGMA1 = 1
-    SIGMA2 = 2
-    SIGMA3 = 3
+    """A Pauli on the first qubit of a Bell pair.  It permutes the Bell
+    states, and in their two-bit encoding each permutation is an XOR mask:
+    an operator's value is its mask (verified against the matrix oracle in
+    tests)."""
+
+    SIGMA0 = 0b00
+    SIGMA1 = 0b10
+    SIGMA2 = 0b11
+    SIGMA3 = 0b01
 
 
 @value

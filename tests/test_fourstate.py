@@ -81,6 +81,9 @@ def test_pauli_permutations_form_klein_four_group():
         op: tuple(pauli_transition(state, op) for state in BellStateId) for op in PauliOp
     }
     assert len(set(tables.values())) == 4
+    # Each operator's value is the XOR mask it applies to the two-bit encoding.
+    for state, op in product(BellStateId, PauliOp):
+        assert pauli_transition(state, op).value == state.value ^ op.value
     for op in PauliOp:
         for state in BellStateId:
             assert pauli_transition(pauli_transition(state, op), op) == state
