@@ -779,9 +779,14 @@ def test_python_and_numpy_walks_agree_at_drawn_chsh_settings(angles, control, se
 
 
 #: The chance that a correct sampler fails any of the chi-squared tests
-#: below: each of the 2 * len(SESSION_CASES) tests refuses at a tail below
-#: its Bonferroni share of it.
+#: below.  Each test refuses at a tail below its Bonferroni share of it, out
+#: of five per session case (the marginal test on each walk, and the serial
+#: tests at lag 1, at lag ``CHUNK`` and across seeds) and two per base CHSH
+#: case at each drawn setting (the marginal test on each walk).
 SAMPLER_FALSE_ALARM = 1e-6
+_CHSH_CASES = [case for case in SESSION_CASES if case[2] is CheckKind.CHSH]
+_DRAWN_SETTINGS = 5
+_SAMPLER_THRESHOLD = SAMPLER_FALSE_ALARM / (5 * len(SESSION_CASES) + 2 * _DRAWN_SETTINGS * len(_CHSH_CASES))
 
 
 def _chi2_tail(statistic: float, df: int) -> float:
@@ -793,28 +798,67 @@ def _chi2_tail(statistic: float, df: int) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _sampler_tail(session: Session) -> float:
-    """The chi-squared tail of the session's leaf counts against its pair
-    count times its leaf probabilities.  Leaves are pooled by equal record
-    (a rounding sliver, a leaf below 1e-12, shares a likelier leaf's), and
-    the smallest pools are merged into cells that expect at least 5 pairs."""
-    counts = session.leaf_counts()
-    pairs = sum(counts)
-    pools = defaultdict(lambda: [0, 0.0])
-    for leaf, count, p in zip(session.leaves, counts, session.probabilities):
-        pools[leaf][0] += count
-        pools[leaf][1] += pairs * p
-    cells = []
-    observed, expected = 0, 0.0
-    for count, mean in sorted(pools.values(), key=lambda pool: pool[1]):
-        observed, expected = observed + count, expected + mean
-        if expected >= 5.0:
-            cells.append((observed, expected))
-            observed, expected = 0, 0.0
-    last_count, last_mean = cells.pop()
-    cells.append((last_count + observed, last_mean + expected))
+def _cells(expected: dict) -> dict:
+    """A cell for each key of ``expected`` (its expected count): keys fill
+    cells in increasing order of expected count until a cell expects at
+    least 5, and the keys left over join the last full cell."""
+    cell_of, cell, filled = {}, 0, 0.0
+    for key in sorted(expected, key=expected.__getitem__):
+        cell_of[key], filled = cell, filled + expected[key]
+        if filled >= 5.0:
+            cell, filled = cell + 1, 0.0
+    return {key: min(at, cell - 1) for key, at in cell_of.items()}
+
+
+def _pooled_tail(observed: dict, expected: dict) -> float:
+    """The chi-squared tail of ``observed`` counts (0 for a missing key)
+    against ``expected`` ones, over the cells of ``_cells``."""
+    cell_of = _cells(expected)
+    cells = np.zeros((1 + max(cell_of.values()), 2))
+    for key, at in cell_of.items():
+        cells[at] += observed.get(key, 0), expected[key]
     statistic = math.fsum((count - mean) ** 2 / mean for count, mean in cells)
     return _chi2_tail(statistic, len(cells) - 1)
+
+
+def _record_pools(session: Session) -> dict:
+    """The chance that a pair reaches each of the session's records.  Leaves
+    with equal records are pooled, so a rounding sliver, a leaf below 1e-12,
+    shares a likelier leaf's."""
+    pools = defaultdict(float)
+    for record, p in zip(session.leaves, session.probabilities):
+        pools[record] += p
+    return pools
+
+
+def _sampler_tail(session: Session) -> float:
+    """The chi-squared tail of the session's leaf counts against its pair
+    count times its leaf probabilities, pooled by record and then into
+    cells that expect at least 5 pairs."""
+    counts = session.leaf_counts()
+    observed = defaultdict(int)
+    for record, count in zip(session.leaves, counts):
+        observed[record] += count
+    return _pooled_tail(observed, {record: sum(counts) * p for record, p in _record_pools(session).items()})
+
+
+def _serial_tail(sessions: list[Session], lag: int) -> float:
+    """The chi-squared tail of the joint counts of (the cell of pair i's
+    record in ``sessions[0]``, the cell of pair i + ``lag``'s in
+    ``sessions[-1]``) against (n - lag) times the product of the two cells'
+    chances, with the sessions' records pooled into cells as
+    ``_sampler_tail`` pools them."""
+    walks = [(session, np.concatenate(list(session.leaf_ids()))) for session in (sessions[0], sessions[-1])]
+    pairs = len(walks[0][1])
+    pools = _record_pools(sessions[0])
+    cell_of = _cells({record: pairs * p for record, p in pools.items()})
+    chance = np.zeros(1 + max(cell_of.values()))
+    for record, p in pools.items():
+        chance[cell_of[record]] += p
+    first, second = (np.array([cell_of[record] for record in session.leaves])[ids] for session, ids in walks)
+    joint = np.bincount(first[: pairs - lag] * len(chance) + second[lag:], minlength=len(chance) ** 2)
+    expected = (pairs - lag) * np.outer(chance, chance).ravel()
+    return _pooled_tail(dict(enumerate(joint.tolist())), dict(enumerate(expected.tolist())))
 
 
 @pytest.mark.parametrize(
@@ -823,16 +867,49 @@ def _sampler_tail(session: Session) -> float:
 def test_pairs_reach_leaves_at_the_tree_probabilities(protocol, attack, check, monkeypatch):
     # The Python walk of one chunk, and the numpy walk of 200 chunks of a
     # size that is no power of two, at fixed seeds.
-    threshold = SAMPLER_FALSE_ALARM / (2 * len(SESSION_CASES))
     config = SimulationConfig(
         pairs=CHUNK, control_probability=0.5, check_kind=check, attack=attack, seed=2030, protocol=protocol
     )
-    assert _sampler_tail(run_session(config)) >= threshold
+    assert _sampler_tail(run_session(config)) >= _SAMPLER_THRESHOLD
     monkeypatch.setattr("duplexqkd.protocol.CHUNK", 1000)
     config = SimulationConfig(
         pairs=200_000, control_probability=0.5, check_kind=check, attack=attack, seed=2031, protocol=protocol
     )
-    assert _sampler_tail(run_session(config)) >= threshold
+    assert _sampler_tail(run_session(config)) >= _SAMPLER_THRESHOLD
+
+
+@settings(max_examples=_DRAWN_SETTINGS, deadline=None)
+@given(st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=4, max_size=4))
+def test_pairs_reach_leaves_at_the_tree_probabilities_at_drawn_chsh_settings(angles):
+    # As above, for each base CHSH case, at settings drawn from [-2 pi, 2 pi].
+    for protocol, attack, check in _CHSH_CASES:
+        for pairs, seed, chunk in ((CHUNK, 2034, CHUNK), (200_000, 2035, 1000)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("duplexqkd.protocol.CHUNK", chunk)
+                session = run_session(SimulationConfig(
+                    pairs=pairs, control_probability=0.5, check_kind=check, attack=attack, seed=seed,
+                    protocol=protocol, settings=ChshSettings(angles[:2], angles[2:]),
+                ))
+                assert _sampler_tail(session) >= _SAMPLER_THRESHOLD
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
+)
+def test_pairs_reach_leaves_independently_across_pairs_and_seeds(protocol, attack, check, monkeypatch):
+    # The numpy walk of 200 chunks of 1000 pairs: pair i against pair i + 1,
+    # against pair i + 1000 (its place in the next chunk), and against pair i
+    # of the session at the next seed.
+    monkeypatch.setattr("duplexqkd.protocol.CHUNK", 1000)
+    sessions = [
+        run_session(SimulationConfig(
+            pairs=200_000, control_probability=0.5, check_kind=check, attack=attack, seed=seed, protocol=protocol
+        ))
+        for seed in (2032, 2033)
+    ]
+    assert _serial_tail(sessions[:1], 1) >= _SAMPLER_THRESHOLD
+    assert _serial_tail(sessions[:1], 1000) >= _SAMPLER_THRESHOLD
+    assert _serial_tail(sessions, 0) >= _SAMPLER_THRESHOLD
 
 
 class _PairCounter(Adversary):
