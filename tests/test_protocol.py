@@ -842,21 +842,20 @@ def _sampler_tail(session: Session) -> float:
     return _pooled_tail(observed, {record: sum(counts) * p for record, p in _record_pools(session).items()})
 
 
-def _serial_tail(sessions: list[Session], lag: int) -> float:
+def _serial_tail(first: Session, second: Session, lag: int) -> float:
     """The chi-squared tail of the joint counts of (the cell of pair i's
-    record in ``sessions[0]``, the cell of pair i + ``lag``'s in
-    ``sessions[-1]``) against (n - lag) times the product of the two cells'
-    chances, with the sessions' records pooled into cells as
-    ``_sampler_tail`` pools them."""
-    walks = [(session, np.concatenate(list(session.leaf_ids()))) for session in (sessions[0], sessions[-1])]
+    record in ``first``, the cell of pair i + ``lag``'s in ``second``)
+    against (n - lag) times the product of the two cells' chances, with the
+    records pooled into cells as ``_sampler_tail`` pools them."""
+    walks = [(session, np.concatenate(list(session.leaf_ids()))) for session in (first, second)]
     pairs = len(walks[0][1])
-    pools = _record_pools(sessions[0])
+    pools = _record_pools(first)
     cell_of = _cells({record: pairs * p for record, p in pools.items()})
     chance = np.zeros(1 + max(cell_of.values()))
     for record, p in pools.items():
         chance[cell_of[record]] += p
-    first, second = (np.array([cell_of[record] for record in session.leaves])[ids] for session, ids in walks)
-    joint = np.bincount(first[: pairs - lag] * len(chance) + second[lag:], minlength=len(chance) ** 2)
+    a, b = (np.array([cell_of[record] for record in session.leaves])[ids] for session, ids in walks)
+    joint = np.bincount(a[: pairs - lag] * len(chance) + b[lag:], minlength=len(chance) ** 2)
     expected = (pairs - lag) * np.outer(chance, chance).ravel()
     return _pooled_tail(dict(enumerate(joint.tolist())), dict(enumerate(expected.tolist())))
 
@@ -901,15 +900,15 @@ def test_pairs_reach_leaves_independently_across_pairs_and_seeds(protocol, attac
     # against pair i + 1000 (its place in the next chunk), and against pair i
     # of the session at the next seed.
     monkeypatch.setattr("duplexqkd.protocol.CHUNK", 1000)
-    sessions = [
+    session, next_seed = (
         run_session(SimulationConfig(
             pairs=200_000, control_probability=0.5, check_kind=check, attack=attack, seed=seed, protocol=protocol
         ))
         for seed in (2032, 2033)
-    ]
-    assert _serial_tail(sessions[:1], 1) >= _SAMPLER_THRESHOLD
-    assert _serial_tail(sessions[:1], 1000) >= _SAMPLER_THRESHOLD
-    assert _serial_tail(sessions, 0) >= _SAMPLER_THRESHOLD
+    )
+    assert _serial_tail(session, session, 1) >= _SAMPLER_THRESHOLD
+    assert _serial_tail(session, session, 1000) >= _SAMPLER_THRESHOLD
+    assert _serial_tail(session, next_seed, 0) >= _SAMPLER_THRESHOLD
 
 
 class _PairCounter(Adversary):
