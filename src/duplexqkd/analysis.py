@@ -298,7 +298,7 @@ def _tally_record(report: SimulationReport, record: PairRecord, n: int) -> None:
         report.control_rounds += n
         key = (record.bob_state, record.alice_setting, record.bob_setting)
         report.chsh_counts[key] = report.chsh_counts.get(key, 0) + n
-        product = record.outcomes[0] * record.outcomes[1]
+        product = record.outcome_1 * record.outcome_2
         report.chsh_products[key] = report.chsh_products.get(key, 0) + n * product
 
 

@@ -62,9 +62,11 @@ __all__ = [
 class EveLog:
     """What one attack round yielded, populated only from information the
     attack legitimately accessed.  The attack builds it once, when the round
-    ends."""
+    ends.  ``substitute`` is the Bell state of the pair a substituting attack
+    forwards in Bob's place.  Each field is a CSV transcript column named
+    ``eve_`` plus the field's name, in this order."""
 
-    substitute_state: BellStateId | None = None
+    substitute: BellStateId | None = None
     bell_outcome: BellStateId | None = None
     guessed_alice_bit: int | None = None
     guessed_bob_bit: int | None = None
@@ -184,7 +186,7 @@ class QmmSubstitute(_Listener):
 
     def _log(self, **learned) -> EveLog:
         """The round's log: the substitute and ``learned``."""
-        return EveLog(substitute_state=self._substitute, **learned)
+        return EveLog(substitute=self._substitute, **learned)
 
     def end_pair(self, system, lane):
         bell_outcome = guessed_bob_bit = None

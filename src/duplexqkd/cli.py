@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable
+from operator import attrgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -155,31 +156,11 @@ def parse_args(argv: list[str]) -> RunSpec:
 # ---------------------------------------------------------------------------
 # Record serialization
 
-CSV_COLUMNS = [
-    "pair_index",
-    "protocol",
-    "mode",
-    "bob_state",
-    "alice_basis",
-    "alice_setting",
-    "alice_angle",
-    "bob_setting",
-    "bob_angle",
-    "outcome_1",
-    "outcome_2",
-    "correlated",
-    "bob_decoded_basis",
-    "alice_decoded_state",
-    "qber_pass",
-    "alice_bell_outcome",
-    "alice_pauli",
-    "alice_target",
-    "bob_decoded",
-    "eve_substitute",
-    "eve_bell_outcome",
-    "eve_guessed_alice_bit",
-    "eve_guessed_bob_bit",
-]
+#: The transcript's columns: ``pair_index``, then each ``PairRecord`` field
+#: in order, the last, ``eve_log``, as one ``eve_<field>`` column per
+#: ``EveLog`` field.
+CSV_COLUMNS = ["pair_index", *PairRecord._fields[:-1], *(f"eve_{name}" for name in EveLog._fields)]
+_EVE_COLUMNS = CSV_COLUMNS[len(PairRecord._fields) :]
 
 
 # One renderer per exact cell type; enum texts are fixed at import.
@@ -201,27 +182,16 @@ def _cell(value) -> str:
     return render(value)
 
 
-#: The ``EveLog`` field in each ``eve_*`` column.
-_EVE_FIELDS = {
-    "eve_substitute": "substitute_state",
-    "eve_bell_outcome": "bell_outcome",
-    "eve_guessed_alice_bit": "guessed_alice_bit",
-    "eve_guessed_bob_bit": "guessed_bob_bit",
-}
-_OUTCOME_COLUMNS = ("outcome_1", "outcome_2")
+_record_fields = attrgetter(*PairRecord._fields[:-1])
+_eve_fields = attrgetter(*EveLog._fields)
 
 
 def _record_row(record) -> str:
-    """The end of a transcript line after its ``pair_index`` cell and comma,
-    its cells in ``CSV_COLUMNS`` order: each field of ``record`` (its
-    ``protocol`` included) fills the column named after it, ``outcomes``
-    fill ``outcome_1``/``outcome_2``, the Eve log fills the ``eve_*``
-    columns and every other column is empty.  No cell text needs quoting,
-    so the cells are joined by bare commas."""
-    values = {name: getattr(record, name) for name in record._fields}
-    values.update(zip(_OUTCOME_COLUMNS, record.outcomes))
-    values.update((column, getattr(record.eve_log, name)) for column, name in _EVE_FIELDS.items())
-    return ",".join([_cell(values.get(column)) for column in CSV_COLUMNS[1:]]) + "\n"
+    """The end of a transcript line after its ``pair_index`` cell and comma:
+    the cells of ``record``'s fields in order, then those of its Eve log's
+    (the ``CSV_COLUMNS`` after ``pair_index``).  No cell text needs
+    quoting, so the cells are joined by bare commas."""
+    return ",".join([_cell(v) for v in (*_record_fields(record), *_eve_fields(record.eve_log))]) + "\n"
 
 
 #: Rows joined into one write: the text held at once stays a few hundred rows
@@ -279,7 +249,7 @@ _CELL_VALUE: dict[str, Callable[[str], object]] = {
     **dict.fromkeys(["eve_substitute", "eve_bell_outcome"], _parser([None, *BellStateId])),
     **dict.fromkeys(["eve_guessed_alice_bit", "eve_guessed_bob_bit"], _parser([None, 0, 1, 2, 3])),
 }
-_BASIS_COLUMNS = (*_OUTCOME_COLUMNS, "alice_basis")
+_BASIS_COLUMNS = ("outcome_1", "outcome_2", "alice_basis")
 _CHSH_COLUMNS = ("alice_setting", "alice_angle", "bob_setting", "bob_angle")
 #: The columns a row of each protocol and mode draws besides ``bob_state``
 #: and the Eve cells (which may be empty); ``protocol.derived_fields`` gives
@@ -287,7 +257,7 @@ _CHSH_COLUMNS = ("alice_setting", "alice_angle", "bob_setting", "bob_angle")
 #: four-state control round is an error check.
 _MODE_COLUMNS = {
     (ProtocolKind.BASE, Mode.MESSAGE): _BASIS_COLUMNS,
-    (ProtocolKind.BASE, Mode.CONTROL_CHSH): (*_OUTCOME_COLUMNS, *_CHSH_COLUMNS),
+    (ProtocolKind.BASE, Mode.CONTROL_CHSH): ("outcome_1", "outcome_2", *_CHSH_COLUMNS),
     (ProtocolKind.BASE, Mode.CONTROL_QBER): _BASIS_COLUMNS,
     (ProtocolKind.MODIFIED, Mode.MESSAGE): ("alice_bell_outcome", "alice_target"),
     (ProtocolKind.MODIFIED, Mode.CONTROL_QBER): _BASIS_COLUMNS,
@@ -295,7 +265,7 @@ _MODE_COLUMNS = {
 #: The protocol, mode and drawn columns of each pair of ``protocol`` and
 #: ``mode`` cells a row may hold.
 _ROW_KINDS = {
-    (kind.value, mode.value): (kind, mode, {"bob_state", *_EVE_FIELDS, *columns})
+    (kind.value, mode.value): (kind, mode, {"bob_state", *_EVE_COLUMNS, *columns})
     for (kind, mode), columns in _MODE_COLUMNS.items()
 }
 #: What each protocol's rows may hold in the columns of its alphabet: a
@@ -331,16 +301,15 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
     for column, cell in zip(CSV_COLUMNS[3:], cells[2:]):
         if column in drawn:
             values[column] = _value(column, cell, _CELL_VALUE[column])
-    values["outcomes"] = tuple(values[column] for column in _OUTCOME_COLUMNS if column in drawn)
     for column, symbols in _SYMBOLS[protocol].items():
         if values[column] not in symbols:
             raise ValueError(f"{column} cell {_cell(values[column])!r} in a {cells[0]} row")
     values |= derived_fields(
-        protocol, mode, values["bob_state"], values.get("alice_basis"), values["outcomes"],
-        values.get("alice_bell_outcome"), values.get("alice_target"),
+        protocol, mode, values["bob_state"], values.get("alice_basis"), values.get("outcome_1"),
+        values.get("outcome_2"), values.get("alice_bell_outcome"), values.get("alice_target"),
     )
-    eve = tuple(values[column] for column in _EVE_FIELDS)
-    values["eve_log"] = eve_logs.setdefault(eve, EveLog(**dict(zip(_EVE_FIELDS.values(), eve))))
+    eve = tuple(values[column] for column in _EVE_COLUMNS)
+    values["eve_log"] = eve_logs.setdefault(eve, EveLog(*eve))
     record = PairRecord(*(values.get(name) for name in PairRecord._fields))
     for column, cell, written in zip(CSV_COLUMNS[1:], cells, _record_row(record)[:-1].split(",")):
         if cell != written:
@@ -351,7 +320,8 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
 
 
 def load_records_csv(path) -> list:
-    """Rebuild records from a CSV transcript.
+    """Rebuild records from a CSV transcript, whose columns after
+    ``pair_index`` are a record's fields by name (``CSV_COLUMNS``).
 
     Loading is strict: a row loads iff writing its record gives it back.
     Only the cells a round draws are parsed: Bob's state, the Eve cells, and
@@ -365,8 +335,9 @@ def load_records_csv(path) -> list:
     ``inf`` angles included), a sent state, Eve substitute or Eve guess
     outside its protocol's alphabet (``SENT_STATES``), any cell the writer
     would not give it (a derived cell that does not follow, a cell its mode
-    leaves empty or an empty one it fills, another spelling of an angle), or
-    a ``pair_index`` other than the row's position (0 for the first row)
+    leaves empty or an empty one it fills, another spelling of an angle), a
+    ``protocol`` other than the first row's (a transcript is one session's),
+    or a ``pair_index`` other than the row's position (0 for the first row)
     raises ValueError naming the line and the first such cell.  Eve's cells
     are not derived, so only her alphabet checks them.  Empty Eve cells load
     as ``EveLog()``.  A record holds exactly what its row holds, so loading
@@ -388,7 +359,10 @@ def load_records_csv(path) -> list:
             index, _, suffix = line.partition(",")
             try:
                 if suffix not in leaves:
-                    leaves[suffix] = _parse_leaf(suffix.rstrip("\r\n").split(","), eve_logs)
+                    leaf = leaves[suffix] = _parse_leaf(suffix.rstrip("\r\n").split(","), eve_logs)
+                    first = next(iter(leaves.values())).protocol
+                    if leaf.protocol is not first:
+                        raise ValueError(f"protocol cell {leaf.protocol.value!r} in a {first.value} transcript")
                 if index != str(len(records)):
                     raise ValueError(f"pair_index cell {index!r}, expected {len(records)}")
                 records.append(leaves[suffix])

@@ -199,15 +199,16 @@ def alice_decode(basis: Basis, correlated: bool) -> BellStateId:
 
 
 def derived_fields(
-    protocol: ProtocolKind, mode: Mode, bob_state: BellStateId, alice_basis: Basis | None,
-    outcomes: tuple[Outcome, ...], alice_bell_outcome: BellStateId | None, alice_target: BellStateId | None,
+    protocol: ProtocolKind, mode: Mode, bob_state: BellStateId, alice_basis: Basis | None, outcome_1: Outcome | None,
+    outcome_2: Outcome | None, alice_bell_outcome: BellStateId | None, alice_target: BellStateId | None,
 ) -> dict:
     """The fields of a round that follow from its others, by name:
     ``correlated``, ``bob_decoded_basis``, ``alice_decoded_state``,
     ``qber_pass``, ``alice_pauli`` and ``bob_decoded``, each None where the
     round has none.  A four-state message round derives Alice's Pauli from
     her Bell outcome and target, and Bob's decode from it and his state;
-    every other round derives as in the base protocol.  A round takes them
+    every other round derives as in the base protocol, the correlation from
+    the product of ``outcome_1`` and ``outcome_2``.  A round takes them
     from here, and the CSV loader refuses a row whose cells differ."""
     derived = dict.fromkeys(
         ("correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass", "alice_pauli", "bob_decoded")
@@ -216,7 +217,7 @@ def derived_fields(
         alice_pauli = derived["alice_pauli"] = pauli_for_target(alice_bell_outcome, alice_target)
         derived["bob_decoded"] = pauli_transition(bob_state, alice_pauli)
     elif mode is not Mode.CONTROL_CHSH:
-        correlated = derived["correlated"] = outcomes[0] * outcomes[1] == +1
+        correlated = derived["correlated"] = outcome_1 * outcome_2 == +1
         if mode is Mode.MESSAGE:
             derived["bob_decoded_basis"] = bob_decode(bob_state, correlated)
             derived["alice_decoded_state"] = alice_decode(alice_basis, correlated)
@@ -273,7 +274,13 @@ class PairSystem:
 @value
 class PairRecord:
     """Complete transcript of one round of either protocol; the fields its
-    protocol and mode leave out are None."""
+    protocol and mode leave out are None.  ``outcome_1`` and ``outcome_2``
+    are the round's two ±1 outcomes (Alice's two results, or hers and Bob's
+    in a CHSH check), None in a four-state message round.
+
+    The fields are the CSV transcript's layout: a row is ``pair_index``,
+    then these fields in order, with ``eve_log``, the last, as one
+    ``eve_<field>`` column per :class:`~duplexqkd.attacks.EveLog` field."""
 
     protocol: ProtocolKind
     mode: Mode
@@ -283,7 +290,8 @@ class PairRecord:
     alice_angle: float | None
     bob_setting: int | None
     bob_angle: float | None
-    outcomes: tuple[Outcome, ...]
+    outcome_1: Outcome | None
+    outcome_2: Outcome | None
     correlated: bool | None
     bob_decoded_basis: Basis | None
     alice_decoded_state: BellStateId | None
@@ -383,14 +391,14 @@ def run_pair(
     first = adversary.relay_qubit(system, "bob0", 1, eve)
 
     alice_basis: Basis | None = None
-    alice_setting = alice_angle = bob_setting = bob_angle = alice_bell_outcome = alice_target = None
+    alice_setting = alice_angle = bob_setting = bob_angle = outcome_1 = outcome_2 = None
+    alice_bell_outcome = alice_target = None
     if four_state_message:
         # Alice acknowledges the first half, reads Bob's two bits with a
         # Bell measurement of both and picks the target she will encode.
         adversary.hear(system, ReceiptAck(), eve)
         alice_bell_outcome = system.bell_measure_pair(first, adversary.relay_qubit(system, "bob1", 2, eve), honest)
         alice_target = honest.choose(BOB_STATE_CHOICE[ProtocolKind.MODIFIED])
-        outcomes: tuple[Outcome, ...] = ()
     else:
         # Alice's first measurement (a CHSH angle in control-CHSH rounds,
         # her basis bit otherwise), announced itself but never its result.
@@ -415,8 +423,9 @@ def run_pair(
             # Message and error-check rounds: the second half travels to
             # Alice, who measures it in her first basis.
             outcome_2 = system.measure(adversary.relay_qubit(system, "bob1", 2, eve), first_obs, honest)
-        outcomes = (outcome_1, outcome_2)
-    derived = derived_fields(config.protocol, mode, bob_state, alice_basis, outcomes, alice_bell_outcome, alice_target)
+    derived = derived_fields(
+        config.protocol, mode, bob_state, alice_basis, outcome_1, outcome_2, alice_bell_outcome, alice_target
+    )
     if four_state_message:
         adversary.hear(system, PauliAnnouncement(op=derived["alice_pauli"]), eve)
     elif mode is Mode.MESSAGE:
@@ -433,7 +442,8 @@ def run_pair(
         alice_angle=alice_angle,
         bob_setting=bob_setting,
         bob_angle=bob_angle,
-        outcomes=outcomes,
+        outcome_1=outcome_1,
+        outcome_2=outcome_2,
         alice_bell_outcome=alice_bell_outcome,
         alice_target=alice_target,
         eve_log=adversary.end_pair(system, eve),

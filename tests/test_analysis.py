@@ -40,7 +40,8 @@ def _chsh_record(state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
         alice_angle=settings.alice_angles[i],
         bob_setting=j,
         bob_angle=settings.bob_angles[j],
-        outcomes=(1, product),
+        outcome_1=1,
+        outcome_2=product,
         correlated=None,
         bob_decoded_basis=None,
         alice_decoded_state=None,
@@ -141,7 +142,7 @@ def test_estimate_chsh_counts_sum_to_binned_rounds():
 def _qber_record(state, basis, correlated) -> PairRecord:
     # The derived fields, the pass flag the tally reads among them, are the
     # ones a round with these outcomes records.
-    outcomes = (1, 1 if correlated else -1)
+    outcome_2 = 1 if correlated else -1
     return PairRecord(
         protocol=ProtocolKind.BASE,
         mode=Mode.CONTROL_QBER,
@@ -151,11 +152,12 @@ def _qber_record(state, basis, correlated) -> PairRecord:
         alice_angle=None,
         bob_setting=None,
         bob_angle=None,
-        outcomes=outcomes,
+        outcome_1=1,
+        outcome_2=outcome_2,
         alice_bell_outcome=None,
         alice_target=None,
         eve_log=EveLog(),
-        **derived_fields(ProtocolKind.BASE, Mode.CONTROL_QBER, state, basis, outcomes, None, None),
+        **derived_fields(ProtocolKind.BASE, Mode.CONTROL_QBER, state, basis, 1, outcome_2, None, None),
     )
 
 

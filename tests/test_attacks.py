@@ -186,7 +186,7 @@ def test_qmm_matching_substitute_is_invisible_and_transparent():
     )
     records = run_session(config)
     for record in records:
-        substitute = record.eve_log.substitute_state
+        substitute = record.eve_log.substitute
         if record.mode is Mode.CONTROL_QBER:
             # The check fires exactly on substitute mismatch: the two base
             # states have opposite signatures in both bases.
@@ -227,12 +227,12 @@ def test_substitutes_follow_the_protocol(kind):
     four_state = _config(
         pairs=pairs, control_probability=0.2, protocol=ProtocolKind.MODIFIED, attack=kind, seed=3
     )
-    drawn = Counter(r.eve_log.substitute_state for r in run_session(four_state))
+    drawn = Counter(r.eve_log.substitute for r in run_session(four_state))
     assert set(drawn) == set(BellStateId)
     assert all(abs(n - pairs / 4) < 5 * sigma for n in drawn.values())
 
     base = _config(pairs=pairs, attack=kind, seed=3)
-    drawn = Counter(r.eve_log.substitute_state for r in run_session(base))
+    drawn = Counter(r.eve_log.substitute for r in run_session(base))
     assert set(drawn) == {BellStateId.PSI_PLUS, BellStateId.PHI_MINUS}
     assert abs(drawn[BellStateId.PSI_PLUS] - pairs / 2) < 5 * math.sqrt(pairs * 0.25)
 

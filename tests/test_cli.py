@@ -211,10 +211,10 @@ def test_missing_config_file_rejected():
 def test_modified_qmm_gets_four_state_policy():
     # The substitute choices follow from the protocol the flags select.
     spec = parse_args(["--protocol", "modified", "--attack", "qmm", "--pairs", "400"])
-    drawn = {r.eve_log.substitute_state for r in run_session(spec.config)}
+    drawn = {r.eve_log.substitute for r in run_session(spec.config)}
     assert drawn == set(BellStateId)
     base_spec = parse_args(["--attack", "qmm", "--pairs", "400"])
-    drawn = {r.eve_log.substitute_state for r in run_session(base_spec.config)}
+    drawn = {r.eve_log.substitute for r in run_session(base_spec.config)}
     assert drawn == {BellStateId.PSI_PLUS, BellStateId.PHI_MINUS}
 
 
@@ -455,6 +455,24 @@ def test_csv_loading_is_strict(tmp_path, protocol, mode, edit, needle):
         load_records_csv(out)
     assert str(err.value).startswith(f"line {lineno}: ")
     assert needle in str(err.value)
+
+
+def test_csv_loading_refuses_a_second_protocol(tmp_path):
+    # A base error-check row relabelled four-state is a valid row on its
+    # own, but a transcript is one session's: its rows share one protocol.
+    argv = ["--attack", "qmm", "--check", "qber", "--pairs", "400", "--control-prob", "0.5", "--seed", "4"]
+    text = io.StringIO()
+    records_to_csv(run_session(parse_args(argv).config), text)
+    lines = text.getvalue().splitlines()
+    relabelled = [n for n, line in enumerate(lines[1:], start=2) if ",control-qber," in line][:100]
+    assert len(relabelled) == 100 and relabelled[0] > 2
+    for lineno in relabelled:
+        lines[lineno - 1] = lines[lineno - 1].replace(",base,", ",modified,", 1)
+    out = tmp_path / "records.csv"
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_records_csv(out)
+    assert str(err.value) == f"line {relabelled[0]}: protocol cell 'modified' in a base transcript"
 
 
 def test_csv_loading_refuses_another_header(tmp_path):

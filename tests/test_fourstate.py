@@ -153,7 +153,7 @@ def test_control_round_flow_and_signature_check():
             ("qubit", 2),
             ("announcement", QberDisclosure(basis=record.alice_basis, correlated=record.correlated)),
         ]
-        product_ = record.outcomes[0] * record.outcomes[1]
+        product_ = record.outcome_1 * record.outcome_2
         assert record.qber_pass == (
             product_ == correlation_signature(record.bob_state, record.alice_basis)
         )
@@ -179,7 +179,7 @@ def test_four_state_substitution_is_caught_and_read():
     )
     records = list(run_session(config))
     # A four-state session's man-in-the-middle substitutes all four states.
-    assert {r.eve_log.substitute_state for r in records} == set(BellStateId)
+    assert {r.eve_log.substitute for r in records} == set(BellStateId)
     controls = [r for r in records if r.mode is Mode.CONTROL_QBER]
     fail_rate = sum(not r.qber_pass for r in controls) / len(controls)
     assert 0.0 < fail_rate < 1.0

@@ -207,9 +207,9 @@ def _expected_hooks(record: PairRecord) -> list[tuple]:
     elif record.mode is Mode.CONTROL_CHSH:
         middle = [
             ("announcement", MeasuredFirst(control=True)),
-            ("announcement", ControlDisclosure(setting=record.alice_angle, outcome=record.outcomes[0])),
+            ("announcement", ControlDisclosure(setting=record.alice_angle, outcome=record.outcome_1)),
             ("announcement", ControlDisclosure(
-                setting=record.bob_angle, outcome=record.outcomes[1], state_id=record.bob_state
+                setting=record.bob_angle, outcome=record.outcome_2, state_id=record.bob_state
             )),
         ]
     elif record.mode is Mode.CONTROL_QBER:
@@ -352,7 +352,7 @@ def test_chsh_round_records_settings_and_outcomes():
             continue
         assert record.alice_angle == config.settings.alice_angles[record.alice_setting]
         assert record.bob_angle == config.settings.bob_angles[record.bob_setting]
-        assert set(record.outcomes) <= {+1, -1}
+        assert {record.outcome_1, record.outcome_2} <= {+1, -1}
         assert record.alice_basis is None and record.correlated is None
 
 

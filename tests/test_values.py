@@ -36,7 +36,7 @@ def _record_fields(config: SimulationConfig) -> dict:
 
 _RECORD_FIELDS = (
     "protocol", "mode", "bob_state", "alice_basis", "alice_setting", "alice_angle", "bob_setting", "bob_angle",
-    "outcomes", "correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass",
+    "outcome_1", "outcome_2", "correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass",
     "alice_bell_outcome", "alice_pauli", "alice_target", "bob_decoded", "eve_log",
 )
 
@@ -62,7 +62,7 @@ CASES = [
     (
         EveLog,
         {
-            "substitute_state": BellStateId.PSI_PLUS, "bell_outcome": None, "guessed_alice_bit": 0,
+            "substitute": BellStateId.PSI_PLUS, "bell_outcome": None, "guessed_alice_bit": 0,
             "guessed_bob_bit": None,
         },
         True,
@@ -212,7 +212,7 @@ def test_defaults_apply_and_mutable_defaults_are_fresh():
     config = SimulationConfig(pairs=2)
     assert (config.control_probability, config.attack, config.seed) == (0.0, AttackKind.NONE, 0)
     log = EveLog()
-    assert (log.substitute_state, log.bell_outcome, log.guessed_alice_bit, log.guessed_bob_bit) == (None,) * 4
+    assert (log.substitute, log.bell_outcome, log.guessed_alice_bit, log.guessed_bob_bit) == (None,) * 4
     assert log == EveLog() and hash(log) == hash(EveLog())
     first, second = SimulationReport(config_echo={}, seed=0), SimulationReport({}, 0)
     assert first == second and first.pairs == 0
