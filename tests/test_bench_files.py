@@ -19,9 +19,11 @@ def test_a_perf_trajectory_is_committed():
 
 def test_the_trajectory_has_no_gap_since_bench_21():
     # Every change from the 21st on commits its file, so the numbers run
-    # without a gap from 21 to the highest one.
+    # without a gap from 21 to the highest one.  The one exception is 28:
+    # no change that landed took that number (CHANGES.md has no entry for
+    # it), so there is no run of it to record.
     numbers = {int(path.stem.removeprefix("BENCH_")) for path in BENCH_FILES}
-    missing = set(range(21, max(numbers) + 1)) - numbers
+    missing = set(range(21, max(numbers) + 1)) - numbers - {28}
     assert not missing, sorted(f"BENCH_{n}.json" for n in missing)
 
 
