@@ -129,6 +129,26 @@ def evasion_probability(control_probability: float, detection_rate: float, n: in
     return (1.0 / (1.0 + c * d / (1.0 - c))) ** n
 
 
+def _efficiency(*runs: tuple[int, int, int]) -> tuple[int, int]:
+    """The mean over ``runs`` (secret bits, qubits, classical bits) of secret
+    bits per qubit plus classical bit, as a reduced fraction (num, den)."""
+    num, den = 0, 1
+    for bits, qubits, classical in runs:  # num/den += bits/(qubits + classical)
+        num, den = num * (qubits + classical) + bits * den, den * (qubits + classical)
+    den *= len(runs)
+    gcd = math.gcd(num, den)
+    return num // gcd, den // gcd
+
+
+#: The exact figures of ``efficiency_table``, which its docstring derives.
+_EFFICIENCIES = {
+    "base": _efficiency((2, 2, 2)),
+    "base_avg": _efficiency((1, 2, 1), (1, 2, 2)),
+    "modified": _efficiency((4, 2, 3)),
+    "modified_avg": _efficiency((2, 2, 3), (2, 2, 1)),
+}
+
+
 def efficiency_table() -> dict[str, Fraction]:
     """Closed-form secret bits per transmitted qubit plus classical bit
     (Cabello's efficiency) for both protocols.
@@ -141,17 +161,14 @@ def efficiency_table() -> dict[str, Fraction]:
     operation index).  Separate runs average Alice's direction (2 secret
     bits, 2 qubits, receipt and index) with Bob's (2 secret bits, 2 qubits,
     the receipt alone).
+
+    Each figure is reduced in integer arithmetic (``_EFFICIENCIES``), which
+    the report's texts are written from too, so only a caller of this
+    function imports ``fractions`` (and with it ``decimal``).
     """
-    # Imported here: ``fractions`` loads ``decimal``, which only the exact
-    # figures need, so a run that writes no report never imports it.
     from fractions import Fraction
 
-    return {
-        "base": Fraction(2, 2 + 2),
-        "base_avg": (Fraction(1, 2 + 1) + Fraction(1, 2 + 2)) / 2,
-        "modified": Fraction(4, 2 + 3),
-        "modified_avg": (Fraction(2, 2 + 3) + Fraction(2, 2 + 1)) / 2,
-    }
+    return {name: Fraction(*ratio) for name, ratio in _EFFICIENCIES.items()}
 
 
 @value(frozen=False)
@@ -256,7 +273,7 @@ class SimulationReport:
             },
             "d_hat": self.detection.d_hat,
             "chsh": {"per_state": per_state},
-            "efficiency": {name: str(value) for name, value in efficiency_table().items()},
+            "efficiency": {name: f"{num}/{den}" for name, (num, den) in _EFFICIENCIES.items()},
             "seed": self.seed,
         }
 

@@ -304,6 +304,9 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
     for column, symbols in _SYMBOLS[protocol].items():
         if values[column] not in symbols:
             raise ValueError(f"{column} cell {_cell(values[column])!r} in a {cells[0]} row")
+    if values["eve_substitute"] is None and values["eve_bell_outcome"] is not None:
+        # Only a substituting attack Bell-measures, and it logs its substitute.
+        raise ValueError(f"eve_bell_outcome cell {_cell(values['eve_bell_outcome'])!r} with an empty eve_substitute")
     values |= derived_fields(
         protocol, mode, values["bob_state"], values.get("alice_basis"), values.get("outcome_1"),
         values.get("outcome_2"), values.get("alice_bell_outcome"), values.get("alice_target"),
@@ -339,14 +342,17 @@ def load_records_csv(path) -> list:
     ``protocol`` other than the first row's (a transcript is one session's),
     or a ``pair_index`` other than the row's position (0 for the first row)
     raises ValueError naming the line and the first such cell.  Eve's cells
-    are not derived, so only her alphabet checks them.  Empty Eve cells load
-    as ``EveLog()``.  A record holds exactly what its row holds, so loading
-    is the inverse of ``records_to_csv``: a session's transcript loads back
-    equal to ``list(session)``.  Each distinct row past ``pair_index`` is
-    parsed once into one record, which every row with those cells shares,
-    as a session's pairs share their leaf's record (equal Eve cells share
-    one log as well); records and logs are immutable, so a shared one
-    cannot be changed.
+    are not derived, so only her alphabet checks them, and that an
+    ``eve_bell_outcome`` comes with an ``eve_substitute`` (only the
+    substitution attacks Bell-measure, and they log their substitute first);
+    a guess that contradicts her Bell outcome still loads.  Empty Eve cells
+    load as ``EveLog()``.  A record holds exactly what its row holds, so
+    loading is the inverse of ``records_to_csv``: a session's transcript
+    loads back equal to ``list(session)``.  Each distinct row past
+    ``pair_index`` is parsed once into one record, which every row with
+    those cells shares, as a session's pairs share their leaf's record
+    (equal Eve cells share one log as well); records and logs are
+    immutable, so a shared one cannot be changed.
     """
     leaves: dict[str, PairRecord] = {}
     eve_logs: dict[tuple, EveLog] = {}

@@ -19,7 +19,7 @@ import pytest
 from conftest import SESSION_CASES, standalone_rounds
 from test_golden import GOLDEN
 from duplexqkd import cli
-from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
+from duplexqkd.analysis import build_report, efficiency_table, estimate_chsh, estimate_qber
 from duplexqkd.attacks import EveLog
 from duplexqkd.cli import (
     CSV_COLUMNS,
@@ -421,6 +421,10 @@ def _set_cell(column: str, text: str):
         ("base", "control-chsh", _set_cell("eve_substitute", "psi_minus"),
          "eve_substitute cell 'psi_minus' in a base row"),
         ("base", "message", _set_cell("eve_guessed_alice_bit", "2"), "eve_guessed_alice_bit cell '2' in a base row"),
+        # Only a substituting attack Bell-measures, and it logs its
+        # substitute, so a Bell outcome alone is no attack's log.
+        ("base", "control-qber", _set_cell("eve_bell_outcome", "phi_plus"),
+         "eve_bell_outcome cell 'phi_plus' with an empty eve_substitute"),
     ],
     ids=[
         "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
@@ -434,7 +438,7 @@ def _set_cell(column: str, text: str):
         "qber-row-correlated", "message-row-alice-decode", "message-row-bob-decode", "qber-row-pass",
         "four-state-control-row-pass", "four-state-message-row-decoded", "four-state-message-row-pauli",
         "message-row-four-state-bob-state", "base-row-four-state-guess", "base-row-four-state-substitute",
-        "base-row-alice-guess-out-of-range",
+        "base-row-alice-guess-out-of-range", "bell-outcome-without-substitute",
     ],
 )
 def test_csv_loading_is_strict(tmp_path, protocol, mode, edit, needle):
@@ -540,9 +544,9 @@ def test_csv_loader_accept_set_is_pinned(tmp_path):
         except ValueError:
             verdicts.append(f"{edited} refuse")
     assert len(verdicts) == 8 * 22 * 36
-    assert sum(v.endswith("accept") for v in verdicts) == 284
+    assert sum(v.endswith("accept") for v in verdicts) == 271
     digest = hashlib.sha256("\n".join(sorted(verdicts)).encode()).hexdigest()
-    assert digest == "4ff1276accadfae6d2582548dda71c2a1ddb80e02fb7ac27d8256345c8351931"
+    assert digest == "6b8cdbc8c2ea633c70ac2e9b81dcf796c750ff16ad0f84e4fec8f6c9f429152a"
 
 
 @pytest.mark.parametrize("protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value)
@@ -582,9 +586,10 @@ def test_transcript_prefix_across_chunks_is_independent_of_pairs(capsys):
 
 
 def test_loaded_transcript_shares_equal_cells(tmp_path):
-    # Equal outcome tuples, angles and Eve logs are one object each, so a
-    # loaded transcript holds little more than one record per round (each
-    # record used to carry its own log with three empty lists, ~530 B a round).
+    # Rows with equal cells past pair_index share one record, and equal Eve
+    # cells one log, so a loaded transcript holds little more than one
+    # reference per round (each record used to carry its own log with three
+    # empty lists, ~530 B a round).
     out = tmp_path / "records.csv"
     argv = ["--pairs", "2000", "--control-prob", "0.5", "--attack", "qmm-swap", "--seed", "4",
             "--format", "csv", "--out", str(out)]
@@ -747,15 +752,31 @@ def test_module_entry_prints_whole_strict_json():
     assert payload["config_echo"]["pairs"] == 3000
 
 
-def test_importing_the_cli_loads_no_dataclasses():
+def test_importing_the_cli_loads_no_dataclasses(tmp_path):
     # The value types are built without generated code: ``dataclasses`` and
     # the compiling of its generated methods cost every CLI child ~25 ms.
-    # ``fractions`` (which loads ``decimal``) is imported only by the exact
-    # efficiency figures of a JSON report, so a CSV child skips it.
+    # ``fractions`` (which loads ``decimal``) is imported only by
+    # ``efficiency_table``: a JSON report writes its exact efficiencies from
+    # integers, so no CLI run loads either, one-chunk or numpy-walked.
     modules = ("dataclasses", "fractions")
     child = _spawn("-c", f"import sys, duplexqkd.cli; print([m for m in {modules!r} if m in sys.modules])")
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+    runs = [["--pairs", "1"], ["--protocol", "modified", "--attack", "ir", "--pairs", str(CHUNK + 1)]]
+    runs = [[*flags, "--out", str(tmp_path / f"{n}.json")] for n, flags in enumerate(runs)]
+    script = (
+        "import sys\n"
+        "from duplexqkd.cli import run_cli\n"
+        f"print([run_cli(flags) for flags in {runs!r}], 'numpy' in sys.modules)\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    child = _spawn("-c", script)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[0, 0] True", "[]"]
+    config = parse_args(runs[1]).config
+    report = build_report(run_session(config), config)
+    assert report.to_dict()["efficiency"] == {k: str(v) for k, v in efficiency_table().items()}
+    assert json.loads((tmp_path / "1.json").read_text())["efficiency"] == report.to_dict()["efficiency"]
 
 
 def test_numpy_loads_only_when_a_session_outgrows_one_chunk(tmp_path):
