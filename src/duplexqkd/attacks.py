@@ -5,29 +5,36 @@ transform before forwarding) and each classical announcement after it is
 sent.  It never sees local measurement results or the control flag ahead of
 Alice's first-measurement announcement.  A session calls ``begin_session``
 before any other hook, and each round calls ``begin_pair`` before its first
-qubit moves.  Each attack keeps its round's scratch on itself, resets it in
-``begin_pair`` and builds the round's immutable :class:`EveLog`, what it
-learned, once in ``end_pair``.  The hooks are the whole channel: a round
-keeps no other copy of its qubits' legs or of what it announces, so a test
-asserts that causality discipline by wiretapping the hooks.
+qubit moves.  Each attack keeps its round's scratch on itself and resets it
+in ``begin_pair``; ``end_pair`` builds the round's immutable
+:class:`EveLog` once.  The hooks are the whole channel: a round keeps no
+other copy of its qubits' legs or of what it announces, so a test asserts
+that causality discipline by wiretapping the hooks.
 
 The base :class:`Adversary` is the null adversary, the layer every session
-without an attack runs; its rounds log an empty ``EveLog()``.  Three
-concrete attacks:
+without an attack runs; its rounds log an empty ``EveLog()``.  The three
+concrete attacks log by one rule, kept in their shared base class.  Eve's
+log holds what she measured (her substitute and her Bell outcome) and two
+guesses from two beliefs: ``guessed_bob_bit`` is the symbol of the state she
+believes Bob sent, and ``guessed_alice_bit`` is the message-round
+announcement she heard, decoded against the state she believes Alice
+measured.  A guess is None where its belief or the announcement is missing.
+The attacks differ only in what they do and what they believe:
 
 * :class:`InterceptResend` measures each transiting qubit in a basis drawn
   on the first leg (reused on the second) and forwards the collapsed
-  eigenstate; its two outcomes give it a guess of Bob's state, against
-  which it decodes what Alice announces.
+  eigenstate.  Its two outcomes fix one base state, which it believes both
+  Bob sent and Alice measured.
 * :class:`QmmSubstitute` plays man-in-the-middle: it hands Alice the halves
   of its own Bell pair (drawn uniformly from the states the protocol
-  encodes with) in the sequence Bob would, keeps Bob's qubits, and
-  Bell-measures them to read Bob's encoding; what Alice then announces
-  gives it her encoding as well.
+  encodes with) in the sequence Bob would, keeps Bob's qubits and
+  Bell-measures them.  It believes Alice measured its substitute and Bob
+  sent its Bell outcome.
 * :class:`QmmSwap` substitutes the same way, but in a CHSH control round it
   Bell-measures (Bob's intercepted half, its own retained half) - an
   entanglement swap that projects the Alice/Bob marginal onto a Bell state
-  it cannot steer, leaving them an equal four-way Bell mixture.
+  it cannot steer, leaving them an equal four-way Bell mixture.  It logs
+  the swap's outcome as its Bell outcome.
 """
 
 from __future__ import annotations
@@ -101,29 +108,35 @@ class Adversary:
 
 
 class _Listener(Adversary):
-    """An attack that guesses Alice's bits from her message-round
-    announcement, decoded against the state it believes she measured."""
+    """The base of the three attacks, whose ``end_pair`` builds every
+    attacking round's log by the one rule.  A subclass only sets, during the
+    round, what Eve measured (``_substitute``, ``_bell_outcome``) and what
+    she believes (``_bob_state``, ``_alice_state``); ``begin_pair`` resets
+    them and the last announcement heard."""
 
     def begin_session(self, config):
         self._states = SENT_STATES[config.protocol]
 
     def begin_pair(self) -> None:
         self._heard: CorrelationAnnouncement | PauliAnnouncement | None = None
+        self._substitute = self._bell_outcome = self._alice_state = self._bob_state = None
 
     def hear(self, system, message, lane):
         if isinstance(message, (CorrelationAnnouncement, PauliAnnouncement)):
             self._heard = message
 
-    def _guess_alice(self, state: BellStateId | None) -> int | None:
-        """Alice's bits as the heard announcement decodes against ``state``:
-        the basis a correlation gives with it, or the index of the target a
-        Pauli maps it to; None if nothing was heard."""
-        heard = self._heard
-        if isinstance(heard, CorrelationAnnouncement):
-            return BASIS_BIT[bob_decode(state, heard.correlated)]
-        if heard is not None:
-            return self._states.index(pauli_transition(state, heard.op))
-        return None
+    def end_pair(self, system, lane):
+        heard, alice, bob = self._heard, self._alice_state, self._bob_state
+        guessed_alice_bit = None
+        if heard is not None and alice is not None:
+            # A correlation gives the basis whose signature on ``alice``
+            # matches it; a Pauli, the target it maps ``alice`` to.
+            if isinstance(heard, CorrelationAnnouncement):
+                guessed_alice_bit = BASIS_BIT[bob_decode(alice, heard.correlated)]
+            else:
+                guessed_alice_bit = self._states.index(pauli_transition(alice, heard.op))
+        guessed_bob_bit = None if bob is None else self._states.index(bob)
+        return EveLog(self._substitute, self._bell_outcome, guessed_alice_bit, guessed_bob_bit)
 
 
 class InterceptResend(_Listener):
@@ -147,15 +160,13 @@ class InterceptResend(_Listener):
 
     def end_pair(self, system, lane):
         outcomes = self._outcomes
-        guessed_alice_bit = guessed_bob_bit = None
         if len(outcomes) == 2:
             # Her own same-basis product always equals the sent state's
             # signature, which fixes a base state and halves the four-state
-            # alphabet.  Alice's announcement decodes against that guess.
-            guessed_state = alice_decode(self._basis, outcomes[0] * outcomes[1] == +1)
-            guessed_bob_bit = self._states.index(guessed_state)
-            guessed_alice_bit = self._guess_alice(guessed_state)
-        return EveLog(guessed_alice_bit=guessed_alice_bit, guessed_bob_bit=guessed_bob_bit)
+            # alphabet.  Alice measured what Eve forwarded, so Eve believes
+            # that state of both.
+            self._alice_state = self._bob_state = alice_decode(self._basis, outcomes[0] * outcomes[1] == +1)
+        return super().end_pair(system, lane)
 
 
 class QmmSubstitute(_Listener):
@@ -164,7 +175,8 @@ class QmmSubstitute(_Listener):
     Eve must commit to her own pair before anything about Bob's choice is
     observable, so she draws it uniformly from the states the session's
     protocol encodes with (its ``SENT_STATES``): the two base states, or all
-    four Bell states in the four-state variant.
+    four Bell states in the four-state variant.  Alice measures that pair,
+    so Eve believes Alice measured her substitute.
     """
 
     def begin_session(self, config):
@@ -174,34 +186,21 @@ class QmmSubstitute(_Listener):
     def begin_pair(self) -> None:
         super().begin_pair()
         self._retained: list[str] = []
-        self._substitute: BellStateId | None = None
 
     def relay_qubit(self, system, handle, leg, lane):
         self._retained.append(handle)
         if leg == 1:
-            self._substitute = lane.choose(self._choice)
+            self._substitute = self._alice_state = lane.choose(self._choice)
             system.add_pair(self._substitute, "eve0", "eve1")
             return "eve0"
         return "eve1"
 
-    def _log(self, **learned) -> EveLog:
-        """The round's log: the substitute and ``learned``."""
-        return EveLog(substitute=self._substitute, **learned)
-
     def end_pair(self, system, lane):
-        bell_outcome = guessed_bob_bit = None
         if len(self._retained) == 2:
             # Bob's pair reached Eve intact; the Bell measurement reads his
             # encoding with certainty.
-            bell_outcome = system.bell_measure_pair(*self._retained, lane)
-            guessed_bob_bit = self._states.index(bell_outcome)
-        # Alice measured Eve's pair, so her announcement decodes against the
-        # substitute state.
-        return self._log(
-            bell_outcome=bell_outcome,
-            guessed_alice_bit=self._guess_alice(self._substitute),
-            guessed_bob_bit=guessed_bob_bit,
-        )
+            self._bell_outcome = self._bob_state = system.bell_measure_pair(*self._retained, lane)
+        return super().end_pair(system, lane)
 
 
 class QmmSwap(QmmSubstitute):
@@ -211,28 +210,20 @@ class QmmSwap(QmmSubstitute):
     holds (Bob's intercepted half and her own retained half).  No correction
     is ever applied on Bob's side, so the Alice/Bob pair collapses to a
     uniformly random Bell state: the marginal they test is an equal mixture
-    with a vanishing CHSH value.
+    with a vanishing CHSH value.  The swap's outcome is that round's Bell
+    outcome; Bob keeps his second half, so she guesses nothing in it.
     """
 
     def begin_session(self, config):
         super().begin_session(config)
         self._check = config.check_kind
 
-    def begin_pair(self) -> None:
-        super().begin_pair()
-        self._swap_outcome: BellStateId | None = None
-
     def hear(self, system, message, lane):
         super().hear(system, message, lane)
         # MeasuredFirst comes after the first leg and before the second: Eve
         # holds Bob's first half and her own second.
         if isinstance(message, MeasuredFirst) and message.control and self._check is CheckKind.CHSH:
-            self._swap_outcome = system.bell_measure_pair(self._retained[0], "eve1", lane)
-
-    def end_pair(self, system, lane):
-        if self._swap_outcome is not None:
-            return self._log(bell_outcome=self._swap_outcome)
-        return super().end_pair(system, lane)
+            self._bell_outcome = system.bell_measure_pair(self._retained[0], "eve1", lane)
 
 
 _ATTACKS = {

@@ -11,7 +11,16 @@ import pytest
 from duplexqkd.analysis import build_report, estimate_chsh, estimate_qber
 from duplexqkd.attacks import Adversary, InterceptResend, QmmSubstitute, QmmSwap, build_adversary
 from duplexqkd.config import AttackKind, CheckKind, ProtocolKind, SimulationConfig
-from duplexqkd.protocol import BASIS_BIT, STATE_BIT, MeasuredFirst, Mode, correlation_signature, run_pair, run_session
+from duplexqkd.protocol import (
+    BASIS_BIT,
+    SENT_STATES,
+    STATE_BIT,
+    MeasuredFirst,
+    Mode,
+    correlation_signature,
+    run_pair,
+    run_session,
+)
 from duplexqkd.quantum import (
     Basis,
     BellStateId,
@@ -20,7 +29,7 @@ from duplexqkd.quantum import (
     measure_qubit,
     tensor,
 )
-from conftest import Wiretap
+from conftest import SESSION_CASES, Wiretap
 from oracle import TwoQubitDensity, chsh_value, eigenvectors, mix, vector
 
 
@@ -319,6 +328,48 @@ def test_swap_degrades_to_substitute_for_qber_checks():
     )
     stats = estimate_qber(run_session(config))
     assert abs(stats.d_hat - 0.5) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Eve's guesses
+
+
+def _decoded_alice_bits(protocol: ProtocolKind, state: BellStateId, message_leaf) -> int:
+    """Alice's bits as the leaf's announcement decodes against ``state``, by
+    the XOR relation: the base correlation is 1 exactly when Alice's basis
+    bit equals the state's bit, and the four-state Pauli index is the
+    state's two bits XOR Alice's target."""
+    if protocol is ProtocolKind.MODIFIED:
+        return state.bits ^ message_leaf.alice_pauli.value
+    return STATE_BIT[state] ^ (not message_leaf.correlated)
+
+
+@pytest.mark.parametrize("control", [0.2, 0.5])
+@pytest.mark.parametrize(
+    "protocol,attack,check",
+    [case for case in SESSION_CASES if case[1] is not AttackKind.NONE],
+    ids=lambda kind: kind.value,
+)
+def test_every_leaf_logs_by_the_one_guess_rule(protocol, attack, check, control):
+    # Eve's Bob guess is the state she believes Bob sent, her Bell outcome
+    # under substitution, and her Alice guess is the heard announcement
+    # decoded against the state she believes Alice measured: her substitute
+    # under substitution, her Bob guess under intercept-resend.
+    states = SENT_STATES[protocol]
+    config = _config(pairs=1, control_probability=control, protocol=protocol, attack=attack, check_kind=check)
+    for leaf in run_session(config).leaves:
+        log = leaf.eve_log
+        if leaf.mode is Mode.CONTROL_CHSH:
+            assert log.guessed_alice_bit is None and log.guessed_bob_bit is None
+            continue
+        substituting = attack is not AttackKind.INTERCEPT_RESEND
+        if substituting:
+            assert log.guessed_bob_bit == states.index(log.bell_outcome)
+        if leaf.mode is Mode.MESSAGE:
+            believed = log.substitute if substituting else states[log.guessed_bob_bit]
+            assert log.guessed_alice_bit == _decoded_alice_bits(protocol, believed, leaf)
+        else:
+            assert log.guessed_alice_bit is None
 
 
 # ---------------------------------------------------------------------------

@@ -445,8 +445,9 @@ def _information(joint: dict, xs: tuple, ys: tuple) -> float:
 def test_public_channel_gives_away_the_xor_of_the_two_parties_bits(control):
     # Over clean message rounds, the announcements a listener hears say
     # nothing about either party's bits, but half of what the pair holds:
-    # the base correlation is Alice's basis bit XOR Bob's state bit, and the
-    # four-state Pauli index is Bob's two bits XOR Alice's target.
+    # the base correlation is the complement of Alice's basis bit XOR Bob's
+    # state bit (1 exactly when the two are equal), and the four-state Pauli
+    # index is Bob's two bits XOR Alice's target.
     for protocol, attack, check in SESSION_CASES:
         if attack is not AttackKind.NONE:
             continue
@@ -504,6 +505,25 @@ def test_round_tree_figures_at_any_control_probability(control):
     assert abs(four_state.eve_bob_accuracy - 0.5) <= EXACT
     assert abs(four_state.eve_alice_accuracy - 0.5) <= EXACT
     assert abs(four_state.eve_alice_accuracy - four_state.decode_accuracy_bob) <= EXACT
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.01, 0.99))
+def test_round_tree_eve_accuracies(control):
+    # Substitution reads every message round perfectly in both protocols:
+    # Bob's state from her Bell measurement, Alice's bits from the
+    # announcement against her own substitute.  Base intercept-resend reads
+    # Bob's state always, and Alice's basis exactly as often as Bob does.
+    for protocol, attack, check in SESSION_CASES:
+        if attack in (AttackKind.QMM_SUBSTITUTE, AttackKind.QMM_SWAP):
+            report = _expected_report(control, protocol=protocol, attack=attack, check_kind=check)
+            assert abs(report.eve_alice_accuracy - 1.0) <= EXACT
+            assert abs(report.eve_bob_accuracy - 1.0) <= EXACT
+        elif attack is AttackKind.INTERCEPT_RESEND and protocol is ProtocolKind.BASE:
+            report = _expected_report(control, attack=attack, check_kind=check)
+            assert abs(report.eve_alice_accuracy - 0.75) <= EXACT
+            assert abs(report.eve_bob_accuracy - 1.0) <= EXACT
+            assert abs(report.eve_alice_accuracy - report.decode_accuracy_bob) <= EXACT
 
 
 @pytest.mark.parametrize(
