@@ -592,10 +592,17 @@ class Session:
         bucket per row.  The table has one dimension per row and holds, at
         each tuple of buckets, the leaf that a pair with draws in those
         buckets reaches.  A pair then costs, per row, one draw and a count
-        of the row's thresholds at or below it, and one gather in the
-        table.  The thresholds are :func:`~duplexqkd.stream.threshold_bits`
-        of the cuts, so a pair's 64-bit draw reaches one exactly when its
-        uniform reaches the cut, the rule of :meth:`Choice.pick`."""
+        of the row's thresholds, and one gather in the table.
+
+        A row's thresholds are the top 53 bits of
+        :func:`~duplexqkd.stream.threshold_bits` of its cuts, and a draw's
+        top 53 bits reach one exactly when its uniform reaches the cut, the
+        rule of :meth:`Choice.pick`.  The bucket starts at the number of
+        thresholds and loses one for each threshold above the draw: both
+        are below 2**53, so bit 63 of their wrapped ``uint64`` difference is
+        that borrow.  Every array of the walk stays ``uint64``, so numpy
+        never builds a casting loop, as a ``bool`` comparison added into
+        an index array would make it."""
         import numpy as np
 
         rows, table = self._bucket_table()
@@ -603,20 +610,24 @@ class Session:
         for start in range(0, config.pairs, CHUNK):
             pairs = np.arange(start, min(start + CHUNK, config.pairs), dtype=np.uint64)
             keys = [stream_key(config.seed, pairs, lane) for lane in self._lanes]
-            at = np.zeros(len(pairs), dtype=np.intp)
+            at = np.zeros(len(pairs), dtype=np.uint64)
             for lane, slot, thresholds in rows:
-                bits = draw_bits(keys[lane], slot)
+                top = draw_bits(keys[lane], slot)
+                top >>= 11
                 at *= len(thresholds) + 1
+                at += len(thresholds)
                 for threshold in thresholds:
-                    at += bits >= threshold
-            yield table[at]
+                    at -= (top - threshold) >> 63
+            yield table[at.view(np.intp)]
 
     def _bucket_table(self) -> tuple[list, object]:
-        """The rows of the bucket table, each as (lane, slot, thresholds),
-        and the table itself, flattened.  A depth-first pass gives each leaf
-        its box: the buckets of the branch its path takes at each row it
-        reads, and every bucket of the rows it does not read.  The boxes
-        partition the table, so one slice assignment per leaf fills it."""
+        """The rows of the bucket table, each as (lane, slot, thresholds)
+        with a row's thresholds the top 53 bits of its cuts'
+        :func:`~duplexqkd.stream.threshold_bits`, as Python ints, and the
+        table itself, flattened.  A depth-first pass gives each leaf its
+        box: the buckets of the branch its path takes at each row it reads,
+        and every bucket of the rows it does not read.  The boxes partition
+        the table, so one slice assignment per leaf fills it."""
         import numpy as np
 
         cuts_of: dict[tuple[int, int], set[float]] = {}
@@ -639,7 +650,7 @@ class Session:
                 if lower < upper:  # a zero-width branch has no bucket and no child
                     span = slice(edges[row].index(lower), edges[row].index(upper))
                     todo.append((child, box[:row] + (span,) + box[row + 1 :]))
-        thresholds = [[np.uint64(threshold_bits(cut)) for cut in row_edges[1:-1]] for row_edges in edges]
+        thresholds = [[threshold_bits(cut) >> 11 for cut in row_edges[1:-1]] for row_edges in edges]
         return [(*draw, row) for draw, row in zip(cuts_of, thresholds)], table.ravel()
 
 

@@ -7,7 +7,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SESSION_CASES, Wiretap, standalone_rounds
@@ -629,7 +629,8 @@ def _seed_with_zero_draw(slot: int, low: int) -> int:
 def _assert_threshold_exact(cut: float) -> None:
     # The draws at the threshold, just below it and at the top of its
     # uniform: the integer test must agree with ``uniform >= cut``, in the
-    # int form and in the uint64 form that the numpy walk compares.
+    # int form, in the uint64 comparison, and in the borrow form that the
+    # numpy walk counts, whose bit 63 is set exactly below the cut.
     threshold = stream.threshold_bits(cut)
     assert 0 < threshold < 2**64
     draws = (threshold, threshold - 1, threshold + 2047)
@@ -640,10 +641,17 @@ def _assert_threshold_exact(cut: float) -> None:
     assert [bits >= threshold for bits in draws] == reached
     batch = stream.draw_bits(np.array(keys, dtype=np.uint64), 3)
     assert (batch >= np.uint64(threshold)).tolist() == reached
+    borrow = ((batch >> 11) - (threshold >> 11)) >> 63
+    assert borrow.dtype == np.uint64
+    assert borrow.tolist() == [int(not r) for r in reached]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+# The extreme cuts: 53-bit thresholds 1, 1 and 2**53 - 1.
+@example(5e-324)
+@example(2.0**-53)
+@example(1 - 2.0**-53)
 def test_thresholds_are_exact_at_drawn_cuts(cut):
     _assert_threshold_exact(cut)
 
@@ -678,6 +686,27 @@ def test_clean_rounds_hold_when_a_draw_is_zero(slot):
                 assert report.decode_accuracy_alice in (None, 1.0), config
                 assert report.decode_accuracy_bob in (None, 1.0), config
             assert report.qber_errors == 0, config
+
+
+@pytest.mark.parametrize(
+    "protocol,attack,check", SESSION_CASES, ids=lambda kind: kind.value
+)
+def test_numpy_walk_follows_the_rounds_at_a_cut(protocol, attack, check, monkeypatch):
+    # Pair 0 draws, at the root's slot, the least draw that reaches one of
+    # the root's cuts and the draw just below it; the numpy walk must send
+    # it to the leaf its round reaches alone.
+    monkeypatch.setattr("duplexqkd.protocol.CHUNK", 1)
+    config = _config(pairs=2, control_probability=0.5, check_kind=check, attack=attack, protocol=protocol)
+    session = run_session(config)
+    lane, slot, cuts = session._nodes[session._root]
+    for cut in set(cuts):
+        threshold = stream.threshold_bits(cut)
+        for bits in (threshold, threshold - 1):
+            seed = (_unmix(_key_drawing(bits, slot)) - stream.GAMMA * (lane + 1)) % 2**64
+            assert stream.draw_bits(stream.stream_key(seed, 0, lane), slot) == bits
+            seeded = _config(pairs=2, seed=seed, control_probability=0.5, check_kind=check, attack=attack,
+                             protocol=protocol)
+            assert list(run_session(seeded)) == standalone_rounds(seeded), (cut, bits)
 
 
 def _assert_session_equals_standalone_rounds(config: SimulationConfig, chunk: int) -> None:
