@@ -592,17 +592,18 @@ class Session:
         bucket per row.  The table has one dimension per row and holds, at
         each tuple of buckets, the leaf that a pair with draws in those
         buckets reaches.  A pair then costs, per row, one draw and a count
-        of the row's thresholds, and one gather in the table.
+        of the row's thresholds at or below it, and one gather in the
+        table.
 
         A row's thresholds are the top 53 bits of
         :func:`~duplexqkd.stream.threshold_bits` of its cuts, and a draw's
         top 53 bits reach one exactly when its uniform reaches the cut, the
-        rule of :meth:`Choice.pick`.  The bucket starts at the number of
-        thresholds and loses one for each threshold above the draw: both
-        are below 2**53, so bit 63 of their wrapped ``uint64`` difference is
-        that borrow.  Every array of the walk stays ``uint64``, so numpy
-        never builds a casting loop, as a ``bool`` comparison added into
-        an index array would make it."""
+        rule of :meth:`Choice.pick`.  Both are below 2**53, so a threshold
+        less one less the draw, wrapped in ``uint64``, borrows into bit 63
+        exactly when the draw reaches the threshold, and the walk adds that
+        bit.  Every array of the walk stays ``uint64``, so numpy never
+        builds a casting loop, as adding a ``bool`` comparison into an
+        index array would make it."""
         import numpy as np
 
         rows, table = self._bucket_table()
@@ -615,10 +616,9 @@ class Session:
                 top = draw_bits(keys[lane], slot)
                 top >>= 11
                 at *= len(thresholds) + 1
-                at += len(thresholds)
                 for threshold in thresholds:
-                    at -= (top - threshold) >> 63
-            yield table[at.view(np.intp)]
+                    at += (threshold - 1 - top) >> 63
+            yield table[at.view(np.int64)]
 
     def _bucket_table(self) -> tuple[list, object]:
         """The rows of the bucket table, each as (lane, slot, thresholds)

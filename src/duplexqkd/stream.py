@@ -15,8 +15,11 @@ counter-based style of Salmon et al. ("Parallel Random Numbers: As Easy as
 is a 53-bit double in [0, 1).  No draw depends on any other, so a pair can be
 replayed alone and many pairs can be drawn at once.  :func:`draw_bits` gives
 a draw's 64 bits and :func:`uniform` its ``u``; :func:`threshold_bits` turns
-a cut in (0, 1) into the least ``bits`` whose ``u`` reaches it, so the numpy
-walk of a session compares integers and never forms ``u``.
+a cut in (0, 1) into the least ``bits`` whose ``u`` reaches it.  The numpy
+walk of a session never forms ``u``: it sets the top 53 bits of a draw
+against those of each threshold by the borrow of a ``uint64`` subtraction,
+so every ufunc it runs sees ``uint64`` alone and numpy builds no casting
+loop for it.
 
 The arithmetic is written once.  :func:`stream_key`, :func:`draw_bits` and
 :func:`uniform` take a Python integer, for replays, single rounds and
@@ -79,7 +82,10 @@ def threshold_bits(cut: float) -> int:
     """The least 64-bit draw whose uniform is at least ``cut``, for ``cut``
     in (0, 1): ``ceil(cut * 2**53) << 11``, below 2**64.  ``cut * 2**53`` is
     exact, and a uniform is ``bits >> 11`` times ``2**-53``, so ``bits >=
-    threshold_bits(cut)`` exactly when ``uniform >= cut``."""
+    threshold_bits(cut)`` exactly when ``uniform >= cut``.  The numpy walk
+    keeps the top 53 bits of both: they are below 2**53, so bit 63 of
+    ``(threshold_bits(cut) >> 11) - 1 - (bits >> 11)``, wrapped mod 2**64,
+    is set exactly when ``uniform >= cut``."""
     return math.ceil(cut * 2**53) << 11
 
 

@@ -629,8 +629,9 @@ def _seed_with_zero_draw(slot: int, low: int) -> int:
 def _assert_threshold_exact(cut: float) -> None:
     # The draws at the threshold, just below it and at the top of its
     # uniform: the integer test must agree with ``uniform >= cut``, in the
-    # int form, in the uint64 comparison, and in the borrow form that the
-    # numpy walk counts, whose bit 63 is set exactly below the cut.
+    # int form, in the uint64 comparison, and in the borrow that the numpy
+    # walk counts, whose bit 63 is set exactly at or above the cut, and in
+    # the borrow of the draw less the threshold, set exactly below it.
     threshold = stream.threshold_bits(cut)
     assert 0 < threshold < 2**64
     draws = (threshold, threshold - 1, threshold + 2047)
@@ -641,6 +642,9 @@ def _assert_threshold_exact(cut: float) -> None:
     assert [bits >= threshold for bits in draws] == reached
     batch = stream.draw_bits(np.array(keys, dtype=np.uint64), 3)
     assert (batch >= np.uint64(threshold)).tolist() == reached
+    reaches = ((threshold >> 11) - 1 - (batch >> 11)) >> 63
+    assert reaches.dtype == np.uint64
+    assert reaches.tolist() == [int(r) for r in reached]
     borrow = ((batch >> 11) - (threshold >> 11)) >> 63
     assert borrow.dtype == np.uint64
     assert borrow.tolist() == [int(not r) for r in reached]
