@@ -598,10 +598,10 @@ class Session:
         A row's thresholds are the top 53 bits of
         :func:`~duplexqkd.stream.threshold_bits` of its cuts, and a draw's
         top 53 bits reach one exactly when its uniform reaches the cut, the
-        rule of :meth:`Choice.pick`.  Both are below 2**53, so a threshold
-        less one less the draw, wrapped in ``uint64``, borrows into bit 63
-        exactly when the draw reaches the threshold, and the walk adds that
-        bit.  Every array of the walk stays ``uint64``, so numpy never
+        rule of :meth:`Choice.pick`.  Both are below 2**53, so ``threshold
+        - 1 - top``, wrapped in ``uint64``, borrows into bit 63 exactly when
+        the draw's top bits ``top`` reach the threshold, and the walk adds
+        that bit.  Every array of the walk stays ``uint64``, so numpy never
         builds a casting loop, as adding a ``bool`` comparison into an
         index array would make it."""
         import numpy as np

@@ -700,16 +700,15 @@ def test_numpy_walk_follows_the_rounds_at_a_cut(protocol, attack, check, monkeyp
     # the root's cuts and the draw just below it; the numpy walk must send
     # it to the leaf its round reaches alone.
     monkeypatch.setattr("duplexqkd.protocol.CHUNK", 1)
-    config = _config(pairs=2, control_probability=0.5, check_kind=check, attack=attack, protocol=protocol)
-    session = run_session(config)
+    case = dict(pairs=2, control_probability=0.5, check_kind=check, attack=attack, protocol=protocol)
+    session = run_session(_config(**case))
     lane, slot, cuts = session._nodes[session._root]
     for cut in set(cuts):
         threshold = stream.threshold_bits(cut)
         for bits in (threshold, threshold - 1):
             seed = (_unmix(_key_drawing(bits, slot)) - stream.GAMMA * (lane + 1)) % 2**64
             assert stream.draw_bits(stream.stream_key(seed, 0, lane), slot) == bits
-            seeded = _config(pairs=2, seed=seed, control_probability=0.5, check_kind=check, attack=attack,
-                             protocol=protocol)
+            seeded = _config(seed=seed, **case)
             assert list(run_session(seeded)) == standalone_rounds(seeded), (cut, bits)
 
 
