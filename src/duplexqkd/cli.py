@@ -307,13 +307,10 @@ def _parse_leaf(cells: list[str], eve_logs: dict) -> PairRecord:
     if values["eve_substitute"] is None and values["eve_bell_outcome"] is not None:
         # Only a substituting attack Bell-measures, and it logs its substitute.
         raise ValueError(f"eve_bell_outcome cell {_cell(values['eve_bell_outcome'])!r} with an empty eve_substitute")
-    values |= derived_fields(
-        protocol, mode, values["bob_state"], values.get("alice_basis"), values.get("outcome_1"),
-        values.get("outcome_2"), values.get("alice_bell_outcome"), values.get("alice_target"),
-    )
+    values |= derived_fields(values)
     eve = tuple(values[column] for column in _EVE_COLUMNS)
     values["eve_log"] = eve_logs.setdefault(eve, EveLog(*eve))
-    record = PairRecord(*(values.get(name) for name in PairRecord._fields))
+    record = PairRecord(*map(values.get, PairRecord._fields))
     for column, cell, written in zip(CSV_COLUMNS[1:], cells, _record_row(record)[:-1].split(",")):
         if cell != written:
             where = "does not follow from the row's other cells"
@@ -362,10 +359,11 @@ def load_records_csv(path) -> list:
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header: {header}")
         for lineno, line in enumerate(handle, start=2):
-            index, _, suffix = line.partition(",")
+            index, comma, suffix = line.partition(",")
             try:
                 if suffix not in leaves:
-                    leaf = leaves[suffix] = _parse_leaf(suffix.rstrip("\r\n").split(","), eve_logs)
+                    # A line without a comma is one cell, its pair_index.
+                    leaf = leaves[suffix] = _parse_leaf(suffix.rstrip("\r\n").split(",") if comma else [], eve_logs)
                     first = next(iter(leaves.values())).protocol
                     if leaf.protocol is not first:
                         raise ValueError(f"protocol cell {leaf.protocol.value!r} in a {first.value} transcript")

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -198,31 +198,39 @@ def alice_decode(basis: Basis, correlated: bool) -> BellStateId:
     return _DECODED_STATE[basis, correlated]
 
 
-def derived_fields(
-    protocol: ProtocolKind, mode: Mode, bob_state: BellStateId, alice_basis: Basis | None, outcome_1: Outcome | None,
-    outcome_2: Outcome | None, alice_bell_outcome: BellStateId | None, alice_target: BellStateId | None,
-) -> dict:
-    """The fields of a round that follow from its others, by name:
-    ``correlated``, ``bob_decoded_basis``, ``alice_decoded_state``,
-    ``qber_pass``, ``alice_pauli`` and ``bob_decoded``, each None where the
-    round has none.  A four-state message round derives Alice's Pauli from
-    her Bell outcome and target, and Bob's decode from it and his state;
-    every other round derives as in the base protocol, the correlation from
-    the product of ``outcome_1`` and ``outcome_2``.  A round takes them
-    from here, and the CSV loader refuses a row whose cells differ."""
+def derived_fields(drawn: Mapping[str, object]) -> dict:
+    """The fields of a round that follow from what it draws, by name.
+
+    ``drawn`` maps the round's ``protocol``, ``mode`` and ``bob_state``,
+    and the fields its mode draws, to their values: ``alice_basis``,
+    ``outcome_1`` and ``outcome_2`` in base message rounds and every error
+    check, both outcomes with ``alice_setting``, ``alice_angle``,
+    ``bob_setting`` and ``bob_angle`` in CHSH checks, or
+    ``alice_bell_outcome`` and ``alice_target`` in four-state message
+    rounds.  Other keys are ignored.
+
+    The result maps ``correlated``, ``bob_decoded_basis``,
+    ``alice_decoded_state``, ``qber_pass``, ``alice_pauli`` and
+    ``bob_decoded`` to their values, each None where the round has none.  A
+    four-state message round derives Alice's Pauli from her Bell outcome
+    and target, and Bob's decode from it and his state; every other round
+    derives as in the base protocol, the correlation from the product of
+    ``outcome_1`` and ``outcome_2``.  A round's record is its drawn fields
+    plus these, and the CSV loader builds a row's record the same way."""
     derived = dict.fromkeys(
         ("correlated", "bob_decoded_basis", "alice_decoded_state", "qber_pass", "alice_pauli", "bob_decoded")
     )
-    if mode is Mode.MESSAGE and protocol is ProtocolKind.MODIFIED:
-        alice_pauli = derived["alice_pauli"] = pauli_for_target(alice_bell_outcome, alice_target)
+    mode, bob_state = drawn["mode"], drawn["bob_state"]
+    if mode is Mode.MESSAGE and drawn["protocol"] is ProtocolKind.MODIFIED:
+        alice_pauli = derived["alice_pauli"] = pauli_for_target(drawn["alice_bell_outcome"], drawn["alice_target"])
         derived["bob_decoded"] = pauli_transition(bob_state, alice_pauli)
     elif mode is not Mode.CONTROL_CHSH:
-        correlated = derived["correlated"] = outcome_1 * outcome_2 == +1
+        correlated = derived["correlated"] = drawn["outcome_1"] * drawn["outcome_2"] == +1
         if mode is Mode.MESSAGE:
             derived["bob_decoded_basis"] = bob_decode(bob_state, correlated)
-            derived["alice_decoded_state"] = alice_decode(alice_basis, correlated)
+            derived["alice_decoded_state"] = alice_decode(drawn["alice_basis"], correlated)
         else:
-            derived["qber_pass"] = correlated == (correlation_signature(bob_state, alice_basis) == +1)
+            derived["qber_pass"] = correlated == (correlation_signature(bob_state, drawn["alice_basis"]) == +1)
     return derived
 
 
@@ -384,71 +392,53 @@ def run_pair(
     else:
         mode = Mode.MESSAGE
     four_state_message = mode is Mode.MESSAGE and config.protocol is ProtocolKind.MODIFIED
+    # What the round draws, by field name; the rest of its record follows.
+    drawn = {"protocol": config.protocol, "mode": mode, "bob_state": bob_state}
 
     # Bob prepares his pair and the first half crosses the channel.
     system.add_pair(bob_state, "bob0", "bob1")
     adversary.begin_pair()
     first = adversary.relay_qubit(system, "bob0", 1, eve)
 
-    alice_basis: Basis | None = None
-    alice_setting = alice_angle = bob_setting = bob_angle = outcome_1 = outcome_2 = None
-    alice_bell_outcome = alice_target = None
     if four_state_message:
         # Alice acknowledges the first half, reads Bob's two bits with a
         # Bell measurement of both and picks the target she will encode.
         adversary.hear(system, ReceiptAck(), eve)
-        alice_bell_outcome = system.bell_measure_pair(first, adversary.relay_qubit(system, "bob1", 2, eve), honest)
-        alice_target = honest.choose(BOB_STATE_CHOICE[ProtocolKind.MODIFIED])
+        second = adversary.relay_qubit(system, "bob1", 2, eve)
+        drawn["alice_bell_outcome"] = system.bell_measure_pair(first, second, honest)
+        drawn["alice_target"] = honest.choose(BOB_STATE_CHOICE[ProtocolKind.MODIFIED])
     else:
         # Alice's first measurement (a CHSH angle in control-CHSH rounds,
         # her basis bit otherwise), announced itself but never its result.
         if mode is Mode.CONTROL_CHSH:
-            alice_setting = honest.choose(SETTING_CHOICE)
-            alice_angle = config.settings.alice_angles[alice_setting]
+            alice_setting = drawn["alice_setting"] = honest.choose(SETTING_CHOICE)
+            alice_angle = drawn["alice_angle"] = config.settings.alice_angles[alice_setting]
             first_obs = PlanarObservable(alice_angle)
         else:
-            alice_basis = honest.choose(BASIS_CHOICE)
+            alice_basis = drawn["alice_basis"] = honest.choose(BASIS_CHOICE)
             first_obs = alice_basis.observable
-        outcome_1 = system.measure(first, first_obs, honest)
+        outcome_1 = drawn["outcome_1"] = system.measure(first, first_obs, honest)
         adversary.hear(system, MeasuredFirst(control=control), eve)
 
         if mode is Mode.CONTROL_CHSH:
             # Bob keeps the second half and measures locally.
-            bob_setting = honest.choose(SETTING_CHOICE)
-            bob_angle = config.settings.bob_angles[bob_setting]
-            outcome_2 = system.measure("bob1", PlanarObservable(bob_angle), honest)
+            bob_setting = drawn["bob_setting"] = honest.choose(SETTING_CHOICE)
+            bob_angle = drawn["bob_angle"] = config.settings.bob_angles[bob_setting]
+            outcome_2 = drawn["outcome_2"] = system.measure("bob1", PlanarObservable(bob_angle), honest)
             adversary.hear(system, ControlDisclosure(setting=alice_angle, outcome=outcome_1), eve)
             adversary.hear(system, ControlDisclosure(setting=bob_angle, outcome=outcome_2, state_id=bob_state), eve)
         else:
             # Message and error-check rounds: the second half travels to
             # Alice, who measures it in her first basis.
-            outcome_2 = system.measure(adversary.relay_qubit(system, "bob1", 2, eve), first_obs, honest)
-    derived = derived_fields(
-        config.protocol, mode, bob_state, alice_basis, outcome_1, outcome_2, alice_bell_outcome, alice_target
-    )
+            drawn["outcome_2"] = system.measure(adversary.relay_qubit(system, "bob1", 2, eve), first_obs, honest)
+    fields = drawn | derived_fields(drawn)
     if four_state_message:
-        adversary.hear(system, PauliAnnouncement(op=derived["alice_pauli"]), eve)
+        adversary.hear(system, PauliAnnouncement(op=fields["alice_pauli"]), eve)
     elif mode is Mode.MESSAGE:
-        adversary.hear(system, CorrelationAnnouncement(correlated=derived["correlated"]), eve)
+        adversary.hear(system, CorrelationAnnouncement(correlated=fields["correlated"]), eve)
     elif mode is Mode.CONTROL_QBER:
-        adversary.hear(system, QberDisclosure(basis=alice_basis, correlated=derived["correlated"]), eve)
-
-    return PairRecord(
-        protocol=config.protocol,
-        mode=mode,
-        bob_state=bob_state,
-        alice_basis=alice_basis,
-        alice_setting=alice_setting,
-        alice_angle=alice_angle,
-        bob_setting=bob_setting,
-        bob_angle=bob_angle,
-        outcome_1=outcome_1,
-        outcome_2=outcome_2,
-        alice_bell_outcome=alice_bell_outcome,
-        alice_target=alice_target,
-        eve_log=adversary.end_pair(system, eve),
-        **derived,
-    )
+        adversary.hear(system, QberDisclosure(basis=fields["alice_basis"], correlated=fields["correlated"]), eve)
+    return PairRecord(*map(fields.get, PairRecord._fields[:-1]), adversary.end_pair(system, eve))
 
 
 #: Pairs resolved together in one numpy pass over a session's trie; a

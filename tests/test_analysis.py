@@ -30,27 +30,18 @@ from oracle import TwoQubitDensity, correlator
 # Synthetic CHSH records
 
 
+def _record(**drawn) -> PairRecord:
+    # A record as a round builds it: its drawn fields, completed by the
+    # derived ones, by position, with an empty Eve log.
+    fields = drawn | derived_fields(drawn)
+    return PairRecord(*map(fields.get, PairRecord._fields[:-1]), EveLog())
+
+
 def _chsh_record(state, i, j, product, settings=DEFAULT_SETTINGS) -> PairRecord:
-    return PairRecord(
-        protocol=ProtocolKind.BASE,
-        mode=Mode.CONTROL_CHSH,
-        bob_state=state,
-        alice_basis=None,
-        alice_setting=i,
-        alice_angle=settings.alice_angles[i],
-        bob_setting=j,
-        bob_angle=settings.bob_angles[j],
-        outcome_1=1,
+    return _record(
+        protocol=ProtocolKind.BASE, mode=Mode.CONTROL_CHSH, bob_state=state, alice_setting=i,
+        alice_angle=settings.alice_angles[i], bob_setting=j, bob_angle=settings.bob_angles[j], outcome_1=1,
         outcome_2=product,
-        correlated=None,
-        bob_decoded_basis=None,
-        alice_decoded_state=None,
-        qber_pass=None,
-        alice_bell_outcome=None,
-        alice_pauli=None,
-        alice_target=None,
-        bob_decoded=None,
-        eve_log=EveLog(),
     )
 
 
@@ -142,22 +133,9 @@ def test_estimate_chsh_counts_sum_to_binned_rounds():
 def _qber_record(state, basis, correlated) -> PairRecord:
     # The derived fields, the pass flag the tally reads among them, are the
     # ones a round with these outcomes records.
-    outcome_2 = 1 if correlated else -1
-    return PairRecord(
-        protocol=ProtocolKind.BASE,
-        mode=Mode.CONTROL_QBER,
-        bob_state=state,
-        alice_basis=basis,
-        alice_setting=None,
-        alice_angle=None,
-        bob_setting=None,
-        bob_angle=None,
-        outcome_1=1,
-        outcome_2=outcome_2,
-        alice_bell_outcome=None,
-        alice_target=None,
-        eve_log=EveLog(),
-        **derived_fields(ProtocolKind.BASE, Mode.CONTROL_QBER, state, basis, 1, outcome_2, None, None),
+    return _record(
+        protocol=ProtocolKind.BASE, mode=Mode.CONTROL_QBER, bob_state=state, alice_basis=basis, outcome_1=1,
+        outcome_2=1 if correlated else -1,
     )
 
 

@@ -370,6 +370,8 @@ def _set_cell(column: str, text: str):
         ("base", "message", _set_cell("correlated", "yes"), "correlated cell 'yes'"),
         ("base", "message", lambda cells: cells[:-1], "22 cells, expected 23"),
         ("base", "message", lambda cells: cells + [""], "24 cells, expected 23"),
+        ("base", "message", lambda cells: [""], "1 cells, expected 23"),
+        ("base", "message", lambda cells: ["5"], "1 cells, expected 23"),
         ("base", "message", _set_cell("alice_target", "psi_plus"), "alice_target cell 'psi_plus' in a base row"),
         ("modified", "message", _set_cell("alice_basis", "x"), "alice_basis cell 'x' in a modified row"),
         ("base", "message", _set_cell("pair_index", "11"), "pair_index cell '11', expected 12"),
@@ -428,8 +430,8 @@ def _set_cell(column: str, text: str):
     ],
     ids=[
         "misspelled-state", "misspelled-bell-outcome", "misspelled-pauli", "misspelled-target",
-        "misspelled-decoded", "bad-bit", "short-row", "extra-cell", "base-row-four-state-cell",
-        "modified-row-base-cell", "repeated-index", "negative-index", "underscored-index",
+        "misspelled-decoded", "bad-bit", "short-row", "extra-cell", "blank-line", "index-only-line",
+        "base-row-four-state-cell", "modified-row-base-cell", "repeated-index", "negative-index", "underscored-index",
         "padded-angle", "underscored-angle", "spaced-angle", "signed-angle", "nan-angle", "inf-angle",
         "message-row-angle", "message-row-empty-basis", "message-row-qber-pass", "message-row-one-outcome",
         "chsh-row-empty-angle", "chsh-row-basis", "qber-row-empty-correlated", "four-state-message-row-basis",
